@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-allows fmt-check test race cover bench bench-compare experiments clean
+.PHONY: all build vet lint lint-allows fmt-check test race cover fuzz bench bench-compare experiments clean
 
 all: build vet lint fmt-check test
 
@@ -67,6 +67,19 @@ cover:
 	@pct="$$($(GO) tool cover -func=cover_analysis.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
 	  awk -v p="$$pct" 'BEGIN { if (p+0 < 80) { printf "coverage gate: internal/analysis at %s%%, need >= 80%%\n", p; exit 1 } }'
 	@rm -f cover.out cover_locks.out cover_active.out cover_analysis.out
+
+# Time-boxed fuzzing: runs every Fuzz* target in the module for FUZZTIME
+# each (`go test` alone only replays the seed corpora) and fails on the
+# first crasher. go test writes a crasher under the package's
+# testdata/fuzz/<target>/; commit it as a regression seed.
+FUZZTIME ?= 10s
+fuzz:
+	@for pkg in $$($(GO) list -f '{{.ImportPath}}:{{.Dir}}' ./...); do \
+	  for name in $$(cat $${pkg#*:}/*_test.go 2>/dev/null | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p'); do \
+	    echo "fuzz: $$name in $${pkg%%:*} for $(FUZZTIME)"; \
+	    $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $${pkg%%:*} || exit 1; \
+	  done; \
+	done
 
 # Benchmark baseline: engine micro-benchmarks at full benchtime plus the
 # paper-table macro benchmarks at one iteration each (their sim-* metrics

@@ -124,7 +124,7 @@ func (cl *Cluster) Run() error {
 func (t *Thread) WakePost(target *Thread) {
 	t.mustBeRunning("WakePost")
 	m := t.sys.mach
-	d := m.Config().Wakeup
+	d := t.sys.cfg.Wakeup
 	m.Route(t.Node(), target.Node(), d, func() {
 		if target.state == StateBlocked {
 			target.sys.ready(target)

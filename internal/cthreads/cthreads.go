@@ -67,7 +67,11 @@ type Stats struct {
 
 // System is a thread package instance bound to one simulated machine.
 type System struct {
-	mach      *sim.Machine
+	mach *sim.Machine
+	// cfg is the machine's (immutable) configuration, copied once here:
+	// Machine.Config returns the whole struct by value, too dear for the
+	// per-charge quantum reads of SpinAccrue and the dispatch path.
+	cfg       sim.Config
 	eng       *sim.Engine
 	procs     []*Processor
 	all       []*Thread
@@ -91,7 +95,7 @@ func New(cfg sim.Config) *System {
 
 // OnMachine builds a thread system on an existing machine.
 func OnMachine(m *sim.Machine) *System {
-	s := &System{mach: m, eng: m.Engine()}
+	s := &System{mach: m, cfg: m.Config(), eng: m.Engine()}
 	s.procs = make([]*Processor, m.Nodes())
 	for i := range s.procs {
 		p := &Processor{sys: s, id: i}

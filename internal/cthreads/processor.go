@@ -53,7 +53,7 @@ func (p *Processor) maybeSchedule() {
 		return
 	}
 	p.switching = true
-	p.sys.eng.After(p.sys.mach.Config().ContextSwitch, p.dispatchFn)
+	p.sys.eng.After(p.sys.cfg.ContextSwitch, p.dispatchFn)
 }
 
 // dispatch installs the next ready thread as current and transfers control
@@ -78,7 +78,7 @@ func (p *Processor) dispatch() {
 		t.blockedAt = -1
 	}
 	t.state = StateRunning
-	t.sliceLeft = p.sys.mach.Config().Quantum
+	t.sliceLeft = p.sys.cfg.Quantum
 	t.prof.SetBase(p.sys.eng.Now(), profile.BaseRunning)
 	p.sys.traceThread(trace.KindThreadRun, t, "", 0)
 	if !t.started {

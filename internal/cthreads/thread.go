@@ -130,7 +130,7 @@ func (t *Thread) Advance(d sim.Time) {
 // built on it, so the spin emulator and the ordinary accrual path can
 // never disagree. It is an engine callback, not for simulated code.
 func (t *Thread) SpinAccrue(d sim.Time) (step sim.Time, boundary bool) {
-	q := t.sys.mach.Config().Quantum
+	q := t.sys.cfg.Quantum
 	if q <= 0 {
 		t.busy += d
 		t.proc.busy += d
@@ -158,14 +158,14 @@ func (t *Thread) SpinBoundary() (descheduled bool) {
 		t.proc.release()
 		return true
 	}
-	t.sliceLeft = t.sys.mach.Config().Quantum
+	t.sliceLeft = t.sys.cfg.Quantum
 	return false
 }
 
 // SpinBudget implements sim.SpinContext: the computation left in the
 // current timeslice, or sim.MaxTime when preemption is off.
 func (t *Thread) SpinBudget() sim.Time {
-	if t.sys.mach.Config().Quantum <= 0 {
+	if t.sys.cfg.Quantum <= 0 {
 		return sim.MaxTime
 	}
 	return t.sliceLeft
@@ -247,7 +247,7 @@ func (t *Thread) BlockTimeout(d sim.Time) (timedOut bool) {
 // hardware.
 func (t *Thread) Wake(target *Thread) bool {
 	t.mustBeRunning("Wake")
-	t.Advance(t.sys.mach.Config().Wakeup)
+	t.Advance(t.sys.cfg.Wakeup)
 	if target.state != StateBlocked {
 		return false
 	}
@@ -280,7 +280,7 @@ func (s *System) ready(target *Thread) {
 // releases the processor. Called by the fork wrapper when fn returns.
 func (t *Thread) exit() {
 	for _, j := range t.joiners {
-		t.Advance(t.sys.mach.Config().Wakeup)
+		t.Advance(t.sys.cfg.Wakeup)
 		if j.state == StateBlocked {
 			t.sys.ready(j)
 		}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // BenchmarkEngineEventThroughput measures raw event dispatch rate.
 func BenchmarkEngineEventThroughput(b *testing.B) {
@@ -17,6 +20,36 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	e.After(1, step)
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkEventQueueCycle measures the heap alone at a steady size: each
+// op pops the minimum and pushes a replacement a pseudo-random delay
+// later, as a simulation's schedule-dispatch cycle does. 8 entries is a
+// few threads' wakeups; 1024 is the sharded ring's per-shard heaps.
+func BenchmarkEventQueueCycle(b *testing.B) {
+	for _, size := range []int{8, 1024} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			rng := NewRNG(1)
+			var delays [1024]Time
+			for i := range delays {
+				delays[i] = Time(1 + rng.Intn(2*size))
+			}
+			var q eventQueue
+			seq := uint64(0)
+			for i := 0; i < size; i++ {
+				seq++
+				q.push(delays[i], 0, seq, nil, nil)
+			}
+			var ev event
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.pop(&ev)
+				seq++
+				q.push(ev.when+delays[i&1023], ev.when, seq, nil, nil)
+			}
+		})
 	}
 }
 

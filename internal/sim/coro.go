@@ -23,11 +23,12 @@ type Coro struct {
 	done    bool
 	killed  bool
 	parked  bool
-
-	// spin, when non-nil, is the suspended SpinUntil emulation this
-	// coro's events drive instead of resuming the body (see
-	// Engine.fire and Coro.SpinUntil).
-	spin *spinState
+	// spinning marks a suspended SpinUntil emulation: the coro's events
+	// drive spin instead of resuming the body (see Engine.fire and
+	// Coro.SpinUntil). spin is allocated at the first suspension and
+	// reused by every later one.
+	spinning bool
+	spin     *spinState
 }
 
 // Spawn creates a Coro that will run fn. The coro does not execute until

@@ -54,66 +54,90 @@ func (ev *event) less(other *event) bool {
 }
 
 // eventQueue is an index-based 4-ary min-heap over a value slice, ordered
-// by (when, seq). Storing events by value means pushes reuse the slice's
-// spare capacity — the popped slots are the free list — so steady-state
-// scheduling is allocation-free, unlike the previous container/heap
-// implementation which heap-allocated every *event and boxed it in an
-// interface{} on each Push/Pop. The 4-ary layout halves the tree depth of
-// a binary heap and keeps each node's children in one cache line.
+// by (when, at, seq). Storing events by value means pushes reuse the
+// slice's spare capacity — the popped slots are the free list — so
+// steady-state scheduling is allocation-free. The 4-ary layout halves the
+// tree depth of a binary heap and keeps each node's children in one cache
+// line.
+//
+// No event is ever copied by value here: push writes the new event's
+// fields once, into its final slot, after sifting a hole up; pop moves
+// the minimum into the caller's event and sifts a hole down; every move
+// goes field by field. A by-value copy of the 40-byte event compiles to
+// 16-byte loads of slots just written as 8-byte fields, and the failed
+// store-to-load forwarding stalled the event path (DESIGN.md "No
+// by-value event copies").
 type eventQueue struct {
 	a []event
 }
 
 func (q *eventQueue) len() int { return len(q.a) }
 
-// push inserts ev, sifting it up to its (when, seq) position.
-func (q *eventQueue) push(ev event) {
-	a := append(q.a, ev)
-	i := len(a) - 1
+// push inserts the event (when, at, seq, fn, coro), moving each parent
+// that orders after it one level down and writing the event where the
+// hole stops.
+func (q *eventQueue) push(when, at Time, seq uint64, fn func(), coro *Coro) {
+	i := len(q.a)
+	if i < cap(q.a) {
+		q.a = q.a[:i+1]
+	} else {
+		q.a = append(q.a, event{})
+	}
+	a := q.a
+	key := event{when: when, at: at, seq: seq}
 	for i > 0 {
 		p := (i - 1) / 4
-		if !a[i].less(&a[p]) {
+		pe := &a[p]
+		if pe.when < when || pe.when == when && pe.less(&key) {
 			break
 		}
-		a[i], a[p] = a[p], a[i]
+		h := &a[i]
+		h.when, h.at, h.seq, h.fn, h.coro = pe.when, pe.at, pe.seq, pe.fn, pe.coro
 		i = p
 	}
-	q.a = a
+	h := &a[i]
+	h.when, h.at, h.seq, h.fn, h.coro = when, at, seq, fn, coro
 }
 
-// pop removes and returns the minimum event. The vacated slot is zeroed so
-// the queue holds no stale fn/coro pointers.
-func (q *eventQueue) pop() event {
+// pop moves the minimum event into out and refills the root by sifting a
+// hole down to where the last event belongs. The smallest child is picked
+// on when alone, with the full less only on ties. The vacated slot is
+// cleared so the queue holds no stale fn/coro pointers.
+func (q *eventQueue) pop(out *event) {
 	a := q.a
-	top := a[0]
+	top := &a[0]
+	out.when, out.at, out.seq, out.fn, out.coro = top.when, top.at, top.seq, top.fn, top.coro
 	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = event{}
-	a = a[:n]
-	q.a = a
+	last := &a[n]
 	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		min := first
 		end := first + 4
 		if end > n {
 			end = n
 		}
+		min := first
+		mw := a[first].when
 		for c := first + 1; c < end; c++ {
-			if a[c].less(&a[min]) {
-				min = c
+			if w := a[c].when; w < mw || w == mw && a[c].less(&a[min]) {
+				min, mw = c, w
 			}
 		}
-		if !a[min].less(&a[i]) {
+		me := &a[min]
+		if last.when < mw || last.when == mw && last.less(me) {
 			break
 		}
-		a[i], a[min] = a[min], a[i]
+		h := &a[i]
+		h.when, h.at, h.seq, h.fn, h.coro = me.when, me.at, me.seq, me.fn, me.coro
 		i = min
 	}
-	return top
+	h := &a[i]
+	h.when, h.at, h.seq, h.fn, h.coro = last.when, last.at, last.seq, last.fn, last.coro
+	last.fn, last.coro = nil, nil
+	q.a = a[:n]
 }
 
 // Engine is the discrete-event core: a virtual clock plus a priority queue
@@ -217,17 +241,16 @@ func (e *Engine) advanceInline(when Time) {
 	e.now = when
 }
 
-// schedule stamps ev with the (clamped) time, the schedule instant, and
-// the next sequence number and pushes it. Scheduling in the past is
-// rounded up to the present.
-func (e *Engine) schedule(when Time, ev event) {
+// schedule pushes an event carrying fn or coro, stamped with the
+// (clamped) time, the schedule instant, and the next sequence number.
+// Scheduling in the past is rounded up to the present.
+func (e *Engine) schedule(when Time, fn func(), coro *Coro) {
 	if when < e.now {
 		when = e.now
 	}
 	e.seq++
-	ev.when, ev.at, ev.seq = when, e.now, e.seq
 	e.trace("schedule")
-	e.queue.push(ev)
+	e.queue.push(when, e.now, e.seq, fn, coro)
 }
 
 // scheduleMessage pushes a barrier-delivered cross-shard message: an
@@ -247,13 +270,13 @@ func (e *Engine) scheduleMessage(when, at Time, fn func()) {
 			when, e.rank, e.now))
 	}
 	e.seq++
-	e.queue.push(event{when: when, at: at, seq: e.seq, fn: fn})
+	e.queue.push(when, at, e.seq, fn, nil)
 }
 
 // At schedules fn to run at the given absolute virtual time. Scheduling in
 // the past is rounded up to the present.
 func (e *Engine) At(when Time, fn func()) {
-	e.schedule(when, event{fn: fn})
+	e.schedule(when, fn, nil)
 }
 
 // After schedules fn to run d from now. Negative delays fire immediately
@@ -262,7 +285,7 @@ func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, event{fn: fn})
+	e.schedule(e.now+d, fn, nil)
 }
 
 // afterCoro schedules a dispatch of c after d, carrying the coro in the
@@ -272,7 +295,7 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, event{coro: c})
+	e.schedule(e.now+d, nil, c)
 }
 
 // fire executes one popped event: a direct coro dispatch on the fast path,
@@ -281,14 +304,14 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 // state machine engine-side instead, and the body resumes only when
 // the whole busy-wait loop completes.
 func (e *Engine) fire(ev *event) {
-	if ev.coro != nil {
-		if s := ev.coro.spin; s != nil && !ev.coro.killed {
-			if e.runSpin(s) {
-				e.dispatch(ev.coro)
+	if c := ev.coro; c != nil {
+		if c.spinning && !c.killed {
+			if e.runSpin(c.spin) {
+				e.dispatch(c)
 			}
 			return
 		}
-		e.dispatch(ev.coro)
+		e.dispatch(c)
 		return
 	}
 	ev.fn()
@@ -316,8 +339,9 @@ func (e *Engine) Run() error {
 	e.stopped = false
 	defer func() { e.running = false }()
 
+	var ev event // one event reused by every pop: no by-value copies
 	for e.queue.len() > 0 && !e.stopped && e.failure == nil {
-		ev := e.queue.pop()
+		e.queue.pop(&ev)
 		e.now = ev.when
 		e.trace("event")
 		e.fire(&ev)
@@ -389,11 +413,12 @@ func (e *Engine) RunFor(d Time) error {
 	deadline := e.now + d
 	e.limited, e.limit = true, deadline
 	defer func() { e.limited = false }()
+	var ev event
 	for e.queue.len() > 0 && !e.stopped && e.failure == nil {
 		if e.queue.a[0].when > deadline {
 			break
 		}
-		ev := e.queue.pop()
+		e.queue.pop(&ev)
 		e.now = ev.when
 		e.trace("event")
 		e.fire(&ev)
@@ -433,11 +458,12 @@ func (e *Engine) runWindow(end Time) error {
 
 	e.limited, e.limit = true, end-1
 	defer func() { e.limited = false }()
+	var ev event
 	for e.queue.len() > 0 && !e.stopped && e.failure == nil {
 		if e.queue.a[0].when >= end {
 			break
 		}
-		ev := e.queue.pop()
+		e.queue.pop(&ev)
 		e.now = ev.when
 		e.trace("event")
 		e.fire(&ev)

@@ -5,16 +5,26 @@ import (
 	"testing"
 )
 
+// pushEv and popEv adapt the heap's field-wise push and pop to whole
+// events for the tests below.
+func pushEv(q *eventQueue, ev event) { q.push(ev.when, ev.at, ev.seq, ev.fn, ev.coro) }
+
+func popEv(q *eventQueue) event {
+	var ev event
+	q.pop(&ev)
+	return ev
+}
+
 // popAll drains q and returns the events in pop order.
 func popAll(q *eventQueue) []event {
 	out := make([]event, 0, q.len())
 	for q.len() > 0 {
-		out = append(out, q.pop())
+		out = append(out, popEv(q))
 	}
 	return out
 }
 
-// refSort returns evs sorted by the (when, seq) total order — the
+// refSort returns evs sorted by the (when, at, seq) total order — the
 // specification the heap must match exactly.
 func refSort(evs []event) []event {
 	ref := append([]event(nil), evs...)
@@ -35,9 +45,9 @@ func TestEventQueueMatchesReferenceSort(t *testing.T) {
 		seq := uint64(0)
 		push := func() {
 			seq++
-			ev := event{when: Time(rng.Intn(span)), seq: seq}
+			ev := event{when: Time(rng.Intn(span)), at: Time(rng.Intn(3)), seq: seq}
 			all = append(all, ev)
-			q.push(ev)
+			pushEv(&q, ev)
 		}
 		var popped []event
 		for i := 0; i < n; i++ {
@@ -45,7 +55,7 @@ func TestEventQueueMatchesReferenceSort(t *testing.T) {
 			// Interleave pops so the heap is exercised at many sizes, not
 			// just fill-then-drain.
 			if q.len() > 0 && rng.Intn(3) == 0 {
-				popped = append(popped, q.pop())
+				popped = append(popped, popEv(&q))
 			}
 		}
 		popped = append(popped, popAll(&q)...)
@@ -79,16 +89,16 @@ func TestEventQueueDrainOrder(t *testing.T) {
 		var q eventQueue
 		var all []event
 		for i := 0; i < n; i++ {
-			ev := event{when: Time(rng.Intn(30)), seq: uint64(i + 1)}
+			ev := event{when: Time(rng.Intn(30)), at: Time(rng.Intn(3)), seq: uint64(i + 1)}
 			all = append(all, ev)
-			q.push(ev)
+			pushEv(&q, ev)
 		}
 		got := popAll(&q)
 		ref := refSort(all)
 		for i := range ref {
-			if got[i].when != ref[i].when || got[i].seq != ref[i].seq {
-				t.Fatalf("trial %d: pop %d = (%v,%d), want (%v,%d)",
-					trial, i, got[i].when, got[i].seq, ref[i].when, ref[i].seq)
+			if got[i].when != ref[i].when || got[i].at != ref[i].at || got[i].seq != ref[i].seq {
+				t.Fatalf("trial %d: pop %d = (%v,%v,%d), want (%v,%v,%d)",
+					trial, i, got[i].when, got[i].at, got[i].seq, ref[i].when, ref[i].at, ref[i].seq)
 			}
 		}
 	}
@@ -131,8 +141,9 @@ func TestEngineOrderMatchesReferenceSort(t *testing.T) {
 }
 
 // FuzzEventQueue feeds arbitrary byte strings as (op, when) programs to the
-// heap: each byte either pushes an event at a derived time or pops, and the
-// final drain must come out sorted by (when, seq) with nothing lost.
+// heap: each byte either pushes an event at a derived (when, at) or pops,
+// and the final drain must come out sorted by (when, at, seq) with nothing
+// lost.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xff, 0x80, 7, 7, 7})
 	f.Add([]byte{})
@@ -144,14 +155,14 @@ func FuzzEventQueue(f *testing.F) {
 		var lastPopped *event
 		for _, b := range program {
 			if b&0x80 != 0 && q.len() > 0 {
-				ev := q.pop()
+				ev := popEv(&q)
 				want, ok := live[ev.seq]
 				if !ok || want != ev.when {
 					t.Fatalf("popped unknown/corrupt event (when=%v seq=%d)", ev.when, ev.seq)
 				}
 				delete(live, ev.seq)
 				// Within a drain-only stretch pops must be non-decreasing in
-				// (when, seq); a push can legally go below the last popped
+				// (when, at, seq); a push can legally go below the last popped
 				// value, so reset the watermark on push.
 				if lastPopped != nil && ev.less(lastPopped) {
 					t.Fatalf("pop went backwards: (%v,%d) after (%v,%d)",
@@ -161,16 +172,16 @@ func FuzzEventQueue(f *testing.F) {
 				lastPopped = &evCopy
 			} else {
 				seq++
-				ev := event{when: Time(b & 0x7f), seq: seq}
+				ev := event{when: Time(b & 0x7f), at: Time(b % 3), seq: seq}
 				live[ev.seq] = ev.when
-				q.push(ev)
+				pushEv(&q, ev)
 				lastPopped = nil
 			}
 		}
 		// Drain: strictly ordered and complete.
 		var prev *event
 		for q.len() > 0 {
-			ev := q.pop()
+			ev := popEv(&q)
 			if prev != nil && ev.less(prev) {
 				t.Fatalf("drain out of order: (%v,%d) after (%v,%d)", ev.when, ev.seq, prev.when, prev.seq)
 			}

@@ -134,7 +134,7 @@ const (
 type spinState struct {
 	c    *Coro
 	ctx  SpinContext
-	spec *SpinSpec
+	spec SpinSpec
 
 	pc   spinPC
 	wait spinWait
@@ -166,6 +166,8 @@ type spinState struct {
 // iteration charges exactly what the open-coded loop would: one
 // ProbeCell reference (with module queueing), then — if futile — one
 // PauseCost of computation through ctx's accrual, preemption included.
+// The fast path copies *spec at entry, so the caller must not change it
+// while the loop runs.
 //
 // Fast path: the loop runs as an engine-side state machine, so charges
 // that cannot accrue inline cost one event but no coroutine handoff, and
@@ -179,7 +181,7 @@ func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool)
 	if e.noBatch || e.tracer != nil {
 		return c.spinSlow(ctx, spec)
 	}
-	s := spinState{c: c, ctx: ctx, spec: spec, pc: spinProbeStart}
+	s := spinState{c: c, ctx: ctx, spec: *spec, pc: spinProbeStart}
 	if cell := spec.ProbeCell; cell != nil {
 		if spec.ProbeAtomic {
 			s.probeX = cell.m.cfg.AtomicExtra
@@ -189,14 +191,20 @@ func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool)
 	if e.runSpin(&s) {
 		return s.iters, s.ok
 	}
-	// Suspended: move the state to the heap, hand the coro to the
-	// engine, and let fired events drive the emulation to completion.
-	hs := new(spinState)
+	// Suspended: move the state into the coro's own spin state (allocated
+	// at its first suspension, reused after), hand the coro to the engine,
+	// and let fired events drive the emulation to completion.
+	if c.spin == nil {
+		c.spin = new(spinState)
+	}
+	hs := c.spin
 	*hs = s
-	c.spin = hs
+	c.spinning = true
 	c.yieldToEngine()
-	c.spin = nil
-	return hs.iters, hs.ok
+	c.spinning = false
+	iters, ok = hs.iters, hs.ok
+	*hs = spinState{} // drop the spec's closures and the context
+	return iters, ok
 }
 
 // spinSlow is the per-iteration open-coded loop: the reference
@@ -226,7 +234,7 @@ func (c *Coro) spinSlow(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool) 
 // runSpin advances a spin emulation until it completes (true) or must
 // suspend awaiting an event or redispatch (false). It is called first
 // synchronously from SpinUntil and then from Engine.fire each time one
-// of the coro's events pops while c.spin is set.
+// of the coro's events pops while c.spinning is set.
 //
 // Each charge is booked through SpinContext.SpinAccrue in
 // boundary-bounded steps, each step advancing virtual time exactly as

@@ -397,3 +397,61 @@ func TestSpinStopMidSpin(t *testing.T) {
 		}
 	}
 }
+
+// TestSpinSuspensionAllocFree pins the suspended emulation's state reuse:
+// a coro whose every SpinUntil call suspends — a second coro's wakeups
+// always sit in the heap ahead of the spinner's next charge — allocates
+// nothing per call after the first, which allocates the coro's spin
+// state. A returned call must also leave that state zeroed.
+func TestSpinSuspensionAllocFree(t *testing.T) {
+	m := NewMachine(Config{Nodes: 1})
+	e := m.Engine()
+	cell := m.NewCell(0, "flag", 0)
+	stop := false
+	ticker := e.Spawn("ticker", func(c *Coro) {
+		for !stop {
+			c.Sleep(30 * Nanosecond)
+		}
+	})
+	ticker.Start(0)
+	var allocs float64
+	calls, suspended := 0, 0
+	a := &spinAccessor{}
+	c := e.Spawn("spinner", func(c *Coro) {
+		a.c = c
+		sawSuspension := false
+		spec := SpinSpec{
+			ProbeCell: cell,
+			Probe: func() bool {
+				sawSuspension = sawSuspension || c.spinning
+				return false
+			},
+			PauseCost: func() Time { return 100 * Nanosecond },
+			MaxIters:  3,
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			sawSuspension = false
+			if iters, ok := c.SpinUntil(a, &spec); iters != 3 || ok {
+				t.Errorf("SpinUntil = (%d, %v), want (3, false)", iters, ok)
+			}
+			calls++
+			if sawSuspension {
+				suspended++
+			}
+		})
+		if c.spinning || !reflect.DeepEqual(*c.spin, spinState{}) {
+			t.Error("spin state not cleared after SpinUntil returned")
+		}
+		stop = true
+	})
+	c.Start(0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if suspended != calls || calls == 0 {
+		t.Fatalf("%d of %d SpinUntil calls suspended; the test needs all of them to", suspended, calls)
+	}
+	if allocs != 0 {
+		t.Errorf("suspended SpinUntil allocated %.1f times per call, want 0", allocs)
+	}
+}

@@ -31,6 +31,65 @@ type Node struct {
 	// Seq is an insertion sequence number used to break bound ties
 	// deterministically in priority queues.
 	Seq uint64
+	// pool is the search's free list, shared by every node of the tree;
+	// dead marks a node released to it.
+	pool *nodePool
+	dead bool
+}
+
+// nodePool is one search's free list of released nodes, bucketed by size
+// k. Within a search every size-k node has slices of the same lengths —
+// k rows and columns, a k×k matrix, N−k committed edges, N-city fragment
+// arrays — so a recycled node is refilled in place without allocating.
+// Each search owns its pool, used by one host thread at a time: a
+// simulated solve's searchers take turns on one engine, and concurrent
+// searches (TSPComparison's three solves) share none.
+type nodePool struct {
+	inst *Instance
+	free [][]*Node
+}
+
+// get returns a live size-k node whose contents the caller overwrites,
+// recycled when the bucket has one.
+func (p *nodePool) get(k int) *Node {
+	if b := p.free[k]; len(b) > 0 {
+		n := b[len(b)-1]
+		b[len(b)-1] = nil
+		p.free[k] = b[:len(b)-1]
+		n.Seq = 0
+		n.dead = false
+		return n
+	}
+	n := p.inst.N
+	return &Node{
+		inst:  p.inst,
+		rows:  make([]int, k),
+		cols:  make([]int, k),
+		m:     make([]int64, k*k),
+		Edges: make([]Edge, n-k),
+		nxt:   make([]int, n),
+		prv:   make([]int, n),
+		pool:  p,
+	}
+}
+
+// Release returns a node that its search will never touch again to the
+// search's free list, where a later expansion may reuse its memory.
+// Calling it is optional — a search that never releases behaves exactly
+// as one that does, only allocating more — but a released node is dead:
+// expanding it, queueing it, or releasing it again panics.
+func (n *Node) Release() {
+	n.mustBeLive("Release")
+	n.dead = true
+	k := len(n.rows)
+	n.pool.free[k] = append(n.pool.free[k], n)
+}
+
+// mustBeLive panics when op is applied to a released node.
+func (n *Node) mustBeLive(op string) {
+	if n.dead {
+		panic("tsp: " + op + " of a released node")
+	}
 }
 
 // Size returns the number of active rows (remaining branching depth).
@@ -42,16 +101,11 @@ func (n *Node) at(r, c int) int64 { return n.m[r*len(n.cols)+c] }
 // set writes m[r][c].
 func (n *Node) set(r, c int, v int64) { n.m[r*len(n.cols)+c] = v }
 
-// NewRoot builds the root subproblem: the full cost matrix, reduced.
+// NewRoot builds the root subproblem: the full cost matrix, reduced. It
+// also starts the search's node free list, which every descendant shares.
 func NewRoot(in *Instance) *Node {
-	n := &Node{
-		inst: in,
-		rows: make([]int, in.N),
-		cols: make([]int, in.N),
-		m:    make([]int64, in.N*in.N),
-		nxt:  make([]int, in.N),
-		prv:  make([]int, in.N),
-	}
+	pool := &nodePool{inst: in, free: make([][]*Node, in.N+1)}
+	n := pool.get(in.N)
 	for i := 0; i < in.N; i++ {
 		n.rows[i] = i
 		n.cols[i] = i
@@ -65,16 +119,14 @@ func NewRoot(in *Instance) *Node {
 
 // clone deep-copies the node.
 func (n *Node) clone() *Node {
-	c := &Node{
-		inst:  n.inst,
-		rows:  append([]int(nil), n.rows...),
-		cols:  append([]int(nil), n.cols...),
-		m:     append([]int64(nil), n.m...),
-		Bound: n.Bound,
-		Edges: append([]Edge(nil), n.Edges...),
-		nxt:   append([]int(nil), n.nxt...),
-		prv:   append([]int(nil), n.prv...),
-	}
+	c := n.pool.get(len(n.rows))
+	copy(c.rows, n.rows)
+	copy(c.cols, n.cols)
+	copy(c.m, n.m)
+	c.Bound = n.Bound
+	copy(c.Edges, n.Edges)
+	copy(c.nxt, n.nxt)
+	copy(c.prv, n.prv)
 	return c
 }
 
@@ -179,37 +231,23 @@ func (n *Node) include(pr, pc int) *Node {
 	from, to := n.rows[pr], n.cols[pc]
 	nr, nc := len(n.rows), len(n.cols)
 
-	c := &Node{
-		inst:  n.inst,
-		rows:  make([]int, 0, nr-1),
-		cols:  make([]int, 0, nc-1),
-		m:     make([]int64, 0, (nr-1)*(nc-1)),
-		Bound: n.Bound,
-		Edges: append(append([]Edge(nil), n.Edges...), Edge{From: from, To: to}),
-		nxt:   append([]int(nil), n.nxt...),
-		prv:   append([]int(nil), n.prv...),
-	}
-	for r := 0; r < nr; r++ {
-		if r != pr {
-			c.rows = append(c.rows, n.rows[r])
-		}
-	}
-	for cc := 0; cc < nc; cc++ {
-		if cc != pc {
-			c.cols = append(c.cols, n.cols[cc])
-		}
-	}
+	c := n.pool.get(nr - 1)
+	c.Bound = n.Bound
+	copy(c.Edges, n.Edges)
+	c.Edges[len(n.Edges)] = Edge{From: from, To: to}
+	copy(c.nxt, n.nxt)
+	copy(c.prv, n.prv)
+	c.rows = append(append(c.rows[:0], n.rows[:pr]...), n.rows[pr+1:]...)
+	c.cols = append(append(c.cols[:0], n.cols[:pc]...), n.cols[pc+1:]...)
+	m := c.m[:0]
 	for r := 0; r < nr; r++ {
 		if r == pr {
 			continue
 		}
-		for cc := 0; cc < nc; cc++ {
-			if cc == pc {
-				continue
-			}
-			c.m = append(c.m, n.at(r, cc))
-		}
+		row := n.m[r*nc : (r+1)*nc]
+		m = append(append(m, row[:pc]...), row[pc+1:]...)
 	}
+	c.m = m
 
 	// Merge fragments and forbid the closing edge end→start while the
 	// tour is incomplete.
@@ -309,8 +347,11 @@ type ExpandResult struct {
 	Work int
 }
 
-// Expand performs one LMSK branching step.
+// Expand performs one LMSK branching step. It leaves n intact; infeasible
+// children are released on the spot, the feasible ones belong to the
+// caller.
 func (n *Node) Expand() ExpandResult {
+	n.mustBeLive("Expand")
 	k := len(n.rows)
 	res := ExpandResult{Work: 3 * k * k}
 	if n.Bound >= Inf {
@@ -327,11 +368,15 @@ func (n *Node) Expand() ExpandResult {
 	inc := n.include(pr, pc)
 	if inc.Bound < Inf {
 		res.Children = append(res.Children, inc)
+	} else {
+		inc.Release()
 	}
 	exc := n.exclude(pr, pc)
 	_ = penalty
 	if exc.Bound < Inf {
 		res.Children = append(res.Children, exc)
+	} else {
+		exc.Release()
 	}
 	return res
 }

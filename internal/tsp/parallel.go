@@ -527,6 +527,7 @@ func (s *solver) search(t *cthreads.Thread, me int) {
 		// Prune against the (possibly stale, if distributed) local bound.
 		bound := int64(s.bestFor(me).Load(t))
 		if n.Bound >= bound {
+			n.Release()
 			t.Compute(4)
 			continue
 		}
@@ -536,6 +537,7 @@ func (s *solver) search(t *cthreads.Thread, me int) {
 		}
 		s.expansions++
 		out := n.Expand()
+		n.Release()
 		t.Compute(out.Work * cfg.StepsPerWorkUnit)
 
 		if out.Tour != nil {
@@ -547,6 +549,8 @@ func (s *solver) search(t *cthreads.Thread, me int) {
 		for _, c := range out.Children {
 			if c.Bound < int64(s.bestFor(me).Load(t)) {
 				s.putWork(t, me, c)
+			} else {
+				c.Release()
 			}
 		}
 	}
@@ -678,6 +682,7 @@ func SolveSequentialSim(in *Instance, machine sim.Config, stepsPerWorkUnit, queu
 				break
 			}
 			out := n.Expand()
+			n.Release()
 			expansions++
 			t.Compute(out.Work * stepsPerWorkUnit)
 			if out.Tour != nil && out.Tour.Cost < bestCost {
@@ -688,6 +693,8 @@ func SolveSequentialSim(in *Instance, machine sim.Config, stepsPerWorkUnit, queu
 				if c.Bound < bestCost {
 					t.Compute(queueOpSteps)
 					h.push(c)
+				} else {
+					c.Release()
 				}
 			}
 		}

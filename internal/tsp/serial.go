@@ -34,8 +34,11 @@ func (h *nodeHeap) Pop() interface{} {
 	return n
 }
 
-// push adds a node.
-func (h *nodeHeap) push(n *Node) { heap.Push(h, n) }
+// push adds a node; a released one panics.
+func (h *nodeHeap) push(n *Node) {
+	n.mustBeLive("push")
+	heap.Push(h, n)
+}
 
 // pop removes the best node, or nil when empty.
 func (h *nodeHeap) pop() *Node {
@@ -98,6 +101,7 @@ func SolveSerial(in *Instance) SerialResult {
 			break
 		}
 		out := n.Expand()
+		n.Release()
 		res.Expansions++
 		res.WorkUnits += out.Work
 		if out.Tour != nil && out.Tour.Cost < best {
@@ -107,6 +111,8 @@ func SolveSerial(in *Instance) SerialResult {
 		for _, c := range out.Children {
 			if c.Bound < best {
 				h.push(c)
+			} else {
+				c.Release()
 			}
 		}
 	}
