@@ -11,10 +11,11 @@ import (
 // simulated history: the clock, the tie-breaking sequence counter, and
 // the fast-forward diagnostics the differential suites assert on.
 var seqadvanceEngineFields = map[string]bool{
-	"now":              true,
-	"seq":              true,
-	"spinFastForwards": true,
-	"spinBatchedIters": true,
+	"now":               true,
+	"seq":               true,
+	"spinFastForwards":  true,
+	"spinBatchedIters":  true,
+	"spinSharedCommits": true,
 }
 
 // seqadvanceMachineFields are the Machine module-accounting fields the

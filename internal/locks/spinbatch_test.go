@@ -202,3 +202,81 @@ func TestLocalSpinLockReleasesQnodes(t *testing.T) {
 		t.Errorf("Acquisitions = %d, want %d", got, generations)
 	}
 }
+
+// figure1Fingerprint is what one Figure 1-shaped cell produces.
+type figure1Fingerprint struct {
+	Elapsed sim.Time
+	Lock    Stats
+	Cohort  CohortStats
+	Sched   cthreads.Stats
+	Busy    []sim.Time
+}
+
+// runFigure1Cell runs one Figure 1-shaped cell — 8 processors, 24
+// threads, a 1 ms quantum, critical sections of length cs separated by
+// 400 µs ± 100 µs of local work — under the given engine modes. With
+// three threads per processor, spinners wait out whole quanta behind
+// descheduled holders: the long, many-spinner epochs spin epochs commit.
+func runFigure1Cell(t *testing.T, build func(sys *cthreads.System) Lock, cs sim.Time, inline, batched bool) figure1Fingerprint {
+	t.Helper()
+	sys := cthreads.New(sim.Config{Nodes: 8, Quantum: sim.Millisecond, Seed: 3})
+	sys.Engine().SetInlineWakeups(inline)
+	sys.Engine().SetBatchedSpins(batched)
+	l := build(sys)
+	for i := 0; i < 24; i++ {
+		sys.Fork(i%8, fmt.Sprintf("w%d", i), func(th *cthreads.Thread) {
+			for j := 0; j < 6; j++ {
+				l.Lock(th)
+				th.Advance(cs)
+				l.Unlock(th)
+				th.Advance(400*sim.Microsecond + th.Rand().Duration(200*sim.Microsecond) - 100*sim.Microsecond)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fp := figure1Fingerprint{Elapsed: sys.Now(), Lock: l.Stats(), Sched: sys.Stats()}
+	if c, ok := l.(*CohortLock); ok {
+		fp.Cohort = c.Cohort()
+	}
+	for _, th := range sys.Threads() {
+		fp.Busy = append(fp.Busy, th.Busy())
+	}
+	return fp
+}
+
+// TestSpinEpochFigure1Differential runs Figure 1's spin-heavy strategies
+// (pure spin, cohort, combined-50) at a short and a long critical
+// section in all four engine modes: elapsed time, lock and cohort
+// statistics, scheduler statistics and per-thread busy time must be
+// identical to the per-iteration reference.
+func TestSpinEpochFigure1Differential(t *testing.T) {
+	strategies := []struct {
+		name  string
+		build func(sys *cthreads.System) Lock
+	}{
+		{"pure-spin", func(sys *cthreads.System) Lock { return NewPureSpinConfigured(sys, 0, "spin", DefaultCosts()) }},
+		{"cohort", func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }},
+		{"combined-50", func(sys *cthreads.System) Lock { return NewCombinedLock(sys, 0, "combined50", DefaultCosts(), 50) }},
+	}
+	for _, s := range strategies {
+		for _, cs := range []sim.Time{50 * sim.Microsecond, 500 * sim.Microsecond} {
+			t.Run(fmt.Sprintf("%s/cs=%v", s.name, cs), func(t *testing.T) {
+				ref := runFigure1Cell(t, s.build, cs, true, false)
+				if ref.Lock.SpinIters == 0 {
+					t.Fatal("reference run never spun")
+				}
+				for _, mode := range []struct{ inline, batched bool }{
+					{true, true}, {false, true}, {false, false},
+				} {
+					got := runFigure1Cell(t, s.build, cs, mode.inline, mode.batched)
+					if !reflect.DeepEqual(ref, got) {
+						t.Errorf("inline=%v batched=%v diverges from reference:\nref: %+v\ngot: %+v",
+							mode.inline, mode.batched, ref, got)
+					}
+				}
+			})
+		}
+	}
+}

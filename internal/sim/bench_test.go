@@ -160,7 +160,7 @@ func (a *coroAccessor) Node() int      { return 0 }
 func (a *coroAccessor) Advance(d Time) { a.c.Sleep(d) }
 
 // benchSpin runs one bounded busy-wait of b.N futile probes against a
-// flag nobody sets, with the contention-epoch fast path on or off.
+// flag nobody sets, with the spin-epoch fast path on or off.
 func benchSpin(b *testing.B, batched bool) {
 	b.ReportAllocs()
 	m := NewMachine(Config{Nodes: 1})
@@ -194,3 +194,52 @@ func BenchmarkSpinBatched(b *testing.B) { benchSpin(b, true) }
 // charge and one pause per futile probe, the cost every spin paid before
 // batching existed.
 func BenchmarkSpinSlowPath(b *testing.B) { benchSpin(b, false) }
+
+// BenchmarkSpinEpoch measures spin epochs: N independent spinners, each
+// busy-waiting on its own never-set flag for its share of b.N futile
+// probes, with unequal pauses so their charges interleave, while a
+// callback every 100 µs ends the epoch (a harmful occurrence). One op is
+// one simulated iteration; the engine commits all N spinners together
+// between callbacks and re-proves their steady state after each.
+func BenchmarkSpinEpoch(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			m := NewMachine(Config{Nodes: n})
+			e := m.Engine()
+			done := 0
+			var tick func()
+			tick = func() {
+				if done < n {
+					e.After(100*Microsecond, tick)
+				}
+			}
+			e.After(100*Microsecond, tick)
+			for i := 0; i < n; i++ {
+				cell := m.NewCell(i, "flag", 0)
+				iters := b.N / n
+				if i < b.N%n {
+					iters++
+				}
+				pause := Time(100+10*i) * Nanosecond
+				a := &spinAccessor{node: i}
+				c := e.Spawn("spinner", func(c *Coro) {
+					a.c = c
+					spec := &SpinSpec{
+						ProbeCell: cell,
+						Probe:     func() bool { return cell.Peek() != 0 },
+						PauseCost: func() Time { return pause },
+						MaxIters:  int64(iters),
+					}
+					c.SpinUntil(a, spec)
+					done++
+				})
+				c.Start(0)
+			}
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

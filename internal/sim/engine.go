@@ -148,6 +148,17 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	queue eventQueue
+	// lane holds the continuations of spin-epoch members in a heap of
+	// their own, whose storage is allocated at the first member (see
+	// Engine.fastForwardSpin); members is the commits' scratch space. The
+	// next event is the smaller of the two heads; every reader of the
+	// queue head looks at both.
+	lane    eventQueue
+	members []epochMember
+	// epoch counts harmful occurrences (see endSpinEpoch): a spin
+	// iteration is clean when epoch did not move between its probe
+	// reservation and its end.
+	epoch uint64
 
 	// live tracks spawned coros that have not finished, for shutdown and
 	// deadlock detection.
@@ -169,10 +180,13 @@ type Engine struct {
 	// through the open-coded slow path.
 	noBatch bool
 	// spinFastForwards / spinBatchedIters count closed-form spin
-	// fast-forwards and the iterations they skipped (diagnostics; the
-	// differential suites use them to prove the fast path engaged).
-	spinFastForwards uint64
-	spinBatchedIters uint64
+	// fast-forwards (one per member per commit) and the iterations they
+	// skipped; spinSharedCommits counts commits that advanced two or more
+	// members at once (diagnostics; the differential suites use them to
+	// prove the fast path engaged).
+	spinFastForwards  uint64
+	spinBatchedIters  uint64
+	spinSharedCommits uint64
 	// limited/limit bound inline time advancement to RunFor's window, so a
 	// coro cannot run past the deadline the engine loop would stop at.
 	// Sharded window runs reuse the same bound, which is what keeps the
@@ -218,15 +232,19 @@ func (e *Engine) InlineWakeups() bool { return !e.noInline }
 
 // canInline reports whether a self-wakeup at when may run inline: no
 // tracer observing schedule/event occurrences, the engine not stopping,
-// the wakeup strictly earlier than every pending event (equal times must
-// go through the heap — an already-queued event at the same time has a
-// smaller seq and fires first), and within RunFor's window when one is
-// active. Callers have already checked noInline and the coro's own state.
+// the wakeup strictly earlier than every pending event in the heap and
+// the spin lane (equal times must go through the queue — an
+// already-queued event at the same time has a smaller seq and fires
+// first), and within RunFor's window when one is active. Callers have
+// already checked noInline and the coro's own state.
 func (e *Engine) canInline(when Time) bool {
 	if e.tracer != nil || e.stopped {
 		return false
 	}
 	if e.queue.len() > 0 && when >= e.queue.a[0].when {
+		return false
+	}
+	if e.lane.len() > 0 && when >= e.lane.a[0].when {
 		return false
 	}
 	return !e.limited || when <= e.limit
@@ -241,16 +259,17 @@ func (e *Engine) advanceInline(when Time) {
 	e.now = when
 }
 
-// schedule pushes an event carrying fn or coro, stamped with the
-// (clamped) time, the schedule instant, and the next sequence number.
-// Scheduling in the past is rounded up to the present.
-func (e *Engine) schedule(when Time, fn func(), coro *Coro) {
+// schedule pushes onto q (the event heap, or the spin lane for a
+// spin-epoch member's continuation) an event carrying fn or coro,
+// stamped with the (clamped) time, the schedule instant, and the next
+// sequence number. Scheduling in the past is rounded up to the present.
+func (e *Engine) schedule(q *eventQueue, when Time, fn func(), coro *Coro) {
 	if when < e.now {
 		when = e.now
 	}
 	e.seq++
 	e.trace("schedule")
-	e.queue.push(when, e.now, e.seq, fn, coro)
+	q.push(when, e.now, e.seq, fn, coro)
 }
 
 // scheduleMessage pushes a barrier-delivered cross-shard message: an
@@ -276,7 +295,7 @@ func (e *Engine) scheduleMessage(when, at Time, fn func()) {
 // At schedules fn to run at the given absolute virtual time. Scheduling in
 // the past is rounded up to the present.
 func (e *Engine) At(when Time, fn func()) {
-	e.schedule(when, fn, nil)
+	e.schedule(&e.queue, when, fn, nil)
 }
 
 // After schedules fn to run d from now. Negative delays fire immediately
@@ -285,7 +304,7 @@ func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, fn, nil)
+	e.schedule(&e.queue, e.now+d, fn, nil)
 }
 
 // afterCoro schedules a dispatch of c after d, carrying the coro in the
@@ -295,14 +314,15 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, nil, c)
+	e.schedule(&e.queue, e.now+d, nil, c)
 }
 
 // fire executes one popped event: a direct coro dispatch on the fast path,
 // otherwise the scheduled callback. A coro suspended inside a spin
 // emulation (Coro.SpinUntil) is not resumed — the event advances its
 // state machine engine-side instead, and the body resumes only when
-// the whole busy-wait loop completes.
+// the whole busy-wait loop completes. A dispatch and a callback are
+// harmful occurrences (endSpinEpoch); a spin charge is not.
 func (e *Engine) fire(ev *event) {
 	if c := ev.coro; c != nil {
 		if c.spinning && !c.killed {
@@ -314,14 +334,41 @@ func (e *Engine) fire(ev *event) {
 		e.dispatch(c)
 		return
 	}
+	e.endSpinEpoch()
 	ev.fn()
+}
+
+// nextQueue returns the queue whose head is the next event due at or
+// before last, or nil when there is none. When a spin-lane member is
+// next, the members are first committed together up to the next
+// non-member event (Engine.fastForwardSpin); only a lane head the commit
+// cannot move is returned to be popped and fired one charge at a time.
+// The event loops test the common case — an empty lane and a due heap
+// head — inline and call this only otherwise.
+func (e *Engine) nextQueue(last Time) *eventQueue {
+	for {
+		q, l := &e.queue, &e.lane
+		if l.len() > 0 && (q.len() == 0 || l.a[0].less(&q.a[0])) {
+			if l.a[0].when > last {
+				return nil
+			}
+			if e.fastForwardSpin(nil) {
+				continue
+			}
+			return l
+		}
+		if q.len() == 0 || q.a[0].when > last {
+			return nil
+		}
+		return q
+	}
 }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return e.queue.len() }
+func (e *Engine) Pending() int { return e.queue.len() + e.lane.len() }
 
 // Live reports the number of spawned coros that have not yet finished.
 func (e *Engine) Live() int { return len(e.live) }
@@ -339,9 +386,17 @@ func (e *Engine) Run() error {
 	e.stopped = false
 	defer func() { e.running = false }()
 
+	// Anything may have changed simulated state since the last run.
+	e.endSpinEpoch()
 	var ev event // one event reused by every pop: no by-value copies
-	for e.queue.len() > 0 && !e.stopped && e.failure == nil {
-		e.queue.pop(&ev)
+	for !e.stopped && e.failure == nil {
+		q := &e.queue
+		if len(e.lane.a) > 0 || len(q.a) == 0 {
+			if q = e.nextQueue(MaxTime); q == nil {
+				break
+			}
+		}
+		q.pop(&ev)
 		e.now = ev.when
 		e.trace("event")
 		e.fire(&ev)
@@ -413,12 +468,16 @@ func (e *Engine) RunFor(d Time) error {
 	deadline := e.now + d
 	e.limited, e.limit = true, deadline
 	defer func() { e.limited = false }()
+	e.endSpinEpoch()
 	var ev event
-	for e.queue.len() > 0 && !e.stopped && e.failure == nil {
-		if e.queue.a[0].when > deadline {
-			break
+	for !e.stopped && e.failure == nil {
+		q := &e.queue
+		if len(e.lane.a) > 0 || len(q.a) == 0 || q.a[0].when > deadline {
+			if q = e.nextQueue(deadline); q == nil {
+				break
+			}
 		}
-		e.queue.pop(&ev)
+		q.pop(&ev)
 		e.now = ev.when
 		e.trace("event")
 		e.fire(&ev)
@@ -430,7 +489,7 @@ func (e *Engine) RunFor(d Time) error {
 	if e.stopped {
 		return nil
 	}
-	if e.queue.len() == 0 && len(e.live) > 0 {
+	if e.Pending() == 0 && len(e.live) > 0 {
 		return e.deadlockError()
 	}
 	if e.now < deadline {
@@ -458,12 +517,16 @@ func (e *Engine) runWindow(end Time) error {
 
 	e.limited, e.limit = true, end-1
 	defer func() { e.limited = false }()
+	e.endSpinEpoch()
 	var ev event
-	for e.queue.len() > 0 && !e.stopped && e.failure == nil {
-		if e.queue.a[0].when >= end {
-			break
+	for !e.stopped && e.failure == nil {
+		q := &e.queue
+		if len(e.lane.a) > 0 || len(q.a) == 0 || q.a[0].when >= end {
+			if q = e.nextQueue(end - 1); q == nil {
+				break
+			}
 		}
-		e.queue.pop(&ev)
+		q.pop(&ev)
 		e.now = ev.when
 		e.trace("event")
 		e.fire(&ev)
@@ -475,10 +538,14 @@ func (e *Engine) runWindow(end Time) error {
 // the queue is empty. The Sharded coordinator uses it between windows
 // (never while the engine runs) to pick the next global window start.
 func (e *Engine) nextEventTime() (Time, bool) {
-	if e.queue.len() == 0 {
-		return 0, false
+	t, ok := MaxTime, false
+	if e.queue.len() > 0 {
+		t, ok = e.queue.a[0].when, true
 	}
-	return e.queue.a[0].when, true
+	if e.lane.len() > 0 && e.lane.a[0].when < t {
+		t, ok = e.lane.a[0].when, true
+	}
+	return t, ok
 }
 
 // shutdown unwinds any coros that are still parked by resuming them with
@@ -507,6 +574,7 @@ func (e *Engine) shutdown() {
 // the only place a worker is ever released (DESIGN.md "Engine
 // invariants").
 func (e *Engine) dispatch(c *Coro) {
+	e.endSpinEpoch()
 	if e.attr != nil {
 		e.attr.CoroDispatched(e.now)
 	}

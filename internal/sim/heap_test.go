@@ -105,7 +105,7 @@ func TestEventQueueDrainOrder(t *testing.T) {
 }
 
 // TestEngineOrderMatchesReferenceSort checks the property end to end: a
-// random mix of At and After schedules fires in (when, seq) order.
+// random mix of At and After schedules fires in (when, at, seq) order.
 func TestEngineOrderMatchesReferenceSort(t *testing.T) {
 	rng := NewRNG(99)
 	for trial := 0; trial < 50; trial++ {

@@ -6,13 +6,19 @@ import (
 	"testing"
 )
 
-// spinAccessor implements SpinContext for engine-level tests: plain
-// accrual with no scheduling boundaries (the preempting implementation is
-// exercised by the cthreads and locks differential suites).
+// spinAccessor implements SpinContext for engine-level tests. With a zero
+// quantum it accrues plainly with no scheduling boundaries. With a
+// quantum it books computation against a slice of that length; at the
+// slice's end it starts a fresh slice in place (gap 0) or is descheduled
+// for gap and redispatched by a callback — a processor-free stand-in for
+// the preempting cthreads implementation, which the cthreads and locks
+// differential suites exercise.
 type spinAccessor struct {
 	c    *Coro
 	node int
 	busy Time
+
+	quantum, left, gap Time
 }
 
 func (a *spinAccessor) Node() int { return a.node }
@@ -20,12 +26,48 @@ func (a *spinAccessor) Advance(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	a.busy += d
-	a.c.Sleep(d)
+	if a.quantum <= 0 {
+		a.busy += d
+		a.c.Sleep(d)
+		return
+	}
+	for {
+		step, boundary := a.SpinAccrue(d)
+		d -= step
+		a.c.Sleep(step)
+		if boundary && a.SpinBoundary() {
+			a.c.Park()
+		}
+		if d <= 0 {
+			return
+		}
+	}
 }
-func (a *spinAccessor) SpinAccrue(d Time) (Time, bool) { a.busy += d; return d, false }
-func (a *spinAccessor) SpinBoundary() bool             { return false }
-func (a *spinAccessor) SpinBudget() Time               { return MaxTime }
+func (a *spinAccessor) SpinAccrue(d Time) (Time, bool) {
+	if a.quantum <= 0 {
+		a.busy += d
+		return d, false
+	}
+	step := min(d, a.left)
+	a.busy += step
+	a.left -= step
+	return step, a.left <= 0
+}
+func (a *spinAccessor) SpinBoundary() bool {
+	a.left = a.quantum
+	if a.gap <= 0 {
+		return false
+	}
+	c := a.c
+	c.eng.After(a.gap, func() { c.Unpark(0) })
+	return true
+}
+func (a *spinAccessor) SpinBudget() Time {
+	if a.quantum <= 0 {
+		return MaxTime
+	}
+	return a.left
+}
 
 // spinWorkloadParams shapes one differential spin workload.
 type spinWorkloadParams struct {
@@ -47,6 +89,10 @@ type spinObs struct {
 	accesses []uint64
 	qdelay   []Time
 	err      string
+
+	// Engine mechanism counters: mode-dependent, so diffSpinObs ignores
+	// them; iters is the total the spinners' SpinUntil calls returned.
+	sharedCommits, batchedIters, iters uint64
 }
 
 // runSpinWorkload drives a token-passing ring through SpinUntil: worker i
@@ -153,7 +199,17 @@ func diffSpinObs(t *testing.T, name string, ref, got spinObs) {
 // under inline wakeups as the reference.
 func diffSpinModes(t *testing.T, p spinWorkloadParams) {
 	t.Helper()
-	ref := runSpinWorkload(t, p, false, true)
+	diffEngineModes(t, func(batched, inline bool) spinObs {
+		return runSpinWorkload(t, p, batched, inline)
+	})
+}
+
+// diffEngineModes runs a workload in all four (batched, inline) modes
+// and requires byte-identical observations, with the per-iteration slow
+// path under inline wakeups as the reference.
+func diffEngineModes(t *testing.T, run func(batched, inline bool) spinObs) {
+	t.Helper()
+	ref := run(false, true)
 	for _, mode := range []struct {
 		name            string
 		batched, inline bool
@@ -162,7 +218,7 @@ func diffSpinModes(t *testing.T, p spinWorkloadParams) {
 		{"batched+noinline", true, false},
 		{"slow+noinline", false, false},
 	} {
-		diffSpinObs(t, mode.name, ref, runSpinWorkload(t, p, mode.batched, mode.inline))
+		diffSpinObs(t, mode.name, ref, run(mode.batched, mode.inline))
 	}
 }
 
@@ -276,6 +332,50 @@ func TestSpinMaxIters(t *testing.T) {
 			t.Errorf("MaxIters=%d: batched (%d %v %d %d) != slow (%d %v %d %d)",
 				maxIters, bi, bok, bnow, bseq, si, sok, snow, sseq)
 		}
+	}
+}
+
+// TestSpinLongEpoch spins a bounded loop far longer than one commit may
+// span (maxSpinWindow), with nothing else in the engine: the fast path
+// commits it in window-sized steps and must end exactly where the
+// per-iteration path's closed form puts it — MaxIters probe-plus-pause
+// iterations, then the final probe — which the slow path confirms at a
+// small bound.
+func TestSpinLongEpoch(t *testing.T) {
+	const probe, pause = 600 * Nanosecond, 2000 * Nanosecond
+	run := func(batched bool, maxIters int64) (now Time, seq uint64) {
+		m := NewMachine(Config{Nodes: 1})
+		e := m.Engine()
+		e.SetBatchedSpins(batched)
+		cell := m.NewCell(0, "flag", 0)
+		a := &spinAccessor{}
+		c := e.Spawn("spinner", func(c *Coro) {
+			a.c = c
+			spec := &SpinSpec{
+				ProbeCell: cell,
+				Probe:     func() bool { return false },
+				PauseCost: func() Time { return pause },
+				MaxIters:  maxIters,
+			}
+			if iters, ok := c.SpinUntil(a, spec); iters != maxIters || ok {
+				t.Errorf("SpinUntil = (%d, %v), want (%d, false)", iters, ok, maxIters)
+			}
+		})
+		c.Start(0)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.now, e.seq
+	}
+	want := func(k int64) (Time, uint64) { return Time(k)*(probe+pause) + probe, uint64(2*k + 2) }
+	now, seq := run(false, 50)
+	if wn, ws := want(50); now != wn || seq != ws {
+		t.Fatalf("slow path at 50 iterations: (now, seq) = (%d, %d), closed form says (%d, %d)", now, seq, wn, ws)
+	}
+	const k = 1_000_000_000 // 2.6e15 ns of spinning: thousands of maxSpinWindow commits
+	now, seq = run(true, k)
+	if wn, ws := want(k); now != wn || seq != ws {
+		t.Errorf("batched: (now, seq) = (%d, %d), want (%d, %d)", now, seq, wn, ws)
 	}
 }
 
@@ -453,5 +553,198 @@ func TestSpinSuspensionAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("suspended SpinUntil allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// epochParams shapes one spin-epoch differential workload.
+type epochParams struct {
+	seed     uint64
+	spinners int  // 1–16
+	cells    int  // lock words; spinner i waits on cell i mod cells
+	svc      Time // ModuleService
+	lockstep bool // equal pauses, nodes and start times: tied (when, at) chains
+	quantum  Time // spinners' slice budget; 0 = none
+	gap      Time // descheduled time at a slice boundary; 0 = absorbed in place
+	deadline Time // RunFor split point; 0 = one plain Run
+}
+
+// runEpochWorkload drives many concurrent spinners through SpinUntil so
+// that spin epochs hold several members at once. Every cell starts held.
+// A non-spinner coro releases cell 0 mid-epoch with a charged store, and
+// callbacks release the others; whoever then probes a free cell takes it
+// (a test-and-set probe), holds it for a while and releases it with a
+// charged store, so shared cells pass from spinner to spinner. Each
+// spinner first spins with a small MaxIters and, if that exhausts, spins
+// again unbounded. Lockstep mode gives every spinner the same node,
+// pause and start time, so their charges tie on (when, at) and the
+// commit must order them as the per-charge engine would; otherwise
+// pauses and distances differ. Every fourth spinner declares no probe
+// cell, so its iterations are a pause alone. A RunFor deadline, when
+// set, splits the run mid-epoch.
+func runEpochWorkload(tb testing.TB, p epochParams, batched, inline bool) spinObs {
+	tb.Helper()
+	const nodes = 4
+	m := NewMachine(Config{Nodes: nodes, ModuleService: p.svc, Seed: p.seed})
+	e := m.Engine()
+	e.SetBatchedSpins(batched)
+	e.SetInlineWakeups(inline)
+	obs := spinObs{}
+	logf := func(format string, args ...any) {
+		obs.log = append(obs.log, fmt.Sprintf("%d/%d ", e.now, e.seq)+fmt.Sprintf(format, args...))
+	}
+	rng := NewRNG(p.seed)
+	cells := make([]*Cell, p.cells)
+	for j := range cells {
+		node := j % nodes
+		if p.lockstep {
+			node = 0
+		}
+		cells[j] = m.NewCell(node, fmt.Sprintf("c%d", j), 1)
+	}
+	rel := &spinAccessor{node: 0}
+	releaser := e.Spawn("releaser", func(c *Coro) {
+		rel.c = c
+		rel.Advance(Time(50+rng.Intn(400)) * Microsecond)
+		cells[0].Store(rel, 0)
+		logf("releaser freed c0")
+	})
+	releaser.Start(0)
+	for j := 1; j < len(cells); j++ {
+		cell := cells[j]
+		e.At(Time(100+rng.Intn(1500))*Microsecond, func() {
+			cell.Poke(0)
+			logf("callback freed %s", cell.Name())
+		})
+	}
+	accs := make([]*spinAccessor, p.spinners)
+	for i := range accs {
+		i := i
+		r := rng.Fork()
+		cell := cells[i%len(cells)]
+		node, pause, start := 1, Time(300)*Nanosecond, Time(0)
+		if !p.lockstep {
+			node = i % nodes
+			pause = Time(100+r.Intn(900)) * Nanosecond
+			start = Time(r.Intn(40)) * Microsecond
+		}
+		a := &spinAccessor{node: node, quantum: p.quantum, left: p.quantum, gap: p.gap}
+		accs[i] = a
+		probe := func() bool {
+			old := cell.Peek()
+			cell.Poke(old | 1)
+			return old == 0
+		}
+		maxIters := int64(r.Intn(40))
+		c := e.Spawn(fmt.Sprintf("s%d", i), func(c *Coro) {
+			a.c = c
+			spec := &SpinSpec{
+				ProbeCell: cell, ProbeAtomic: i%3 != 0,
+				Probe: probe, PauseCost: func() Time { return pause },
+				MaxIters: maxIters,
+			}
+			if i%4 == 3 {
+				spec.ProbeCell = nil // probes uncharged state: one charge per iteration
+			}
+			iters, ok := c.SpinUntil(a, spec)
+			obs.iters += uint64(iters)
+			logf("s%d bounded iters=%d ok=%v", i, iters, ok)
+			if !ok {
+				spec.MaxIters = SpinUnbounded
+				iters, ok = c.SpinUntil(a, spec)
+				obs.iters += uint64(iters)
+				logf("s%d unbounded iters=%d ok=%v", i, iters, ok)
+			}
+			a.Advance(Time(5+r.Intn(60)) * Microsecond)
+			cell.Store(a, 0)
+			logf("s%d released %s", i, cell.Name())
+		})
+		c.Start(start)
+	}
+	if p.deadline > 0 {
+		if err := e.RunFor(p.deadline); err != nil {
+			obs.err = err.Error()
+		}
+		logf("deadline pending=%d", e.Pending())
+	}
+	if err := e.Run(); err != nil && obs.err == "" {
+		obs.err = err.Error()
+	}
+	obs.finalNow, obs.finalSeq = e.now, e.seq
+	obs.sharedCommits, obs.batchedIters = e.spinSharedCommits, e.spinBatchedIters
+	for _, a := range accs {
+		obs.busy = append(obs.busy, a.busy)
+	}
+	for n := 0; n < m.Nodes(); n++ {
+		obs.accesses = append(obs.accesses, m.ModuleAccesses(n))
+		obs.qdelay = append(obs.qdelay, m.ModuleQueueDelay(n))
+	}
+	return obs
+}
+
+// epochFuzzParams maps raw fuzz inputs onto a workload.
+func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits uint8, deadlineUnits uint16) epochParams {
+	p := epochParams{
+		seed:     seed%1000 + 1,
+		spinners: int(spinners%16) + 1,
+		svc:      Time(svcUnits%8) * 300 * Nanosecond,
+		lockstep: flags&1 != 0,
+		deadline: Time(deadlineUnits%2000) * Microsecond,
+	}
+	p.cells = int(cells)%p.spinners + 1
+	if flags&2 != 0 {
+		p.cells = p.spinners // every spinner on a private cell
+	}
+	if q := Time(quantumUnits % 8); q > 0 {
+		p.quantum = q * 50 * Microsecond
+		if flags&4 != 0 {
+			p.gap = Time(10+quantumUnits%32) * Microsecond
+		}
+	}
+	return p
+}
+
+// FuzzSpinEpochDifferential drives many concurrent spinners — private
+// and shared cells, lockstep chains with tied (when, at), unequal
+// lengths, module contention on and off, MaxIters, slice budgets, a
+// RunFor deadline mid-epoch, and a non-spinner releasing a cell
+// mid-epoch — through all four engine modes ({batched, per-iteration} ×
+// {inline, heap}), requiring identical (now, seq)-stamped logs, busy
+// accrual, and module-contention accounting.
+func FuzzSpinEpochDifferential(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(7), uint8(3), uint8(0), uint8(0), uint16(0))
+	f.Add(uint64(2), uint8(15), uint8(3), uint8(1), uint8(0), uint8(0), uint16(300))
+	f.Add(uint64(3), uint8(11), uint8(4), uint8(0), uint8(2), uint8(0), uint16(0))
+	f.Add(uint64(4), uint8(7), uint8(7), uint8(2), uint8(3), uint8(2), uint16(0))
+	f.Add(uint64(5), uint8(9), uint8(2), uint8(4), uint8(0), uint8(3), uint16(700))
+	f.Add(uint64(6), uint8(5), uint8(5), uint8(7), uint8(1), uint8(1), uint16(90))
+	f.Add(uint64(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, seed uint64, spinners, cells, flags, svcUnits, quantumUnits uint8, deadlineUnits uint16) {
+		p := epochFuzzParams(seed, spinners, cells, flags, svcUnits, quantumUnits, deadlineUnits)
+		diffEngineModes(t, func(batched, inline bool) spinObs {
+			return runEpochWorkload(t, p, batched, inline)
+		})
+	})
+}
+
+// TestSpinEpochEngages proves spin epochs commit several members at once
+// — with unequal lengths and in lockstep — that the commits account for
+// most of the iterations, and that the result matches the per-iteration
+// path.
+func TestSpinEpochEngages(t *testing.T) {
+	for _, lockstep := range []bool{false, true} {
+		name := fmt.Sprintf("lockstep=%v", lockstep)
+		p := epochParams{seed: 11, spinners: 8, cells: 8, lockstep: lockstep}
+		ref := runEpochWorkload(t, p, false, true)
+		got := runEpochWorkload(t, p, true, true)
+		diffSpinObs(t, name, ref, got)
+		if got.sharedCommits == 0 {
+			t.Errorf("%s: no commit advanced two or more members", name)
+		}
+		if got.iters < 1000 {
+			t.Errorf("%s: workload too small to be meaningful: %d iters", name, got.iters)
+		}
+		if got.batchedIters < got.iters*3/4 {
+			t.Errorf("%s: commits skipped only %d of %d iterations", name, got.batchedIters, got.iters)
+		}
 	}
 }
