@@ -17,227 +17,94 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/locks"
 	"repro/internal/sim"
-	"repro/internal/tsp"
 )
 
 // benchJobs is the sweep fan-out the benchmarks run with: all cores, the
-// same default the cmd/ binaries use. Sim-metric outputs are identical at
+// same default cmd/repro uses. Sim-metric outputs are identical at
 // any value; only wall-clock changes.
 var benchJobs = runtime.GOMAXPROCS(0)
 
-// benchTSPOpts is the shared workload for Tables 1–3: a 16-city Euclidean
-// instance on 10 processors, the same scale regime as the paper's 32-city
-// runs (see experiments.TSPOptions).
-func benchTSPOpts() experiments.TSPOptions {
-	return experiments.TSPOptions{Cities: 16, Seed: 1, Searchers: 10, Jobs: benchJobs}
-}
-
-func benchTSP(b *testing.B, org tsp.Organization) {
+// benchSpec runs one registered experiment b.N times on env (at the
+// benchJobs fan-out) and reports its Result metrics.
+func benchSpec(b *testing.B, name string, env experiments.Env) {
 	b.Helper()
-	var row experiments.TSPRow
-	var err error
+	spec, ok := experiments.Lookup(name)
+	if !ok {
+		b.Fatalf("no experiment %q", name)
+	}
+	env.Jobs = benchJobs
+	var res experiments.Result
 	for i := 0; i < b.N; i++ {
-		row, err = experiments.TSPComparison(org, benchTSPOpts())
-		if err != nil {
+		var err error
+		if res, err = spec.Run(env); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if row.Sequential > 0 {
-		b.ReportMetric(row.Sequential.Millis(), "sim-ms-sequential")
-		b.ReportMetric(row.Speedup, "speedup")
+	for _, m := range res.Metrics {
+		b.ReportMetric(m.Value, m.Name)
 	}
-	b.ReportMetric(row.Blocking.Millis(), "sim-ms-blocking")
-	b.ReportMetric(row.Adaptive.Millis(), "sim-ms-adaptive")
-	b.ReportMetric(row.ImprovementPct, "improvement-%")
 }
 
 // BenchmarkTable1 regenerates Table 1: the centralized TSP implementation,
-// sequential vs. blocking locks vs. adaptive locks.
-func BenchmarkTable1(b *testing.B) { benchTSP(b, tsp.OrgCentralized) }
+// sequential vs. blocking locks vs. adaptive locks (16-city Euclidean
+// instance on 10 processors, the same scale regime as the paper's
+// 32-city runs).
+func BenchmarkTable1(b *testing.B) { benchSpec(b, "table1", experiments.Env{}) }
 
 // BenchmarkTable2 regenerates Table 2: the distributed TSP implementation.
-func BenchmarkTable2(b *testing.B) { benchTSP(b, tsp.OrgDistributed) }
+func BenchmarkTable2(b *testing.B) { benchSpec(b, "table2", experiments.Env{}) }
 
 // BenchmarkTable3 regenerates Table 3: the distributed implementation with
 // load balancing.
-func BenchmarkTable3(b *testing.B) { benchTSP(b, tsp.OrgDistributedLB) }
+func BenchmarkTable3(b *testing.B) { benchSpec(b, "table3", experiments.Env{}) }
 
 // BenchmarkTable4 regenerates Table 4: the Lock operation cost of each
 // lock kind, local and remote.
-func BenchmarkTable4(b *testing.B) {
-	var rows []experiments.LockOpRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table4(experiments.Options{Jobs: benchJobs})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Local.Micros(), "sim-µs-"+metricName(r.Kind)+"-local")
-	}
-}
+func BenchmarkTable4(b *testing.B) { benchSpec(b, "table4", experiments.Env{}) }
 
 // BenchmarkTable5 regenerates Table 5: the Unlock operation cost.
-func BenchmarkTable5(b *testing.B) {
-	var rows []experiments.LockOpRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table5(experiments.Options{Jobs: benchJobs})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Local.Micros(), "sim-µs-"+metricName(r.Kind)+"-local")
-	}
-}
+func BenchmarkTable5(b *testing.B) { benchSpec(b, "table5", experiments.Env{}) }
 
 // BenchmarkTable6 regenerates Table 6: locking cycles of the static locks
 // on a busy lock.
-func BenchmarkTable6(b *testing.B) {
-	var rows []experiments.CycleRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table6(experiments.Options{Jobs: benchJobs})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Local.Micros(), "sim-µs-"+metricName(r.Kind)+"-local")
-	}
-}
+func BenchmarkTable6(b *testing.B) { benchSpec(b, "table6", experiments.Env{}) }
 
 // BenchmarkTable7 regenerates Table 7: locking cycles of the adaptive lock
 // pinned to its spin and blocking configurations.
-func BenchmarkTable7(b *testing.B) {
-	var rows []experiments.CycleRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table7(experiments.Options{Jobs: benchJobs})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Local.Micros(), "sim-µs-"+metricName(r.Kind)+"-local")
-	}
-}
+func BenchmarkTable7(b *testing.B) { benchSpec(b, "table7", experiments.Env{}) }
 
 // BenchmarkTable8 regenerates Table 8: the costs of the basic adaptation
 // mechanisms.
-func BenchmarkTable8(b *testing.B) {
-	var rows []experiments.ConfigOpRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table8(experiments.Options{Jobs: benchJobs})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Local.Micros(), "sim-µs-"+metricName(r.Op)+"-local")
-	}
-}
+func BenchmarkTable8(b *testing.B) { benchSpec(b, "table8", experiments.Env{}) }
 
 // BenchmarkFigure1 regenerates Figure 1: application execution time over
-// critical-section length for pure spin, pure blocking, and the three
-// combined locks. The reported metric is the execution-time ratio of the
-// 10-spin combined lock to the 1-spin one at a 10µs critical section —
-// below 1.0 it reproduces the paper's headline observation.
-func BenchmarkFigure1(b *testing.B) {
-	var rows []experiments.Figure1Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure1(experiments.Figure1Options{
-			CSLengths: []sim.Time{10 * sim.Microsecond, 100 * sim.Microsecond, 500 * sim.Microsecond},
-			Jobs:      benchJobs,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	at10 := rows[0].Elapsed
-	b.ReportMetric(float64(at10["combined-10"])/float64(at10["combined-1"]), "c10/c1@10µs")
-	b.ReportMetric(float64(at10["combined-50"])/float64(at10["combined-10"]), "c50/c10@10µs")
-	at500 := rows[2].Elapsed
-	b.ReportMetric(float64(at500["pure-spin"])/float64(at500["pure-block"]), "spin/block@500µs")
-}
+// critical-section length for pure spin, pure blocking, the three
+// combined locks, and the mutable and cohort locks. The headline metric
+// is the execution-time ratio of the 10-spin combined lock to the 1-spin
+// one at a 10µs critical section — below 1.0 it reproduces the paper's
+// observation.
+func BenchmarkFigure1(b *testing.B) { benchSpec(b, "fig1", experiments.Env{}) }
 
-// BenchmarkLockPatterns regenerates Figures 4–9: the waiting-thread
-// patterns of qlock and glob-act-lock under each TSP organization. The
-// reported metrics are the mean waiting counts of the three qlock figures
-// (4, 6, 8) — the centralized one dominating is the figures' shape.
+// BenchmarkLockPatterns regenerates Figures 4–9 on a 14-city instance:
+// the waiting-thread patterns of qlock and glob-act-lock under each TSP
+// organization. The metrics are the mean waiting counts of the three
+// qlock figures (4, 6, 8) — the centralized one dominating is the
+// figures' shape.
 func BenchmarkLockPatterns(b *testing.B) {
-	var figs []experiments.PatternFigure
-	var err error
-	for i := 0; i < b.N; i++ {
-		figs, err = experiments.LockPatterns(experiments.TSPOptions{Cities: 14, Seed: 1, Jobs: benchJobs})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, f := range figs {
-		if f.Lock == tsp.LockQueue {
-			b.ReportMetric(f.Series.Mean(), metricName(string(f.Org))+"-qlock-mean-waiting")
-		}
-	}
+	benchSpec(b, "patterns", experiments.Env{TSP: experiments.TSPOptions{Cities: 14}})
 }
 
 // BenchmarkSchedulerComparison runs the FCFS/priority/handoff client-server
 // extension experiment.
-func BenchmarkSchedulerComparison(b *testing.B) {
-	var rows []experiments.SchedRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.SchedulerComparison(sim.Config{}, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanResponse.Micros(), "sim-µs-response-"+r.Scheduler)
-	}
-}
+func BenchmarkSchedulerComparison(b *testing.B) { benchSpec(b, "sched", experiments.Env{}) }
 
 // BenchmarkSpinVsBlock runs the multiprogramming crossover extension
 // experiment ([MS93] §2).
-func BenchmarkSpinVsBlock(b *testing.B) {
-	var rows []experiments.CrossoverRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.SpinVsBlockCrossover(sim.Config{}, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	first, last := rows[0], rows[len(rows)-1]
-	b.ReportMetric(float64(first.Spin)/float64(first.Block), "spin/block@1tpp")
-	b.ReportMetric(float64(last.Spin)/float64(last.Block), "spin/block@4tpp")
-}
+func BenchmarkSpinVsBlock(b *testing.B) { benchSpec(b, "crossover", experiments.Env{}) }
 
 // BenchmarkPolicyAblation sweeps the SimpleAdapt constants (the paper's
 // future-work question about Waiting-Threshold and n).
-func BenchmarkPolicyAblation(b *testing.B) {
-	var rows []experiments.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.PolicyAblation(sim.Config{}, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	best := rows[0]
-	for _, r := range rows {
-		if r.Elapsed < best.Elapsed {
-			best = r
-		}
-	}
-	b.ReportMetric(float64(best.WaitingThreshold), "best-threshold")
-	b.ReportMetric(float64(best.Step), "best-n")
-	b.ReportMetric(best.Elapsed.Millis(), "sim-ms-best")
-}
+func BenchmarkPolicyAblation(b *testing.B) { benchSpec(b, "ablation", experiments.Env{}) }
 
 // BenchmarkShardedEngine runs one big 1024-node NUMA simulation — the
 // client/server ring of the sharded-scaling experiment — partitioned
@@ -265,146 +132,41 @@ func BenchmarkShardedEngine(b *testing.B) {
 	}
 }
 
-// metricName flattens a label into a benchmark-metric-safe token.
-func metricName(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+'a'-'A')
-		case r == ' ' || r == '-' || r == '(' || r == ')':
-			if len(out) > 0 && out[len(out)-1] != '-' {
-				out = append(out, '-')
-			}
-		}
-	}
-	for len(out) > 0 && out[len(out)-1] == '-' {
-		out = out[:len(out)-1]
-	}
-	return string(out)
-}
-
 // BenchmarkAdvisoryLock runs the variable-length critical-section
 // extension experiment ([MS93] via §2: advisory locks do well when
 // critical-section lengths vary).
-func BenchmarkAdvisoryLock(b *testing.B) {
-	var rows []experiments.AdvisoryRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AdvisoryComparison(sim.Config{}, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Elapsed.Millis(), "sim-ms-"+metricName(r.Strategy))
-	}
-}
+func BenchmarkAdvisoryLock(b *testing.B) { benchSpec(b, "advisory", experiments.Env{}) }
 
 // BenchmarkLockRetargeting runs the §2 lock-representation ablation:
 // centralized remote-spin TAS vs. distributed local-spin MCS under
 // memory-module contention.
-func BenchmarkLockRetargeting(b *testing.B) {
-	var rows []experiments.RetargetRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.LockRetargeting(sim.Config{}, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := rows[len(rows)-1]
-	b.ReportMetric(last.RemoteSpin.Millis(), "sim-ms-remote-spin-16t")
-	b.ReportMetric(last.LocalSpin.Millis(), "sim-ms-local-spin-16t")
-	b.ReportMetric(last.HotSpotDelay.Millis(), "sim-ms-hotspot-delay-16t")
-}
+func BenchmarkLockRetargeting(b *testing.B) { benchSpec(b, "retarget", experiments.Env{}) }
 
 // BenchmarkCoupling measures the feedback-loop coupling comparison: the
 // closely-coupled inline monitor vs. the general-purpose thread monitor
 // pipeline, reporting the loose loop's decision lag.
-func BenchmarkCoupling(b *testing.B) {
-	var rows []experiments.CouplingRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.CouplingComparison(sim.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Elapsed.Millis(), "sim-ms-closely-coupled")
-	b.ReportMetric(rows[1].Elapsed.Millis(), "sim-ms-loosely-coupled")
-	b.ReportMetric(rows[1].DecisionLag.Micros(), "sim-µs-decision-lag")
-}
+func BenchmarkCoupling(b *testing.B) { benchSpec(b, "coupling", experiments.Env{}) }
 
 // BenchmarkPlatformRetargeting sweeps UMA/NUMA/NORMA machine presets,
 // reporting how the spin/block preference shifts (§2).
-func BenchmarkPlatformRetargeting(b *testing.B) {
-	var rows []experiments.PlatformRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.PlatformRetargeting(benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.SpinOverBlock, "spin/block-"+metricName(r.Platform))
-	}
-}
+func BenchmarkPlatformRetargeting(b *testing.B) { benchSpec(b, "platform", experiments.Env{}) }
 
 // BenchmarkScaling sweeps the centralized TSP comparison over processor
-// counts (§4's "gain even higher for massively parallel" prediction).
+// counts on a 14-city instance (§4's "gain even higher for massively
+// parallel" prediction).
 func BenchmarkScaling(b *testing.B) {
-	var rows []experiments.ScalingRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.ScalingComparison(experiments.TSPOptions{Cities: 14, Seed: 1, Jobs: benchJobs}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ImprovementPct, fmt.Sprintf("improvement-%%-%dp", r.Searchers))
-	}
+	benchSpec(b, "scaling", experiments.Env{TSP: experiments.TSPOptions{Cities: 14}})
 }
 
 // BenchmarkSOR runs the massively-parallel SOR comparison (the §7
 // follow-on study): blocking vs. adaptive residual lock across worker
 // counts.
-func BenchmarkSOR(b *testing.B) {
-	var rows []experiments.SORRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.SORComparison(nil, benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ImprovementPct, fmt.Sprintf("improvement-%%-%dw", r.Workers))
-	}
-}
+func BenchmarkSOR(b *testing.B) { benchSpec(b, "sor", experiments.Env{}) }
 
 // BenchmarkAdaptiveBarrier compares spin, sleep, and adaptive barriers on
 // SOR in private and multiprogrammed regimes (§7's "other operating
 // system components").
-func BenchmarkAdaptiveBarrier(b *testing.B) {
-	var rows []experiments.BarrierRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.BarrierComparison(benchJobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Adaptive.Millis(), "sim-ms-adaptive-"+metricName(r.Regime))
-		b.ReportMetric(r.Spin.Millis(), "sim-ms-spin-"+metricName(r.Regime))
-		b.ReportMetric(r.Sleep.Millis(), "sim-ms-sleep-"+metricName(r.Regime))
-	}
-}
+func BenchmarkAdaptiveBarrier(b *testing.B) { benchSpec(b, "barrier", experiments.Env{}) }
 
 // BenchmarkLockContended measures the contended-acquire regime the
 // spin-batching fast path targets: waiters hammering one lock word on the

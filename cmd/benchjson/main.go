@@ -41,8 +41,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/cli"
 )
 
 // Benchmark is one parsed benchmark result line.
@@ -76,24 +74,7 @@ func main() {
 		"baseline JSON to diff the fresh run against; exits 1 on any deterministic-metric drift (no output file is written)")
 	update := flag.Bool("update", false,
 		"run the micro and macro benchmark suites (the same commands as `make bench`) and regenerate -out in place; takes no input files")
-	shards := cli.ShardsFlag(flag.CommandLine)
-	obs := cli.ObserveFlags(flag.CommandLine)
-	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
-	if obs.Enabled() {
-		log.Fatal("-profile-vt/-ledger are not supported: benchjson runs no simulation of its own (attach them via lockbench, tspbench, figures, or adaptdemo)")
-	}
-	if err := cli.ValidateShards(*shards, nil, obs); err != nil {
-		log.Fatal(err)
-	}
-	if *shards > 1 {
-		log.Fatalf("-shards %d: the benchmark suites pin their own engines (BenchmarkShardedEngine covers the sharded grid); run with -shards 1", *shards)
-	}
-
-	if err := prof.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer prof.Stop()
 
 	base := Baseline{
 		Note: "benchmark baseline written by `make bench`; sim-* metrics are deterministic, ns/op is hardware-dependent",

@@ -1,11 +1,9 @@
-// Package cli centralizes the flag plumbing shared by the cmd/ binaries:
-// the -trace family (path, capacity, category selection, derived reports),
-// the -profile-vt/-ledger observability pair, the deterministic -seed,
-// the -procs processor count, the -j sweep parallelism, and the
-// -cpuprofile/-memprofile pair. Each binary registers what it needs
-// through these helpers so flag names, defaults, and usage strings stay
-// consistent across lockbench, tspbench, adaptdemo, figures, and
-// benchjson.
+// Package cli holds the run-wide flag plumbing of cmd/repro, the
+// experiment driver: the -trace family (path, capacity, category
+// selection, derived reports), the -profile-vt/-ledger observability
+// pair, the -j sweep parallelism, the -shards count and its validation
+// against the observers, the -no-spin-batch escape hatch, and the
+// -cpuprofile/-memprofile pair.
 package cli
 
 import (
@@ -19,9 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cthreads"
 	"repro/internal/profile"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -73,19 +69,11 @@ func (tf *Trace) Flush(tr *trace.Tracer, w io.Writer) error {
 	if tr == nil || tf.Path == "" {
 		return nil
 	}
-	f, err := os.Create(tf.Path)
-	if err != nil {
-		return err
+	write := tr.WriteText
+	if hasExt(tf.Path, ".json") {
+		write = tr.WriteChrome
 	}
-	if strings.EqualFold(filepath.Ext(tf.Path), ".json") {
-		err = tr.WriteChrome(f)
-	} else {
-		err = tr.WriteText(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeFile(tf.Path, write); err != nil {
 		return err
 	}
 	if tf.Reports && w != nil {
@@ -97,11 +85,27 @@ func (tf *Trace) Flush(tr *trace.Tracer, w io.Writer) error {
 	return nil
 }
 
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// hasExt reports whether path ends in the extension ext, ignoring case.
+func hasExt(path, ext string) bool { return strings.EqualFold(filepath.Ext(path), ext) }
+
 // Observe holds the values of the shared virtual-time observability
 // flags: -profile-vt (the exact attribution profiler of internal/profile)
 // and -ledger (the adaptation decision ledger of internal/core). Both
-// collectors are shared across every simulation of a run, so binaries
-// force serial sweeps while either is enabled.
+// collectors are shared across every simulation of a run, so the
+// experiments run their sweeps serially while either is enabled.
 type Observe struct {
 	// ProfilePath is the -profile-vt output file; empty means off.
 	ProfilePath string
@@ -150,68 +154,34 @@ func (o *Observe) Ledger() *core.Ledger {
 	return o.ledger
 }
 
-// Attach installs the configured observers directly on a system (for
-// binaries that build their own simulation; the experiment options
-// structs carry Profiler/Ledger fields otherwise).
-func (o *Observe) Attach(sys *cthreads.System) {
-	sys.SetProfiler(o.Profiler())
-	sys.SetLedger(o.Ledger())
-}
-
 // Flush writes the collected profile and ledger to their configured
 // paths: the profile as folded stacks when the path ends in .folded and
 // as a table plus histograms otherwise; the ledger as JSON when the path
 // ends in .json and as the decision report otherwise. Disabled outputs
 // are no-ops.
 func (o *Observe) Flush() error {
-	if o.ProfilePath != "" && o.prof != nil {
-		f, err := os.Create(o.ProfilePath)
-		if err != nil {
-			return err
-		}
-		if strings.EqualFold(filepath.Ext(o.ProfilePath), ".folded") {
-			err = o.prof.WriteFolded(f)
-		} else {
-			err = o.prof.WriteTable(f)
-			if err == nil {
-				err = o.prof.WriteHistograms(f)
+	if o.prof != nil {
+		write := func(w io.Writer) error {
+			if err := o.prof.WriteTable(w); err != nil {
+				return err
 			}
+			return o.prof.WriteHistograms(w)
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		if hasExt(o.ProfilePath, ".folded") {
+			write = o.prof.WriteFolded
 		}
-		if err != nil {
+		if err := writeFile(o.ProfilePath, write); err != nil {
 			return err
 		}
 	}
-	if o.LedgerPath != "" && o.ledger != nil {
-		f, err := os.Create(o.LedgerPath)
-		if err != nil {
-			return err
+	if o.ledger != nil {
+		write := o.ledger.WriteReport
+		if hasExt(o.LedgerPath, ".json") {
+			write = o.ledger.WriteJSON
 		}
-		if strings.EqualFold(filepath.Ext(o.LedgerPath), ".json") {
-			err = o.ledger.WriteJSON(f)
-		} else {
-			err = o.ledger.WriteReport(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
+		return writeFile(o.LedgerPath, write)
 	}
 	return nil
-}
-
-// SeedFlag registers the shared deterministic-seed flag.
-func SeedFlag(fs *flag.FlagSet, def uint64) *uint64 {
-	return fs.Uint64("seed", def, "deterministic simulation seed")
-}
-
-// ProcsFlag registers the shared processor-count flag.
-func ProcsFlag(fs *flag.FlagSet, def int) *int {
-	return fs.Int("procs", def, "simulated processors")
 }
 
 // Profile holds the values of the shared -cpuprofile/-memprofile flags,
@@ -268,35 +238,22 @@ func (p *Profile) Stop() error {
 		}
 	}
 	if p.Mem != "" {
-		f, err := os.Create(p.Mem)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // flush recently freed objects out of the heap profile
-		err = pprof.WriteHeapProfile(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		path := p.Mem
 		p.Mem = ""
-		return err
+		return writeFile(path, func(w io.Writer) error {
+			runtime.GC() // flush recently freed objects out of the heap profile
+			return pprof.WriteHeapProfile(w)
+		})
 	}
 	return nil
 }
 
 // NoSpinBatchFlag registers the shared escape hatch for the engine's
-// contention-epoch spin batching. Pass the parsed value to
-// ApplySpinBatch before building any simulation.
+// contention-epoch spin batching. When it is set, turn batching off with
+// sim.SetDefaultBatchedSpins(false) before building any simulation.
 func NoSpinBatchFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("no-spin-batch", false,
 		"emulate every futile busy-wait probe per-iteration instead of batching them in the engine (slower wall clock; simulated results are identical)")
-}
-
-// ApplySpinBatch applies the parsed -no-spin-batch value to the process
-// default, so every engine the binary builds honors the flag.
-func ApplySpinBatch(noBatch bool) {
-	if noBatch {
-		sim.SetDefaultBatchedSpins(false)
-	}
 }
 
 // JobsFlag registers the shared sweep-parallelism flag. Independent
@@ -325,7 +282,7 @@ func ShardsFlag(fs *flag.FlagSet) *int {
 // record one serial timeline — the same rule that forces experiment
 // sweeps serial when observed — so -shards > 1 combined with any of
 // them is an error rather than a silently different recording. tf and
-// obs may be nil for binaries that lack those flags.
+// obs may be nil.
 func ValidateShards(shards int, tf *Trace, obs *Observe) error {
 	if shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", shards)

@@ -32,7 +32,7 @@ type SimpleAdapt struct {
 
 // DefaultSimpleAdapt returns the constants used by the TSP experiments:
 // threshold 3, step 10, cap 1000. The paper leaves tuning Waiting-Threshold
-// and n to future work; cmd/figures -fig ablation sweeps them.
+// and n to future work; repro ablation sweeps them.
 func DefaultSimpleAdapt(spinAttr string) SimpleAdapt {
 	return SimpleAdapt{SpinAttr: spinAttr, WaitingThreshold: 3, Step: 10, MaxSpin: 1000}
 }

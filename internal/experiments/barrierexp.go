@@ -26,7 +26,7 @@ type BarrierRow struct {
 // processors the adaptive barrier converges to polling; multiprogrammed,
 // it converges to a short grace poll followed by sleeping, beating both
 // static barriers.
-func BarrierComparison(jobs int) ([]BarrierRow, error) {
+func BarrierComparison(e Env) ([]BarrierRow, error) {
 	regimes := []struct {
 		name    string
 		procs   int
@@ -38,7 +38,7 @@ func BarrierComparison(jobs int) ([]BarrierRow, error) {
 	kinds := []string{"spin", "sleep", "adaptive"}
 	// Flatten the (regime × barrier-kind) grid: all six solves are
 	// independent simulations.
-	cells, err := sweep(sweepJobs(jobs, false), len(regimes)*len(kinds), func(i int) (sim.Time, error) {
+	cells, err := sweep(sweepJobs(e.Jobs, false), len(regimes)*len(kinds), func(i int) (sim.Time, error) {
 		reg := regimes[i/len(kinds)]
 		kind := kinds[i%len(kinds)]
 		res, err := sor.Solve(sor.Config{

@@ -79,32 +79,29 @@ func couplingWorkload(sys *cthreads.System, l locks.Lock, procs int,
 // loop's reaction time is bounded below by the trace pipeline, so it
 // cannot track faster locking-pattern changes, while the inline loop's
 // lag is structurally zero.
-func CouplingComparison(machine sim.Config) ([]CouplingRow, error) {
-	return CouplingComparisonTraced(machine, nil)
-}
-
-// CouplingComparisonTraced is CouplingComparison with an optional tracer
-// attached to both systems. The two runs are sequential, so their events
-// share one virtual timeline restarting at zero; AdaptationLag separates
-// them by lock name ("tight" vs "loose"). In the loose run the monitor
+//
+// e.Tracer, when set, is attached to both systems. The two runs are
+// sequential, so their events share one virtual timeline restarting at
+// zero; AdaptationLag separates them by lock name ("tight" vs "loose").
+// In the loose run the monitor
 // thread emits a KindSample carrying the record's *collection* time just
 // before running the policy, so the trace-derived lag is the §5.1
 // trace-pipeline delay; the tight lock's inline samples carry the
 // consumption time and its lag is structurally near zero.
-func CouplingComparisonTraced(machine sim.Config, tr *trace.Tracer) ([]CouplingRow, error) {
+func CouplingComparison(e Env) ([]CouplingRow, error) {
 	const procs = 8
-	if machine.Quantum == 0 {
-		machine.Quantum = 500 * sim.Microsecond
+	if e.Machine.Quantum == 0 {
+		e.Machine.Quantum = 500 * sim.Microsecond
 	}
 	policy := core.SimpleAdapt{SpinAttr: locks.AttrSpinTime, WaitingThreshold: 2, Step: 10, MaxSpin: 1000}
 
 	// Closely coupled: the adaptive lock's built-in monitor.
-	tight := machine
+	tight := e.Machine
 	if tight.Nodes < procs {
 		tight.Nodes = procs
 	}
 	tightSys := cthreads.New(tight)
-	tightSys.SetTracer(tr)
+	tightSys.SetTracer(e.Tracer)
 	tightLock := locks.NewAdaptiveLock(tightSys, 0, "tight", locks.DefaultCosts(), policy)
 	tightDone := couplingWorkload(tightSys, tightLock, procs, nil)
 	if err := tightSys.Run(); err != nil {
@@ -113,12 +110,12 @@ func CouplingComparisonTraced(machine sim.Config, tr *trace.Tracer) ([]CouplingR
 
 	// Loosely coupled: a reconfigurable lock adapted by a monitor thread
 	// on a dedicated ninth processor.
-	loose := machine
+	loose := e.Machine
 	if loose.Nodes < procs+1 {
 		loose.Nodes = procs + 1
 	}
 	looseSys := cthreads.New(loose)
-	looseSys.SetTracer(tr)
+	looseSys.SetTracer(e.Tracer)
 	looseLock := locks.NewReconfigurableLock(looseSys, 0, "loose", locks.DefaultCosts(), locks.DefaultInitialSpins)
 	// The general-purpose monitor is built for trace collection, not
 	// control: it batches records and polls at millisecond granularity

@@ -81,16 +81,13 @@ func renderSweeps(t *testing.T, jobs int) string {
 	t.Helper()
 	var out bytes.Buffer
 
-	fig1, err := Figure1(Figure1Options{
-		CSLengths: []sim.Time{10 * sim.Microsecond, 500 * sim.Microsecond},
-		Jobs:      jobs,
-	})
+	fig1, err := Figure1(Env{Jobs: jobs}, []sim.Time{10 * sim.Microsecond, 500 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(&out, RenderFigure1(fig1))
 
-	abl, err := PolicyAblation(sim.Config{}, jobs)
+	abl, err := PolicyAblation(Env{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +104,7 @@ func renderSweeps(t *testing.T, jobs int) string {
 		row.Blocking, row.Adaptive, row.Sequential,
 		row.BlockingRes.Expansions, row.AdaptiveRes.Expansions, row.AdaptiveRes.FinalSpin)
 
-	bar, err := BarrierComparison(jobs)
+	bar, err := BarrierComparison(Env{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +137,14 @@ func renderObservedSweep(t *testing.T, jobs int) string {
 	led := core.NewLedger(core.DefaultLedgerCapacity)
 	var out bytes.Buffer
 
-	rows, err := Table4(Options{Iters: 3, Jobs: jobs, Profiler: prof, Ledger: led})
+	rows, err := Table4(Env{Iters: 3, Jobs: jobs, Profiler: prof, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(&out, RenderLockOpTable("Table 4", rows))
 
-	fig1, err := Figure1(Figure1Options{
-		CSLengths: []sim.Time{10 * sim.Microsecond, 200 * sim.Microsecond},
-		Jobs:      jobs,
-		Profiler:  prof,
-		Ledger:    led,
-	})
+	fig1, err := Figure1(Env{Jobs: jobs, Profiler: prof, Ledger: led},
+		[]sim.Time{10 * sim.Microsecond, 200 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +184,7 @@ func TestObservedSweepParallelDeterminism(t *testing.T) {
 func TestCouplingTraceDeterminism(t *testing.T) {
 	render := func() (string, string) {
 		tr := trace.New(1 << 20)
-		rows, err := CouplingComparisonTraced(sim.Config{}, tr)
+		rows, err := CouplingComparison(Env{Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +205,7 @@ func TestCouplingTraceDeterminism(t *testing.T) {
 	// The loose pipeline's trace-derived decision lag must be visibly
 	// larger than the inline loop's — the §5.1 claim, read off the trace.
 	tr := trace.New(1 << 20)
-	if _, err := CouplingComparisonTraced(sim.Config{}, tr); err != nil {
+	if _, err := CouplingComparison(Env{Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	lags := map[string]trace.LagProfile{}

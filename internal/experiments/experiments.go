@@ -3,81 +3,35 @@
 // (Tables 4–8), the TSP application comparisons of §4 (Tables 1–3) with
 // their locking-pattern figures (Figures 4–9), the combined-lock
 // motivation sweep (Figure 1), and the extension experiments (scheduler
-// comparison, spin-vs-block crossover, adaptation-policy ablation).
+// comparison, spin-vs-block crossover, adaptation-policy ablation, …).
 //
-// The same functions drive cmd/lockbench, cmd/tspbench, cmd/figures, the
-// root bench_test.go benchmarks, and the shape-assertion tests; every run
-// is deterministic given the options.
+// Registry lists each of them once as a Spec: the name cmd/repro selects
+// it by, the claim it reproduces, the Env inputs it reads, and a Run that
+// returns the rendered output plus the metrics the root bench_test.go
+// benchmarks report. The golden test pins every Spec's default output;
+// the shape-assertion tests call the experiment functions directly.
+// Every run is deterministic given its Env.
 package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/locks"
-	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
-// Options configures the microbenchmark experiments.
-type Options struct {
-	// Machine is the simulated multiprocessor; zero fields take the
-	// GP1000-flavoured defaults.
-	Machine sim.Config
-	// Costs calibrates lock implementations; nil means locks.DefaultCosts.
-	Costs *locks.Costs
-	// Iters is how many times each operation is repeated and averaged
-	// (adaptive locks reach steady state after a few samples).
-	Iters int
-	// Tracer, when non-nil, is attached to every measured system; the
-	// microbenchmarks run many short simulations, so their events share
-	// one virtual timeline restarting at zero per measurement. A non-nil
-	// tracer forces serial execution regardless of Jobs.
-	Tracer *trace.Tracer
-	// Profiler, when non-nil, is attached to every measured system: each
-	// simulation's threads charge their virtual time into the shared
-	// attribution profile. Like Tracer, it forces serial execution.
-	Profiler *profile.Profiler
-	// Ledger, when non-nil, records every adaptation decision the measured
-	// systems' reconfigurable locks make. Like Tracer, it forces serial
-	// execution.
-	Ledger *core.Ledger
-	// Jobs is the fan-out for independent measurements: each simulation
-	// runs on its own engine, so up to Jobs (capped at GOMAXPROCS) run
-	// concurrently while results keep their input order. 0 or 1 is serial.
-	Jobs int
-	// Kinds, when non-empty, restricts Tables 4 and 5 to these lock kinds
-	// (cmd/lockbench's -lock flag); empty means the paper's full row set.
-	Kinds []locks.Kind
-}
-
-// observed reports whether any observer is attached; observed sweeps run
-// serially so all events land on one coherent shared collector.
-func (o Options) observed() bool {
-	return o.Tracer != nil || o.Profiler != nil || o.Ledger != nil
-}
-
-// attach installs the configured observers on a measured system.
-func (o Options) attach(sys *cthreads.System) {
-	sys.SetTracer(o.Tracer)
-	sys.SetProfiler(o.Profiler)
-	sys.SetLedger(o.Ledger)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Machine.Nodes < 2 {
-		o.Machine.Nodes = 2
+// lockDefaults fills the microbenchmark defaults: a machine of at least
+// two nodes and 16 repetitions per measured operation (adaptive locks
+// reach steady state after a few samples).
+func (e Env) lockDefaults() Env {
+	if e.Machine.Nodes < 2 {
+		e.Machine.Nodes = 2
 	}
-	if o.Costs == nil {
-		d := locks.DefaultCosts()
-		o.Costs = &d
+	if e.Iters < 1 {
+		e.Iters = 16
 	}
-	if o.Iters < 1 {
-		o.Iters = 16
-	}
-	return o
+	return e
 }
 
 // LockOpRow is one row of Table 4 or Table 5: the latency of a lock or
@@ -124,14 +78,14 @@ func kindLabel(k locks.Kind) string {
 	}
 }
 
-// tableKinds applies the Options.Kinds restriction to a table's row set,
+// tableKinds applies the Env.Kinds restriction to a table's row set,
 // preserving table order.
-func (o Options) tableKinds(all []locks.Kind) []locks.Kind {
-	if len(o.Kinds) == 0 {
+func (e Env) tableKinds(all []locks.Kind) []locks.Kind {
+	if len(e.Kinds) == 0 {
 		return all
 	}
-	want := make(map[locks.Kind]bool, len(o.Kinds))
-	for _, k := range o.Kinds {
+	want := make(map[locks.Kind]bool, len(e.Kinds))
+	for _, k := range e.Kinds {
 		want[k] = true
 	}
 	out := make([]locks.Kind, 0, len(all))
@@ -146,10 +100,10 @@ func (o Options) tableKinds(all []locks.Kind) []locks.Kind {
 // measureOp runs one thread on the given node against a lock on node 0 and
 // returns the mean duration of the measured operation over opts.Iters
 // uncontended lock/unlock cycles.
-func measureOp(opts Options, kind locks.Kind, threadNode int, op string) (sim.Time, error) {
+func measureOp(opts Env, kind locks.Kind, threadNode int, op string) (sim.Time, error) {
 	sys := cthreads.New(opts.Machine)
 	opts.attach(sys)
-	l, err := locks.New(sys, kind, 0, string(kind), *opts.Costs)
+	l, err := locks.New(sys, kind, 0, string(kind), locks.DefaultCosts())
 	if err != nil {
 		return 0, err
 	}
@@ -181,17 +135,17 @@ func measureOp(opts Options, kind locks.Kind, threadNode int, op string) (sim.Ti
 
 // Table4 measures the uncontended Lock operation latency for each lock
 // kind, local and remote (§5.2 Table 4).
-func Table4(opts Options) ([]LockOpRow, error) {
+func Table4(opts Env) ([]LockOpRow, error) {
 	return lockOpTable(opts, opts.tableKinds(lockKindsTable4), "lock")
 }
 
 // Table5 measures the uncontended Unlock operation latency (§5.2 Table 5).
-func Table5(opts Options) ([]LockOpRow, error) {
+func Table5(opts Env) ([]LockOpRow, error) {
 	return lockOpTable(opts, opts.tableKinds(lockKindsTable5), "unlock")
 }
 
-func lockOpTable(opts Options, kinds []locks.Kind, op string) ([]LockOpRow, error) {
-	opts = opts.withDefaults()
+func lockOpTable(opts Env, kinds []locks.Kind, op string) ([]LockOpRow, error) {
+	opts = opts.lockDefaults()
 	return sweep(sweepJobs(opts.Jobs, opts.observed()), len(kinds), func(i int) (LockOpRow, error) {
 		k := kinds[i]
 		local, err := measureOp(opts, k, 0, op)
@@ -218,26 +172,31 @@ type CycleRow struct {
 // cycleLock builds the lock under test for Table 6/7 rows.
 type cycleLock func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock
 
+// cycleCase is one Table 6/7 row: its label and the lock it measures.
+type cycleCase struct {
+	name string
+	mk   cycleLock
+}
+
 // measureCycle holds the lock on one thread while another waits, then
 // releases and measures release-start → waiter-acquired. The holder runs
 // on node 0 and is always remote to the lock, so only the waiter's
 // distance varies between the local row (lock on the waiter's node 1) and
 // the remote row (lock on node 2).
-func measureCycle(opts Options, mk cycleLock, lockNode int) (sim.Time, error) {
+func measureCycle(opts Env, mk cycleLock, lockNode int) (sim.Time, error) {
 	if opts.Machine.Nodes < 3 {
 		opts.Machine.Nodes = 3
 	}
 	sys := cthreads.New(opts.Machine)
 	opts.attach(sys)
-	l := mk(sys, lockNode, *opts.Costs)
+	l := mk(sys, lockNode, locks.DefaultCosts())
 	var releaseAt, acquiredAt sim.Time
-	holder := sys.Fork(0, "holder", func(t *cthreads.Thread) {
+	sys.Fork(0, "holder", func(t *cthreads.Thread) {
 		l.Lock(t)
 		t.Advance(3 * sim.Millisecond) // let the waiter settle into waiting
 		releaseAt = t.Now()
 		l.Unlock(t)
 	})
-	_ = holder
 	sys.Fork(1, "waiter", func(t *cthreads.Thread) {
 		t.Advance(200 * sim.Microsecond) // holder certainly owns the lock
 		l.Lock(t)
@@ -255,12 +214,8 @@ func measureCycle(opts Options, mk cycleLock, lockNode int) (sim.Time, error) {
 
 // Table6 measures locking cycles of the static locks: spin,
 // spin-with-backoff, and blocking (§5.2 Table 6).
-func Table6(opts Options) ([]CycleRow, error) {
-	opts = opts.withDefaults()
-	cases := []struct {
-		name string
-		mk   cycleLock
-	}{
+func Table6(opts Env) ([]CycleRow, error) {
+	return cycleTable(opts, []cycleCase{
 		{"Spin", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
 			return locks.NewSpinLock(sys, node, "spin", c)
 		}},
@@ -270,32 +225,24 @@ func Table6(opts Options) ([]CycleRow, error) {
 		{"Blocking-lock", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
 			return locks.NewBlockingLock(sys, node, "blocking", c)
 		}},
-	}
-	return cycleTable(opts, cases)
+	})
 }
 
 // Table7 measures locking cycles of the adaptive lock pinned to its
 // pure-spin and pure-blocking configurations (§5.2 Table 7).
-func Table7(opts Options) ([]CycleRow, error) {
-	opts = opts.withDefaults()
-	cases := []struct {
-		name string
-		mk   cycleLock
-	}{
+func Table7(opts Env) ([]CycleRow, error) {
+	return cycleTable(opts, []cycleCase{
 		{"Spin", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
 			return locks.NewPureSpinConfigured(sys, node, "adaptive-as-spin", c)
 		}},
 		{"Blocking", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
 			return locks.NewPureBlockingConfigured(sys, node, "adaptive-as-blocking", c)
 		}},
-	}
-	return cycleTable(opts, cases)
+	})
 }
 
-func cycleTable(opts Options, cases []struct {
-	name string
-	mk   cycleLock
-}) ([]CycleRow, error) {
+func cycleTable(opts Env, cases []cycleCase) ([]CycleRow, error) {
+	opts = opts.lockDefaults()
 	return sweep(sweepJobs(opts.Jobs, opts.observed()), len(cases), func(i int) (CycleRow, error) {
 		cse := cases[i]
 		local, err := measureCycle(opts, cse.mk, 1) // lock local to the waiter
@@ -321,12 +268,12 @@ type ConfigOpRow struct {
 // Table8 measures the basic reconfiguration mechanisms: explicit attribute
 // acquisition, waiting-policy configuration, scheduler configuration, and
 // one general-purpose-monitor sample (§5.2 Table 8).
-func Table8(opts Options) ([]ConfigOpRow, error) {
-	opts = opts.withDefaults()
+func Table8(opts Env) ([]ConfigOpRow, error) {
+	opts = opts.lockDefaults()
 	measure := func(threadNode int, f func(t *cthreads.Thread, l *locks.ReconfigurableLock)) (sim.Time, error) {
 		sys := cthreads.New(opts.Machine)
 		opts.attach(sys)
-		l := locks.NewReconfigurableLock(sys, 0, "cfg", *opts.Costs, 10)
+		l := locks.NewReconfigurableLock(sys, 0, "cfg", locks.DefaultCosts(), 10)
 		var dur sim.Time
 		sys.Fork(threadNode, "agent", func(t *cthreads.Thread) {
 			start := t.Now()

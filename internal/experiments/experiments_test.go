@@ -12,7 +12,7 @@ import (
 // workloads. EXPERIMENTS.md records the full-size numbers.
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4(Options{})
+	rows, err := Table4(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows, err := Table5(Options{})
+	rows, err := Table5(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	rows, err := Table6(Options{})
+	rows, err := Table6(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	opts := Options{}
+	opts := Env{}
 	rows7, err := Table7(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestTable8Shape(t *testing.T) {
-	rows, err := Table8(Options{})
+	rows, err := Table8(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,7 @@ func TestFigure1Shape(t *testing.T) {
 	// section the 10-spin combined lock beats the 1-spin one while the
 	// 50-spin one is worse than the 10-spin one; at a long critical
 	// section pure spinning is catastrophic under multiprogramming.
-	rows, err := Figure1(Figure1Options{
-		CSLengths: []sim.Time{10 * sim.Microsecond, 500 * sim.Microsecond},
-	})
+	rows, err := Figure1(Env{}, []sim.Time{10 * sim.Microsecond, 500 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +248,7 @@ func TestLockPatternsShape(t *testing.T) {
 }
 
 func TestSchedulerComparisonShape(t *testing.T) {
-	rows, err := SchedulerComparison(sim.Config{}, 2)
+	rows, err := SchedulerComparison(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +269,7 @@ func TestSchedulerComparisonShape(t *testing.T) {
 }
 
 func TestSpinVsBlockCrossoverShape(t *testing.T) {
-	rows, err := SpinVsBlockCrossover(sim.Config{}, 2)
+	rows, err := SpinVsBlockCrossover(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +288,7 @@ func TestSpinVsBlockCrossoverShape(t *testing.T) {
 }
 
 func TestPolicyAblationRuns(t *testing.T) {
-	rows, err := PolicyAblation(sim.Config{}, 4)
+	rows, err := PolicyAblation(Env{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +311,7 @@ func TestPolicyAblationRuns(t *testing.T) {
 }
 
 func TestAdvisoryComparisonShape(t *testing.T) {
-	rows, err := AdvisoryComparison(sim.Config{}, 2)
+	rows, err := AdvisoryComparison(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +330,7 @@ func TestAdvisoryComparisonShape(t *testing.T) {
 }
 
 func TestLockRetargetingShape(t *testing.T) {
-	rows, err := LockRetargeting(sim.Config{}, 2)
+	rows, err := LockRetargeting(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +357,7 @@ func TestLockRetargetingShape(t *testing.T) {
 }
 
 func TestMutableCalibrationShape(t *testing.T) {
-	rows, err := MutableCalibration(sim.Config{}, 2)
+	rows, err := MutableCalibration(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +386,7 @@ func TestMutableCalibrationShape(t *testing.T) {
 }
 
 func TestCohortNUMAShape(t *testing.T) {
-	rows, err := CohortNUMA(sim.Config{}, 2)
+	rows, err := CohortNUMA(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +412,7 @@ func TestCohortNUMAShape(t *testing.T) {
 }
 
 func TestCouplingComparisonShape(t *testing.T) {
-	rows, err := CouplingComparison(sim.Config{})
+	rows, err := CouplingComparison(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +440,7 @@ func TestCouplingComparisonShape(t *testing.T) {
 }
 
 func TestPlatformRetargetingShape(t *testing.T) {
-	rows, err := PlatformRetargeting(2)
+	rows, err := PlatformRetargeting(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +463,7 @@ func TestPlatformRetargetingShape(t *testing.T) {
 }
 
 func TestSchedulerAdaptationConverges(t *testing.T) {
-	rows, err := SchedulerComparison(sim.Config{}, 2)
+	rows, err := SchedulerComparison(Env{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +520,7 @@ func TestSORComparisonShape(t *testing.T) {
 }
 
 func TestBarrierComparisonShape(t *testing.T) {
-	rows, err := BarrierComparison(3)
+	rows, err := BarrierComparison(Env{Jobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,14 @@ type SchedRow struct {
 }
 
 // SchedulerComparison runs the client-server workload under each lock
-// scheduler variant, fanning the independent runs out over up to jobs
+// scheduler variant, fanning the independent runs out over up to e.Jobs
 // workers (results stay in input order).
-func SchedulerComparison(machine sim.Config, jobs int) ([]SchedRow, error) {
+func SchedulerComparison(e Env) ([]SchedRow, error) {
 	// The fourth mode is this reproduction's §7 future-work configuration:
 	// the lock adapts its own scheduler (FCFS → priority) as the queue
 	// builds.
 	scheds := []string{locks.SchedFCFS, locks.SchedPriority, locks.SchedHandoff, workload.SchedAdaptive}
-	return sweep(sweepJobs(jobs, false), len(scheds), func(i int) (SchedRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(scheds), func(i int) (SchedRow, error) {
 		sched := scheds[i]
 		res, err := workload.RunClientServer(workload.ClientServerConfig{
 			Clients:     8,
@@ -38,7 +38,7 @@ func SchedulerComparison(machine sim.Config, jobs int) ([]SchedRow, error) {
 			ServiceTime: 10 * sim.Microsecond,
 			ThinkTime:   20 * sim.Microsecond,
 			Scheduler:   sched,
-			Machine:     machine,
+			Machine:     e.Machine,
 		})
 		if err != nil {
 			return SchedRow{}, fmt.Errorf("scheduler %s: %w", sched, err)
@@ -57,13 +57,13 @@ type CrossoverRow struct {
 }
 
 // SpinVsBlockCrossover sweeps threads-per-processor for the two pure
-// waiting policies on up to jobs workers.
-func SpinVsBlockCrossover(machine sim.Config, jobs int) ([]CrossoverRow, error) {
+// waiting policies on up to e.Jobs workers.
+func SpinVsBlockCrossover(e Env) ([]CrossoverRow, error) {
 	const procs = 4
-	if machine.Quantum == 0 {
-		machine.Quantum = 500 * sim.Microsecond
+	if e.Machine.Quantum == 0 {
+		e.Machine.Quantum = 500 * sim.Microsecond
 	}
-	return sweep(sweepJobs(jobs, false), 4, func(i int) (CrossoverRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), 4, func(i int) (CrossoverRow, error) {
 		tpp := i + 1
 		cfg := workload.CSConfig{
 			Procs:     procs,
@@ -72,7 +72,7 @@ func SpinVsBlockCrossover(machine sim.Config, jobs int) ([]CrossoverRow, error) 
 			CSLength:  100 * sim.Microsecond,
 			LocalWork: 300 * sim.Microsecond,
 			Jitter:    50 * sim.Microsecond,
-			Machine:   machine,
+			Machine:   e.Machine,
 		}
 		spin, err := workload.RunCS(cfg, workload.SpinStrategy())
 		if err != nil {
@@ -96,14 +96,14 @@ type AblationRow struct {
 }
 
 // PolicyAblation sweeps the SimpleAdapt constants on a mixed-contention
-// workload; the (threshold × step) grid fans out over up to jobs workers.
-func PolicyAblation(machine sim.Config, jobs int) ([]AblationRow, error) {
-	if machine.Quantum == 0 {
-		machine.Quantum = 500 * sim.Microsecond
+// workload; the (threshold × step) grid fans out over up to e.Jobs workers.
+func PolicyAblation(e Env) ([]AblationRow, error) {
+	if e.Machine.Quantum == 0 {
+		e.Machine.Quantum = 500 * sim.Microsecond
 	}
 	thresholds := []int64{1, 3, 6}
 	steps := []int64{5, 10, 25}
-	return sweep(sweepJobs(jobs, false), len(thresholds)*len(steps), func(i int) (AblationRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(thresholds)*len(steps), func(i int) (AblationRow, error) {
 		threshold := thresholds[i/len(steps)]
 		step := steps[i%len(steps)]
 		res, err := workload.RunCS(workload.CSConfig{
@@ -113,7 +113,7 @@ func PolicyAblation(machine sim.Config, jobs int) ([]AblationRow, error) {
 			CSLength:  80 * sim.Microsecond,
 			LocalWork: 250 * sim.Microsecond,
 			Jitter:    40 * sim.Microsecond,
-			Machine:   machine,
+			Machine:   e.Machine,
 		}, adaptiveStrategy(threshold, step))
 		if err != nil {
 			return AblationRow{}, fmt.Errorf("ablation t=%d n=%d: %w", threshold, step, err)
@@ -136,9 +136,9 @@ type AdvisoryRow struct {
 // (10µs) 90% of the time and long (2ms) 10% of the time, under pure spin,
 // pure blocking, a 10-spin combined lock, and the advisory lock whose
 // owner publishes its expected hold time.
-func AdvisoryComparison(machine sim.Config, jobs int) ([]AdvisoryRow, error) {
-	if machine.Quantum == 0 {
-		machine.Quantum = 500 * sim.Microsecond
+func AdvisoryComparison(e Env) ([]AdvisoryRow, error) {
+	if e.Machine.Quantum == 0 {
+		e.Machine.Quantum = 500 * sim.Microsecond
 	}
 	cfg := workload.CSConfig{
 		Procs:     8,
@@ -149,7 +149,7 @@ func AdvisoryComparison(machine sim.Config, jobs int) ([]AdvisoryRow, error) {
 		LongFrac:  0.1,
 		LocalWork: 400 * sim.Microsecond,
 		Jitter:    100 * sim.Microsecond,
-		Machine:   machine,
+		Machine:   e.Machine,
 	}
 	strategies := []workload.Strategy{
 		workload.SpinStrategy(),
@@ -157,7 +157,7 @@ func AdvisoryComparison(machine sim.Config, jobs int) ([]AdvisoryRow, error) {
 		workload.CombinedStrategy(10),
 		workload.AdvisoryStrategy(),
 	}
-	return sweep(sweepJobs(jobs, false), len(strategies), func(i int) (AdvisoryRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(strategies), func(i int) (AdvisoryRow, error) {
 		s := strategies[i]
 		res, err := workload.RunCS(cfg, s)
 		if err != nil {
@@ -189,14 +189,14 @@ type RetargetRow struct {
 // word's module and delay the release they wait for, while the
 // distributed (local-spin) representation keeps the module quiet. Sweeps
 // the number of contending processors.
-func LockRetargeting(machine sim.Config, jobs int) ([]RetargetRow, error) {
-	if machine.ModuleService == 0 {
-		machine = sim.HotSpotConfig()
+func LockRetargeting(e Env) ([]RetargetRow, error) {
+	if e.Machine.ModuleService == 0 {
+		e.Machine = sim.HotSpotConfig()
 	}
 	counts := []int{2, 4, 8, 16}
-	return sweep(sweepJobs(jobs, false), len(counts), func(i int) (RetargetRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(counts), func(i int) (RetargetRow, error) {
 		threads := counts[i]
-		m := machine
+		m := e.Machine
 		if m.Nodes < threads {
 			m.Nodes = threads
 		}

@@ -3,60 +3,16 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/locks"
-	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Figure1Options configures the combined-lock critical-section sweep. The
-// workload multiprograms each processor (threads > processors) under
-// preemptive timeslicing, where the choice between spinning and sleeping
-// is a real trade-off.
-type Figure1Options struct {
-	Procs          int
-	ThreadsPerProc int
-	Iters          int
-	LocalWork      sim.Time
-	Quantum        sim.Time
-	// CSLengths is the sweep of critical-section lengths (the x-axis).
-	CSLengths []sim.Time
-	Machine   sim.Config
-	Costs     *locks.Costs
-	// Profiler and Ledger, when non-nil, observe every cell of the sweep
-	// (one shared collector), which forces serial execution.
-	Profiler *profile.Profiler
-	Ledger   *core.Ledger
-	// Jobs fans the (length × strategy) grid out over up to Jobs workers;
-	// every cell is an independent simulation. 0 or 1 is serial.
-	Jobs int
-}
-
-func (o Figure1Options) withDefaults() Figure1Options {
-	if o.Procs == 0 {
-		o.Procs = 8
-	}
-	if o.ThreadsPerProc == 0 {
-		o.ThreadsPerProc = 3
-	}
-	if o.Iters == 0 {
-		o.Iters = 25
-	}
-	if o.LocalWork == 0 {
-		o.LocalWork = 400 * sim.Microsecond
-	}
-	if o.Quantum == 0 {
-		o.Quantum = 1 * sim.Millisecond
-	}
-	if len(o.CSLengths) == 0 {
-		o.CSLengths = []sim.Time{
-			5 * sim.Microsecond, 10 * sim.Microsecond, 25 * sim.Microsecond,
-			50 * sim.Microsecond, 100 * sim.Microsecond, 250 * sim.Microsecond,
-			500 * sim.Microsecond, 1000 * sim.Microsecond,
-		}
-	}
-	return o
+// figure1CSLengths is Figure 1's default sweep of critical-section
+// lengths (the x-axis).
+var figure1CSLengths = []sim.Time{
+	5 * sim.Microsecond, 10 * sim.Microsecond, 25 * sim.Microsecond,
+	50 * sim.Microsecond, 100 * sim.Microsecond, 250 * sim.Microsecond,
+	500 * sim.Microsecond, 1000 * sim.Microsecond,
 }
 
 // Figure1Strategies are the waiting policies the figure compares: the
@@ -83,30 +39,28 @@ type Figure1Row struct {
 
 // Figure1 reproduces the paper's Figure 1: application execution time as a
 // function of critical-section length for pure spin, pure blocking, and
-// combined locks with 1, 10, and 50 initial spins.
-func Figure1(opts Figure1Options) ([]Figure1Row, error) {
-	opts = opts.withDefaults()
+// combined locks with 1, 10, and 50 initial spins. The workload
+// multiprograms each of 8 processors with 3 threads under a 1ms
+// preemptive quantum, where the choice between spinning and sleeping is
+// a real trade-off. csLengths overrides the default sweep. e's Profiler
+// and Ledger, when set, observe every cell of the sweep (one shared
+// collector), which forces serial execution.
+func Figure1(e Env, csLengths []sim.Time) ([]Figure1Row, error) {
+	if len(csLengths) == 0 {
+		csLengths = figure1CSLengths
+	}
 	strategies := Figure1Strategies()
 	// The grid is flattened to (length, strategy) cells so the fan-out sees
 	// every independent simulation, not just the row count.
-	cells, err := sweep(sweepJobs(opts.Jobs, opts.Profiler != nil || opts.Ledger != nil),
-		len(opts.CSLengths)*len(strategies),
+	cells, err := sweep(sweepJobs(e.Jobs, e.observed()), len(csLengths)*len(strategies),
 		func(i int) (sim.Time, error) {
-			cs := opts.CSLengths[i/len(strategies)]
+			cs := csLengths[i/len(strategies)]
 			strat := strategies[i%len(strategies)]
-			m := opts.Machine
-			m.Quantum = opts.Quantum
 			res, err := workload.RunCS(workload.CSConfig{
-				Procs:     opts.Procs,
-				Threads:   opts.Procs * opts.ThreadsPerProc,
-				Iters:     opts.Iters,
-				CSLength:  cs,
-				LocalWork: opts.LocalWork,
-				Jitter:    opts.LocalWork / 4,
-				Machine:   m,
-				Costs:     opts.Costs,
-				Profiler:  opts.Profiler,
-				Ledger:    opts.Ledger,
+				Procs: 8, Threads: 24, Iters: 25, CSLength: cs,
+				LocalWork: 400 * sim.Microsecond, Jitter: 100 * sim.Microsecond,
+				Machine:  sim.Config{Quantum: sim.Millisecond},
+				Profiler: e.Profiler, Ledger: e.Ledger,
 			}, strat)
 			if err != nil {
 				return 0, fmt.Errorf("figure1 cs=%v %s: %w", cs, strat.Name, err)
@@ -116,8 +70,8 @@ func Figure1(opts Figure1Options) ([]Figure1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Figure1Row, 0, len(opts.CSLengths))
-	for r, cs := range opts.CSLengths {
+	rows := make([]Figure1Row, 0, len(csLengths))
+	for r, cs := range csLengths {
 		row := Figure1Row{CSLength: cs, Elapsed: make(map[string]sim.Time, len(strategies))}
 		for s, strat := range strategies {
 			row.Elapsed[strat.Name] = cells[r*len(strategies)+s]

@@ -2,252 +2,29 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/cthreads"
-	"repro/internal/locks"
-	"repro/internal/sim"
-	"repro/internal/tsp"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden/*.txt from the current experiments")
 
-// goldenJobs is the sweep fan-out of the golden runs; output is
-// byte-identical for any value.
-var goldenJobs = runtime.GOMAXPROCS(0)
-
-func ln(v fmt.Stringer) string { return v.String() + "\n" }
-
-func goldenTSP(org tsp.Organization) (string, error) {
-	opts := TSPOptions{Cities: 16, Seed: 1, Searchers: 10, Jobs: goldenJobs}
-	var b strings.Builder
-	fmt.Fprintf(&b, "instance: euclidean(n=%d, seed=%d), %d searchers\n\n", opts.Cities, opts.Seed, opts.Searchers)
-	row, err := TSPComparison(org, opts)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(ln(RenderTSPRow(row)))
-	if row.Speedup > 0 {
-		fmt.Fprintf(&b, "  speedup over sequential: %.1f× on %d processors\n", row.Speedup, opts.Searchers)
-	}
-	fmt.Fprintf(&b, "  optimal tour cost: %d; expansions: blocking=%d adaptive=%d\n",
-		row.BlockingRes.Tour.Cost, row.BlockingRes.Expansions, row.AdaptiveRes.Expansions)
-	q := row.BlockingRes.LockStats[tsp.LockQueue]
-	fmt.Fprintf(&b, "  qlock (blocking run): %d acquisitions, %d contended, max %d waiting\n",
-		q.Acquisitions, q.Contended, q.MaxWaiting)
-	if len(row.AdaptiveRes.FinalSpin) > 0 {
-		fmt.Fprintf(&b, "  adaptive final spin-time:")
-		for _, name := range []string{tsp.LockQueue, tsp.LockActive, tsp.LockLowest, tsp.LockGlobal} {
-			if v, ok := row.AdaptiveRes.FinalSpin[name]; ok {
-				fmt.Fprintf(&b, " %s=%d", name, v)
-			}
-		}
-		fmt.Fprintln(&b)
-	}
-	fmt.Fprintln(&b)
-	return b.String(), nil
-}
-
-func goldenFeedback() (string, error) {
-	const procs = 8
-	var b strings.Builder
-	sys := cthreads.New(sim.Config{Nodes: procs})
-	policy := core.SimpleAdapt{SpinAttr: locks.AttrSpinTime, WaitingThreshold: 2, Step: 10, MaxSpin: 100}
-	l := locks.NewAdaptiveLock(sys, 0, "demo-lock", locks.DefaultCosts(), policy)
-	type sample struct {
-		at      sim.Time
-		waiting int64
-		spin    int64
-	}
-	var trace []sample
-	l.Object().SetPolicy(core.PolicyFunc(func(s core.Sample, o *core.Object) []core.Decision {
-		ds := policy.React(s, o)
-		spin := o.Attrs.MustGet(locks.AttrSpinTime)
-		for _, d := range ds {
-			if d.Attr == locks.AttrSpinTime {
-				spin = d.Value
-			}
-		}
-		trace = append(trace, sample{at: sys.Now(), waiting: s.Value, spin: spin})
-		return ds
-	}))
-	phase := func(t *cthreads.Thread, iters int, cs, think sim.Time) {
-		for i := 0; i < iters; i++ {
-			l.Lock(t)
-			t.Advance(cs)
-			l.Unlock(t)
-			t.Advance(think)
-		}
-	}
-	solo := sys.Fork(0, "solo", func(t *cthreads.Thread) {
-		phase(t, 30, 5*sim.Microsecond, 50*sim.Microsecond)
-	})
-	var stormers []*cthreads.Thread
-	for i := 0; i < procs; i++ {
-		stormers = append(stormers, sys.Fork(i, fmt.Sprintf("storm%d", i), func(t *cthreads.Thread) {
-			t.Join(solo)
-			phase(t, 20, 200*sim.Microsecond, 20*sim.Microsecond)
-		}))
-	}
-	sys.Fork(0, "light", func(t *cthreads.Thread) {
-		for _, s := range stormers {
-			t.Join(s)
-		}
-		phase(t, 30, 5*sim.Microsecond, 50*sim.Microsecond)
-	})
-	if err := sys.Run(); err != nil {
-		return "", err
-	}
-	fmt.Fprintln(&b, "adaptive lock feedback loop: no-of-waiting-threads sample → spin-time decision")
-	fmt.Fprintln(&b)
-	fmt.Fprintf(&b, "%-12s %-9s %-9s %s\n", "virtual time", "waiting", "spin-time", "")
-	for _, s := range trace {
-		bar := strings.Repeat("█", int(s.spin/2))
-		fmt.Fprintf(&b, "%-12s %-9d %-9d %s\n", s.at, s.waiting, s.spin, bar)
-	}
-	st := l.Object().Stats()
-	fmt.Fprintf(&b, "\npolicy decisions=%d applied=%d rejected=%d; reconfiguration cost=%s\n",
-		st.Decisions, st.Applied, st.Rejected, l.Object().ReconfigCost())
-	fmt.Fprintf(&b, "final configuration: %s\n", l.Object().Configuration())
-	return b.String(), nil
-}
-
-// goldenRuns reproduces, per experiment name, the run and render calls
-// of that experiment's default command-line selection.
-var goldenRuns = []struct {
-	name string
-	run  func() (string, error)
-}{
-	{"table1", func() (string, error) { return goldenTSP(tsp.OrgCentralized) }},
-	{"table2", func() (string, error) { return goldenTSP(tsp.OrgDistributed) }},
-	{"table3", func() (string, error) { return goldenTSP(tsp.OrgDistributedLB) }},
-	{"patterns", func() (string, error) {
-		figs, err := LockPatterns(TSPOptions{Cities: 16, Seed: 1, Searchers: 10, Jobs: goldenJobs})
-		var b strings.Builder
-		for _, f := range figs {
-			b.WriteString(RenderPattern(f, 72))
-		}
-		return b.String(), err
-	}},
-	{"scaling", func() (string, error) {
-		rows, err := ScalingComparison(TSPOptions{Cities: 16, Seed: 1, Searchers: 10, Jobs: goldenJobs}, nil)
-		return ln(RenderScaling(rows)), err
-	}},
-	{"async-queue", func() (string, error) {
-		rows, err := TSPAsyncQueue(TSPOptions{Cities: 16, Seed: 1, Searchers: 10, Jobs: goldenJobs}, goldenJobs)
-		return ln(RenderTSPAsyncQueue(rows)), err
-	}},
-	{"table4", func() (string, error) {
-		rows, err := Table4(Options{Iters: 16, Jobs: goldenJobs})
-		return ln(RenderLockOpTable("Table 4: Cost of the Lock operation for different locks", rows)), err
-	}},
-	{"table5", func() (string, error) {
-		rows, err := Table5(Options{Iters: 16, Jobs: goldenJobs})
-		return ln(RenderLockOpTable("Table 5: Cost of the Unlock operation for different locks", rows)), err
-	}},
-	{"table6", func() (string, error) {
-		rows, err := Table6(Options{Iters: 16, Jobs: goldenJobs})
-		return ln(RenderCycleTable("Table 6: Cost of successive Unlock and Lock operation on an already locked lock", rows)), err
-	}},
-	{"table7", func() (string, error) {
-		rows, err := Table7(Options{Iters: 16, Jobs: goldenJobs})
-		return ln(RenderCycleTable("Table 7: Cost of successive Unlock and Lock operation on an already locked adaptive lock", rows)), err
-	}},
-	{"table8", func() (string, error) {
-		rows, err := Table8(Options{Iters: 16, Jobs: goldenJobs})
-		return ln(RenderTable8(rows)), err
-	}},
-	{"calib", func() (string, error) {
-		rows, err := MutableCalibration(sim.Config{}, goldenJobs)
-		return ln(RenderMutableCalibration(rows)), err
-	}},
-	{"wait-latency", func() (string, error) {
-		rows, err := WaitLatencySweep(sim.Config{}, goldenJobs, nil)
-		return ln(RenderWaitLatency(rows)), err
-	}},
-	{"fig1", func() (string, error) {
-		rows, err := Figure1(Figure1Options{Jobs: goldenJobs})
-		return ln(RenderFigure1(rows)), err
-	}},
-	{"sched", func() (string, error) {
-		rows, err := SchedulerComparison(sim.Config{}, goldenJobs)
-		return ln(RenderSchedulerComparison(rows)), err
-	}},
-	{"crossover", func() (string, error) {
-		rows, err := SpinVsBlockCrossover(sim.Config{}, goldenJobs)
-		return ln(RenderCrossover(rows)), err
-	}},
-	{"advisory", func() (string, error) {
-		rows, err := AdvisoryComparison(sim.Config{}, goldenJobs)
-		return ln(RenderAdvisory(rows)), err
-	}},
-	{"retarget", func() (string, error) {
-		rows, err := LockRetargeting(sim.Config{}, goldenJobs)
-		return ln(RenderRetargeting(rows)), err
-	}},
-	{"cohort", func() (string, error) {
-		rows, err := CohortNUMA(sim.Config{}, goldenJobs)
-		return ln(RenderCohortNUMA(rows)), err
-	}},
-	{"coupling", func() (string, error) {
-		rows, err := CouplingComparison(sim.Config{})
-		return ln(RenderCoupling(rows)), err
-	}},
-	{"platform", func() (string, error) {
-		rows, err := PlatformRetargeting(goldenJobs)
-		return ln(RenderPlatforms(rows)), err
-	}},
-	{"sor", func() (string, error) {
-		rows, err := SORComparison(nil, goldenJobs)
-		return ln(RenderSOR(rows)), err
-	}},
-	{"barrier", func() (string, error) {
-		rows, err := BarrierComparison(goldenJobs)
-		return ln(RenderBarriers(rows)), err
-	}},
-	{"ablation", func() (string, error) {
-		rows, err := PolicyAblation(sim.Config{}, goldenJobs)
-		return ln(RenderAblation(rows)), err
-	}},
-	{"sharded", func() (string, error) {
-		rows, err := ShardedScaling(ShardedScalingOptions{Jobs: goldenJobs})
-		return RenderShardedScaling(rows) + "\n", err
-	}},
-	{"feedback", goldenFeedback},
-	{"monitor", func() (string, error) {
-		hot, err := MonitorHotspot(sim.Config{Nodes: 8}, goldenJobs)
-		if err != nil {
-			return "", err
-		}
-		rep, err := MonitorPhases(sim.Config{Nodes: 8})
-		return ln(RenderMonitorHotspot(hot)) + ln(RenderMonitorPhases(rep)), err
-	}},
-}
-
-// TestGolden pins every experiment's full default output, byte for byte,
-// to testdata/golden/<name>.txt. Regenerate after an intended output
-// change with
+// TestGolden pins every registered experiment's full default output,
+// byte for byte, to testdata/golden/<name>.txt. Regenerate after an
+// intended output change with
 //
 //	go test ./internal/experiments -run TestGolden -update
 func TestGolden(t *testing.T) {
-	for _, g := range goldenRuns {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			got, err := g.run()
+	for _, spec := range Registry {
+		t.Run(spec.Name, func(t *testing.T) {
+			res, err := spec.Run(Env{Jobs: runtime.GOMAXPROCS(0)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden", g.name+".txt")
+			got := res.Text
+			path := filepath.Join("testdata", "golden", spec.Name+".txt")
 			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -259,7 +36,7 @@ func TestGolden(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("%s output differs from %s (rerun with -update if intended):\n--- got ---\n%s\n--- want ---\n%s",
-					g.name, path, got, want)
+					spec.Name, path, got, want)
 			}
 		})
 	}

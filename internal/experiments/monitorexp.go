@@ -113,16 +113,16 @@ func MonitorHotspotRun(machine sim.Config, mode string, callers int) (MonitorHot
 }
 
 // MonitorHotspot sweeps execution mode × caller count on the contended
-// hotspot, fanning independent runs over up to jobs workers. The headline
+// hotspot, fanning independent runs over up to e.Jobs workers. The headline
 // is the p99 method-completion cut of the combining modes under high
 // contention; at 2 callers the submit/future overhead keeps sync ahead —
 // both sides are reported as measured.
-func MonitorHotspot(machine sim.Config, jobs int) ([]MonitorHotspotRow, error) {
+func MonitorHotspot(e Env) ([]MonitorHotspotRow, error) {
 	n := len(HotspotModes) * len(hotspotCallers)
-	return sweep(sweepJobs(jobs, false), n, func(i int) (MonitorHotspotRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), n, func(i int) (MonitorHotspotRow, error) {
 		mode := HotspotModes[i/len(hotspotCallers)]
 		callers := hotspotCallers[i%len(hotspotCallers)]
-		return runHotspot(machine, mode, callers, 30)
+		return runHotspot(e.Machine, mode, callers, 30)
 	})
 }
 
@@ -236,16 +236,16 @@ type WaitLatencyRow struct {
 // kind with a wait histogram attached and reports each kind's
 // per-acquisition wait latency (metrics.Histogram Summary: n, mean, p50,
 // p99, p999, max).
-func WaitLatencySweep(machine sim.Config, jobs int, kinds []locks.Kind) ([]WaitLatencyRow, error) {
-	if len(kinds) == 0 {
-		kinds = locks.Kinds()
+func WaitLatencySweep(e Env) ([]WaitLatencyRow, error) {
+	if len(e.Kinds) == 0 {
+		e.Kinds = locks.Kinds()
 	}
-	if machine.Nodes < 8 {
-		machine.Nodes = 8
+	if e.Machine.Nodes < 8 {
+		e.Machine.Nodes = 8
 	}
-	return sweep(sweepJobs(jobs, false), len(kinds), func(i int) (WaitLatencyRow, error) {
-		kind := kinds[i]
-		sys := cthreads.New(machine)
+	return sweep(sweepJobs(e.Jobs, false), len(e.Kinds), func(i int) (WaitLatencyRow, error) {
+		kind := e.Kinds[i]
+		sys := cthreads.New(e.Machine)
 		l, err := locks.New(sys, kind, 0, string(kind), locks.DefaultCosts())
 		if err != nil {
 			return WaitLatencyRow{}, err
@@ -297,12 +297,12 @@ type TSPAsyncRow struct {
 // (through the monitor, synchronous locking), flat, server, and adaptive —
 // and reports each mode's completion time and queue-operation latency. All
 // modes must find the same optimal tour; the solves are independent
-// simulations and fan out over jobs workers.
-func TSPAsyncQueue(opts TSPOptions, jobs int) ([]TSPAsyncRow, error) {
-	opts = opts.withDefaults()
+// simulations and fan out over e.Jobs workers.
+func TSPAsyncQueue(e Env) ([]TSPAsyncRow, error) {
+	opts := e.tspOptions()
 	in := opts.instance()
 	modes := append([]string{"off"}, tsp.AsyncQueueModes()...)
-	rows, err := sweep(sweepJobs(jobs, false), len(modes), func(i int) (TSPAsyncRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(modes), func(i int) (TSPAsyncRow, error) {
 		mode := modes[i]
 		cfg := tsp.Config{
 			Instance:         in,
@@ -325,10 +325,6 @@ func TSPAsyncQueue(opts TSPOptions, jobs int) ([]TSPAsyncRow, error) {
 		}
 		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTSPAsyncQueue renders the async-queue TSP comparison.

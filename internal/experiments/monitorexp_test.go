@@ -16,7 +16,7 @@ import (
 // versus synchronous locking — and at low contention (2 callers) sync
 // must win elapsed, the honest other side of the trade.
 func TestMonitorHotspotHeadline(t *testing.T) {
-	rows, err := MonitorHotspot(sim.Config{}, 4)
+	rows, err := MonitorHotspot(Env{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestMonitorPhasesSwitchesBothWays(t *testing.T) {
 // sweeps: parallel fan-out must be byte-identical to serial.
 func TestMonitorSweepParallelDeterminism(t *testing.T) {
 	render := func(jobs int) string {
-		hot, err := MonitorHotspot(sim.Config{}, jobs)
+		hot, err := MonitorHotspot(Env{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl, err := WaitLatencySweep(sim.Config{}, jobs, nil)
+		wl, err := WaitLatencySweep(Env{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}

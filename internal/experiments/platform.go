@@ -25,8 +25,8 @@ type PlatformRow struct {
 // remote-reference penalty grows, busy-waiting on a remote word gets
 // relatively worse, shifting the preferred waiting policy toward
 // sleeping. Rows are ordered UMA, GP1000 (NUMA), NORMA. The presets are
-// independent machines; they fan out over up to jobs workers.
-func PlatformRetargeting(jobs int) ([]PlatformRow, error) {
+// independent machines; they fan out over up to e.Jobs workers.
+func PlatformRetargeting(e Env) ([]PlatformRow, error) {
 	presets := []struct {
 		name string
 		cfg  sim.Config
@@ -35,14 +35,14 @@ func PlatformRetargeting(jobs int) ([]PlatformRow, error) {
 		{"GP1000 (NUMA)", sim.GP1000Config()},
 		{"NORMA-like", sim.NORMAConfig()},
 	}
-	return sweep(sweepJobs(jobs, false), len(presets), func(i int) (PlatformRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(presets), func(i int) (PlatformRow, error) {
 		p := presets[i]
-		opts := Options{Machine: p.cfg}
-		spinOp, err := measureOp(opts.withDefaults(), locks.KindSpin, 1, "lock")
+		opts := Env{Machine: p.cfg}.lockDefaults()
+		spinOp, err := measureOp(opts, locks.KindSpin, 1, "lock")
 		if err != nil {
 			return PlatformRow{}, fmt.Errorf("platform %s spin op: %w", p.name, err)
 		}
-		blockOp, err := measureOp(opts.withDefaults(), locks.KindBlocking, 1, "lock")
+		blockOp, err := measureOp(opts, locks.KindBlocking, 1, "lock")
 		if err != nil {
 			return PlatformRow{}, fmt.Errorf("platform %s blocking op: %w", p.name, err)
 		}

@@ -25,15 +25,15 @@ type CalibRow struct {
 
 // MutableCalibration contends a predictive mutable lock at several waiter
 // counts and reports the predicted-vs-actual wait calibration
-// (cmd/lockbench -calib). Each waiter runs on its own processor, holds
+// (repro calib). Each waiter runs on its own processor, holds
 // the lock for a fixed critical section, and pauses a seeded-random gap —
 // the regime where the hold-time estimate is informative and the
 // per-arrival decision is a genuine three-way choice.
-func MutableCalibration(machine sim.Config, jobs int) ([]CalibRow, error) {
+func MutableCalibration(e Env) ([]CalibRow, error) {
 	counts := []int{2, 8, 32}
-	return sweep(sweepJobs(jobs, false), len(counts), func(i int) (CalibRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(counts), func(i int) (CalibRow, error) {
 		waiters := counts[i]
-		m := machine
+		m := e.Machine
 		if m.Nodes < waiters {
 			m.Nodes = waiters
 		}
@@ -95,15 +95,15 @@ type CohortRow struct {
 // nearly every handover. The quantum matters: with one processor per
 // node, same-node waiters only spin concurrently with their owner when
 // the owner can be preempted.
-func CohortNUMA(machine sim.Config, jobs int) ([]CohortRow, error) {
-	if machine.Quantum == 0 {
-		machine.Quantum = 200 * sim.Microsecond
+func CohortNUMA(e Env) ([]CohortRow, error) {
+	if e.Machine.Quantum == 0 {
+		e.Machine.Quantum = 200 * sim.Microsecond
 	}
 	const perNode = 3
 	counts := []int{2, 4, 8}
-	return sweep(sweepJobs(jobs, false), len(counts), func(i int) (CohortRow, error) {
+	return sweep(sweepJobs(e.Jobs, false), len(counts), func(i int) (CohortRow, error) {
 		nodes := counts[i]
-		m := machine
+		m := e.Machine
 		if m.Nodes < nodes {
 			m.Nodes = nodes
 		}

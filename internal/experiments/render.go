@@ -157,7 +157,7 @@ func RenderRetargeting(rows []RetargetRow) *metrics.Table {
 }
 
 // RenderMutableCalibration renders the predicted-vs-actual wait report
-// of the mutable lock (lockbench -calib).
+// of the mutable lock (repro calib).
 func RenderMutableCalibration(rows []CalibRow) *metrics.Table {
 	tb := metrics.NewTable("Mutable lock: predicted vs. actual wait calibration",
 		"waiters", "spin", "spin-block", "block", "cold",
