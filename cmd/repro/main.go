@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noSpinBatch := cli.NoSpinBatchFlag(fs)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: repro [flags] <name>... | all\n\nexperiments:\n")
-		for _, s := range experiments.Registry {
+		for _, s := range experiments.Registry() {
 			fmt.Fprintf(stderr, "  %-13s %s\n", s.Name, s.Claim)
 		}
 		fmt.Fprintf(stderr, "\nflags:\n")
@@ -157,7 +157,7 @@ func selectSpecs(fs *flag.FlagSet) ([]experiments.Spec, error) {
 	var reads experiments.Input
 	seen := map[string]bool{}
 	for _, name := range fs.Args() {
-		batch := experiments.Registry
+		batch := experiments.Registry()
 		if name != "all" {
 			s, ok := experiments.Lookup(name)
 			if !ok {

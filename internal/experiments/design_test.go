@@ -36,7 +36,7 @@ func TestDesignIndexMatchesRegistry(t *testing.T) {
 		}
 		rows[m[1]] = strings.Split(line, " | ")
 	}
-	for _, s := range Registry {
+	for _, s := range Registry() {
 		cells, ok := rows[s.Name]
 		if !ok {
 			t.Errorf("DESIGN.md §3 has no row regenerated by `repro %s`", s.Name)

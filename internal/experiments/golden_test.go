@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/*.txt from the 
 //
 //	go test ./internal/experiments -run TestGolden -update
 func TestGolden(t *testing.T) {
-	for _, spec := range Registry {
+	for _, spec := range Registry() {
 		t.Run(spec.Name, func(t *testing.T) {
 			res, err := spec.Run(Env{Jobs: runtime.GOMAXPROCS(0)})
 			if err != nil {

@@ -151,7 +151,7 @@ type Metric struct {
 
 // Lookup returns the registered experiment with the given name.
 func Lookup(name string) (Spec, bool) {
-	for _, s := range Registry {
+	for _, s := range Registry() {
 		if s.Name == name {
 			return s, true
 		}
@@ -223,137 +223,139 @@ const (
 	tspInputs  = InTSP | InTrace | InObserve
 )
 
-var (
-	lockOpMetrics = each(func(r LockOpRow) Metric { return localMicros(r.Kind, r.Local) })
-	cycleMetrics  = each(func(r CycleRow) Metric { return localMicros(r.Kind, r.Local) })
-)
-
 // Registry lists every experiment in paper order, then the extensions.
-var Registry = []Spec{
-	{"table1", "Centralized TSP: adaptive lock ~17.8% faster than blocking; parallel ≫ sequential",
-		tspInputs, tspTable(tsp.OrgCentralized)},
-	{"table2", "Distributed TSP: adaptive ~12.7% better",
-		tspInputs, tspTable(tsp.OrgDistributed)},
-	{"table3", "Distributed+LB TSP: adaptive ~6.5% better (least gain — least synchronization)",
-		tspInputs, tspTable(tsp.OrgDistributedLB)},
-	{"patterns", "Figures 4–9, qlock contention: centralized ≫ distributed ≫ distributed+LB; glob-act-lock moderate",
-		InTSP | InCSV, patterns},
-	{"scaling", "§4's prediction: the adaptive lock's gain over blocking grows with the processor count",
-		tspInputs, tabulate(func(e Env) ([]ScalingRow, error) { return ScalingComparison(e.tspOptions(), nil) }, RenderScaling,
-			each(func(r ScalingRow) Metric {
-				return Metric{fmt.Sprintf("improvement-%%-%dp", r.Searchers), r.ImprovementPct}
-			}))},
-	{"async-queue", "Centralized TSP's shared work queue through the adaptive monitor: every execution mode finds the same tour, combining cuts queue latency",
-		InTSP, tabulate(TSPAsyncQueue, RenderTSPAsyncQueue, nil)},
-	{"table4", "Lock-op latency ordering: atomior < spin ≈ backoff ≈ adaptive < blocking; remote ≥ local",
-		lockInputs | InKinds, tabulate(Table4, titled("Table 4: Cost of the Lock operation for different locks", RenderLockOpTable), lockOpMetrics)},
-	{"table5", "Unlock latency: spin ≈ backoff ≪ adaptive < blocking",
-		lockInputs | InKinds, tabulate(Table5, titled("Table 5: Cost of the Unlock operation for different locks", RenderLockOpTable), lockOpMetrics)},
-	{"table6", "Locking-cycle (unlock→lock on busy lock): spin ≪ backoff ≪ blocking",
-		lockInputs, tabulate(Table6, titled("Table 6: Cost of successive Unlock and Lock operation on an already locked lock", RenderCycleTable), cycleMetrics)},
-	{"table7", "Adaptive lock cycle: as-spin ≈ spin (+ small overhead), as-blocking ≈ blocking (+ overhead)",
-		lockInputs, tabulate(Table7, titled("Table 7: Cost of successive Unlock and Lock operation on an already locked adaptive lock", RenderCycleTable), cycleMetrics)},
-	{"table8", "Cost of adaptation mechanisms: configure(waiting) < configure(scheduler) < acquisition < monitor-sample",
-		lockInputs, tabulate(Table8, RenderTable8, each(func(r ConfigOpRow) Metric { return localMicros(r.Op, r.Local) }))},
-	{"calib", "The mutable lock's wait predictor classifies right at both ends: spin at 2 waiters, block at 8+",
-		InMachine, tabulate(MutableCalibration, RenderMutableCalibration, nil)},
-	{"wait-latency", "Per-acquisition wait-latency digests (p50/p99/p999) per lock kind under contention",
-		InMachine | InKinds, tabulate(WaitLatencySweep, RenderWaitLatency, nil)},
-	{"fig1", "Figure 1: combined lock with 10 initial spins beats 1-spin for some CS lengths; 50-spin worse than 10-spin at those lengths; optimum depends on CS length",
-		InObserve, tabulate(func(e Env) ([]Figure1Row, error) { return Figure1(e, nil) }, RenderFigure1, figure1Metrics)},
-	{"sched", "[MS93]: priority scheduler best, FCFS worst on a client-server program; a lock adapting its own scheduler tracks priority",
-		0, tabulate(SchedulerComparison, RenderSchedulerComparison,
-			each(func(r SchedRow) Metric { return Metric{"sim-µs-response-" + r.Scheduler, r.MeanResponse.Micros()} }))},
-	{"crossover", "[MS93] §2: spin wins at one thread per processor, blocking wins beyond",
-		0, tabulate(SpinVsBlockCrossover, RenderCrossover, func(rows []CrossoverRow) []Metric {
-			first, last := rows[0], rows[len(rows)-1]
-			return []Metric{
-				{"spin/block@1tpp", float64(first.Spin) / float64(first.Block)},
-				{"spin/block@4tpp", float64(last.Spin) / float64(last.Block)},
-			}
-		})},
-	{"advisory", "[MS93] via §2: an advisory lock performs well for variable-length critical sections",
-		0, tabulate(AdvisoryComparison, RenderAdvisory,
-			each(func(r AdvisoryRow) Metric { return Metric{"sim-ms-" + metricName(r.Strategy), r.Elapsed.Millis()} }))},
-	{"retarget", "§2 re-targeting: a distributed local-spin lock keeps the lock word's memory module quiet where a centralized TAS lock floods it",
-		0, tabulate(LockRetargeting, RenderRetargeting, func(rows []RetargetRow) []Metric {
-			last := rows[len(rows)-1]
-			return []Metric{
-				{"sim-ms-remote-spin-16t", last.RemoteSpin.Millis()},
-				{"sim-ms-local-spin-16t", last.LocalSpin.Millis()},
-				{"sim-ms-hotspot-delay-16t", last.HotSpotDelay.Millis()},
-			}
-		})},
-	{"cohort", "A NUMA cohort lock cuts remote lock transfers versus the flat TAS and MCS locks",
-		0, tabulate(CohortNUMA, RenderCohortNUMA, nil)},
-	{"coupling", "§3/§5.1: the inline feedback loop reacts without lag; the general-purpose monitor pipeline decides a phase late",
-		0, tabulate(CouplingComparison, RenderCoupling, func(rows []CouplingRow) []Metric {
-			return []Metric{
-				{"sim-ms-closely-coupled", rows[0].Elapsed.Millis()},
-				{"sim-ms-loosely-coupled", rows[1].Elapsed.Millis()},
-				{"sim-µs-decision-lag", rows[1].DecisionLag.Micros()},
-			}
-		})},
-	{"platform", "§2 UMA → NUMA → NORMA: busy waiting loses its edge as remote references get dearer",
-		0, tabulate(PlatformRetargeting, RenderPlatforms,
-			each(func(r PlatformRow) Metric { return Metric{"spin/block-" + metricName(r.Platform), r.SpinOverBlock} }))},
-	{"sor", "§7 follow-on: the adaptive residual lock's gain on SOR grows with the worker count",
-		0, tabulate(func(e Env) ([]SORRow, error) { return SORComparison(nil, e.Jobs) }, RenderSOR,
-			each(func(r SORRow) Metric { return Metric{fmt.Sprintf("improvement-%%-%dw", r.Workers), r.ImprovementPct} }))},
-	{"barrier", "§7: an adaptive barrier polls like a spin barrier on private processors and beats both static barriers when multiprogrammed",
-		0, tabulate(BarrierComparison, RenderBarriers, func(rows []BarrierRow) (m []Metric) {
-			for _, r := range rows {
-				regime := metricName(r.Regime)
-				m = append(m,
-					Metric{"sim-ms-adaptive-" + regime, r.Adaptive.Millis()},
-					Metric{"sim-ms-spin-" + regime, r.Spin.Millis()},
-					Metric{"sim-ms-sleep-" + regime, r.Sleep.Millis()})
-			}
-			return m
-		})},
-	{"ablation", "The SimpleAdapt constants the paper leaves to future work (Waiting-Threshold, n) move the adaptive lock's execution time",
-		0, tabulate(PolicyAblation, RenderAblation, func(rows []AblationRow) []Metric {
-			best := rows[0]
-			for _, r := range rows {
-				if r.Elapsed < best.Elapsed {
-					best = r
+// It is built per call rather than held in a variable, so a binary that
+// only imports this package's cell-level entry points does not link
+// every experiment.
+func Registry() []Spec {
+	lockOpMetrics := each(func(r LockOpRow) Metric { return localMicros(r.Kind, r.Local) })
+	cycleMetrics := each(func(r CycleRow) Metric { return localMicros(r.Kind, r.Local) })
+	return []Spec{
+		{"table1", "Centralized TSP: adaptive lock ~17.8% faster than blocking; parallel ≫ sequential",
+			tspInputs, tspTable(tsp.OrgCentralized)},
+		{"table2", "Distributed TSP: adaptive ~12.7% better",
+			tspInputs, tspTable(tsp.OrgDistributed)},
+		{"table3", "Distributed+LB TSP: adaptive ~6.5% better (least gain — least synchronization)",
+			tspInputs, tspTable(tsp.OrgDistributedLB)},
+		{"patterns", "Figures 4–9, qlock contention: centralized ≫ distributed ≫ distributed+LB; glob-act-lock moderate",
+			InTSP | InCSV, patterns},
+		{"scaling", "§4's prediction: the adaptive lock's gain over blocking grows with the processor count",
+			tspInputs, tabulate(func(e Env) ([]ScalingRow, error) { return ScalingComparison(e.tspOptions(), nil) }, RenderScaling,
+				each(func(r ScalingRow) Metric {
+					return Metric{fmt.Sprintf("improvement-%%-%dp", r.Searchers), r.ImprovementPct}
+				}))},
+		{"async-queue", "Centralized TSP's shared work queue through the adaptive monitor: every execution mode finds the same tour, combining cuts queue latency",
+			InTSP, tabulate(TSPAsyncQueue, RenderTSPAsyncQueue, nil)},
+		{"table4", "Lock-op latency ordering: atomior < spin ≈ backoff ≈ adaptive < blocking; remote ≥ local",
+			lockInputs | InKinds, tabulate(Table4, titled("Table 4: Cost of the Lock operation for different locks", RenderLockOpTable), lockOpMetrics)},
+		{"table5", "Unlock latency: spin ≈ backoff ≪ adaptive < blocking",
+			lockInputs | InKinds, tabulate(Table5, titled("Table 5: Cost of the Unlock operation for different locks", RenderLockOpTable), lockOpMetrics)},
+		{"table6", "Locking-cycle (unlock→lock on busy lock): spin ≪ backoff ≪ blocking",
+			lockInputs, tabulate(Table6, titled("Table 6: Cost of successive Unlock and Lock operation on an already locked lock", RenderCycleTable), cycleMetrics)},
+		{"table7", "Adaptive lock cycle: as-spin ≈ spin (+ small overhead), as-blocking ≈ blocking (+ overhead)",
+			lockInputs, tabulate(Table7, titled("Table 7: Cost of successive Unlock and Lock operation on an already locked adaptive lock", RenderCycleTable), cycleMetrics)},
+		{"table8", "Cost of adaptation mechanisms: configure(waiting) < configure(scheduler) < acquisition < monitor-sample",
+			lockInputs, tabulate(Table8, RenderTable8, each(func(r ConfigOpRow) Metric { return localMicros(r.Op, r.Local) }))},
+		{"calib", "The mutable lock's wait predictor classifies right at both ends: spin at 2 waiters, block at 8+",
+			InMachine, tabulate(MutableCalibration, RenderMutableCalibration, nil)},
+		{"wait-latency", "Per-acquisition wait-latency digests (p50/p99/p999) per lock kind under contention",
+			InMachine | InKinds, tabulate(WaitLatencySweep, RenderWaitLatency, nil)},
+		{"fig1", "Figure 1: combined lock with 10 initial spins beats 1-spin for some CS lengths; 50-spin worse than 10-spin at those lengths; optimum depends on CS length",
+			InObserve, tabulate(func(e Env) ([]Figure1Row, error) { return Figure1(e, nil) }, RenderFigure1, figure1Metrics)},
+		{"sched", "[MS93]: priority scheduler best, FCFS worst on a client-server program; a lock adapting its own scheduler tracks priority",
+			0, tabulate(SchedulerComparison, RenderSchedulerComparison,
+				each(func(r SchedRow) Metric { return Metric{"sim-µs-response-" + r.Scheduler, r.MeanResponse.Micros()} }))},
+		{"crossover", "[MS93] §2: spin wins at one thread per processor, blocking wins beyond",
+			0, tabulate(SpinVsBlockCrossover, RenderCrossover, func(rows []CrossoverRow) []Metric {
+				first, last := rows[0], rows[len(rows)-1]
+				return []Metric{
+					{"spin/block@1tpp", float64(first.Spin) / float64(first.Block)},
+					{"spin/block@4tpp", float64(last.Spin) / float64(last.Block)},
 				}
-			}
-			return []Metric{
-				{"best-threshold", float64(best.WaitingThreshold)},
-				{"best-n", float64(best.Step)},
-				{"sim-ms-best", best.Elapsed.Millis()},
-			}
-		})},
-	{"sharded", "The sharded engine simulates an identical history at every shard count",
-		InShards, func(e Env) (Result, error) {
-			opts := ShardedScalingOptions{Jobs: e.Jobs}
-			if e.Shards > 1 {
-				opts.MaxShards = e.Shards
-			}
-			rows, err := ShardedScaling(opts)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Text: RenderShardedScaling(rows) + "\n"}, nil
-		}},
-	{"feedback", "§4's feedback loop: the adaptive lock spins when solo, backs off to blocking under overload, and climbs back",
-		InMachine | InTrace | InObserve, feedback},
-	{"monitor", "Combining cuts the contended hotspot's p99 method latency; the adaptive monitor switches sync→async and back with the phase",
-		InMachine, func(e Env) (Result, error) {
-			if e.Machine.Nodes == 0 {
-				e.Machine.Nodes = 8
-			}
-			hot, err := MonitorHotspot(e)
-			if err != nil {
-				return Result{}, err
-			}
-			rep, err := MonitorPhases(e.Machine)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Text: RenderMonitorHotspot(hot).String() + "\n" + RenderMonitorPhases(rep).String() + "\n"}, nil
-		}},
+			})},
+		{"advisory", "[MS93] via §2: an advisory lock performs well for variable-length critical sections",
+			0, tabulate(AdvisoryComparison, RenderAdvisory,
+				each(func(r AdvisoryRow) Metric { return Metric{"sim-ms-" + metricName(r.Strategy), r.Elapsed.Millis()} }))},
+		{"retarget", "§2 re-targeting: a distributed local-spin lock keeps the lock word's memory module quiet where a centralized TAS lock floods it",
+			0, tabulate(LockRetargeting, RenderRetargeting, func(rows []RetargetRow) []Metric {
+				last := rows[len(rows)-1]
+				return []Metric{
+					{"sim-ms-remote-spin-16t", last.RemoteSpin.Millis()},
+					{"sim-ms-local-spin-16t", last.LocalSpin.Millis()},
+					{"sim-ms-hotspot-delay-16t", last.HotSpotDelay.Millis()},
+				}
+			})},
+		{"cohort", "A NUMA cohort lock cuts remote lock transfers versus the flat TAS and MCS locks",
+			0, tabulate(CohortNUMA, RenderCohortNUMA, nil)},
+		{"coupling", "§3/§5.1: the inline feedback loop reacts without lag; the general-purpose monitor pipeline decides a phase late",
+			0, tabulate(CouplingComparison, RenderCoupling, func(rows []CouplingRow) []Metric {
+				return []Metric{
+					{"sim-ms-closely-coupled", rows[0].Elapsed.Millis()},
+					{"sim-ms-loosely-coupled", rows[1].Elapsed.Millis()},
+					{"sim-µs-decision-lag", rows[1].DecisionLag.Micros()},
+				}
+			})},
+		{"platform", "§2 UMA → NUMA → NORMA: busy waiting loses its edge as remote references get dearer",
+			0, tabulate(PlatformRetargeting, RenderPlatforms,
+				each(func(r PlatformRow) Metric { return Metric{"spin/block-" + metricName(r.Platform), r.SpinOverBlock} }))},
+		{"sor", "§7 follow-on: the adaptive residual lock's gain on SOR grows with the worker count",
+			0, tabulate(func(e Env) ([]SORRow, error) { return SORComparison(nil, e.Jobs) }, RenderSOR,
+				each(func(r SORRow) Metric { return Metric{fmt.Sprintf("improvement-%%-%dw", r.Workers), r.ImprovementPct} }))},
+		{"barrier", "§7: an adaptive barrier polls like a spin barrier on private processors and beats both static barriers when multiprogrammed",
+			0, tabulate(BarrierComparison, RenderBarriers, func(rows []BarrierRow) (m []Metric) {
+				for _, r := range rows {
+					regime := metricName(r.Regime)
+					m = append(m,
+						Metric{"sim-ms-adaptive-" + regime, r.Adaptive.Millis()},
+						Metric{"sim-ms-spin-" + regime, r.Spin.Millis()},
+						Metric{"sim-ms-sleep-" + regime, r.Sleep.Millis()})
+				}
+				return m
+			})},
+		{"ablation", "The SimpleAdapt constants the paper leaves to future work (Waiting-Threshold, n) move the adaptive lock's execution time",
+			0, tabulate(PolicyAblation, RenderAblation, func(rows []AblationRow) []Metric {
+				best := rows[0]
+				for _, r := range rows {
+					if r.Elapsed < best.Elapsed {
+						best = r
+					}
+				}
+				return []Metric{
+					{"best-threshold", float64(best.WaitingThreshold)},
+					{"best-n", float64(best.Step)},
+					{"sim-ms-best", best.Elapsed.Millis()},
+				}
+			})},
+		{"sharded", "The sharded engine simulates an identical history at every shard count",
+			InShards, func(e Env) (Result, error) {
+				opts := ShardedScalingOptions{Jobs: e.Jobs}
+				if e.Shards > 1 {
+					opts.MaxShards = e.Shards
+				}
+				rows, err := ShardedScaling(opts)
+				if err != nil {
+					return Result{}, err
+				}
+				return Result{Text: RenderShardedScaling(rows) + "\n"}, nil
+			}},
+		{"feedback", "§4's feedback loop: the adaptive lock spins when solo, backs off to blocking under overload, and climbs back",
+			InMachine | InTrace | InObserve, feedback},
+		{"monitor", "Combining cuts the contended hotspot's p99 method latency; the adaptive monitor switches sync→async and back with the phase",
+			InMachine, func(e Env) (Result, error) {
+				if e.Machine.Nodes == 0 {
+					e.Machine.Nodes = 8
+				}
+				hot, err := MonitorHotspot(e)
+				if err != nil {
+					return Result{}, err
+				}
+				rep, err := MonitorPhases(e.Machine)
+				if err != nil {
+					return Result{}, err
+				}
+				return Result{Text: RenderMonitorHotspot(hot).String() + "\n" + RenderMonitorPhases(rep).String() + "\n"}, nil
+			}},
+	}
 }
 
 // tspTable runs one of Tables 1–3 and prints the instance, the table, and
