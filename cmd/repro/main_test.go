@@ -90,3 +90,29 @@ func TestRepeatedNameRunsOnce(t *testing.T) {
 		t.Errorf("table8 table8 printed Table 8 %d times", n)
 	}
 }
+
+// TestInputsReachOnlyTheirReaders checks that an input set for one
+// selected experiment does not leak into another: the tracer is read by
+// table8, and coupling, which can run traced but does not declare it,
+// must neither appear in the trace nor change its golden output.
+func TestInputsReachOnlyTheirReaders(t *testing.T) {
+	want, err := os.ReadFile("../../internal/experiments/testdata/golden/coupling.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.txt")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-trace", path, "table8", "coupling"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if !strings.HasSuffix(stdout.String(), string(want)) {
+		t.Errorf("coupling output changed beside -trace:\n%s", stdout.String())
+	}
+	tr, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(tr), "loose") {
+		t.Error("the trace recorded the coupling experiment, which does not read -trace")
+	}
+}
