@@ -223,8 +223,10 @@ const (
 	tspInputs  = InTSP | InTrace | InObserve
 )
 
-// Registry lists every experiment in paper order, then the extensions.
-// It is built per call rather than held in a variable, so a binary that
+// Registry lists every experiment, grouped by subject: the TSP
+// application (Tables 1–3, Figures 4–9, and their extensions), the lock
+// microbenchmarks (Tables 4–8 and theirs), Figure 1, then the remaining
+// extensions. It is built per call rather than held in a variable, so a binary that
 // only imports this package's cell-level entry points does not link
 // every experiment.
 func Registry() []Spec {
