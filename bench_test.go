@@ -113,7 +113,10 @@ func BenchmarkPolicyAblation(b *testing.B) { benchSpec(b, "ablation", experiment
 // engine's serial-equivalence contract, so any cross-shard drift trips
 // the benchjson gate; ns/op shows the wall-clock effect of partitioning
 // (real speedup needs real cores — on a single-core host the shards
-// time-slice and only the coordination overhead is visible).
+// time-slice and only the coordination overhead is visible). The
+// windows and runnable-shards-per-window counts explain ns/op: they are
+// how many barriers the run paid for and how much parallelism each one
+// offered.
 func BenchmarkShardedEngine(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -128,6 +131,12 @@ func BenchmarkShardedEngine(b *testing.B) {
 			b.ReportMetric(row.SimTime.Millis(), "sim-ms-elapsed")
 			b.ReportMetric(float64(row.CrossMsgs), "sim-cross-msgs")
 			b.ReportMetric(float64(row.Checksum%1_000_000_007), "sim-checksum")
+			b.ReportMetric(float64(row.Coord.Windows), "sim-windows")
+			perWindow := 0.0
+			if row.Coord.Windows > 0 {
+				perWindow = float64(row.Coord.ShardWindows) / float64(row.Coord.Windows)
+			}
+			b.ReportMetric(perWindow, "sim-shards-per-window")
 		})
 	}
 }

@@ -2,6 +2,8 @@
 // and Engine types carrying the shard-owned field names.
 package sim
 
+import "sync/atomic"
+
 type Time int64
 
 type message struct {
@@ -33,7 +35,19 @@ type Sharded struct {
 	lookahead Time
 	workers   int
 	ran       bool
+
+	stats    stats
+	runnable []*Engine
+	end      Time
+	win      atomic.Uint64
+	pending  atomic.Int64
+	coord    *waiter
+	pool     []*waiter
 }
+
+type stats struct{ Windows uint64 }
+
+type waiter struct{ spin bool }
 
 // NewSharded is on the allowlist: partition construction writes freely.
 func NewSharded(ms []*Machine) *Sharded {
@@ -65,9 +79,53 @@ func (s *Sharded) deliver() {
 	}
 }
 
-// Run is on the allowlist: the run driver owns the latch.
+// The window pool's fields have owners of their own: only they write.
+func (s *Sharded) loop() {
+	s.stats.Windows++
+	s.runnable = s.runnable[:0]
+	s.end = 1
+	s.runShards()
+}
+
+func (s *Sharded) runShards() {
+	s.pending.Store(int64(len(s.runnable)))
+	s.advance(s.publish(uint64(len(s.runnable))))
+}
+
+func (s *Sharded) publish(n uint64) uint64 {
+	g := s.win.Load()>>32 + 1
+	s.win.Store(g<<32 | n)
+	return g
+}
+
+func (s *Sharded) advance(g uint64) {
+	if c := s.win.Load(); c>>32 == g && s.win.CompareAndSwap(c, c-1) {
+		s.pending.Add(-1)
+	}
+}
+
+func (s *Sharded) startPool() {
+	s.coord = &waiter{spin: true}
+	s.pool = []*waiter{{}}
+}
+
+// A shared-allowlist function is no owner of the pool's fields.
 func (s *Sharded) Run() {
 	s.ran = true
+	s.stats = stats{}        // want `write to Sharded.stats outside the shard coordinator allowlist \(Run is not one of loop/deliver\)`
+	s.win.Store(0)           // want `write to Sharded.win outside the shard coordinator allowlist \(Run is not one of publish/advance\)`
+	s.pool = nil             // want `write to Sharded.pool outside the shard coordinator allowlist`
+	_ = s.pending.Load() > 0 // reads are legal
+}
+
+// A stray write from a pool goroutine's helper, past the owners.
+func (s *Sharded) strayPoolWrites() {
+	s.pending.Add(-1)          // want `write to Sharded.pending outside the shard coordinator allowlist \(strayPoolWrites is not one of runShards/stopPool/advance/poolWorker\)`
+	s.win.CompareAndSwap(1, 0) // want `write to Sharded.win outside the shard coordinator allowlist`
+	s.runnable[0] = nil        // want `write to Sharded.runnable outside the shard coordinator allowlist`
+	s.end++                    // want `write to Sharded.end outside the shard coordinator allowlist`
+	s.coord = nil              // want `write to Sharded.coord outside the shard coordinator allowlist`
+	s.stats.Windows = 0        // want `write to Sharded.stats outside the shard coordinator allowlist`
 }
 
 func hackMailbox(s *Sharded, m message) {

@@ -57,7 +57,9 @@ func (o ShardedScalingOptions) withDefaults() ShardedScalingOptions {
 // every row must carry identical values, and the determinism tests (and
 // CI) fail loudly if any shard count drifts. CrossMsgs grows with the
 // shard count — it counts how much of the same communication crossed
-// partition boundaries.
+// partition boundaries. Coord holds the coordinator's counters (zero at
+// one shard, where no windows run); like CrossMsgs they depend on the
+// partition but never on the worker count or the host.
 type ShardedRow struct {
 	Shards    int
 	SimTime   sim.Time
@@ -66,6 +68,7 @@ type ShardedRow struct {
 	Preempt   int
 	CrossMsgs uint64
 	Checksum  uint64
+	Coord     sim.ShardStats
 }
 
 // ShardedScaling runs the client/server ring on partitions of one big
@@ -198,6 +201,7 @@ func shardedRingRun(cfg sim.Config, shards, workers, rounds int) (ShardedRow, er
 	}
 	st := cl.Stats()
 	row.Wakeups, row.Preempt = st.Wakeups, st.Preemptions
+	row.Coord = cl.Sharded().Stats()
 	// Workload-result fingerprint (FNV-1a over the final cell values):
 	// any divergence between shard counts lands here even if the timing
 	// columns happen to agree.

@@ -85,3 +85,46 @@ func TestShardedScalingInvariants(t *testing.T) {
 		t.Errorf("render missing headers:\n%s", out)
 	}
 }
+
+// TestShardedCrossSourceTies pins how often the barrier merge breaks a
+// (when, at) tie between different source shards by source rank, the one
+// order it cannot take from the serial engine. The 1024-node ring has one
+// such tie at 4 and 8 shards: two hub PostAdds reaching shard 0 at the
+// same instant, sent at the same instant, which commute. The counts and
+// the other coordinator counters must not depend on the worker count.
+func TestShardedCrossSourceTies(t *testing.T) {
+	cases := []struct {
+		nodes, rounds, shards int
+		ties                  uint64
+	}{
+		{1024, 2, 2, 0},
+		{1024, 2, 4, 1},
+		{1024, 2, 8, 1},
+		{64, 4, 2, 0},
+		{64, 4, 4, 0},
+		{64, 4, 8, 0},
+	}
+	for _, c := range cases {
+		cfg := sim.Config{Nodes: c.nodes, Seed: 1}
+		var first sim.ShardStats
+		for i, workers := range []int{1, 2} {
+			row, err := ShardedRun(cfg, c.shards, workers, c.rounds)
+			if err != nil {
+				t.Fatalf("%d nodes, %d shards, %d workers: %v", c.nodes, c.shards, workers, err)
+			}
+			if row.Coord.CrossSourceTies != c.ties {
+				t.Errorf("%d nodes, %d shards, %d workers: %d cross-source ties, want %d",
+					c.nodes, c.shards, workers, row.Coord.CrossSourceTies, c.ties)
+			}
+			if row.Coord.Windows == 0 {
+				t.Errorf("%d nodes, %d shards: no windows counted", c.nodes, c.shards)
+			}
+			if i == 0 {
+				first = row.Coord
+			} else if row.Coord != first {
+				t.Errorf("%d nodes, %d shards: counters %+v at %d workers, %+v at 1",
+					c.nodes, c.shards, row.Coord, workers, first)
+			}
+		}
+	}
+}

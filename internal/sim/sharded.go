@@ -2,10 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -31,9 +31,15 @@ import (
 // event order then fires them in exactly the position the serial
 // engine's global sequence numbering would have. The one history the
 // order cannot reconstruct is a tie in both when and at between events
-// born on different shards — workloads below the latency floor of the
-// machine cannot produce one, and the differential suites assert
-// byte-identical metrics for every shard count on everything in-tree.
+// born on different shards: the merge breaks it by source rank, where
+// the serial engine would have used the senders' global sequence
+// numbers. In-tree workloads do produce such ties — the 1024-node
+// sharded ring sends two hub PostAdds to shard 0 with equal (when, at)
+// at 4 and 8 shards — and their output stays identical only because
+// the tied effects commute. deliver counts every source-rank tie-break
+// (Stats().CrossSourceTies) so a workload's exposure is measured, not
+// assumed; the differential suites assert byte-identical metrics for
+// every shard count on everything in-tree.
 //
 // Determinism does not depend on the worker count: within a window
 // shards touch only their own state, and the barrier merge is a fixed
@@ -65,6 +71,49 @@ type Sharded struct {
 	stop atomic.Bool
 
 	ran bool
+
+	// stats counts the coordinator's mechanics, written only by loop
+	// and deliver.
+	stats ShardStats
+
+	// runnable and end describe the current window: the engines with
+	// work before end. loop writes them between windows, while no pool
+	// goroutine holds a claim; a pool goroutine reads them only under a
+	// claim, so a write never overlaps a read.
+	runnable []*Engine
+	end      Time
+
+	// The window pool (see runShards). win publishes a window and hands
+	// out its shards in one word: the high 32 bits are the window's
+	// generation, the low 32 bits the number of runnable shards not yet
+	// claimed (quitWindow to stop the pool). pending counts the shards
+	// of the published window not yet finished, or at shutdown the pool
+	// goroutines not yet gone. coord is the coordinator's wait state and
+	// pool the other goroutines'; pool is nil when loop runs every
+	// shard itself.
+	win     atomic.Uint64
+	pending atomic.Int64
+	coord   *waiter
+	pool    []*waiter
+}
+
+// ShardStats counts a sharded run's coordinator mechanics. Every count
+// is a function of the workload and the partition alone — identical for
+// any Workers value, GOMAXPROCS and host — so benchmarks may gate them
+// like simulated metrics.
+type ShardStats struct {
+	// Windows counts the barrier windows run.
+	Windows uint64
+	// ShardWindows sums the runnable shards over all windows;
+	// ShardWindows/Windows is the parallelism a window offers.
+	ShardWindows uint64
+	// CrossSourceTies counts the merge's source-rank tie-breaks: adjacent
+	// pairs of messages to one destination, from different source
+	// shards, with equal (when, at). The serial engine would have ordered
+	// each pair by its senders' global sequence numbers instead, so the
+	// history is only guaranteed identical when the tied effects commute
+	// (see Sharded).
+	CrossSourceTies uint64
 }
 
 // message is one buffered cross-shard event: fire fn at when on the
@@ -73,6 +122,7 @@ type message struct {
 	when Time
 	at   Time
 	fn   func()
+	src  int
 }
 
 // edgeStat records per-(src,dst) mailbox traffic.
@@ -181,6 +231,9 @@ func (s *Sharded) NodeRange(i int) (lo, hi int) { return s.bounds[i], s.bounds[i
 // RankOf returns the shard rank owning node n.
 func (s *Sharded) RankOf(n int) int { return s.owner[n] }
 
+// Stats returns the coordinator counters of the run so far.
+func (s *Sharded) Stats() ShardStats { return s.stats }
+
 // EdgeStats returns delivery diagnostics for the (src,dst) mailbox edge.
 func (s *Sharded) EdgeStats(src, dst int) (delivered uint64, last Time) {
 	st := s.edges[src][dst]
@@ -207,7 +260,7 @@ func (s *Sharded) send(src *Machine, to int, delay Time, fn func()) {
 	}
 	now := src.eng.Now()
 	dst := s.owner[to]
-	s.outbox[src.rank][dst] = append(s.outbox[src.rank][dst], message{when: now + delay, at: now, fn: fn})
+	s.outbox[src.rank][dst] = append(s.outbox[src.rank][dst], message{when: now + delay, at: now, fn: fn, src: src.rank})
 }
 
 // Run executes the partitioned simulation to completion: repeatedly
@@ -248,7 +301,9 @@ func (s *Sharded) loop() error {
 	for _, m := range s.shards {
 		m.eng.stopped = false
 	}
-	runnable := make([]*Engine, 0, len(s.shards))
+	s.startPool()
+	defer s.stopPool()
+	s.runnable = make([]*Engine, 0, len(s.shards))
 	for {
 		if s.stop.Load() {
 			return nil
@@ -271,18 +326,20 @@ func (s *Sharded) loop() error {
 			}
 			return nil
 		}
-		end := t + s.lookahead
+		s.end = t + s.lookahead
 
 		// Advance every shard with work inside the window. Shards whose
 		// next event is at or past end would fire nothing; skipping them
 		// is pure throughput, their queues are untouched either way.
-		runnable = runnable[:0]
+		s.runnable = s.runnable[:0]
 		for _, m := range s.shards {
-			if h, ok := m.eng.nextEventTime(); ok && h < end {
-				runnable = append(runnable, m.eng)
+			if h, ok := m.eng.nextEventTime(); ok && h < s.end {
+				s.runnable = append(s.runnable, m.eng)
 			}
 		}
-		s.runShards(runnable, end)
+		s.stats.Windows++
+		s.stats.ShardWindows += uint64(len(s.runnable))
+		s.runShards()
 
 		for _, m := range s.shards {
 			if m.eng.failure != nil {
@@ -298,36 +355,164 @@ func (s *Sharded) loop() error {
 	}
 }
 
-// runShards runs one window on each engine in es, concurrently up to
-// the worker cap. Shards share no state inside a window, so scheduling
-// order is irrelevant to the history.
-func (s *Sharded) runShards(es []*Engine, end Time) {
-	if len(es) == 1 || s.workers == 1 {
-		for _, e := range es {
-			e.runWindow(end) //nolint:errcheck // recorded in e.failure, read at the barrier
+// Spin-then-park budget of the window barrier (see await). One round is
+// spinBatch atomic loads and a runtime.Gosched, about 0.45 µs on a
+// 2-vCPU x86 host, so a goroutine spins for about 300 µs before it
+// parks. The ring's windows take 100–200 µs of host time and parking
+// costs a futex wake-up of tens of µs on each side, so a waiter that
+// spins one to two windows long almost never parks while the run is
+// busy, and one that keeps waiting longer is idle and better parked.
+const (
+	spinBatch  = 256
+	spinRounds = 640
+)
+
+// quitWindow is the claim count runShards never publishes: stopPool
+// publishes it to release the pool.
+const quitWindow = math.MaxUint32
+
+// waiter is one pool goroutine's wait state (see await).
+type waiter struct {
+	// spin is false beyond the spinner cap: the goroutine parks at once.
+	spin   bool
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1
+}
+
+// startPool starts the goroutines that advance shards beside the
+// coordinator, once per Run: min(Workers, shards) goroutines in all,
+// counting the coordinator. At most min(Workers, GOMAXPROCS, NumCPU,
+// shards) of them spin, the coordinator first; more spinners than
+// processors would take the processors from the goroutines with shards
+// to run.
+func (s *Sharded) startPool() {
+	n := min(s.workers, len(s.shards))
+	if n <= 1 {
+		return
+	}
+	spinners := min(n, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	s.coord = &waiter{spin: true, wake: make(chan struct{}, 1)}
+	s.pool = make([]*waiter, n-1)
+	for i := range s.pool {
+		w := &waiter{spin: i+1 < spinners, wake: make(chan struct{}, 1)}
+		s.pool[i] = w
+		go s.poolWorker(w)
+	}
+}
+
+// stopPool releases the pool and returns once every pool goroutine has
+// left it.
+func (s *Sharded) stopPool() {
+	if s.pool == nil {
+		return
+	}
+	s.pending.Store(int64(len(s.pool)))
+	s.publish(quitWindow)
+	for _, w := range s.pool {
+		s.wakeUp(w)
+	}
+	s.await(s.coord, func() bool { return s.pending.Load() == 0 })
+	s.pool = nil
+}
+
+// poolWorker is one pool goroutine: wait for the next window, advance
+// the shards it claims, repeat until stopPool.
+func (s *Sharded) poolWorker(w *waiter) {
+	var seen uint64
+	for {
+		s.await(w, func() bool { return s.win.Load()>>32 != seen })
+		c := s.win.Load()
+		if uint32(c) == quitWindow {
+			if s.pending.Add(-1) == 0 {
+				s.wakeUp(s.coord)
+			}
+			return
+		}
+		seen = c >> 32
+		s.advance(seen)
+	}
+}
+
+// runShards runs one window on every runnable engine. With a pool, the
+// window is published with one atomic store, and the coordinator claims
+// and advances shards beside the pool until every shard is claimed,
+// then waits for the countdown of unfinished shards to reach zero.
+// Shards share no state inside a window, so which goroutine advances
+// which shard, and in what order, is irrelevant to the history.
+func (s *Sharded) runShards() {
+	if s.pool == nil || len(s.runnable) == 1 {
+		for _, e := range s.runnable {
+			e.runWindow(s.end) //nolint:errcheck // recorded in e.failure, read at the barrier
 		}
 		return
 	}
-	w := s.workers
-	if w > len(es) {
-		w = len(es)
+	s.pending.Store(int64(len(s.runnable)))
+	g := s.publish(uint32(len(s.runnable)))
+	// One claim is the coordinator's; wake only as many parked
+	// goroutines as there are shards left over.
+	for _, w := range s.pool[:min(len(s.pool), len(s.runnable)-1)] {
+		s.wakeUp(w)
 	}
-	var wg sync.WaitGroup
-	work := make(chan *Engine)
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for e := range work {
-				e.runWindow(end) //nolint:errcheck // recorded in e.failure, read at the barrier
+	s.advance(g)
+	s.await(s.coord, func() bool { return s.pending.Load() == 0 })
+}
+
+// publish starts the next generation with n shards to claim and
+// returns the generation.
+func (s *Sharded) publish(n uint32) uint64 {
+	g := s.win.Load()>>32 + 1
+	s.win.Store(g<<32 | uint64(n))
+	return g
+}
+
+// advance claims and runs window g's shards until none is left. A claim
+// succeeds only while the window's shard is unfinished, so the
+// coordinator cannot be rewriting runnable and end under it.
+func (s *Sharded) advance(g uint64) {
+	for {
+		c := s.win.Load()
+		n := uint32(c)
+		if c>>32 != g || n == 0 {
+			return
+		}
+		if !s.win.CompareAndSwap(c, c-1) {
+			continue
+		}
+		s.runnable[n-1].runWindow(s.end) //nolint:errcheck // recorded in e.failure, read at the barrier
+		if s.pending.Add(-1) == 0 {
+			s.wakeUp(s.coord)
+		}
+	}
+}
+
+// await returns once ready holds, by spin-then-park: up to spinRounds
+// rounds of spinBatch checks with a runtime.Gosched between rounds, then
+// park on w.wake. Whoever makes ready true calls wakeUp afterwards; the
+// parked flag makes exactly one of the two sides clear it, so a park
+// never misses its wake-up and a wake-up never outlives its park.
+func (s *Sharded) await(w *waiter, ready func() bool) {
+	if w.spin {
+		for r := 0; r < spinRounds; r++ {
+			for i := 0; i < spinBatch; i++ {
+				if ready() {
+					return
+				}
 			}
-		}()
+			runtime.Gosched()
+		}
 	}
-	for _, e := range es {
-		work <- e
+	w.parked.Store(true)
+	if ready() && w.parked.Swap(false) {
+		return
 	}
-	close(work)
-	wg.Wait()
+	<-w.wake
+}
+
+// wakeUp releases w if it is parked in await.
+func (s *Sharded) wakeUp(w *waiter) {
+	if w.parked.Swap(false) {
+		w.wake <- struct{}{}
+	}
 }
 
 // deliver drains every mailbox at the window barrier. For each
@@ -369,7 +554,13 @@ func (s *Sharded) deliver() {
 			return merged[i].at < merged[j].at
 		})
 		e := s.shards[dst].eng
-		for _, msg := range merged {
+		for i, msg := range merged {
+			if i > 0 {
+				prev := &merged[i-1]
+				if msg.when == prev.when && msg.at == prev.at && msg.src != prev.src {
+					s.stats.CrossSourceTies++
+				}
+			}
 			e.scheduleMessage(msg.when, msg.at, msg.fn)
 		}
 	}

@@ -213,7 +213,7 @@ func diffShardedModes(t *testing.T, p ringParams) {
 			runShardedRing(t, p, serialTopo(cfg), mode.batched, mode.inline))
 	}
 	for _, shards := range shardCounts(p.nodes) {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			tag := fmt.Sprintf("shards=%d/j=%d", shards, workers)
 			diffRingObs(t, tag+"/slow+noinline", ref,
 				runShardedRing(t, p, shardedTopoOf(cfg, shards, workers), false, false))
@@ -441,6 +441,81 @@ func TestShardedPartition(t *testing.T) {
 		for n := lo; n < hi; n++ {
 			if sh.MachineFor(n) != sh.Machine(i) {
 				t.Fatalf("MachineFor(%d) is not shard %d", n, i)
+			}
+		}
+	}
+}
+
+// shardedSleepers gives every shard of sh a coro that sleeps and routes
+// a no-op message to the next shard three times, so windows run on
+// several shards at once and the pool, when there is one, engages.
+func shardedSleepers(sh *Sharded) {
+	for i := 0; i < sh.Shards(); i++ {
+		m := sh.Machine(i)
+		lo, _ := sh.NodeRange(i)
+		to, _ := sh.NodeRange((i + 1) % sh.Shards())
+		c := m.Engine().Spawn(fmt.Sprintf("sleeper%d", i), func(c *Coro) {
+			for r := 0; r < 3; r++ {
+				c.Sleep(Millisecond)
+				m.Route(lo, to, sh.Lookahead(), func() {})
+			}
+		})
+		c.Start(0)
+	}
+}
+
+// TestShardedPoolDoesNotLeakGoroutines ends sharded runs every way a run
+// can end, with a pool smaller than the shard count, one as large, and
+// one larger than GOMAXPROCS: afterwards the goroutine count is back at
+// its level before the runs.
+func TestShardedPoolDoesNotLeakGoroutines(t *testing.T) {
+	endings := []struct {
+		name    string
+		build   func(sh *Sharded)
+		wantErr func(error) bool
+	}{
+		{"finish", shardedSleepers, func(err error) bool { return err == nil }},
+		{"panic", func(sh *Sharded) {
+			shardedSleepers(sh)
+			for _, i := range []int{2, 0} {
+				i := i
+				c := sh.Machine(i).Engine().Spawn(fmt.Sprintf("bomb%d", i), func(c *Coro) {
+					c.Sleep(Millisecond)
+					panic(fmt.Sprintf("bomb %d went off", i))
+				})
+				c.Start(0)
+			}
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "bomb 0") }},
+		{"stop-in-window", func(sh *Sharded) {
+			shardedSleepers(sh)
+			sh.Machine(1).Engine().After(2*Millisecond, sh.Stop)
+		}, func(err error) bool { return err == nil }},
+		{"stop-before-run", func(sh *Sharded) {
+			shardedSleepers(sh)
+			sh.Stop()
+		}, func(err error) bool { return err == nil }},
+		{"deadlock", func(sh *Sharded) {
+			shardedSleepers(sh)
+			c := sh.Machine(3).Engine().Spawn("stuck", func(c *Coro) { c.Park() })
+			c.Start(0)
+		}, func(err error) bool { return errors.Is(err, ErrDeadlock) }},
+	}
+	base := busyGoroutines(-1)
+	for _, workers := range []int{2, 4, 8} {
+		for _, end := range endings {
+			sh := NewSharded(Config{Nodes: 8, Seed: 1}, ShardOptions{Shards: 4, Workers: workers})
+			end.build(sh)
+			if err := sh.Run(); !end.wantErr(err) {
+				t.Fatalf("workers=%d, %s: unexpected error %v", workers, end.name, err)
+			}
+			for i := 0; i < sh.Shards(); i++ {
+				if n := sh.Machine(i).Engine().Live(); n != 0 {
+					t.Errorf("workers=%d, %s: shard %d left %d coros", workers, end.name, i, n)
+				}
+			}
+			if got := busyGoroutines(base); got != base {
+				t.Fatalf("workers=%d, %s: %d goroutines besides idle workers after the run, want the baseline %d",
+					workers, end.name, got, base)
 			}
 		}
 	}
