@@ -458,9 +458,10 @@ func (s *Sharded) runShards() {
 }
 
 // publish starts the next generation with n shards to claim and
-// returns the generation.
+// returns the generation. Generations wrap at 32 bits, the width the
+// word keeps; waiters compare them only for equality.
 func (s *Sharded) publish(n uint32) uint64 {
-	g := s.win.Load()>>32 + 1
+	g := (s.win.Load()>>32 + 1) & math.MaxUint32
 	s.win.Store(g<<32 | uint64(n))
 	return g
 }
@@ -489,7 +490,11 @@ func (s *Sharded) advance(g uint64) {
 // rounds of spinBatch checks with a runtime.Gosched between rounds, then
 // park on w.wake. Whoever makes ready true calls wakeUp afterwards; the
 // parked flag makes exactly one of the two sides clear it, so a park
-// never misses its wake-up and a wake-up never outlives its park.
+// never misses its wake-up and every token sent matches one park. A
+// wake-up is not tied to the wait it was meant for, though: a waker
+// descheduled between making an earlier wait's condition true and
+// calling wakeUp can release a later park. So a released waiter checks
+// ready again and parks again while it is false.
 func (s *Sharded) await(w *waiter, ready func() bool) {
 	if w.spin {
 		for r := 0; r < spinRounds; r++ {
@@ -501,11 +506,16 @@ func (s *Sharded) await(w *waiter, ready func() bool) {
 			runtime.Gosched()
 		}
 	}
-	w.parked.Store(true)
-	if ready() && w.parked.Swap(false) {
-		return
+	for {
+		w.parked.Store(true)
+		if ready() && w.parked.Swap(false) {
+			return
+		}
+		<-w.wake
+		if ready() {
+			return
+		}
 	}
-	<-w.wake
 }
 
 // wakeUp releases w if it is parked in await.

@@ -3,8 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -518,5 +521,52 @@ func TestShardedPoolDoesNotLeakGoroutines(t *testing.T) {
 					workers, end.name, got, base)
 			}
 		}
+	}
+}
+
+// TestAwaitRechecksAfterWakeUp pins the barrier's answer to a late
+// wake-up: a waiter released while its condition is still false parks
+// again instead of returning, and returns once a wake-up finds the
+// condition true. No step depends on timing: the test waits for the
+// waiter to show itself parked, or to return, whichever happens.
+func TestAwaitRechecksAfterWakeUp(t *testing.T) {
+	var s Sharded
+	w := &waiter{wake: make(chan struct{}, 1)}
+	var ready atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		s.await(w, ready.Load)
+		close(done)
+	}()
+	awaitParked := func(step string) {
+		for !w.parked.Load() {
+			select {
+			case <-done:
+				t.Fatalf("%s: await returned while its condition was false", step)
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	awaitParked("first park")
+	s.wakeUp(w) // a stale wake-up: the condition is still false
+	awaitParked("after a stale wake-up")
+
+	ready.Store(true)
+	s.wakeUp(w)
+	<-done
+	if w.parked.Load() || len(w.wake) != 0 {
+		t.Fatalf("await left parked=%v and %d tokens, want false and 0", w.parked.Load(), len(w.wake))
+	}
+}
+
+// TestPublishWrapsGeneration checks that the window generation wraps at
+// the 32 bits the publication word keeps, so advance still matches it.
+func TestPublishWrapsGeneration(t *testing.T) {
+	var s Sharded
+	s.win.Store(uint64(math.MaxUint32) << 32)
+	g := s.publish(3)
+	if c := s.win.Load(); g != 0 || c>>32 != g || uint32(c) != 3 {
+		t.Fatalf("publish after generation 2^32-1 = %d, word %#x; want generation 0 with 3 claims", g, c)
 	}
 }
