@@ -97,6 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	specs, err := selectSpecs(fs)
 	if err == nil {
+		err = validateCounts(*procs, *iters, *searchers, *cities, *steps)
+	}
+	if err == nil {
 		err = cli.ValidateShards(*shards, tf, obs)
 	}
 	if err == nil && *lockKind != "" {
@@ -183,6 +186,24 @@ func selectSpecs(fs *flag.FlagSet) ([]experiments.Spec, error) {
 		return nil, fmt.Errorf("%s: no selected experiment reads it", strings.Join(unread, ", "))
 	}
 	return specs, nil
+}
+
+// validateCounts rejects a negative count flag, and a TSP tour of one or
+// two cities, which has no edge to search. 0 means each experiment's
+// default.
+func validateCounts(procs, iters, searchers, cities, steps int) error {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"procs", procs}, {"iters", iters}, {"searchers", searchers}, {"cities", cities}, {"steps", steps}} {
+		if c.n < 0 {
+			return fmt.Errorf("-%s %d: must not be negative", c.name, c.n)
+		}
+	}
+	if cities == 1 || cities == 2 {
+		return fmt.Errorf("-cities %d: a tour needs at least 3 cities", cities)
+	}
+	return nil
 }
 
 // lockKinds validates a -lock value.

@@ -36,6 +36,14 @@ func TestArgValidation(t *testing.T) {
 		{"trace with figure 1", []string{"-trace", out("f.json"), "fig1"}, 2, "-trace: no selected experiment reads it"},
 		{"observer with the monitor demo", []string{"-ledger", out("l.txt"), "monitor"}, 2, "-ledger: no selected experiment reads it"},
 		{"every unread flag listed", []string{"-iters", "3", "-uniform", "sched"}, 2, "-iters, -uniform: no selected experiment reads it"},
+		{"one city", []string{"-cities", "1", "table1"}, 2, "-cities 1: a tour needs at least 3 cities"},
+		{"two cities", []string{"-cities", "2", "table1"}, 2, "-cities 2: a tour needs at least 3 cities"},
+		{"negative procs", []string{"-procs", "-2", "feedback"}, 2, "-procs -2: must not be negative"},
+		{"negative procs with a lock table", []string{"-procs", "-2", "table4"}, 2, "-procs -2: must not be negative"},
+		{"negative searchers", []string{"-searchers", "-1", "table1"}, 2, "-searchers -1: must not be negative"},
+		{"negative cities", []string{"-cities", "-4", "table1"}, 2, "-cities -4: must not be negative"},
+		{"negative iters", []string{"-iters", "-3", "table4"}, 2, "-iters -3: must not be negative"},
+		{"negative steps", []string{"-steps", "-5", "table1"}, 2, "-steps -5: must not be negative"},
 
 		// The shards × observer matrix: an observer records one serial
 		// timeline, so -shards > 1 beside any of them is rejected.

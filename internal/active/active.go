@@ -493,15 +493,6 @@ func (m *Monitor) Shutdown(t *cthreads.Thread) {
 	t.Join(m.server)
 }
 
-// SetupExecMode sets the exec-mode attribute without charging simulated
-// time. For experiment setup only; simulated code reconfigures through
-// the policy/Apply path.
-func (m *Monitor) SetupExecMode(mode int64) {
-	if err := m.obj.Attrs.Set(AttrExecMode, mode, core.OwnerSelf); err != nil {
-		panic(fmt.Sprintf("active: %v", err))
-	}
-}
-
 // traceSubmit records one mon-submit event.
 func (m *Monitor) traceSubmit(t *cthreads.Thread, depth int64, selfCombine bool) {
 	tr := m.sys.Tracer()

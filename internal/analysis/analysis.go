@@ -37,16 +37,15 @@ func All() []*framework.Analyzer {
 // element so the rules apply equally to the real tree
 // ("repro/internal/sim") and to analyzer test fixtures ("walltime/sim").
 var simulatedPkgs = map[string]bool{
-	"sim":          true,
-	"cthreads":     true,
-	"locks":        true,
-	"active":       true,
-	"core":         true,
-	"monitor":      true,
-	"tsp":          true,
-	"sor":          true,
-	"workload":     true,
-	"adaptivesync": true,
+	"sim":      true,
+	"cthreads": true,
+	"locks":    true,
+	"active":   true,
+	"core":     true,
+	"monitor":  true,
+	"tsp":      true,
+	"sor":      true,
+	"workload": true,
 }
 
 // simulatedPackage reports whether the import path denotes a simulated

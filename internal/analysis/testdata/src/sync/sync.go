@@ -28,8 +28,6 @@ type Locker interface {
 
 type Cond struct{ L Locker }
 
-func NewCond(l Locker) *Cond { return &Cond{L: l} }
-
 func (c *Cond) Wait()      {}
 func (c *Cond) Signal()    {}
 func (c *Cond) Broadcast() {}

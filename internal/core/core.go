@@ -25,9 +25,8 @@
 // arrives at after finding a monitor-thread-based loop too loosely coupled
 // (§5.1).
 //
-// The package is substrate-agnostic: internal/locks instantiates it for
-// simulated multiprocessor locks, and internal/adaptivesync for a native Go
-// mutex.
+// The package is substrate-agnostic: internal/locks and internal/active
+// instantiate it for simulated multiprocessor locks and monitors.
 package core
 
 import (

@@ -17,7 +17,6 @@ type Method struct {
 	order         []string
 	installed     string
 	subcomponents int
-	installs      int
 }
 
 // Name returns the method name.
@@ -25,17 +24,6 @@ func (m *Method) Name() string { return m.name }
 
 // Installed returns the currently installed variant.
 func (m *Method) Installed() string { return m.installed }
-
-// Installs reports how many times a variant was installed (including the
-// initial one).
-func (m *Method) Installs() int { return m.installs }
-
-// Variants returns the registered variant names in definition order.
-func (m *Method) Variants() []string {
-	out := make([]string, len(m.order))
-	copy(out, m.order)
-	return out
-}
 
 // MethodTable is the configurable-method part Γ of an object configuration
 // C = Γ × Φ.
@@ -75,7 +63,6 @@ func (t *MethodTable) Define(name string, subcomponents int, variants ...string)
 		m.order = append(m.order, v)
 	}
 	m.installed = variants[0]
-	m.installs = 1
 	t.methods[name] = m
 	t.order = append(t.order, name)
 	return m
@@ -115,7 +102,6 @@ func (t *MethodTable) Install(name, variant string) (CostModel, error) {
 		return CostModel{}, fmt.Errorf("%w: %q.%q", ErrUnknownVariant, name, variant)
 	}
 	m.installed = variant
-	m.installs++
 	return CostModel{Writes: m.subcomponents + 2}, nil
 }
 

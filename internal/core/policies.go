@@ -1,10 +1,10 @@
 package core
 
-// This file provides a small library of adaptation policies beyond the
-// paper's SimpleAdapt. The paper treats policies as user-provided (§3);
-// these address the tuning issues it raises — information overload,
-// oscillation, and its §7 future-work item of adapting lock *schedulers*
-// in different computation phases.
+// This file provides the adaptation policies beyond the paper's
+// SimpleAdapt that the extensions use. The paper treats policies as
+// user-provided (§3); these address the tuning issues it raises — noisy
+// samples, and its §7 future-work item of adapting lock *schedulers* and
+// execution modes in different computation phases.
 
 // EWMA wraps another policy, feeding it an exponentially-weighted moving
 // average of the sensed values instead of raw samples. It trades reaction
@@ -36,44 +36,6 @@ func (p *EWMA) React(s Sample, o *Object) []Decision {
 	smoothed := s
 	smoothed.Value = p.avg
 	return p.Inner.React(smoothed, o)
-}
-
-// Hysteresis wraps another policy and suppresses its decisions unless at
-// least MinSamples samples have passed since the last applied change —
-// damping the oscillation a closely-coupled loop can exhibit when the
-// monitored signal flaps.
-type Hysteresis struct {
-	MinSamples uint64
-	Inner      Policy
-
-	sinceChange uint64
-}
-
-// React implements Policy.
-func (p *Hysteresis) React(s Sample, o *Object) []Decision {
-	ds := p.Inner.React(s, o)
-	p.sinceChange++
-	if len(ds) == 0 {
-		return nil
-	}
-	if p.sinceChange <= p.MinSamples {
-		return nil
-	}
-	p.sinceChange = 0
-	return ds
-}
-
-// Composite runs several policies on every sample and concatenates their
-// decisions (e.g. a waiting-policy adapter plus a scheduler adapter).
-type Composite []Policy
-
-// React implements Policy.
-func (p Composite) React(s Sample, o *Object) []Decision {
-	var out []Decision
-	for _, inner := range p {
-		out = append(out, inner.React(s, o)...)
-	}
-	return out
 }
 
 // SchedulerAdapt is the §7 future-work policy: it reconfigures a lock's

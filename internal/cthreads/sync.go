@@ -6,117 +6,10 @@ import (
 	"repro/internal/sim"
 )
 
-// This file provides the higher-level synchronization primitives the
-// Cthreads library offers alongside mutexes: condition variables,
-// counting semaphores, and barriers. They are substrate primitives (used
-// by applications and tests), built directly on Block/Wake rather than on
-// the lock family, which lives in internal/locks.
-
-// Cond is a condition variable in the Cthreads style. The associated
-// mutual exclusion is whatever lock the caller pairs it with; Wait must be
-// called with that lock held, and relocking after wakeup is the caller's
-// job (the signature takes unlock/lock callbacks so Cond works with any
-// lock implementation).
-type Cond struct {
-	sys     *System
-	name    string
-	waiters []*condWaiter
-	signals uint64
-}
-
-// condWaiter records one Wait in progress. woken handles the race where a
-// signal lands while the waiter is still paying for its unlock: the
-// waiter then skips sleeping instead of missing the wakeup.
-type condWaiter struct {
-	t     *Thread
-	woken bool
-}
-
-// NewCond creates a condition variable.
-func (s *System) NewCond(name string) *Cond {
-	return &Cond{sys: s, name: name}
-}
-
-// Wait atomically releases the caller's lock (via unlock), sleeps until
-// Signal or Broadcast, and re-acquires (via lock) before returning.
-func (c *Cond) Wait(t *Thread, unlock, lock func(*Thread)) {
-	t.mustBeRunning("Cond.Wait")
-	w := &condWaiter{t: t}
-	c.waiters = append(c.waiters, w)
-	unlock(t)
-	if !w.woken {
-		t.Block()
-	}
-	lock(t)
-}
-
-// Signal wakes one waiter, if any, charging the caller the wakeup cost.
-func (c *Cond) Signal(t *Thread) {
-	t.mustBeRunning("Cond.Signal")
-	c.signals++
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	w.woken = true
-	t.Wake(w.t)
-}
-
-// Broadcast wakes every waiter, charging the caller one wakeup cost each.
-func (c *Cond) Broadcast(t *Thread) {
-	t.mustBeRunning("Cond.Broadcast")
-	c.signals++
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		w.woken = true
-		t.Wake(w.t)
-	}
-}
-
-// Waiters reports how many threads are waiting.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
-// Semaphore is a counting semaphore with sleeping waiters.
-type Semaphore struct {
-	sys     *System
-	name    string
-	count   int64
-	waiters []*Thread
-}
-
-// NewSemaphore creates a semaphore with the given initial count.
-func (s *System) NewSemaphore(name string, initial int64) *Semaphore {
-	if initial < 0 {
-		panic(fmt.Sprintf("cthreads: semaphore %q with negative count %d", name, initial))
-	}
-	return &Semaphore{sys: s, name: name, count: initial}
-}
-
-// P (wait) decrements the count, sleeping while it is zero.
-func (sem *Semaphore) P(t *Thread) {
-	t.mustBeRunning("Semaphore.P")
-	for sem.count == 0 {
-		sem.waiters = append(sem.waiters, t)
-		t.Block()
-	}
-	sem.count--
-}
-
-// V (signal) increments the count and wakes one sleeping waiter.
-func (sem *Semaphore) V(t *Thread) {
-	t.mustBeRunning("Semaphore.V")
-	sem.count++
-	if len(sem.waiters) > 0 {
-		w := sem.waiters[0]
-		sem.waiters = sem.waiters[1:]
-		t.Wake(w)
-	}
-}
-
-// Count reports the current count (diagnostics).
-func (sem *Semaphore) Count() int64 { return sem.count }
+// This file provides the Cthreads barrier, a substrate primitive built
+// directly on Block/Wake rather than on the lock family, which lives in
+// internal/locks. The parallel SOR solver (internal/sor) synchronizes its
+// sweeps with it.
 
 // Barrier blocks parties threads until all have arrived, then releases
 // them together; it is reusable across generations.

@@ -6,157 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// spinMutex is a trivial test-local lock for pairing with Cond.
-type spinMutex struct {
-	held bool
-}
-
-func (m *spinMutex) lock(t *Thread) {
-	for m.held {
-		t.Advance(100)
-	}
-	m.held = true
-}
-
-func (m *spinMutex) unlock(t *Thread) {
-	m.held = false
-}
-
-func TestCondSignalWakesOneInOrder(t *testing.T) {
-	s := New(testConfig(4))
-	var mu spinMutex
-	cond := s.NewCond("cv")
-	ready := 0
-	var order []string
-	for i := 1; i <= 3; i++ {
-		name := string(rune('a' + i - 1))
-		delay := sim.Time(i * 1000)
-		s.Fork(i, name, func(th *Thread) {
-			th.Advance(delay)
-			mu.lock(th)
-			for ready == 0 {
-				cond.Wait(th, mu.unlock, mu.lock)
-			}
-			ready--
-			order = append(order, th.Name())
-			mu.unlock(th)
-		})
-	}
-	s.Fork(0, "signaler", func(th *Thread) {
-		th.Advance(10_000) // everyone is waiting now
-		if cond.Waiters() != 3 {
-			t.Errorf("Waiters = %d, want 3", cond.Waiters())
-		}
-		for i := 0; i < 3; i++ {
-			mu.lock(th)
-			ready++
-			mu.unlock(th)
-			cond.Signal(th)
-			th.Advance(5000)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("wake order = %v, want %v (FIFO)", order, want)
-		}
-	}
-}
-
-func TestCondBroadcastWakesAll(t *testing.T) {
-	s := New(testConfig(4))
-	var mu spinMutex
-	cond := s.NewCond("cv")
-	go_ := false
-	woke := 0
-	for i := 1; i <= 3; i++ {
-		s.Fork(i, "w", func(th *Thread) {
-			mu.lock(th)
-			for !go_ {
-				cond.Wait(th, mu.unlock, mu.lock)
-			}
-			woke++
-			mu.unlock(th)
-		})
-	}
-	s.Fork(0, "caster", func(th *Thread) {
-		th.Advance(10_000)
-		mu.lock(th)
-		go_ = true
-		mu.unlock(th)
-		cond.Broadcast(th)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if woke != 3 {
-		t.Fatalf("woke = %d, want 3", woke)
-	}
-}
-
-func TestSemaphoreBoundsConcurrency(t *testing.T) {
-	s := New(testConfig(6))
-	sem := s.NewSemaphore("sem", 2)
-	inside, maxInside := 0, 0
-	for i := 0; i < 6; i++ {
-		s.Fork(i, "w", func(th *Thread) {
-			for j := 0; j < 5; j++ {
-				sem.P(th)
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				th.Advance(5000)
-				inside--
-				sem.V(th)
-				th.Advance(sim.Time(th.Rand().Intn(3000)))
-			}
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if maxInside != 2 {
-		t.Fatalf("max concurrent holders = %d, want exactly 2", maxInside)
-	}
-	if sem.Count() != 2 {
-		t.Fatalf("final count = %d, want 2", sem.Count())
-	}
-}
-
-func TestSemaphoreZeroStartBlocksUntilV(t *testing.T) {
-	s := New(testConfig(2))
-	sem := s.NewSemaphore("sem", 0)
-	var acquiredAt sim.Time
-	s.Fork(0, "waiter", func(th *Thread) {
-		sem.P(th)
-		acquiredAt = th.Now()
-	})
-	s.Fork(1, "poster", func(th *Thread) {
-		th.Advance(50_000)
-		sem.V(th)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if acquiredAt < 50_000 {
-		t.Fatalf("P returned at %v, before V", acquiredAt)
-	}
-}
-
-func TestNegativeSemaphorePanics(t *testing.T) {
-	s := New(testConfig(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative initial count did not panic")
-		}
-	}()
-	s.NewSemaphore("bad", -1)
-}
-
 func TestBarrierReleasesTogether(t *testing.T) {
 	s := New(testConfig(4))
 	bar := s.NewBarrier("bar", 4)

@@ -104,7 +104,7 @@ func TestMutualExclusionMultiprogrammed(t *testing.T) {
 
 func TestCombinedLockSpinThenBlock(t *testing.T) {
 	sys := testSys(2)
-	l := NewCombinedLock(sys, 0, "combined", DefaultCosts(), 3)
+	l := NewReconfigurableLock(sys, 0, "combined", DefaultCosts(), 3)
 	exerciseMutex(t, sys, l, 2, 20, false)
 	st := l.Stats()
 	if st.SpinIters == 0 {

@@ -57,7 +57,9 @@ type ReconfigurableLock struct {
 
 // NewReconfigurableLock allocates a reconfigurable lock on the given node
 // with an initial waiting policy of spin-then-block after initialSpins
-// iterations (initialSpins 0 = pure blocking).
+// iterations (initialSpins 0 = pure blocking). One that nobody
+// reconfigures is Figure 1's combined lock ("spins N times initially
+// before blocking").
 func NewReconfigurableLock(sys *cthreads.System, node int, name string, costs Costs, initialSpins int64) *ReconfigurableLock {
 	l := &ReconfigurableLock{base: newBase(sys, node, name, costs)}
 	l.frameAdapt = "adapt:" + name
@@ -293,13 +295,6 @@ func (l *ReconfigurableLock) GeneralMonitorSample(t *cthreads.Thread) int64 {
 	t.Compute(l.costs.GeneralMonitorSteps)
 	l.chargeAccesses(t, 1)
 	return int64(l.waiting())
-}
-
-// NewCombinedLock builds a statically configured combined lock: spin
-// initialSpins times, then block (Figure 1's "spins N times initially
-// before blocking"). It is a ReconfigurableLock that nobody reconfigures.
-func NewCombinedLock(sys *cthreads.System, node int, name string, costs Costs, initialSpins int64) *ReconfigurableLock {
-	return NewReconfigurableLock(sys, node, name, costs, initialSpins)
 }
 
 // SetupPolicy sets the waiting-policy attributes without charging any

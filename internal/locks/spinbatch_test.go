@@ -32,8 +32,7 @@ type lockBuilder struct {
 // pause depends on the waiter count), the MCS-style local-spin queue, the
 // reconfigurable lock in pure-spin and spin-then-block trims plus the
 // adaptive lock that reconfigures mid-run, the predictive mutable lock,
-// the NUMA cohort lock, and a retargetable lock that swaps mutable↔cohort
-// from the waiting sensor mid-run.
+// and the NUMA cohort lock.
 func spinBatchBuilders() []lockBuilder {
 	return []lockBuilder{
 		{"tas", func(sys *cthreads.System) Lock { return NewTASLock(sys, 0, "tas", DefaultCosts()) }},
@@ -41,17 +40,10 @@ func spinBatchBuilders() []lockBuilder {
 		{"backoff", func(sys *cthreads.System) Lock { return NewBackoffSpinLock(sys, 0, "backoff", DefaultCosts()) }},
 		{"mcs", func(sys *cthreads.System) Lock { return NewLocalSpinLock(sys, 0, "mcs", DefaultCosts()) }},
 		{"pure-spin", func(sys *cthreads.System) Lock { return NewPureSpinConfigured(sys, 0, "pure-spin", DefaultCosts()) }},
-		{"combined-10", func(sys *cthreads.System) Lock { return NewCombinedLock(sys, 0, "combined", DefaultCosts(), 10) }},
+		{"combined-10", func(sys *cthreads.System) Lock { return NewReconfigurableLock(sys, 0, "combined", DefaultCosts(), 10) }},
 		{"adaptive", func(sys *cthreads.System) Lock { return NewAdaptiveLock(sys, 0, "adaptive", DefaultCosts(), nil) }},
 		{"mutable", func(sys *cthreads.System) Lock { return NewMutableLock(sys, 0, "mutable", DefaultCosts()) }},
 		{"cohort", func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }},
-		{"retarget", func(sys *cthreads.System) Lock {
-			l, err := NewRetargetableLock(sys, 0, "retarget", DefaultCosts(), KindMutable, ImplAdapt(KindMutable, KindCohort, 2))
-			if err != nil {
-				panic(err)
-			}
-			return l
-		}},
 	}
 }
 
@@ -258,7 +250,9 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 	}{
 		{"pure-spin", func(sys *cthreads.System) Lock { return NewPureSpinConfigured(sys, 0, "spin", DefaultCosts()) }},
 		{"cohort", func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }},
-		{"combined-50", func(sys *cthreads.System) Lock { return NewCombinedLock(sys, 0, "combined50", DefaultCosts(), 50) }},
+		{"combined-50", func(sys *cthreads.System) Lock {
+			return NewReconfigurableLock(sys, 0, "combined50", DefaultCosts(), 50)
+		}},
 	}
 	for _, s := range strategies {
 		for _, cs := range []sim.Time{50 * sim.Microsecond, 500 * sim.Microsecond} {

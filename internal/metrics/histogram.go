@@ -46,9 +46,6 @@ func bucketOf(d sim.Time) int {
 // Count reports the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum reports the total of all samples.
-func (h *Histogram) Sum() sim.Time { return h.sum }
-
 // Max reports the largest sample.
 func (h *Histogram) Max() sim.Time { return h.max }
 

@@ -172,16 +172,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, cells ...interface{}) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		parts[i] = fmt.Sprint(c)
-	}
-	_ = format
-	t.AddRow(parts...)
-}
-
 // Rows returns the row count.
 func (t *Table) Rows() int { return len(t.rows) }
 

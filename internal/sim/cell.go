@@ -128,12 +128,6 @@ func (c *Cell) PostStore(a Accessor, v uint64) {
 	c.post(a, 0, func() { c.v = v })
 }
 
-// PostOr ORs mask into the cell one read-modify-write latency from now
-// without waiting for completion or observing the previous value.
-func (c *Cell) PostOr(a Accessor, mask uint64) {
-	c.post(a, c.m.cfg.AtomicExtra, func() { c.v |= mask })
-}
-
 // PostAdd adds delta (two's-complement) to the cell one read-modify-write
 // latency from now without waiting for completion or observing the sum.
 func (c *Cell) PostAdd(a Accessor, delta int64) {

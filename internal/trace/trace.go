@@ -212,14 +212,6 @@ func (tr *Tracer) SetMask(m Category) {
 	}
 }
 
-// Mask returns the category mask (0 for a nil tracer).
-func (tr *Tracer) Mask() Category {
-	if tr == nil {
-		return 0
-	}
-	return tr.mask
-}
-
 // Enabled reports whether events of category c would be recorded. It is
 // the cheap pre-check hot paths may use before assembling event fields.
 func (tr *Tracer) Enabled(c Category) bool {

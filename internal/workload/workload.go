@@ -40,7 +40,7 @@ func BlockStrategy() Strategy {
 // CombinedStrategy spins k times, then sleeps (Figure 1's combined locks).
 func CombinedStrategy(k int64) Strategy {
 	return Strategy{Name: fmt.Sprintf("combined-%d", k), Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewCombinedLock(sys, node, fmt.Sprintf("combined%d", k), costs, k)
+		return locks.NewReconfigurableLock(sys, node, fmt.Sprintf("combined%d", k), costs, k)
 	}}
 }
 
