@@ -2,26 +2,27 @@ package active
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cthreads"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // monitorFingerprint renders every simulated metric one monitor workload
-// produces: final virtual time, the application counter, monitor and
-// scheduler counters, the latency digest, per-thread busy time, and
-// per-module memory traffic. Byte-identical fingerprints mean no engine
-// mode shifted a single simulated unit.
-func monitorFingerprint(t *testing.T, mode string, inline, batched bool) string {
+// produces, one per line: final virtual time, the application counter,
+// monitor and scheduler counters, the latency digest, per-thread busy
+// time, and per-module memory traffic. Byte-identical fingerprints mean
+// no engine mode shifted a single simulated unit.
+func monitorFingerprint(t *testing.T, mode string, em simtest.Mode) string {
 	t.Helper()
 	cfg := sim.Config{
 		Nodes: 4, LocalAccess: 10, RemoteAccess: 40, AtomicExtra: 5,
 		Instr: 1, ContextSwitch: 100, Wakeup: 200, Seed: 1,
 	}
 	sys := cthreads.New(cfg)
-	sys.Engine().SetInlineWakeups(inline)
-	sys.Engine().SetBatchedSpins(batched)
+	em.Set(sys.Engine())
 	mc := Config{Node: 0, Name: "em-mon"}
 	switch mode {
 	case "sync":
@@ -55,36 +56,29 @@ func monitorFingerprint(t *testing.T, mode string, inline, batched bool) string 
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fp := fmt.Sprintf("now=%d counter=%d stats=%+v lat=%s sched=%+v",
+	var fp strings.Builder
+	fmt.Fprintf(&fp, "now %d\ncounter %d\nstats %+v\nlatency %s\nsched %+v\n",
 		sys.Now(), counter, m.Stats(), m.Latency().Summary(), sys.Stats())
 	for _, th := range sys.Threads() {
-		fp += fmt.Sprintf(" busy:%s=%d", th.Name(), th.Busy())
+		fmt.Fprintf(&fp, "busy %s: %d\n", th.Name(), th.Busy())
 	}
 	mach := sys.Machine()
 	for n := 0; n < cfg.Nodes; n++ {
-		fp += fmt.Sprintf(" mod%d=%d/%d", n, mach.ModuleAccesses(n), mach.ModuleQueueDelay(n))
+		fmt.Fprintf(&fp, "module %d: accesses=%d queue-delay=%d\n", n, mach.ModuleAccesses(n), mach.ModuleQueueDelay(n))
 	}
-	return fp
+	return fp.String()
 }
 
 // TestMonitorEngineModeDifferential proves every monitor execution mode
-// produces byte-identical simulated metrics across inline-wakeups ×
-// spin-batching. The futures and combiners read only virtual-time state,
-// so no engine fast path may shift a single unit of any metric.
+// produces byte-identical simulated metrics in every engine mode. The
+// futures and combiners read only virtual-time state, so no engine fast
+// path may shift a single unit of any metric.
 func TestMonitorEngineModeDifferential(t *testing.T) {
 	for _, mode := range []string{"sync", "flat", "server"} {
-		mode := mode
 		t.Run(mode, func(t *testing.T) {
-			ref := monitorFingerprint(t, mode, false, false)
-			for _, em := range []struct{ inline, batched bool }{
-				{false, true}, {true, false}, {true, true},
-			} {
-				got := monitorFingerprint(t, mode, em.inline, em.batched)
-				if got != ref {
-					t.Errorf("inline=%v batched=%v diverges:\nref: %s\ngot: %s",
-						em.inline, em.batched, ref, got)
-				}
-			}
+			simtest.Check(t, simtest.Serial(), func(em simtest.Mode) string {
+				return monitorFingerprint(t, mode, em)
+			})
 		})
 	}
 }

@@ -2,44 +2,38 @@ package cthreads
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // clusterTopo abstracts "one thread package over one big machine" over
 // its two implementations: a standalone System or a Cluster partition.
 type clusterTopo struct {
+	cl        *Cluster // nil for a standalone System
 	systemFor func(node int) *System
 	systems   []*System
 	run       func() error
 }
 
-func serialClusterTopo(cfg sim.Config) *clusterTopo {
-	sys := New(cfg)
-	return &clusterTopo{
-		systemFor: func(int) *System { return sys },
-		systems:   []*System{sys},
-		run:       sys.Run,
+// clusterTopoFor builds cfg's thread package in mode: a standalone
+// System when mode.Shards is 0, a Cluster partition otherwise, with
+// mode's fast paths set on every engine.
+func clusterTopoFor(cfg sim.Config, mode simtest.Mode) *clusterTopo {
+	tp := &clusterTopo{}
+	if mode.Shards == 0 {
+		sys := New(cfg)
+		tp.systemFor, tp.systems, tp.run = func(int) *System { return sys }, []*System{sys}, sys.Run
+	} else {
+		tp.cl = NewCluster(cfg, sim.ShardOptions{Shards: mode.Shards, Workers: mode.Workers})
+		tp.systemFor, tp.systems, tp.run = tp.cl.SystemFor, tp.cl.systems, tp.cl.Run
 	}
-}
-
-func shardedClusterTopo(cfg sim.Config, shards, workers int) *clusterTopo {
-	cl := NewCluster(cfg, sim.ShardOptions{Shards: shards, Workers: workers})
-	return &clusterTopo{
-		systemFor: cl.SystemFor,
-		systems:   cl.systems,
-		run:       cl.Run,
-	}
-}
-
-func (tp *clusterTopo) setModes(batched, inline bool) {
 	for _, sys := range tp.systems {
-		sys.Engine().SetBatchedSpins(batched)
-		sys.Engine().SetInlineWakeups(inline)
+		mode.Set(sys.Engine())
 	}
+	return tp
 }
 
 func (tp *clusterTopo) stats() Stats {
@@ -64,24 +58,6 @@ type clusterParams struct {
 	svc     sim.Time
 }
 
-// clusterObs is everything observable the workload produced. Identical
-// params must yield deeply equal clusterObs at every (shards, workers,
-// batched, inline) combination.
-type clusterObs struct {
-	driverLog    [][]string
-	driverFinish []sim.Time
-	driverBusy   []sim.Time
-	serverBusy   []sim.Time
-	serverBlock  []sim.Time
-	mail         []uint64
-	flags        []uint64
-	hub          uint64
-	stats        Stats
-	accesses     []uint64
-	qdelay       []sim.Time
-	err          string
-}
-
 // runClusterWorkload drives a ring of client/server pairs through every
 // cross-shard primitive: driver n computes, posts work into the mailbox
 // cell of the server on node (n+1)%N, sends it a WakePost, and spins on
@@ -93,18 +69,19 @@ type clusterObs struct {
 // configured, drivers, servers, and migrated children share processors
 // preemptively. The same code runs on a standalone System and on any
 // Cluster partition; randomness is seeded per (seed, node) only.
-func runClusterWorkload(tb testing.TB, p clusterParams, tp *clusterTopo, batched, inline bool) clusterObs {
+//
+// The fingerprint holds each driver's and each server's log, stamped
+// with the thread's own clock and ending with its busy (and a server's
+// blocked) time, the final mailbox, flag and hub values, the summed
+// scheduler statistics, and each module's accesses and queue delay, read
+// from the owner shard. The workload always terminates, so a run error
+// fails tb.
+func runClusterWorkload(tb testing.TB, p clusterParams, tp *clusterTopo) string {
 	tb.Helper()
-	tp.setModes(batched, inline)
 	n := p.nodes
-	obs := clusterObs{
-		driverLog:    make([][]string, n),
-		driverFinish: make([]sim.Time, n),
-		driverBusy:   make([]sim.Time, n),
-		serverBusy:   make([]sim.Time, n),
-		serverBlock:  make([]sim.Time, n),
-		mail:         make([]uint64, n),
-		flags:        make([]uint64, n),
+	logs := make([][]string, 2*n) // driver i's is logs[i], server i's logs[n+i]
+	logf := func(k int, t *Thread, format string, args ...any) {
+		logs[k] = append(logs[k], fmt.Sprintf("%s %d ", t.Name(), t.Now())+fmt.Sprintf(format, args...))
 	}
 	mail := make([]*sim.Cell, n)  // work queue depth, on the server's node
 	flags := make([]*sim.Cell, n) // acks for driver i, on driver i's node
@@ -134,17 +111,12 @@ func runClusterWorkload(tb testing.TB, p clusterParams, tp *clusterTopo, batched
 					ack.PostAdd(t, 1)
 				}
 			}
-			obs.serverBusy[i] = t.Busy()
-			obs.serverBlock[i] = t.BlockedTime()
+			logf(n+i, t, "done busy=%d blocked=%d", t.Busy(), t.BlockedTime())
 		})
 	}
 	for i := 0; i < n; i++ {
 		i := i
 		r := sim.NewRNG(p.seed*3_000_017 + uint64(i)*15_485_863 + 9)
-		logf := func(t *Thread, format string, args ...any) {
-			obs.driverLog[i] = append(obs.driverLog[i],
-				fmt.Sprintf("%d ", t.Now())+fmt.Sprintf(format, args...))
-		}
 		tp.systemFor(i).Fork(i, fmt.Sprintf("drv%d", i), func(t *Thread) {
 			srv := servers[(i+1)%n]
 			box := mail[(i+1)%n]
@@ -172,7 +144,7 @@ func runClusterWorkload(tb testing.TB, p clusterParams, tp *clusterTopo, batched
 					}
 					t.Yield()
 				}
-				logf(t, "r%d acked after %d probes", round, probes)
+				logf(i, t, "r%d acked after %d probes", round, probes)
 			}
 			child := (i + n/2) % n
 			work := 200 + r.Intn(800)
@@ -180,99 +152,36 @@ func runClusterWorkload(tb testing.TB, p clusterParams, tp *clusterTopo, batched
 				t.Compute(work)
 				hub.PostAdd(t, 1)
 			})
-			logf(t, "migrated child to %d", child)
-			obs.driverFinish[i] = t.Now()
-			obs.driverBusy[i] = t.Busy()
+			logf(i, t, "migrated child to %d", child)
+			logf(i, t, "done busy=%d", t.Busy())
 		})
 	}
 	if err := tp.run(); err != nil {
-		obs.err = err.Error()
+		tb.Fatalf("cluster workload %+v: %v", p, err)
+	}
+	var fp strings.Builder
+	for _, log := range logs {
+		fp.WriteString(strings.Join(log, "\n") + "\n")
 	}
 	for i := 0; i < n; i++ {
-		obs.mail[i] = mail[i].Peek()
-		obs.flags[i] = flags[i].Peek()
+		fmt.Fprintf(&fp, "node %d: mail=%d flag=%d\n", i, mail[i].Peek(), flags[i].Peek())
+	}
+	fmt.Fprintf(&fp, "hub %d\nstats %+v\n", hub.Peek(), tp.stats())
+	for i := 0; i < n; i++ {
 		mach := tp.systemFor(i).Machine()
-		obs.accesses = append(obs.accesses, mach.ModuleAccesses(i))
-		obs.qdelay = append(obs.qdelay, mach.ModuleQueueDelay(i))
+		fmt.Fprintf(&fp, "module %d: accesses=%d queue-delay=%d\n", i, mach.ModuleAccesses(i), mach.ModuleQueueDelay(i))
 	}
-	obs.hub = hub.Peek()
-	obs.stats = tp.stats()
-	return obs
+	return fp.String()
 }
 
-// diffClusterObs compares a variant run against the serial reference.
-func diffClusterObs(t *testing.T, name string, ref, got clusterObs) {
-	t.Helper()
-	if ref.err != got.err {
-		t.Errorf("%s: err %q, want %q", name, got.err, ref.err)
-	}
-	if got.hub != ref.hub {
-		t.Errorf("%s: hub %d, want %d", name, got.hub, ref.hub)
-	}
-	if got.stats != ref.stats {
-		t.Errorf("%s: stats %+v, want %+v", name, got.stats, ref.stats)
-	}
-	pairs := []struct {
-		what     string
-		ref, got any
-	}{
-		{"mail", ref.mail, got.mail},
-		{"flags", ref.flags, got.flags},
-		{"driver finish", ref.driverFinish, got.driverFinish},
-		{"driver busy", ref.driverBusy, got.driverBusy},
-		{"server busy", ref.serverBusy, got.serverBusy},
-		{"server blocked", ref.serverBlock, got.serverBlock},
-		{"module accesses", ref.accesses, got.accesses},
-		{"module queue delay", ref.qdelay, got.qdelay},
-	}
-	for _, pr := range pairs {
-		if !reflect.DeepEqual(pr.ref, pr.got) {
-			t.Errorf("%s: %s %v, want %v", name, pr.what, pr.got, pr.ref)
-		}
-	}
-	for w := range ref.driverLog {
-		if !reflect.DeepEqual(ref.driverLog[w], got.driverLog[w]) {
-			t.Fatalf("%s: driver %d log %q, want %q", name, w, got.driverLog[w], ref.driverLog[w])
-		}
-	}
-}
-
-// diffClusterModes runs one workload across the full (shards × workers
-// × batched × inline) cross-product against the serial slow-path
-// reference.
-func diffClusterModes(t *testing.T, p clusterParams) {
+// checkCluster runs one workload in every mode of the sharded matrix
+// against the serial oracle.
+func checkCluster(t *testing.T, p clusterParams) {
 	t.Helper()
 	cfg := sim.Config{Nodes: p.nodes, Quantum: p.quantum, ModuleService: p.svc, Seed: p.seed%89 + 1}
-	ref := runClusterWorkload(t, p, serialClusterTopo(cfg), false, false)
-	modes := []struct {
-		name            string
-		batched, inline bool
-	}{
-		{"slow+inline", false, true},
-		{"batched+noinline", true, false},
-		{"batched+inline", true, true},
-	}
-	for _, mode := range modes {
-		diffClusterObs(t, "serial/"+mode.name, ref,
-			runClusterWorkload(t, p, serialClusterTopo(cfg), mode.batched, mode.inline))
-	}
-	shardGrid := []int{1}
-	for _, s := range []int{2, 4, 8} {
-		if s <= p.nodes {
-			shardGrid = append(shardGrid, s)
-		}
-	}
-	for _, shards := range shardGrid {
-		for _, workers := range []int{1, 4} {
-			tag := fmt.Sprintf("shards=%d/j=%d", shards, workers)
-			diffClusterObs(t, tag+"/slow+noinline", ref,
-				runClusterWorkload(t, p, shardedClusterTopo(cfg, shards, workers), false, false))
-			for _, mode := range modes {
-				diffClusterObs(t, tag+"/"+mode.name, ref,
-					runClusterWorkload(t, p, shardedClusterTopo(cfg, shards, workers), mode.batched, mode.inline))
-			}
-		}
-	}
+	simtest.Check(t, simtest.Sharded(p.nodes), func(m simtest.Mode) string {
+		return runClusterWorkload(t, p, clusterTopoFor(cfg, m))
+	})
 }
 
 func TestClusterDifferential(t *testing.T) {
@@ -286,14 +195,14 @@ func TestClusterDifferential(t *testing.T) {
 		{"preempt+contention", 150 * sim.Microsecond, 300 * sim.Nanosecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			diffClusterModes(t, clusterParams{seed: 13, nodes: 8, rounds: 2, quantum: tc.quantum, svc: tc.svc})
+			checkCluster(t, clusterParams{seed: 13, nodes: 8, rounds: 2, quantum: tc.quantum, svc: tc.svc})
 		})
 	}
 }
 
 // FuzzClusterDifferential drives randomized topologies and schedules —
 // node count, rounds, preemption quantum, module contention — through
-// the whole grid.
+// the whole sharded matrix.
 func FuzzClusterDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(1), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(6), uint8(2), uint8(2), uint8(1))
@@ -306,7 +215,7 @@ func FuzzClusterDifferential(f *testing.F) {
 			quantum: sim.Time(quantumUnits%4) * 80 * sim.Microsecond,
 			svc:     sim.Time(svcUnits%4) * 250 * sim.Nanosecond,
 		}
-		diffClusterModes(t, p)
+		checkCluster(t, p)
 	})
 }
 
@@ -315,13 +224,9 @@ func FuzzClusterDifferential(f *testing.F) {
 // wake, ack, work, and migration messages across partitions.
 func TestClusterCrossShardEngages(t *testing.T) {
 	p := clusterParams{seed: 13, nodes: 8, rounds: 2}
-	cfg := sim.Config{Nodes: p.nodes, Seed: 2}
-	cl := NewCluster(cfg, sim.ShardOptions{Shards: 4})
-	tp := &clusterTopo{systemFor: cl.SystemFor, systems: cl.systems, run: cl.Run}
-	obs := runClusterWorkload(t, p, tp, true, true)
-	if obs.err != "" {
-		t.Fatalf("workload failed: %s", obs.err)
-	}
+	tp := clusterTopoFor(sim.Config{Nodes: p.nodes, Seed: 2}, simtest.Mode{Shards: 4, Inline: true, Batched: true})
+	fp := runClusterWorkload(t, p, tp)
+	cl := tp.cl
 	var delivered uint64
 	for src := 0; src < cl.Shards(); src++ {
 		for dst := 0; dst < cl.Shards(); dst++ {
@@ -334,8 +239,8 @@ func TestClusterCrossShardEngages(t *testing.T) {
 	if delivered < uint64(p.nodes*p.rounds) {
 		t.Fatalf("only %d cross-shard messages delivered; the partition never engaged", delivered)
 	}
-	if obs.hub != uint64(p.nodes) {
-		t.Fatalf("hub %d, want %d (one migrated child per driver)", obs.hub, p.nodes)
+	if want := fmt.Sprintf("\nhub %d\n", p.nodes); !strings.Contains(fp, want) {
+		t.Fatalf("fingerprint lacks %q (one migrated child per driver)", want)
 	}
 }
 

@@ -2,9 +2,11 @@ package cthreads
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // TestQuantumPreemptionExactTiming pins the fast path × preemption
@@ -43,22 +45,33 @@ func TestQuantumPreemptionExactTiming(t *testing.T) {
 	}
 }
 
-// threadObs collects everything observable about one thread-system run.
-type threadObs struct {
-	log      []string
-	stats    Stats
-	finalNow sim.Time
-	busy     []sim.Time
-	blocked  []sim.Time
-	queueDel []sim.Time
+// threadFingerprint ends a thread-system workload's fingerprint, after
+// its log: the scheduler statistics, the final clock, each thread's busy
+// and blocked time, and each module's accesses and queue delay. It fails
+// t if the workload never preempted, since the quantum interplay would
+// then go untested.
+func threadFingerprint(t *testing.T, fp *strings.Builder, sys *System) string {
+	t.Helper()
+	st := sys.Stats()
+	if st.Preemptions == 0 {
+		t.Fatal("workload never preempted; quantum interplay untested")
+	}
+	fmt.Fprintf(fp, "stats %+v\nfinal now=%d\n", st, sys.Now())
+	for _, th := range sys.Threads() {
+		fmt.Fprintf(fp, "thread %s: busy=%d blocked=%d\n", th.Name(), th.Busy(), th.BlockedTime())
+	}
+	m := sys.Machine()
+	for n := 0; n < m.Nodes(); n++ {
+		fmt.Fprintf(fp, "module %d: accesses=%d queue-delay=%d\n", n, m.ModuleAccesses(n), m.ModuleQueueDelay(n))
+	}
+	return fp.String()
 }
 
 // runThreadWorkload executes a deterministic multiprogrammed workload —
 // threads outnumber processors, a quantum forces preemption mid-Advance,
 // cells live on every node with module contention enabled, and threads
-// block, time out, wake each other, yield, and join — with the engine's
-// inline-wakeup fast path on or off.
-func runThreadWorkload(t *testing.T, seed uint64, inline bool) threadObs {
+// block, time out, wake each other, yield, and join — in one engine mode.
+func runThreadWorkload(t *testing.T, seed uint64, mode simtest.Mode) string {
 	t.Helper()
 	cfg := sim.Config{
 		Nodes:         3,
@@ -67,15 +80,15 @@ func runThreadWorkload(t *testing.T, seed uint64, inline bool) threadObs {
 		Seed:          seed,
 	}
 	sys := New(cfg)
-	sys.Engine().SetInlineWakeups(inline)
+	mode.Set(sys.Engine())
 	m := sys.Machine()
 	cells := make([]*sim.Cell, cfg.Nodes)
 	for i := range cells {
 		cells[i] = m.NewCell(i, fmt.Sprintf("c%d", i), 0)
 	}
-	var obs threadObs
+	var fp strings.Builder
 	record := func(who string) {
-		obs.log = append(obs.log, fmt.Sprintf("%s@%d", who, sys.Now()))
+		fmt.Fprintf(&fp, "%s@%d\n", who, sys.Now())
 	}
 
 	var sleeper *Thread
@@ -131,56 +144,17 @@ func runThreadWorkload(t *testing.T, seed uint64, inline bool) threadObs {
 		record("reaper-done")
 	})
 	if err := sys.Run(); err != nil {
-		t.Fatalf("seed %d inline=%v: %v", seed, inline, err)
+		t.Fatalf("seed %d %v: %v", seed, mode, err)
 	}
-	obs.stats = sys.Stats()
-	obs.finalNow = sys.Now()
-	for _, th := range sys.Threads() {
-		obs.busy = append(obs.busy, th.Busy())
-		obs.blocked = append(obs.blocked, th.BlockedTime())
-	}
-	for n := 0; n < cfg.Nodes; n++ {
-		obs.queueDel = append(obs.queueDel, m.ModuleQueueDelay(n))
-	}
-	return obs
+	return threadFingerprint(t, &fp, sys)
 }
 
 // TestInlineWakeupThreadDifferential runs the full thread-package workload
-// — preemption, blocking, timeouts, wakeups, module contention — with the
-// fast path off and on, and asserts identical logs, scheduler statistics,
-// per-thread accounting, and module-contention delays.
+// — preemption, blocking, timeouts, wakeups, module contention — in every
+// engine mode, and requires identical logs, scheduler statistics,
+// per-thread accounting, and module contention.
 func TestInlineWakeupThreadDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
-		fast := runThreadWorkload(t, seed, true)
-		slow := runThreadWorkload(t, seed, false)
-		if fast.stats != slow.stats {
-			t.Fatalf("seed %d: stats diverge: fast %+v, slow %+v", seed, fast.stats, slow.stats)
-		}
-		if fast.finalNow != slow.finalNow {
-			t.Fatalf("seed %d: final time diverges: fast %v, slow %v", seed, fast.finalNow, slow.finalNow)
-		}
-		if fast.stats.Preemptions == 0 {
-			t.Fatalf("seed %d: workload never preempted; quantum interplay untested", seed)
-		}
-		for i := range fast.busy {
-			if fast.busy[i] != slow.busy[i] || fast.blocked[i] != slow.blocked[i] {
-				t.Fatalf("seed %d: thread %d accounting diverges: fast (%v,%v), slow (%v,%v)",
-					seed, i, fast.busy[i], fast.blocked[i], slow.busy[i], slow.blocked[i])
-			}
-		}
-		for n := range fast.queueDel {
-			if fast.queueDel[n] != slow.queueDel[n] {
-				t.Fatalf("seed %d: module %d queue delay diverges: fast %v, slow %v",
-					seed, n, fast.queueDel[n], slow.queueDel[n])
-			}
-		}
-		if len(fast.log) != len(slow.log) {
-			t.Fatalf("seed %d: log lengths diverge: fast %d, slow %d", seed, len(fast.log), len(slow.log))
-		}
-		for i := range fast.log {
-			if fast.log[i] != slow.log[i] {
-				t.Fatalf("seed %d: logs diverge at %d: fast %q, slow %q", seed, i, fast.log[i], slow.log[i])
-			}
-		}
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string { return runThreadWorkload(t, seed, m) })
 	}
 }

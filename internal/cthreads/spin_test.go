@@ -2,9 +2,11 @@ package cthreads
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // runSpinThreadWorkload executes a workload built around Thread.SpinUntil
@@ -12,7 +14,7 @@ import (
 // spinners sharing a processor with compute threads (so slice exhaustion
 // preempts mid-spin), bounded warm-up spins, module contention on the
 // probed cells, and a spin-wait barrier phase.
-func runSpinThreadWorkload(t *testing.T, seed uint64, batched, inline bool) threadObs {
+func runSpinThreadWorkload(t *testing.T, seed uint64, mode simtest.Mode) string {
 	t.Helper()
 	cfg := sim.Config{
 		Nodes:         2,
@@ -21,13 +23,12 @@ func runSpinThreadWorkload(t *testing.T, seed uint64, batched, inline bool) thre
 		Seed:          seed,
 	}
 	sys := New(cfg)
-	sys.Engine().SetBatchedSpins(batched)
-	sys.Engine().SetInlineWakeups(inline)
+	mode.Set(sys.Engine())
 	m := sys.Machine()
 	flags := []*sim.Cell{m.NewCell(0, "f0", 0), m.NewCell(1, "f1", 0)}
-	var obs threadObs
+	var fp strings.Builder
 	record := func(who string) {
-		obs.log = append(obs.log, fmt.Sprintf("%s@%d", who, sys.Now()))
+		fmt.Fprintf(&fp, "%s@%d\n", who, sys.Now())
 	}
 
 	// Phase 1+2 — spinners wait for producer stores. Spinner s0 runs alone
@@ -96,66 +97,18 @@ func runSpinThreadWorkload(t *testing.T, seed uint64, batched, inline bool) thre
 	}
 
 	if err := sys.Run(); err != nil {
-		t.Fatalf("seed %d batched=%v inline=%v: %v", seed, batched, inline, err)
+		t.Fatalf("seed %d %v: %v", seed, mode, err)
 	}
-	obs.stats = sys.Stats()
-	obs.finalNow = sys.Now()
-	for _, th := range sys.Threads() {
-		obs.busy = append(obs.busy, th.Busy())
-		obs.blocked = append(obs.blocked, th.BlockedTime())
-	}
-	for n := 0; n < cfg.Nodes; n++ {
-		obs.queueDel = append(obs.queueDel, m.ModuleQueueDelay(n))
-	}
-	return obs
+	return threadFingerprint(t, &fp, sys)
 }
 
 // TestSpinBatchingThreadDifferential holds the scheduler to the spin
-// batching contract: with batching on or off, inline wakeups on or off,
-// the workload's event log, scheduler statistics, per-thread accounting,
-// and module-contention delays are identical.
+// batching contract: in every engine mode the workload's event log,
+// scheduler statistics, per-thread accounting, and module contention
+// are identical.
 func TestSpinBatchingThreadDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		ref := runSpinThreadWorkload(t, seed, false, true)
-		if ref.stats.Preemptions == 0 {
-			t.Fatalf("seed %d: workload never preempted; spin × quantum interplay untested", seed)
-		}
-		for _, mode := range []struct {
-			name            string
-			batched, inline bool
-		}{
-			{"batched+inline", true, true},
-			{"batched+noinline", true, false},
-			{"slow+noinline", false, false},
-		} {
-			got := runSpinThreadWorkload(t, seed, mode.batched, mode.inline)
-			if got.stats != ref.stats {
-				t.Fatalf("seed %d %s: stats diverge: got %+v, want %+v", seed, mode.name, got.stats, ref.stats)
-			}
-			if got.finalNow != ref.finalNow {
-				t.Fatalf("seed %d %s: final time %v, want %v", seed, mode.name, got.finalNow, ref.finalNow)
-			}
-			for i := range ref.busy {
-				if got.busy[i] != ref.busy[i] || got.blocked[i] != ref.blocked[i] {
-					t.Fatalf("seed %d %s: thread %d accounting (%v,%v), want (%v,%v)",
-						seed, mode.name, i, got.busy[i], got.blocked[i], ref.busy[i], ref.blocked[i])
-				}
-			}
-			for n := range ref.queueDel {
-				if got.queueDel[n] != ref.queueDel[n] {
-					t.Fatalf("seed %d %s: module %d queue delay %v, want %v",
-						seed, mode.name, n, got.queueDel[n], ref.queueDel[n])
-				}
-			}
-			if len(got.log) != len(ref.log) {
-				t.Fatalf("seed %d %s: log lengths %d, want %d", seed, mode.name, len(got.log), len(ref.log))
-			}
-			for i := range ref.log {
-				if got.log[i] != ref.log[i] {
-					t.Fatalf("seed %d %s: log[%d] = %q, want %q", seed, mode.name, i, got.log[i], ref.log[i])
-				}
-			}
-		}
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string { return runSpinThreadWorkload(t, seed, m) })
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/locks"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 	"repro/internal/tsp"
 )
 
@@ -88,11 +89,26 @@ func TestMonitorSweepParallelDeterminism(t *testing.T) {
 	}
 }
 
+// batchedAxis keeps the modes of a matrix that tsp.Solve and ShardedRun
+// can run. Both build their systems themselves, so a test sets only the
+// batched axis, through sim.SetDefaultBatchedSpins, and inline wakeups
+// stay at their default, on. ShardedRun has no serial engine, so with
+// sharded set the serial modes go too.
+func batchedAxis(modes []simtest.Mode, sharded bool) []simtest.Mode {
+	var out []simtest.Mode
+	for _, m := range modes {
+		if m.Inline && (!sharded || m.Shards > 0) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // tspAsyncOffFingerprint solves one seeded TSP instance with AsyncQueue
-// disabled and renders every metric of the result.
-func tspAsyncOffFingerprint(t *testing.T, batched bool) string {
+// disabled and renders every metric of the result, one per line.
+func tspAsyncOffFingerprint(t *testing.T, mode simtest.Mode) string {
 	t.Helper()
-	sim.SetDefaultBatchedSpins(batched)
+	sim.SetDefaultBatchedSpins(mode.Batched)
 	defer sim.SetDefaultBatchedSpins(true)
 	in := tsp.NewRandomInstance(8, 3)
 	res, err := tsp.Solve(tsp.Config{
@@ -105,32 +121,33 @@ func tspAsyncOffFingerprint(t *testing.T, batched bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%d|%d|%d|%d|%v|%v|%v",
+	return fmt.Sprintf("cost %d\nelapsed %d\nexpansions %d\nuseless %d\nqueue lock %+v\nfinal spin %v\nsched %+v\n",
 		res.Tour.Cost, res.Elapsed, res.Expansions, res.Useless,
 		res.LockStats[tsp.LockQueue], res.FinalSpin, res.Sched)
 }
 
-// TestAsyncOffEngineModeDifferential is the satellite differential: with
-// the async queue disabled the TSP solve must stay byte-identical across
-// spin batching on/off (the monitor code adds no charge to the disabled
-// path), and the sharded scaling workload must stay serial-identical
-// across -shards {1,4}.
+// TestAsyncOffEngineModeDifferential checks that the monitor code adds
+// no charge to the disabled path: with the async queue disabled the TSP
+// solve stays byte-identical with spin batching on and off, and the
+// sharded scaling workload stays identical at every shard count and
+// worker count of the matrix, with spin batching on and off.
 func TestAsyncOffEngineModeDifferential(t *testing.T) {
-	ref := tspAsyncOffFingerprint(t, true)
-	if got := tspAsyncOffFingerprint(t, false); got != ref {
-		t.Errorf("async-off TSP diverges across spin batching:\nref: %s\ngot: %s", ref, got)
-	}
-
-	shardCfg := sim.Config{Nodes: 8, Seed: 1}
-	r1, err := ShardedRun(shardCfg, 1, 8, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := ShardedRun(shardCfg, 4, 8, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.SimTime != r4.SimTime || r1.Busy != r4.Busy || r1.Checksum != r4.Checksum {
-		t.Errorf("sharded run diverges: shards=1 %+v, shards=4 %+v", r1, r4)
-	}
+	t.Run("tsp", func(t *testing.T) {
+		simtest.Check(t, batchedAxis(simtest.Serial(), false), func(m simtest.Mode) string {
+			return tspAsyncOffFingerprint(t, m)
+		})
+	})
+	t.Run("sharded", func(t *testing.T) {
+		cfg := sim.Config{Nodes: 8, Seed: 1}
+		simtest.Check(t, batchedAxis(simtest.Sharded(cfg.Nodes), true), func(m simtest.Mode) string {
+			sim.SetDefaultBatchedSpins(m.Batched)
+			defer sim.SetDefaultBatchedSpins(true)
+			r, err := ShardedRun(cfg, m.Shards, m.Workers, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("sim time %d\nbusy %d\nwakeups %d\npreemptions %d\nchecksum %d\n",
+				r.SimTime, r.Busy, r.Wakeups, r.Preempt, r.Checksum)
+		})
+	})
 }

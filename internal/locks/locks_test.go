@@ -2,6 +2,7 @@ package locks
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -505,6 +506,20 @@ func TestFactoryUnknownKind(t *testing.T) {
 	sys := testSys(1)
 	if _, err := New(sys, Kind("bogus"), 0, "x", DefaultCosts()); err == nil {
 		t.Fatal("New accepted bogus kind")
+	}
+}
+
+// TestFactoryKindsErrorListsKinds checks the unknown-kind error names the
+// valid kinds in sorted order.
+func TestFactoryKindsErrorListsKinds(t *testing.T) {
+	sys := testSys(1)
+	_, err := New(sys, Kind("bogus"), 0, "x", DefaultCosts())
+	if err == nil {
+		t.Fatal("unknown kind accepted")
+	}
+	want := "valid kinds: adaptive, backoff, blocking, cohort, mutable, spin, tas"
+	if got := err.Error(); !strings.Contains(got, want) {
+		t.Errorf("error %q does not list sorted kinds (%q)", got, want)
 	}
 }
 

@@ -2,24 +2,13 @@ package locks
 
 import (
 	"fmt"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cthreads"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
-
-// lockFingerprint is every simulated quantity a lock workload produces;
-// spin batching must leave all of it byte-identical.
-type lockFingerprint struct {
-	FinalNow sim.Time
-	Lock     Stats
-	Sched    cthreads.Stats
-	Busy     []sim.Time
-	Accesses []uint64
-	QueueDel []sim.Time
-	Counter  int
-}
 
 // lockBuilder constructs the lock under test in a fresh system.
 type lockBuilder struct {
@@ -48,27 +37,22 @@ func spinBatchBuilders() []lockBuilder {
 }
 
 // runLockWorkload drives nThreads × nIters contended critical sections
-// over the built lock and fingerprints the run.
-func runLockWorkload(t testing.TB, cfg sim.Config, b lockBuilder, nThreads, nIters int, batched bool) lockFingerprint {
+// over the built lock in one engine mode and fingerprints the run: the
+// final clock, the lock and scheduler statistics, each thread's busy
+// time, and each module's accesses and queue delay.
+func runLockWorkload(t testing.TB, cfg sim.Config, b lockBuilder, nThreads, nIters int, mode simtest.Mode) string {
 	t.Helper()
 	sys := cthreads.New(cfg)
-	sys.Engine().SetBatchedSpins(batched)
-	return driveLockWorkload(t, sys, cfg, b, nThreads, nIters)
-}
-
-// driveLockWorkload runs the workload on an already-configured system
-// (engine modes set by the caller) and fingerprints the run.
-func driveLockWorkload(t testing.TB, sys *cthreads.System, cfg sim.Config, b lockBuilder, nThreads, nIters int) lockFingerprint {
-	t.Helper()
+	mode.Set(sys.Engine())
 	l := b.build(sys)
-	var fp lockFingerprint
+	counter := 0
 	for i := 0; i < nThreads; i++ {
 		sys.Fork(i%sys.Procs(), fmt.Sprintf("w%d", i), func(th *cthreads.Thread) {
 			r := th.Rand()
 			for j := 0; j < nIters; j++ {
 				l.Lock(th)
 				th.Advance(sim.Time(50 + r.Intn(300)))
-				fp.Counter++
+				counter++
 				l.Unlock(th)
 				th.Advance(sim.Time(r.Intn(500)))
 			}
@@ -77,18 +61,25 @@ func driveLockWorkload(t testing.TB, sys *cthreads.System, cfg sim.Config, b loc
 	if err := sys.Run(); err != nil {
 		t.Fatalf("%s: %v", b.name, err)
 	}
-	fp.FinalNow = sys.Now()
-	fp.Lock = l.Stats()
-	fp.Sched = sys.Stats()
+	if counter != nThreads*nIters {
+		t.Fatalf("%s: counter = %d, want %d", b.name, counter, nThreads*nIters)
+	}
+	var fp strings.Builder
+	fmt.Fprintf(&fp, "final now=%d\nlock %+v\nsched %+v\n", sys.Now(), l.Stats(), sys.Stats())
+	return threadsAndModules(&fp, sys)
+}
+
+// threadsAndModules ends a lock workload's fingerprint with each
+// thread's busy time and each module's accesses and queue delay.
+func threadsAndModules(fp *strings.Builder, sys *cthreads.System) string {
 	for _, th := range sys.Threads() {
-		fp.Busy = append(fp.Busy, th.Busy())
+		fmt.Fprintf(fp, "busy %s: %d\n", th.Name(), th.Busy())
 	}
 	m := sys.Machine()
-	for n := 0; n < cfg.Nodes; n++ {
-		fp.Accesses = append(fp.Accesses, m.ModuleAccesses(n))
-		fp.QueueDel = append(fp.QueueDel, m.ModuleQueueDelay(n))
+	for n := 0; n < m.Nodes(); n++ {
+		fmt.Fprintf(fp, "module %d: accesses=%d queue-delay=%d\n", n, m.ModuleAccesses(n), m.ModuleQueueDelay(n))
 	}
-	return fp
+	return fp.String()
 }
 
 // spinBatchConfigs are the machine shapes the differential runs under:
@@ -119,33 +110,30 @@ func spinBatchConfigs() []struct {
 	}
 }
 
-// TestSpinBatchingLockDifferential fingerprints every lock kind × machine
-// shape with batching on and off: simulated time, lock statistics,
+// TestSpinBatchingLockDifferential fingerprints every lock kind ×
+// machine shape in every engine mode: simulated time, lock statistics,
 // scheduler statistics, per-thread busy time, and per-module contention
-// accounting must not drift by a single unit.
+// accounting must not drift by a single unit. Prediction, cohort handoff
+// and adaptation read only virtual-time state, so no fast path may shift
+// them either.
 func TestSpinBatchingLockDifferential(t *testing.T) {
 	for _, tc := range spinBatchConfigs() {
 		for _, b := range spinBatchBuilders() {
 			t.Run(tc.name+"/"+b.name, func(t *testing.T) {
-				slow := runLockWorkload(t, tc.cfg, b, tc.threads, 6, false)
-				fast := runLockWorkload(t, tc.cfg, b, tc.threads, 6, true)
-				if !reflect.DeepEqual(slow, fast) {
-					t.Errorf("fingerprints diverge:\nbatched: %+v\nslow:    %+v", fast, slow)
-				}
-				if slow.Counter != tc.threads*6 {
-					t.Errorf("counter = %d, want %d", slow.Counter, tc.threads*6)
-				}
+				simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+					return runLockWorkload(t, tc.cfg, b, tc.threads, 6, m)
+				})
 			})
 		}
 	}
 }
 
-// FuzzModuleSpinAccounting attacks the fast path's hardest bookkeeping:
-// with ModuleService > 0, every batched probe must still contribute its
-// access, queue delay, and module reservation exactly as if issued one by
-// one. The fuzzer varies the seed, service time, contention level, and
-// lock kind.
-func FuzzModuleSpinAccounting(f *testing.F) {
+// FuzzModuleSpinAccountingDifferential attacks the fast path's hardest
+// bookkeeping: with ModuleService > 0, every batched probe must still
+// contribute its access, queue delay, and module reservation exactly as
+// if issued one by one. The fuzzer varies the seed, service time,
+// contention level, and lock kind.
+func FuzzModuleSpinAccountingDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(4), uint8(0))
 	f.Add(uint64(7), uint8(1), uint8(8), uint8(3))
 	f.Add(uint64(42), uint8(5), uint8(2), uint8(6))
@@ -159,11 +147,9 @@ func FuzzModuleSpinAccounting(f *testing.F) {
 		}
 		b := builders[int(kind)%len(builders)]
 		n := int(threads%8) + 2
-		slow := runLockWorkload(t, cfg, b, n, 4, false)
-		fast := runLockWorkload(t, cfg, b, n, 4, true)
-		if !reflect.DeepEqual(slow, fast) {
-			t.Errorf("%s: fingerprints diverge:\nbatched: %+v\nslow:    %+v", b.name, fast, slow)
-		}
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+			return runLockWorkload(t, cfg, b, n, 4, m)
+		})
 	})
 }
 
@@ -195,25 +181,17 @@ func TestLocalSpinLockReleasesQnodes(t *testing.T) {
 	}
 }
 
-// figure1Fingerprint is what one Figure 1-shaped cell produces.
-type figure1Fingerprint struct {
-	Elapsed sim.Time
-	Lock    Stats
-	Cohort  CohortStats
-	Sched   cthreads.Stats
-	Busy    []sim.Time
-}
-
 // runFigure1Cell runs one Figure 1-shaped cell — 8 processors, 24
 // threads, a 1 ms quantum, critical sections of length cs separated by
 // 400 µs ± 100 µs of local work — under the given engine modes. With
 // three threads per processor, spinners wait out whole quanta behind
 // descheduled holders: the long, many-spinner epochs spin epochs commit.
-func runFigure1Cell(t *testing.T, build func(sys *cthreads.System) Lock, cs sim.Time, inline, batched bool) figure1Fingerprint {
+// The fingerprint is the elapsed time, the lock, cohort and scheduler
+// statistics, each thread's busy time and each module's traffic.
+func runFigure1Cell(t *testing.T, build func(sys *cthreads.System) Lock, cs sim.Time, mode simtest.Mode) string {
 	t.Helper()
 	sys := cthreads.New(sim.Config{Nodes: 8, Quantum: sim.Millisecond, Seed: 3})
-	sys.Engine().SetInlineWakeups(inline)
-	sys.Engine().SetBatchedSpins(batched)
+	mode.Set(sys.Engine())
 	l := build(sys)
 	for i := 0; i < 24; i++ {
 		sys.Fork(i%8, fmt.Sprintf("w%d", i), func(th *cthreads.Thread) {
@@ -228,21 +206,22 @@ func runFigure1Cell(t *testing.T, build func(sys *cthreads.System) Lock, cs sim.
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fp := figure1Fingerprint{Elapsed: sys.Now(), Lock: l.Stats(), Sched: sys.Stats()}
+	if l.Stats().SpinIters == 0 {
+		t.Fatal("the cell never spun")
+	}
+	var fp strings.Builder
+	fmt.Fprintf(&fp, "elapsed %d\nlock %+v\nsched %+v\n", sys.Now(), l.Stats(), sys.Stats())
 	if c, ok := l.(*CohortLock); ok {
-		fp.Cohort = c.Cohort()
+		fmt.Fprintf(&fp, "cohort %+v\n", c.Cohort())
 	}
-	for _, th := range sys.Threads() {
-		fp.Busy = append(fp.Busy, th.Busy())
-	}
-	return fp
+	return threadsAndModules(&fp, sys)
 }
 
 // TestSpinEpochFigure1Differential runs Figure 1's spin-heavy strategies
 // (pure spin, cohort, combined-50) at a short and a long critical
-// section in all four engine modes: elapsed time, lock and cohort
-// statistics, scheduler statistics and per-thread busy time must be
-// identical to the per-iteration reference.
+// section in every engine mode: elapsed time, lock and cohort
+// statistics, scheduler statistics, per-thread busy time and module
+// traffic must be identical to the oracle's.
 func TestSpinEpochFigure1Differential(t *testing.T) {
 	strategies := []struct {
 		name  string
@@ -257,19 +236,9 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 	for _, s := range strategies {
 		for _, cs := range []sim.Time{50 * sim.Microsecond, 500 * sim.Microsecond} {
 			t.Run(fmt.Sprintf("%s/cs=%v", s.name, cs), func(t *testing.T) {
-				ref := runFigure1Cell(t, s.build, cs, true, false)
-				if ref.Lock.SpinIters == 0 {
-					t.Fatal("reference run never spun")
-				}
-				for _, mode := range []struct{ inline, batched bool }{
-					{true, true}, {false, true}, {false, false},
-				} {
-					got := runFigure1Cell(t, s.build, cs, mode.inline, mode.batched)
-					if !reflect.DeepEqual(ref, got) {
-						t.Errorf("inline=%v batched=%v diverges from reference:\nref: %+v\ngot: %+v",
-							mode.inline, mode.batched, ref, got)
-					}
-				}
+				simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+					return runFigure1Cell(t, s.build, cs, m)
+				})
 			})
 		}
 	}

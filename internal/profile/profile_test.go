@@ -17,13 +17,14 @@ import (
 	"repro/internal/locks"
 	"repro/internal/profile"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // runWorkload drives a contended mixed-lock workload — adaptive (with a
 // live policy feeding the ledger), blocking, MCS, and an adaptive barrier
 // — under multiprogramming, with a profiler and ledger attached.
 // configure, when non-nil, flips engine reference modes before the run.
-func runWorkload(t *testing.T, configure func(*sim.Engine)) (*profile.Profiler, *core.Ledger, sim.Time) {
+func runWorkload(t *testing.T, configure func(*sim.Engine)) (*profile.Profiler, *core.Ledger, *cthreads.System) {
 	t.Helper()
 	const procs, workers, iters = 4, 8, 6
 	prof := profile.New()
@@ -60,7 +61,7 @@ func runWorkload(t *testing.T, configure func(*sim.Engine)) (*profile.Profiler, 
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return prof, led, sys.Now()
+	return prof, led, sys
 }
 
 // TestConservation pins the profiler's core claim: after the run, every
@@ -68,7 +69,8 @@ func runWorkload(t *testing.T, configure func(*sim.Engine)) (*profile.Profiler, 
 // registration and the end of the run — no tick lost, none double-counted,
 // including the time absorbed by batched spin fast-forwards.
 func TestConservation(t *testing.T) {
-	prof, _, end := runWorkload(t, nil)
+	prof, _, sys := runWorkload(t, nil)
+	end := sys.Now()
 	if len(prof.Threads()) == 0 {
 		t.Fatal("no threads registered")
 	}
@@ -97,35 +99,28 @@ func exports(t *testing.T, prof *profile.Profiler, led *core.Ledger) string {
 	return buf.String()
 }
 
-// TestExportsByteIdenticalAcrossModes is the differential suite for the
-// observability layer: the profiler and ledger exports must be
-// byte-identical with the engine fast paths on (the default), with inline
-// self-wakeups disabled, and with spin batching disabled. The profiler
-// deliberately does NOT force the slow paths (unlike the tracer), so this
-// proves attribution survives the fast-forward arithmetic exactly.
-func TestExportsByteIdenticalAcrossModes(t *testing.T) {
-	prof, led, end := runWorkload(t, nil)
-	base := exports(t, prof, led)
-	if len(base) == 0 {
-		t.Fatal("empty exports")
-	}
-	modes := []struct {
-		name      string
-		configure func(*sim.Engine)
-	}{
-		{"repeat", nil}, // plain rerun: determinism of the collectors themselves
-		{"no-inline-wakeups", func(e *sim.Engine) { e.SetInlineWakeups(false) }},
-		{"no-spin-batch", func(e *sim.Engine) { e.SetBatchedSpins(false) }},
-	}
-	for _, mode := range modes {
-		prof2, led2, end2 := runWorkload(t, mode.configure)
-		if end2 != end {
-			t.Errorf("%s: run ended at %d ns, reference at %d ns", mode.name, end2, end)
+// TestExportsDifferential is the differential suite for the
+// observability layer: the profiler and ledger exports, the run's end
+// time and each module's traffic must be byte-identical in every engine
+// mode, and in a plain rerun of the default mode (both fast paths on),
+// which checks the collectors' own determinism. The profiler deliberately
+// does NOT force the slow paths (unlike the tracer), so this proves
+// attribution survives the fast-forward arithmetic exactly.
+func TestExportsDifferential(t *testing.T) {
+	modes := append(simtest.Serial(), simtest.Mode{Inline: true, Batched: true})
+	simtest.Check(t, modes, func(m simtest.Mode) string {
+		prof, led, sys := runWorkload(t, func(e *sim.Engine) { m.Set(e) })
+		out := exports(t, prof, led)
+		if len(out) == 0 {
+			t.Fatal("empty exports")
 		}
-		if got := exports(t, prof2, led2); got != base {
-			t.Errorf("%s: exports differ from the fast-path reference", mode.name)
+		fp := fmt.Sprintf("end %d\n", sys.Now())
+		mach := sys.Machine()
+		for n := 0; n < mach.Nodes(); n++ {
+			fp += fmt.Sprintf("module %d: accesses=%d queue-delay=%d\n", n, mach.ModuleAccesses(n), mach.ModuleQueueDelay(n))
 		}
-	}
+		return fp + out
+	})
 }
 
 // TestModeDependentDiagnostics pins the boundary of the byte-identity

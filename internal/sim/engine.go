@@ -379,20 +379,41 @@ func (e *Engine) Live() int { return len(e.live) }
 // In every case the engine winds down all remaining coros, so each one's
 // worker goes back to the idle pool.
 func (e *Engine) Run() error {
+	return e.runEvents("Run", MaxTime, func() error {
+		err := e.failure
+		if err == nil && !e.stopped && len(e.live) > 0 {
+			err = e.deadlockError()
+		}
+		e.shutdown()
+		if e.failure != nil && err == nil {
+			err = e.failure
+		}
+		return err
+	})
+}
+
+// runEvents is the event loop Run, RunFor and runWindow share. It
+// refuses a reentrant call, naming caller. Otherwise it fires every event
+// due at or before last, in (when, at, seq) order, until none is due,
+// Stop is called or a Coro fails, and returns what the caller's epilogue
+// returns; the epilogue runs while the engine still counts as running.
+// A last below MaxTime also bounds inline wakeups and spin
+// fast-forwards, so no coro commits time past it.
+func (e *Engine) runEvents(caller string, last Time, epilogue func() error) error {
 	if e.running {
-		return errors.New("sim: Engine.Run called reentrantly")
+		return fmt.Errorf("sim: Engine.%s called reentrantly", caller)
 	}
-	e.running = true
-	e.stopped = false
-	defer func() { e.running = false }()
+	e.running, e.stopped = true, false
+	e.limited, e.limit = last < MaxTime, last
+	defer func() { e.running, e.limited = false, false }()
 
 	// Anything may have changed simulated state since the last run.
 	e.endSpinEpoch()
 	var ev event // one event reused by every pop: no by-value copies
 	for !e.stopped && e.failure == nil {
 		q := &e.queue
-		if len(e.lane.a) > 0 || len(q.a) == 0 {
-			if q = e.nextQueue(MaxTime); q == nil {
+		if len(e.lane.a) > 0 || len(q.a) == 0 || q.a[0].when > last {
+			if q = e.nextQueue(last); q == nil {
 				break
 			}
 		}
@@ -401,16 +422,7 @@ func (e *Engine) Run() error {
 		e.trace("event")
 		e.fire(&ev)
 	}
-
-	err := e.failure
-	if err == nil && !e.stopped && len(e.live) > 0 {
-		err = e.deadlockError()
-	}
-	e.shutdown()
-	if e.failure != nil && err == nil {
-		err = e.failure
-	}
-	return err
+	return epilogue()
 }
 
 // deadlockError builds the queue-drained-with-parked-coros report. It
@@ -458,44 +470,22 @@ func (e *Engine) parkedReport() string {
 // does not wind the coros down, so the caller can inspect state and then
 // resume or finish with Run.
 func (e *Engine) RunFor(d Time) error {
-	if e.running {
-		return errors.New("sim: Engine.RunFor called reentrantly")
-	}
-	e.running = true
-	e.stopped = false
-	defer func() { e.running = false }()
-
 	deadline := e.now + d
-	e.limited, e.limit = true, deadline
-	defer func() { e.limited = false }()
-	e.endSpinEpoch()
-	var ev event
-	for !e.stopped && e.failure == nil {
-		q := &e.queue
-		if len(e.lane.a) > 0 || len(q.a) == 0 || q.a[0].when > deadline {
-			if q = e.nextQueue(deadline); q == nil {
-				break
-			}
+	return e.runEvents("RunFor", deadline, func() error {
+		if e.failure != nil {
+			return e.failure
 		}
-		q.pop(&ev)
-		e.now = ev.when
-		e.trace("event")
-		e.fire(&ev)
-	}
-
-	if e.failure != nil {
-		return e.failure
-	}
-	if e.stopped {
+		if e.stopped {
+			return nil
+		}
+		if e.Pending() == 0 && len(e.live) > 0 {
+			return e.deadlockError()
+		}
+		if e.now < deadline {
+			e.now = deadline
+		}
 		return nil
-	}
-	if e.Pending() == 0 && len(e.live) > 0 {
-		return e.deadlockError()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return nil
+	})
 }
 
 // runWindow executes events strictly before end: the shard-side half of
@@ -503,35 +493,12 @@ func (e *Engine) RunFor(d Time) error {
 // deadlock — a drained queue here only means this shard is waiting on
 // cross-shard messages, which the coordinator's barrier may yet deliver;
 // only the coordinator can see that every queue is dry. Inline
-// advancement and spin fast-forwards are bounded to end-1 through the
-// same limited/limit mechanism RunFor uses, so no coro can commit time
-// at or past the barrier. The clock is left at the last fired event (not
-// advanced to end): the next window's start is computed from queue
-// heads, and a shard that fired nothing keeps its old clock.
+// advancement and spin fast-forwards are bounded to end-1, so no coro
+// can commit time at or past the barrier. The clock is left at the last
+// fired event (not advanced to end): the next window's start is computed
+// from queue heads, and a shard that fired nothing keeps its old clock.
 func (e *Engine) runWindow(end Time) error {
-	if e.running {
-		return errors.New("sim: Engine.runWindow called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-
-	e.limited, e.limit = true, end-1
-	defer func() { e.limited = false }()
-	e.endSpinEpoch()
-	var ev event
-	for !e.stopped && e.failure == nil {
-		q := &e.queue
-		if len(e.lane.a) > 0 || len(q.a) == 0 || q.a[0].when >= end {
-			if q = e.nextQueue(end - 1); q == nil {
-				break
-			}
-		}
-		q.pop(&ev)
-		e.now = ev.when
-		e.trace("event")
-		e.fire(&ev)
-	}
-	return e.failure
+	return e.runEvents("runWindow", end-1, func() error { return e.failure })
 }
 
 // nextEventTime reports the earliest pending event's time, or false when

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/simtest"
 )
 
 // TestInlineWakeupAdvancesInPlace checks the fast path's visible contract:
@@ -145,31 +148,23 @@ func TestShutdownUnwindsInSpawnOrder(t *testing.T) {
 	}
 }
 
-// workloadObs is everything observable a differential run records: a log
-// line per action (stamped with virtual time and engine sequence number)
-// plus the final clock and sequence state.
-type workloadObs struct {
-	log      []string
-	finalNow Time
-	finalSeq uint64
-}
-
 // runDifferentialWorkload builds a pseudo-random workload from seed — coros
 // mixing sleeps of many sizes (zero, tiny, overlapping, disjoint), engine
-// callbacks, park/unpark pairs, and mid-run spawns — and executes it with
-// the inline-wakeup fast path on or off. Every random value is drawn from
-// per-coro streams forked in spawn order and precomputed before any
-// closure is scheduled, so the two modes consume randomness identically
-// and any divergence in the observation log is a real behavioral
-// difference.
-func runDifferentialWorkload(t *testing.T, seed uint64, inline bool) workloadObs {
+// callbacks, park/unpark pairs, and mid-run spawns — and executes it in
+// one engine mode. Every random value is drawn from per-coro streams
+// forked in spawn order and precomputed before any closure is scheduled,
+// so every mode consumes randomness identically and any divergence in the
+// fingerprint — a line per action, stamped with virtual time and engine
+// sequence number, then the final clock and sequence — is a real
+// behavioral difference.
+func runDifferentialWorkload(t *testing.T, seed uint64, mode simtest.Mode) string {
 	t.Helper()
 	e := NewEngine()
-	e.SetInlineWakeups(inline)
+	mode.Set(e)
 	root := NewRNG(seed)
-	var obs workloadObs
+	var fp strings.Builder
 	record := func(who string) {
-		obs.log = append(obs.log, fmt.Sprintf("%s@%d#%d", who, e.now, e.seq))
+		fmt.Fprintf(&fp, "%s@%d#%d\n", who, e.now, e.seq)
 	}
 
 	var body func(name string, r *RNG, steps, depth int) func(*Coro)
@@ -220,46 +215,26 @@ func runDifferentialWorkload(t *testing.T, seed uint64, inline bool) workloadObs
 		c.Start(Time(root.Intn(4)))
 	}
 	if err := e.Run(); err != nil {
-		t.Fatalf("seed %d inline=%v: %v", seed, inline, err)
+		t.Fatalf("seed %d %v: %v", seed, mode, err)
 	}
-	obs.finalNow, obs.finalSeq = e.now, e.seq
-	return obs
+	fmt.Fprintf(&fp, "final now=%d seq=%d\n", e.now, e.seq)
+	return fp.String()
 }
 
-// diffObs fails the test if two observation logs differ anywhere.
-func diffObs(t *testing.T, seed uint64, fast, slow workloadObs) {
-	t.Helper()
-	if fast.finalNow != slow.finalNow || fast.finalSeq != slow.finalSeq {
-		t.Fatalf("seed %d: final state diverges: fast (now=%v seq=%d), slow (now=%v seq=%d)",
-			seed, fast.finalNow, fast.finalSeq, slow.finalNow, slow.finalSeq)
-	}
-	if len(fast.log) != len(slow.log) {
-		t.Fatalf("seed %d: log lengths diverge: fast %d, slow %d",
-			seed, len(fast.log), len(slow.log))
-	}
-	for i := range fast.log {
-		if fast.log[i] != slow.log[i] {
-			t.Fatalf("seed %d: logs diverge at %d: fast %q, slow %q",
-				seed, i, fast.log[i], slow.log[i])
-		}
-	}
-}
-
-// TestInlineWakeupDifferential runs many random workloads with the fast
-// path forced off and on and asserts bit-identical observation logs and
-// final engine state — the engine-level half of the "byte-identical
-// simulated metrics" guarantee.
+// TestInlineWakeupDifferential runs many random workloads in every engine
+// mode and requires identical fingerprints — the engine-level half of the
+// "byte-identical simulated metrics" guarantee.
 func TestInlineWakeupDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 150; seed++ {
-		fast := runDifferentialWorkload(t, seed, true)
-		slow := runDifferentialWorkload(t, seed, false)
-		diffObs(t, seed, fast, slow)
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+			return runDifferentialWorkload(t, seed, m)
+		})
 	}
 }
 
-// FuzzInlineWakeupEquivalence lets the fuzzer hunt for a seed whose
-// workload behaves differently with the fast path on vs off.
-func FuzzInlineWakeupEquivalence(f *testing.F) {
+// FuzzInlineWakeupDifferential lets the fuzzer hunt for a seed whose
+// workload behaves differently in some engine mode.
+func FuzzInlineWakeupDifferential(f *testing.F) {
 	f.Add(uint64(1))
 	f.Add(uint64(42))
 	f.Add(uint64(1 << 40))
@@ -267,8 +242,8 @@ func FuzzInlineWakeupEquivalence(f *testing.F) {
 		if seed == 0 {
 			seed = 1
 		}
-		fast := runDifferentialWorkload(t, seed, true)
-		slow := runDifferentialWorkload(t, seed, false)
-		diffObs(t, seed, fast, slow)
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+			return runDifferentialWorkload(t, seed, m)
+		})
 	})
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/simtest"
 )
 
 // shardedTopo abstracts "one big machine" over its two implementations:
@@ -16,34 +18,28 @@ import (
 // Workloads built on it never see which one they run on — that is the
 // whole claim under test.
 type shardedTopo struct {
+	sh         *Sharded // nil on the serial engine
 	machineFor func(node int) *Machine
-	machines   []*Machine
 	run        func() error
 }
 
-func serialTopo(cfg Config) *shardedTopo {
-	m := NewMachine(cfg)
-	return &shardedTopo{
-		machineFor: func(int) *Machine { return m },
-		machines:   []*Machine{m},
-		run:        m.Engine().Run,
+// topoFor builds cfg's machine in mode: the serial engine when
+// mode.Shards is 0, a Sharded partition otherwise, with mode's fast
+// paths set on every engine.
+func topoFor(cfg Config, mode simtest.Mode) *shardedTopo {
+	tp := &shardedTopo{}
+	machines := []*Machine{}
+	if mode.Shards == 0 {
+		m := NewMachine(cfg)
+		tp.machineFor, tp.run, machines = func(int) *Machine { return m }, m.Engine().Run, []*Machine{m}
+	} else {
+		tp.sh = NewSharded(cfg, ShardOptions{Shards: mode.Shards, Workers: mode.Workers})
+		tp.machineFor, tp.run, machines = tp.sh.MachineFor, tp.sh.Run, tp.sh.shards
 	}
-}
-
-func shardedTopoOf(cfg Config, shards, workers int) *shardedTopo {
-	sh := NewSharded(cfg, ShardOptions{Shards: shards, Workers: workers})
-	return &shardedTopo{
-		machineFor: sh.MachineFor,
-		machines:   sh.shards,
-		run:        sh.Run,
+	for _, m := range machines {
+		mode.Set(m.Engine())
 	}
-}
-
-func (tp *shardedTopo) setModes(batched, inline bool) {
-	for _, m := range tp.machines {
-		m.Engine().SetBatchedSpins(batched)
-		m.Engine().SetInlineWakeups(inline)
-	}
+	return tp
 }
 
 // ringParams shapes one differential ring workload.
@@ -53,20 +49,6 @@ type ringParams struct {
 	rounds int
 	svc    Time // ModuleService
 	noise  int  // empty timer events on shard 0 that cut windows short
-}
-
-// ringObs is everything observable the ring produced. Identical params
-// must yield deeply equal ringObs at every (shards, workers, batched,
-// inline) combination.
-type ringObs struct {
-	workerLog [][]string // per-worker event log, stamped with the worker's own clock
-	finish    []Time     // per-worker completion time
-	busy      []Time     // per-worker accrued busy time
-	flags     []uint64   // final flag cell values
-	hub       uint64     // final hub counter (posted adds from every worker)
-	accesses  []uint64   // per-node module accesses, read from the owner shard
-	qdelay    []Time     // per-node module queue delay, read from the owner shard
-	err       string
 }
 
 // runShardedRing drives a token ring over posted cells: worker n (one
@@ -82,15 +64,15 @@ type ringObs struct {
 // shard layout, and the work draws span milliseconds against sub-µs
 // latencies, so distinct workers essentially never tie in (when, at) —
 // the one corner the merge order cannot reconstruct (see Sharded).
-func runShardedRing(tb testing.TB, p ringParams, tp *shardedTopo, batched, inline bool) ringObs {
+//
+// The fingerprint holds each worker's log, stamped with the worker's own
+// clock and ending with its busy time, the final flag and hub values,
+// and each module's accesses and queue delay, read from the owner shard.
+// The ring always terminates, so a run error fails tb.
+func runShardedRing(tb testing.TB, p ringParams, tp *shardedTopo) string {
 	tb.Helper()
-	tp.setModes(batched, inline)
 	n := p.nodes
-	obs := ringObs{
-		workerLog: make([][]string, n),
-		finish:    make([]Time, n),
-		busy:      make([]Time, n),
-	}
+	logs := make([][]string, n)
 	flags := make([]*Cell, n)
 	for i := 0; i < n; i++ {
 		flags[i] = tp.machineFor(i).NewCell(i, fmt.Sprintf("flag%d", i), 0)
@@ -105,8 +87,7 @@ func runShardedRing(tb testing.TB, p ringParams, tp *shardedTopo, batched, inlin
 		r := NewRNG(p.seed*1_000_003 + uint64(i)*7919 + 1)
 		a := &spinAccessor{node: i}
 		logf := func(c *Coro, format string, args ...any) {
-			obs.workerLog[i] = append(obs.workerLog[i],
-				fmt.Sprintf("%d ", c.Now())+fmt.Sprintf(format, args...))
+			logs[i] = append(logs[i], fmt.Sprintf("w%d %d ", i, c.Now())+fmt.Sprintf(format, args...))
 		}
 		c := m.Engine().Spawn(fmt.Sprintf("w%d", i), func(c *Coro) {
 			a.c = c
@@ -127,118 +108,47 @@ func runShardedRing(tb testing.TB, p ringParams, tp *shardedTopo, batched, inlin
 				next.PostStore(a, want+1)
 				logf(c, "r%d passed", round)
 			}
-			obs.finish[i] = c.Now()
+			logf(c, "done busy=%d", a.busy)
 		})
 		c.Start(Time(i) * 2 * Millisecond)
-		defer func(i int) { obs.busy[i] = a.busy }(i)
 	}
 	flags[0].Poke(1)
 	if err := tp.run(); err != nil {
-		obs.err = err.Error()
+		tb.Fatalf("ring %+v: %v", p, err)
 	}
-	obs.flags = make([]uint64, n)
+	var fp strings.Builder
+	for _, log := range logs {
+		fp.WriteString(strings.Join(log, "\n") + "\n")
+	}
+	fmt.Fprintf(&fp, "hub %d\n", hub.Peek())
 	for i := 0; i < n; i++ {
-		obs.flags[i] = flags[i].Peek()
 		m := tp.machineFor(i)
-		obs.accesses = append(obs.accesses, m.ModuleAccesses(i))
-		obs.qdelay = append(obs.qdelay, m.ModuleQueueDelay(i))
+		fmt.Fprintf(&fp, "node %d: flag=%d accesses=%d queue-delay=%d\n", i, flags[i].Peek(), m.ModuleAccesses(i), m.ModuleQueueDelay(i))
 	}
-	obs.hub = hub.Peek()
-	return obs
+	return fp.String()
 }
 
-// diffRingObs compares a variant run against the serial reference.
-func diffRingObs(t *testing.T, name string, ref, got ringObs) {
-	t.Helper()
-	if ref.err != got.err {
-		t.Errorf("%s: err %q, want %q", name, got.err, ref.err)
-	}
-	if got.hub != ref.hub {
-		t.Errorf("%s: hub %d, want %d", name, got.hub, ref.hub)
-	}
-	if !reflect.DeepEqual(ref.flags, got.flags) {
-		t.Errorf("%s: flags %v, want %v", name, got.flags, ref.flags)
-	}
-	if !reflect.DeepEqual(ref.finish, got.finish) {
-		t.Errorf("%s: finish %v, want %v", name, got.finish, ref.finish)
-	}
-	if !reflect.DeepEqual(ref.busy, got.busy) {
-		t.Errorf("%s: busy %v, want %v", name, got.busy, ref.busy)
-	}
-	if !reflect.DeepEqual(ref.accesses, got.accesses) {
-		t.Errorf("%s: module accesses %v, want %v", name, got.accesses, ref.accesses)
-	}
-	if !reflect.DeepEqual(ref.qdelay, got.qdelay) {
-		t.Errorf("%s: module queue delay %v, want %v", name, got.qdelay, ref.qdelay)
-	}
-	for w := range ref.workerLog {
-		if len(ref.workerLog[w]) != len(got.workerLog[w]) {
-			t.Fatalf("%s: worker %d: %d log records, want %d",
-				name, w, len(got.workerLog[w]), len(ref.workerLog[w]))
-		}
-		for i := range ref.workerLog[w] {
-			if ref.workerLog[w][i] != got.workerLog[w][i] {
-				t.Fatalf("%s: worker %d log[%d] = %q, want %q",
-					name, w, i, got.workerLog[w][i], ref.workerLog[w][i])
-			}
-		}
-	}
-}
-
-// shardCounts trims the standard {1, 2, 4, 8} grid to the node count.
-func shardCounts(nodes int) []int {
-	out := []int{1}
-	for _, s := range []int{2, 4, 8} {
-		if s <= nodes {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// diffShardedModes runs one ring across the full (shards × workers ×
-// batched × inline) cross-product and requires byte-identical
-// observations against the serial slow-path reference.
-func diffShardedModes(t *testing.T, p ringParams) {
+// checkRing runs one ring in every mode of the sharded matrix against
+// the serial oracle.
+func checkRing(t *testing.T, p ringParams) {
 	t.Helper()
 	cfg := Config{Nodes: p.nodes, ModuleService: p.svc, Seed: p.seed%97 + 1}
-	ref := runShardedRing(t, p, serialTopo(cfg), false, false)
-	modes := []struct {
-		name            string
-		batched, inline bool
-	}{
-		{"slow+inline", false, true},
-		{"batched+noinline", true, false},
-		{"batched+inline", true, true},
-	}
-	for _, mode := range modes {
-		diffRingObs(t, "serial/"+mode.name, ref,
-			runShardedRing(t, p, serialTopo(cfg), mode.batched, mode.inline))
-	}
-	for _, shards := range shardCounts(p.nodes) {
-		for _, workers := range []int{1, 2, 4} {
-			tag := fmt.Sprintf("shards=%d/j=%d", shards, workers)
-			diffRingObs(t, tag+"/slow+noinline", ref,
-				runShardedRing(t, p, shardedTopoOf(cfg, shards, workers), false, false))
-			for _, mode := range modes {
-				diffRingObs(t, tag+"/"+mode.name, ref,
-					runShardedRing(t, p, shardedTopoOf(cfg, shards, workers), mode.batched, mode.inline))
-			}
-		}
-	}
+	simtest.Check(t, simtest.Sharded(p.nodes), func(m simtest.Mode) string {
+		return runShardedRing(t, p, topoFor(cfg, m))
+	})
 }
 
 func TestShardedRingDifferential(t *testing.T) {
 	for _, svc := range []Time{0, 400 * Nanosecond} {
 		t.Run(fmt.Sprintf("svc=%v", svc), func(t *testing.T) {
-			diffShardedModes(t, ringParams{seed: 11, nodes: 8, rounds: 3, svc: svc, noise: 2})
+			checkRing(t, ringParams{seed: 11, nodes: 8, rounds: 3, svc: svc, noise: 2})
 		})
 	}
 }
 
 // FuzzShardedDifferential drives randomized ring topologies through the
-// whole shards × workers × engine-mode grid, requiring observations
-// identical to the serial engine's.
+// whole sharded matrix, requiring observations identical to the serial
+// engine's.
 func FuzzShardedDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(1), uint8(0), uint8(0))
 	f.Add(uint64(3), uint8(5), uint8(2), uint8(3), uint8(1))
@@ -251,7 +161,7 @@ func FuzzShardedDifferential(f *testing.F) {
 			svc:    Time(svcUnits%6) * 200 * Nanosecond,
 			noise:  int(noise % 3),
 		}
-		diffShardedModes(t, p)
+		checkRing(t, p)
 	})
 }
 
@@ -260,10 +170,9 @@ func FuzzShardedDifferential(f *testing.F) {
 // everything landed on one shard.
 func TestShardedWindowsEngage(t *testing.T) {
 	p := ringParams{seed: 5, nodes: 8, rounds: 2}
-	cfg := Config{Nodes: p.nodes, Seed: 1}
-	sh := NewSharded(cfg, ShardOptions{Shards: 4})
-	tp := &shardedTopo{machineFor: sh.MachineFor, machines: sh.shards, run: sh.Run}
-	runShardedRing(t, p, tp, true, true)
+	tp := topoFor(Config{Nodes: p.nodes, Seed: 1}, simtest.Mode{Shards: 4, Inline: true, Batched: true})
+	runShardedRing(t, p, tp)
+	sh := tp.sh
 	var delivered uint64
 	for src := 0; src < sh.Shards(); src++ {
 		for dst := 0; dst < sh.Shards(); dst++ {

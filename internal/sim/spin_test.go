@@ -3,7 +3,10 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/simtest"
 )
 
 // spinAccessor implements SpinContext for engine-level tests. With a zero
@@ -78,21 +81,19 @@ type spinWorkloadParams struct {
 	noise   int // unrelated timer events that cut batching windows
 }
 
-// spinObs is everything observable a spin workload produced. Two runs
-// of the same workload must produce deeply equal spinObs regardless of
-// the batched-spin and inline-wakeup settings.
-type spinObs struct {
-	log      []string
-	finalNow Time
-	finalSeq uint64
-	busy     []Time
-	accesses []uint64
-	qdelay   []Time
-	err      string
-
-	// Engine mechanism counters: mode-dependent, so diffSpinObs ignores
-	// them; iters is the total the spinners' SpinUntil calls returned.
-	sharedCommits, batchedIters, iters uint64
+// spinFingerprint ends a spin workload's fingerprint: the final clock
+// and sequence, the run's error, each spinner's busy time, and each
+// module's accesses and queue delay.
+func spinFingerprint(fp *strings.Builder, m *Machine, err error, accs []*spinAccessor) string {
+	e := m.Engine()
+	fmt.Fprintf(fp, "final now=%d seq=%d\nerr %v\n", e.now, e.seq, err)
+	for i, a := range accs {
+		fmt.Fprintf(fp, "busy %d: %d\n", i, a.busy)
+	}
+	for n := 0; n < m.Nodes(); n++ {
+		fmt.Fprintf(fp, "module %d: accesses=%d queue-delay=%d\n", n, m.ModuleAccesses(n), m.ModuleQueueDelay(n))
+	}
+	return fp.String()
 }
 
 // runSpinWorkload drives a token-passing ring through SpinUntil: worker i
@@ -102,25 +103,27 @@ type spinObs struct {
 // start staggered, so the early phase has solitary spinners (batching
 // windows) and the steady state has all workers' charges interleaving
 // (per-event emulation). Bounded pre-spins exercise MaxIters exhaustion.
-func runSpinWorkload(tb testing.TB, p spinWorkloadParams, batched, inline bool) spinObs {
+func runSpinWorkload(tb testing.TB, p spinWorkloadParams, mode simtest.Mode) string {
 	tb.Helper()
 	m := NewMachine(Config{Nodes: 3, ModuleService: p.svc, Seed: p.seed})
 	e := m.Engine()
-	e.SetBatchedSpins(batched)
-	e.SetInlineWakeups(inline)
+	mode.Set(e)
 	token := m.NewCell(0, "token", 0)
-	obs := spinObs{}
+	var fp strings.Builder
 	logf := func(format string, args ...any) {
-		obs.log = append(obs.log, fmt.Sprintf("%d/%d ", e.now, e.seq)+fmt.Sprintf(format, args...))
+		fmt.Fprintf(&fp, "%d/%d ", e.now, e.seq)
+		fmt.Fprintf(&fp, format+"\n", args...)
 	}
 	for i := 0; i < p.noise; i++ {
 		e.At(Time(i+1)*537*Microsecond, func() {})
 	}
 	rng := NewRNG(p.seed)
-	for i := 0; i < p.workers; i++ {
+	accs := make([]*spinAccessor, p.workers)
+	for i := range accs {
 		i := i
 		r := rng.Fork()
 		a := &spinAccessor{node: i % m.Nodes()}
+		accs[i] = a
 		c := e.Spawn(fmt.Sprintf("w%d", i), func(c *Coro) {
 			a.c = c
 			for round := 0; round < p.rounds; round++ {
@@ -151,81 +154,15 @@ func runSpinWorkload(tb testing.TB, p spinWorkloadParams, batched, inline bool) 
 			}
 		})
 		c.Start(Time(i) * 3 * Millisecond)
-		obs.busy = append(obs.busy, 0)
-		defer func(i int) { obs.busy[i] = a.busy }(i)
 	}
-	if err := e.Run(); err != nil {
-		obs.err = err.Error()
-	}
-	obs.finalNow, obs.finalSeq = e.now, e.seq
-	for n := 0; n < m.Nodes(); n++ {
-		obs.accesses = append(obs.accesses, m.ModuleAccesses(n))
-		obs.qdelay = append(obs.qdelay, m.ModuleQueueDelay(n))
-	}
-	return obs
-}
-
-// diffSpinObs compares a variant run against the reference.
-func diffSpinObs(t *testing.T, name string, ref, got spinObs) {
-	t.Helper()
-	if ref.finalNow != got.finalNow || ref.finalSeq != got.finalSeq {
-		t.Errorf("%s: final (now, seq) = (%d, %d), want (%d, %d)",
-			name, got.finalNow, got.finalSeq, ref.finalNow, ref.finalSeq)
-	}
-	if ref.err != got.err {
-		t.Errorf("%s: err %q, want %q", name, got.err, ref.err)
-	}
-	if !reflect.DeepEqual(ref.busy, got.busy) {
-		t.Errorf("%s: busy %v, want %v", name, got.busy, ref.busy)
-	}
-	if !reflect.DeepEqual(ref.accesses, got.accesses) {
-		t.Errorf("%s: module accesses %v, want %v", name, got.accesses, ref.accesses)
-	}
-	if !reflect.DeepEqual(ref.qdelay, got.qdelay) {
-		t.Errorf("%s: module queue delay %v, want %v", name, got.qdelay, ref.qdelay)
-	}
-	if len(ref.log) != len(got.log) {
-		t.Fatalf("%s: %d log records, want %d", name, len(got.log), len(ref.log))
-	}
-	for i := range ref.log {
-		if ref.log[i] != got.log[i] {
-			t.Fatalf("%s: log[%d] = %q, want %q", name, i, got.log[i], ref.log[i])
-		}
-	}
-}
-
-// diffSpinModes runs one workload in all four (batched, inline) modes and
-// requires byte-identical observations, with the per-iteration slow path
-// under inline wakeups as the reference.
-func diffSpinModes(t *testing.T, p spinWorkloadParams) {
-	t.Helper()
-	diffEngineModes(t, func(batched, inline bool) spinObs {
-		return runSpinWorkload(t, p, batched, inline)
-	})
-}
-
-// diffEngineModes runs a workload in all four (batched, inline) modes
-// and requires byte-identical observations, with the per-iteration slow
-// path under inline wakeups as the reference.
-func diffEngineModes(t *testing.T, run func(batched, inline bool) spinObs) {
-	t.Helper()
-	ref := run(false, true)
-	for _, mode := range []struct {
-		name            string
-		batched, inline bool
-	}{
-		{"batched+inline", true, true},
-		{"batched+noinline", true, false},
-		{"slow+noinline", false, false},
-	} {
-		diffSpinObs(t, mode.name, ref, run(mode.batched, mode.inline))
-	}
+	return spinFingerprint(&fp, m, e.Run(), accs)
 }
 
 func TestSpinUntilDifferential(t *testing.T) {
 	for _, svc := range []Time{0, 400 * Nanosecond} {
 		t.Run(fmt.Sprintf("svc=%v", svc), func(t *testing.T) {
-			diffSpinModes(t, spinWorkloadParams{seed: 7, svc: svc, workers: 3, rounds: 3, noise: 2})
+			p := spinWorkloadParams{seed: 7, svc: svc, workers: 3, rounds: 3, noise: 2}
+			simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string { return runSpinWorkload(t, p, m) })
 		})
 	}
 }
@@ -246,7 +183,7 @@ func FuzzSpinDifferential(f *testing.F) {
 			rounds:  int(rounds%3) + 1,
 			noise:   int(noise % 4),
 		}
-		diffSpinModes(t, p)
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string { return runSpinWorkload(t, p, m) })
 	})
 }
 
@@ -581,16 +518,17 @@ type epochParams struct {
 // pauses and distances differ. Every fourth spinner declares no probe
 // cell, so its iterations are a pause alone. A RunFor deadline, when
 // set, splits the run mid-epoch.
-func runEpochWorkload(tb testing.TB, p epochParams, batched, inline bool) spinObs {
+func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, epochCounts) {
 	tb.Helper()
 	const nodes = 4
 	m := NewMachine(Config{Nodes: nodes, ModuleService: p.svc, Seed: p.seed})
 	e := m.Engine()
-	e.SetBatchedSpins(batched)
-	e.SetInlineWakeups(inline)
-	obs := spinObs{}
+	mode.Set(e)
+	var fp strings.Builder
+	var counts epochCounts
 	logf := func(format string, args ...any) {
-		obs.log = append(obs.log, fmt.Sprintf("%d/%d ", e.now, e.seq)+fmt.Sprintf(format, args...))
+		fmt.Fprintf(&fp, "%d/%d ", e.now, e.seq)
+		fmt.Fprintf(&fp, format+"\n", args...)
 	}
 	rng := NewRNG(p.seed)
 	cells := make([]*Cell, p.cells)
@@ -646,12 +584,12 @@ func runEpochWorkload(tb testing.TB, p epochParams, batched, inline bool) spinOb
 				spec.ProbeCell = nil // probes uncharged state: one charge per iteration
 			}
 			iters, ok := c.SpinUntil(a, spec)
-			obs.iters += uint64(iters)
+			counts.iters += uint64(iters)
 			logf("s%d bounded iters=%d ok=%v", i, iters, ok)
 			if !ok {
 				spec.MaxIters = SpinUnbounded
 				iters, ok = c.SpinUntil(a, spec)
-				obs.iters += uint64(iters)
+				counts.iters += uint64(iters)
 				logf("s%d unbounded iters=%d ok=%v", i, iters, ok)
 			}
 			a.Advance(Time(5+r.Intn(60)) * Microsecond)
@@ -660,26 +598,22 @@ func runEpochWorkload(tb testing.TB, p epochParams, batched, inline bool) spinOb
 		})
 		c.Start(start)
 	}
+	var err error
 	if p.deadline > 0 {
-		if err := e.RunFor(p.deadline); err != nil {
-			obs.err = err.Error()
-		}
+		err = e.RunFor(p.deadline)
 		logf("deadline pending=%d", e.Pending())
 	}
-	if err := e.Run(); err != nil && obs.err == "" {
-		obs.err = err.Error()
+	if runErr := e.Run(); err == nil {
+		err = runErr
 	}
-	obs.finalNow, obs.finalSeq = e.now, e.seq
-	obs.sharedCommits, obs.batchedIters = e.spinSharedCommits, e.spinBatchedIters
-	for _, a := range accs {
-		obs.busy = append(obs.busy, a.busy)
-	}
-	for n := 0; n < m.Nodes(); n++ {
-		obs.accesses = append(obs.accesses, m.ModuleAccesses(n))
-		obs.qdelay = append(obs.qdelay, m.ModuleQueueDelay(n))
-	}
-	return obs
+	counts.sharedCommits, counts.batchedIters = e.spinSharedCommits, e.spinBatchedIters
+	return spinFingerprint(&fp, m, err, accs), counts
 }
+
+// epochCounts are an epoch workload's spin mechanism counters. They
+// depend on the engine mode, so the fingerprint leaves them out; iters
+// is the total the spinners' SpinUntil calls returned.
+type epochCounts struct{ sharedCommits, batchedIters, iters uint64 }
 
 // epochFuzzParams maps raw fuzz inputs onto a workload.
 func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits uint8, deadlineUnits uint16) epochParams {
@@ -707,9 +641,9 @@ func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits
 // and shared cells, lockstep chains with tied (when, at), unequal
 // lengths, module contention on and off, MaxIters, slice budgets, a
 // RunFor deadline mid-epoch, and a non-spinner releasing a cell
-// mid-epoch — through all four engine modes ({batched, per-iteration} ×
-// {inline, heap}), requiring identical (now, seq)-stamped logs, busy
-// accrual, and module-contention accounting.
+// mid-epoch — through every engine mode, requiring identical (now,
+// seq)-stamped logs, busy accrual, and module-contention accounting. The
+// last two seeds are TestSpinEpochEngages's workloads.
 func FuzzSpinEpochDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint8(7), uint8(3), uint8(0), uint8(0), uint16(0))
 	f.Add(uint64(2), uint8(15), uint8(3), uint8(1), uint8(0), uint8(0), uint16(300))
@@ -718,25 +652,26 @@ func FuzzSpinEpochDifferential(f *testing.F) {
 	f.Add(uint64(5), uint8(9), uint8(2), uint8(4), uint8(0), uint8(3), uint16(700))
 	f.Add(uint64(6), uint8(5), uint8(5), uint8(7), uint8(1), uint8(1), uint16(90))
 	f.Add(uint64(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0))
+	f.Add(uint64(10), uint8(7), uint8(7), uint8(2), uint8(0), uint8(0), uint16(0))
+	f.Add(uint64(10), uint8(7), uint8(7), uint8(3), uint8(0), uint8(0), uint16(0))
 	f.Fuzz(func(t *testing.T, seed uint64, spinners, cells, flags, svcUnits, quantumUnits uint8, deadlineUnits uint16) {
 		p := epochFuzzParams(seed, spinners, cells, flags, svcUnits, quantumUnits, deadlineUnits)
-		diffEngineModes(t, func(batched, inline bool) spinObs {
-			return runEpochWorkload(t, p, batched, inline)
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+			fp, _ := runEpochWorkload(t, p, m)
+			return fp
 		})
 	})
 }
 
 // TestSpinEpochEngages proves spin epochs commit several members at once
-// — with unequal lengths and in lockstep — that the commits account for
-// most of the iterations, and that the result matches the per-iteration
-// path.
+// — with unequal lengths and in lockstep — and that the commits account
+// for most of the iterations, so FuzzSpinEpochDifferential, whose last
+// two seeds are these workloads, does not pass vacuously.
 func TestSpinEpochEngages(t *testing.T) {
 	for _, lockstep := range []bool{false, true} {
 		name := fmt.Sprintf("lockstep=%v", lockstep)
 		p := epochParams{seed: 11, spinners: 8, cells: 8, lockstep: lockstep}
-		ref := runEpochWorkload(t, p, false, true)
-		got := runEpochWorkload(t, p, true, true)
-		diffSpinObs(t, name, ref, got)
+		_, got := runEpochWorkload(t, p, simtest.Mode{Inline: true, Batched: true})
 		if got.sharedCommits == 0 {
 			t.Errorf("%s: no commit advanced two or more members", name)
 		}
