@@ -1,67 +1,31 @@
 package locks
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
-	"repro/internal/cthreads"
-	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
-// runLockWorkloadModes is runLockWorkload with both engine fast paths
-// under explicit control.
-func runLockWorkloadModes(t testing.TB, cfg sim.Config, b lockBuilder, nThreads, nIters int, inline, batched bool) lockFingerprint {
-	t.Helper()
-	sys := cthreads.New(cfg)
-	sys.Engine().SetInlineWakeups(inline)
-	sys.Engine().SetBatchedSpins(batched)
-	return driveLockWorkload(t, sys, cfg, b, nThreads, nIters)
-}
-
-// TestLockEngineModeDifferential proves the predictive mutable lock, the
-// NUMA cohort lock, and the retargeting wrapper produce byte-identical
-// simulated metrics across every engine-mode combination: inline wakeups
-// × batched spins, under the fast machine, the hot-spot machine, and the
-// quantum-preemption machine (spinBatchConfigs). Prediction and handoff
-// decisions read only virtual-time state, so no mode may shift a single
-// unit of any metric.
+// TestLockEngineModeDifferential runs the two locks whose decisions carry
+// history, the predictive mutable lock and the NUMA cohort lock, four
+// times longer than TestSpinBatchingLockDifferential. The longer run lets
+// the mutable lock's estimator move from spinning to blocking on the
+// quantum machine, and lets quantum preemption reach a cohort lock holder
+// there, which the short run never does. Both locks read only
+// virtual-time state, so every engine mode must reproduce the serial
+// oracle's fingerprint under the fast, hot-spot and quantum machines.
 func TestLockEngineModeDifferential(t *testing.T) {
-	newKinds := map[string]bool{"mutable": true, "cohort": true, "retarget": true}
+	historyKinds := map[string]bool{"mutable": true, "cohort": true}
 	for _, tc := range spinBatchConfigs() {
 		for _, b := range spinBatchBuilders() {
-			if !newKinds[b.name] {
+			if !historyKinds[b.name] {
 				continue
 			}
 			t.Run(tc.name+"/"+b.name, func(t *testing.T) {
-				ref := runLockWorkloadModes(t, tc.cfg, b, tc.threads, 6, false, false)
-				for _, mode := range []struct{ inline, batched bool }{
-					{false, true}, {true, false}, {true, true},
-				} {
-					got := runLockWorkloadModes(t, tc.cfg, b, tc.threads, 6, mode.inline, mode.batched)
-					if !reflect.DeepEqual(ref, got) {
-						t.Errorf("inline=%v batched=%v diverges from reference:\nref: %+v\ngot: %+v",
-							mode.inline, mode.batched, got, ref)
-					}
-				}
-				if want := tc.threads * 6; ref.Counter != want {
-					t.Errorf("counter = %d, want %d", ref.Counter, want)
-				}
+				simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+					return runLockWorkload(t, tc.cfg, b, tc.threads, 24, m)
+				})
 			})
 		}
-	}
-}
-
-// TestFactoryKindsErrorListsKinds checks the unknown-kind error names the
-// valid kinds in sorted order.
-func TestFactoryKindsErrorListsKinds(t *testing.T) {
-	sys := testSys(1)
-	_, err := New(sys, Kind("bogus"), 0, "x", DefaultCosts())
-	if err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	want := "valid kinds: adaptive, backoff, blocking, cohort, mutable, spin, tas"
-	if got := err.Error(); !strings.Contains(got, want) {
-		t.Errorf("error %q does not list sorted kinds (%q)", got, want)
 	}
 }
