@@ -45,11 +45,39 @@ func benchSpec(b *testing.B, name string, env experiments.Env) {
 	}
 }
 
+// benchSpecMech is benchSpec plus the engines' mechanism counters.
+func benchSpecMech(b *testing.B, name string, env experiments.Env) {
+	b.Helper()
+	before := sim.TotalStats()
+	benchSpec(b, name, env)
+	reportMech(b, sim.TotalStats().Sub(before))
+}
+
+// reportMech reports the mechanism counters of b.N runs, per run, as
+// mech-* metrics. For a given engine mode they are exact, so benchjson
+// gates them like the sim-* metrics; ns/op divided by mech-events is the
+// host cost of one event.
+func reportMech(b *testing.B, s sim.Stats) {
+	for _, m := range []struct {
+		name string
+		v    uint64
+	}{
+		{"events", s.Events}, {"dispatches", s.Dispatches},
+		{"inline-wakeups", s.InlineWakeups}, {"spin-charges", s.SpinCharges},
+		{"commits", s.Commits}, {"member-commits", s.MemberCommits},
+		{"batched-iters", s.BatchedIters}, {"shared-commits", s.SharedCommits},
+		{"evict-cell", s.EvictCell}, {"evict-module", s.EvictModule},
+		{"evict-own", s.EvictOwn}, {"evict-volatile", s.EvictVolatile},
+	} {
+		b.ReportMetric(float64(m.v)/float64(b.N), "mech-"+m.name)
+	}
+}
+
 // BenchmarkTable1 regenerates Table 1: the centralized TSP implementation,
 // sequential vs. blocking locks vs. adaptive locks (16-city Euclidean
 // instance on 10 processors, the same scale regime as the paper's
 // 32-city runs).
-func BenchmarkTable1(b *testing.B) { benchSpec(b, "table1", experiments.Env{}) }
+func BenchmarkTable1(b *testing.B) { benchSpecMech(b, "table1", experiments.Env{}) }
 
 // BenchmarkTable2 regenerates Table 2: the distributed TSP implementation.
 func BenchmarkTable2(b *testing.B) { benchSpec(b, "table2", experiments.Env{}) }
@@ -83,7 +111,7 @@ func BenchmarkTable8(b *testing.B) { benchSpec(b, "table8", experiments.Env{}) }
 // is the execution-time ratio of the 10-spin combined lock to the 1-spin
 // one at a 10µs critical section — below 1.0 it reproduces the paper's
 // observation.
-func BenchmarkFigure1(b *testing.B) { benchSpec(b, "fig1", experiments.Env{}) }
+func BenchmarkFigure1(b *testing.B) { benchSpecMech(b, "fig1", experiments.Env{}) }
 
 // BenchmarkLockPatterns regenerates Figures 4–9 on a 14-city instance:
 // the waiting-thread patterns of qlock and glob-act-lock under each TSP
@@ -208,6 +236,7 @@ func BenchmarkLockContended(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/w%d", bl.name, waiters), func(b *testing.B) {
 				var elapsed sim.Time
 				var spins uint64
+				before := sim.TotalStats()
 				for i := 0; i < b.N; i++ {
 					cfg := sim.HotSpotConfig()
 					cfg.Nodes = waiters
@@ -233,6 +262,7 @@ func BenchmarkLockContended(b *testing.B) {
 				}
 				b.ReportMetric(elapsed.Micros(), "sim-µs-elapsed")
 				b.ReportMetric(float64(spins), "sim-spin-iters")
+				reportMech(b, sim.TotalStats().Sub(before))
 			})
 		}
 	}

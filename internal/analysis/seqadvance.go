@@ -8,14 +8,12 @@ import (
 )
 
 // seqadvanceEngineFields are the Engine fields that define the
-// simulated history: the clock, the tie-breaking sequence counter, and
-// the fast-forward diagnostics the differential suites assert on.
+// simulated history: the clock and the tie-breaking sequence counter.
+// The mechanism counters (Engine.stats) are diagnostics that every event
+// path bumps, so they are not listed.
 var seqadvanceEngineFields = map[string]bool{
-	"now":               true,
-	"seq":               true,
-	"spinFastForwards":  true,
-	"spinBatchedIters":  true,
-	"spinSharedCommits": true,
+	"now": true,
+	"seq": true,
 }
 
 // seqadvanceMachineFields are the Machine module-accounting fields the
@@ -43,13 +41,12 @@ var seqadvanceAllowed = map[string]bool{
 	"reserveAccess":   true,
 }
 
-// Seqadvance restricts writes to Engine.now/Engine.seq (plus the spin
-// fast-forward counters) and the Machine module-accounting fields to
-// the engine/spin allowlist, so fast-path optimizations cannot be
-// partially re-implemented elsewhere and drift from the reference
-// path. Only package sim can name these unexported fields, but the
-// check runs everywhere so fixtures and future code layouts are
-// covered. Test files are exempt.
+// Seqadvance restricts writes to Engine.now/Engine.seq and the Machine
+// module-accounting fields to the engine/spin allowlist, so fast-path
+// optimizations cannot be partially re-implemented elsewhere and drift
+// from the reference path. Only package sim can name these unexported
+// fields, but the check runs everywhere so fixtures and future code
+// layouts are covered. Test files are exempt.
 var Seqadvance = &framework.Analyzer{
 	Name: "seqadvance",
 	Doc:  "restrict writes to engine clock/seq and module accounting to the engine allowlist",

@@ -5,9 +5,10 @@ package sim
 type Time int64
 
 type Engine struct {
-	now              Time
-	seq              uint64
-	spinFastForwards int64
+	now Time
+	seq uint64
+	// stats is not a protected field: any function may count.
+	stats int64
 }
 
 type Machine struct {
@@ -24,9 +25,11 @@ func (e *Engine) advanceInline(t Time) {
 
 // fastForwardSpin is on the allowlist too.
 func fastForwardSpin(e *Engine, m *Machine, node int) {
-	e.spinFastForwards++
+	e.seq++
 	m.queueDelay[node] = 0
 }
+
+func count(e *Engine) { e.stats++ }
 
 func hackEngine(e *Engine) {
 	e.now = 5 // want `write to Engine.now outside the engine allowlist`

@@ -179,14 +179,9 @@ type Engine struct {
 	// Engine.SetBatchedSpins): busy-wait loops then charge per iteration
 	// through the open-coded slow path.
 	noBatch bool
-	// spinFastForwards / spinBatchedIters count closed-form spin
-	// fast-forwards (one per member per commit) and the iterations they
-	// skipped; spinSharedCommits counts commits that advanced two or more
-	// members at once (diagnostics; the differential suites use them to
-	// prove the fast path engaged).
-	spinFastForwards  uint64
-	spinBatchedIters  uint64
-	spinSharedCommits uint64
+	// stats counts the mechanism (see Stats); reported is the part of it
+	// already added to the process totals.
+	stats, reported Stats
 	// limited/limit bound inline time advancement to RunFor's window, so a
 	// coro cannot run past the deadline the engine loop would stop at.
 	// Sharded window runs reuse the same bound, which is what keeps the
@@ -255,6 +250,7 @@ func (e *Engine) canInline(when Time) bool {
 // been scheduled, popped, and fired, so everything observable downstream
 // (Now, tie-break order among later events) is identical to the slow path.
 func (e *Engine) advanceInline(when Time) {
+	e.stats.InlineWakeups++
 	e.seq++
 	e.now = when
 }
@@ -322,11 +318,17 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 // emulation (Coro.SpinUntil) is not resumed — the event advances its
 // state machine engine-side instead, and the body resumes only when
 // the whole busy-wait loop completes. A dispatch and a callback are
-// harmful occurrences (endSpinEpoch); a spin charge is not.
-func (e *Engine) fire(ev *event) {
+// harmful occurrences (endSpinEpoch); a spin charge is not. lane
+// reports that ev came from the spin lane: a member whose loop ends there
+// has reached its MaxIters.
+func (e *Engine) fire(ev *event, lane bool) {
 	if c := ev.coro; c != nil {
 		if c.spinning && !c.killed {
+			e.stats.SpinCharges++
 			if e.runSpin(c.spin) {
+				if lane && !c.spin.ok {
+					e.stats.EvictOwn++
+				}
 				e.dispatch(c)
 			}
 			return
@@ -405,7 +407,10 @@ func (e *Engine) runEvents(caller string, last Time, epilogue func() error) erro
 	}
 	e.running, e.stopped = true, false
 	e.limited, e.limit = last < MaxTime, last
-	defer func() { e.running, e.limited = false, false }()
+	defer func() {
+		e.running, e.limited = false, false
+		e.reportStats()
+	}()
 
 	// Anything may have changed simulated state since the last run.
 	e.endSpinEpoch()
@@ -418,9 +423,10 @@ func (e *Engine) runEvents(caller string, last Time, epilogue func() error) erro
 			}
 		}
 		q.pop(&ev)
+		e.stats.Events++
 		e.now = ev.when
 		e.trace("event")
-		e.fire(&ev)
+		e.fire(&ev, q == &e.lane)
 	}
 	return epilogue()
 }
@@ -532,6 +538,7 @@ func (e *Engine) shutdown() {
 		c.killed = true
 		e.dispatch(c)
 	}
+	e.reportStats()
 }
 
 // dispatch switches to c's body until it yields, parks, or finishes. It
@@ -541,6 +548,7 @@ func (e *Engine) shutdown() {
 // the only place a worker is ever released (DESIGN.md "Engine
 // invariants").
 func (e *Engine) dispatch(c *Coro) {
+	e.stats.Dispatches++
 	e.endSpinEpoch()
 	if e.attr != nil {
 		e.attr.CoroDispatched(e.now)

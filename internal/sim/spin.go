@@ -358,6 +358,7 @@ func (e *Engine) endSpinEpoch() {
 
 // flushLane moves every lane continuation into the main heap.
 func (e *Engine) flushLane() {
+	e.stats.EvictVolatile += uint64(len(e.lane.a))
 	for i := range e.lane.a {
 		ev := &e.lane.a[i]
 		e.queue.push(ev.when, ev.at, ev.seq, nil, ev.coro)
@@ -650,6 +651,7 @@ func (e *Engine) fastForwardSpin(run *spinState) bool {
 	for i := range e.lane.a {
 		ev := &e.lane.a[i]
 		if !moduleSteady(ev.coro.spin) {
+			e.stats.EvictModule++
 			e.queue.push(ev.when, ev.at, ev.seq, nil, ev.coro)
 			rebuild = true
 			continue
@@ -750,14 +752,15 @@ func (e *Engine) fastForwardSpin(run *spinState) bool {
 		if m.fa > last {
 			last = m.fa
 		}
-		e.spinFastForwards++
-		e.spinBatchedIters += uint64(evals)
+		e.stats.MemberCommits++
+		e.stats.BatchedIters += uint64(evals)
 	}
+	e.stats.Commits++
 	seq0 := e.seq
 	e.seq += uint64(pops)
 	e.now = last
 	if adv > 1 {
-		e.spinSharedCommits++
+		e.stats.SharedCommits++
 		slices.SortFunc(ms[:adv], compareFinal)
 	}
 	var rm epochMember
@@ -804,6 +807,7 @@ func (e *Engine) refillLane(ms []epochMember) {
 		case m.n == 0:
 			q.push(m.w, m.at, m.seq, nil, m.c)
 		case m.c.spin.boundary:
+			e.stats.EvictOwn++
 			e.queue.push(m.fw, m.fa, m.fseq, nil, m.c)
 		default:
 			q.push(m.fw, m.fa, m.fseq, nil, m.c)

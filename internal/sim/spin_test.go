@@ -212,7 +212,7 @@ func TestSpinFastForwardEngages(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return iters, e.now, e.seq, e.spinFastForwards, e.spinBatchedIters
+		return iters, e.now, e.seq, e.stats.MemberCommits, e.stats.BatchedIters
 	}
 	slowIters, slowNow, slowSeq, _, _ := run(false)
 	fastIters, fastNow, fastSeq, ffwds, skipped := run(true)
@@ -606,7 +606,7 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 	if runErr := e.Run(); err == nil {
 		err = runErr
 	}
-	counts.sharedCommits, counts.batchedIters = e.spinSharedCommits, e.spinBatchedIters
+	counts.sharedCommits, counts.batchedIters = e.stats.SharedCommits, e.stats.BatchedIters
 	return spinFingerprint(&fp, m, err, accs), counts
 }
 
