@@ -100,6 +100,10 @@ type MutableLock struct {
 	// arrivals take the cold-start path.
 	estValid bool
 	pred     PredictionStats
+	// spin is the spin phase's spec: an atomior probe of the lock word
+	// and the fixed spin pause. Lock copies it per phase to set
+	// MaxIters, so the phase allocates nothing.
+	spin sim.SpinSpec
 }
 
 // NewMutableLock allocates a mutable (predictive spin-vs-sleep) lock on
@@ -119,6 +123,13 @@ func NewMutableLock(sys *cthreads.System, node int, name string, costs Costs) *M
 		Inner: holdEstimatePolicy{l},
 	})
 	wireObservability(sys, l.obj, name)
+	l.spin = sim.SpinSpec{
+		ProbeCell:   l.flag,
+		ProbeAtomic: true,
+		Probe:       l.tasProbe,
+		PauseCost:   l.spinPause,
+		Label:       l.frameSpin,
+	}
 	return l
 }
 
@@ -254,14 +265,8 @@ func (l *MutableLock) Lock(t *cthreads.Thread) {
 			maxIters = 0
 		}
 		if maxIters > 0 {
-			spec := sim.SpinSpec{
-				ProbeCell:   l.flag,
-				ProbeAtomic: true,
-				Probe:       l.tasProbe,
-				PauseCost:   l.spinPause,
-				MaxIters:    maxIters,
-				Label:       l.frameSpin,
-			}
+			spec := l.spin
+			spec.MaxIters = maxIters
 			l.spinners++
 			iters, ok := t.SpinUntil(&spec)
 			l.spinners--

@@ -53,6 +53,11 @@ type ReconfigurableLock struct {
 	// frameAdapt attributes the inline monitor-sample/adaptation work
 	// performed in Unlock ("adapt:name").
 	frameAdapt string
+	// spin is the spin phase's spec under a policy with no delay-time:
+	// an atomior probe of the lock word and the fixed spin pause. Lock
+	// copies it per phase to set MaxIters, so the phase allocates
+	// nothing.
+	spin sim.SpinSpec
 }
 
 // NewReconfigurableLock allocates a reconfigurable lock on the given node
@@ -70,6 +75,13 @@ func NewReconfigurableLock(sys *cthreads.System, node int, name string, costs Co
 	l.obj.Attrs.Define(AttrTimeout, 0, true)
 	l.obj.Methods.Define(MethodScheduler, 3, SchedFCFS, SchedPriority, SchedHandoff)
 	wireObservability(sys, l.obj, name)
+	l.spin = sim.SpinSpec{
+		ProbeCell:   l.flag,
+		ProbeAtomic: true,
+		Probe:       l.tasProbe,
+		PauseCost:   l.spinPause,
+		Label:       l.frameSpin,
+	}
 	return l
 }
 
@@ -121,37 +133,25 @@ func (l *ReconfigurableLock) Lock(t *cthreads.Thread) {
 	contended := false
 	l.spinners++
 	for {
-		// The spin phase as a spec: an atomior probe of the lock word,
-		// spin-time futile iterations (unbounded under a pure-spin
-		// policy), each pausing for the fixed spin pause plus the
-		// per-waiter backoff when delay-time is set. The pause closure
-		// reads the policy variables of this Lock call, so a policy
-		// re-read after a sleep takes effect on the next phase exactly as
-		// the open-coded loop's would.
-		maxIters := sim.SpinUnbounded
+		// The spin phase: spin-time futile iterations of l.spin
+		// (unbounded under a pure-spin policy). With delay-time set, each
+		// pause adds the per-waiter backoff; that pause reads waiting(),
+		// which other threads' Lock and Unlock change without touching
+		// the word, so the spec is volatile. Its closure reads this Lock
+		// call's policy variables, so a policy re-read after a sleep
+		// takes effect on the next phase exactly as the open-coded
+		// loop's would.
+		spec := l.spin
+		spec.MaxIters = sim.SpinUnbounded
 		if sleep != 0 {
-			maxIters = spin
-			if maxIters < 0 {
-				maxIters = 0
-			}
+			spec.MaxIters = max(spin, 0)
 		}
-		spec := sim.SpinSpec{
-			ProbeCell:   l.flag,
-			ProbeAtomic: true,
-			Probe:       l.tasProbe,
-			PauseCost: func() sim.Time {
-				pause := l.sys.Machine().InstrCost(l.costs.SpinPauseSteps)
-				if delay > 0 {
-					waiting := l.waiting()
-					if waiting < 1 {
-						waiting = 1
-					}
-					pause += sim.Time(delay) * sim.Time(waiting)
-				}
-				return pause
-			},
-			MaxIters: maxIters,
-			Label:    l.frameSpin,
+		if delay > 0 {
+			unit := sim.Time(delay)
+			spec.Volatile = true
+			spec.PauseCost = func() sim.Time {
+				return l.spinPause() + unit*sim.Time(max(l.waiting(), 1))
+			}
 		}
 		iters, ok := t.SpinUntil(&spec)
 		l.stats.SpinIters += uint64(iters)

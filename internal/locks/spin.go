@@ -64,6 +64,8 @@ type BackoffSpinLock struct {
 	base
 	// spin covers the retest loop after the first backoff: an atomior
 	// probe, then a backoff pause proportional to the current spinners.
+	// The pause reads the spinner count, which another thread's Lock
+	// changes without touching the word, so the spec is volatile.
 	spin sim.SpinSpec
 }
 
@@ -75,6 +77,7 @@ func NewBackoffSpinLock(sys *cthreads.System, node int, name string, costs Costs
 		ProbeAtomic: true,
 		Probe:       l.tasProbe,
 		PauseCost:   l.backoffPause,
+		Volatile:    true,
 		MaxIters:    sim.SpinUnbounded,
 		Label:       l.frameSpin,
 	}

@@ -150,15 +150,17 @@ type Engine struct {
 	queue eventQueue
 	// lane holds the continuations of spin-epoch members in a heap of
 	// their own, whose storage is allocated at the first member (see
-	// Engine.fastForwardSpin); members is the commits' scratch space. The
+	// Engine.fastForwardSpin); members and advancing are the commits' scratch space. The
 	// next event is the smaller of the two heads; every reader of the
 	// queue head looks at both.
-	lane    eventQueue
-	members []epochMember
-	// epoch counts harmful occurrences (see endSpinEpoch): a spin
-	// iteration is clean when epoch did not move between its probe
-	// reservation and its end.
-	epoch uint64
+	lane      eventQueue
+	members   []epochMember
+	advancing []*epochMember
+	// The engine-wide spin harm counters (see Engine.harm): runs counts
+	// Run/RunFor/runWindow starts, which harm every spinner; occurrences
+	// counts coroutine dispatches, callbacks and slice boundaries, which
+	// harm only volatile spinners.
+	runs, occurrences uint64
 
 	// live tracks spawned coros that have not finished, for shutdown and
 	// deadlock detection.
@@ -317,8 +319,8 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 // otherwise the scheduled callback. A coro suspended inside a spin
 // emulation (Coro.SpinUntil) is not resumed — the event advances its
 // state machine engine-side instead, and the body resumes only when
-// the whole busy-wait loop completes. A dispatch and a callback are
-// harmful occurrences (endSpinEpoch); a spin charge is not. lane
+// the whole busy-wait loop completes. A dispatch and a callback harm
+// volatile spinners (Engine.harm); a spin charge harms no one. lane
 // reports that ev came from the spin lane: a member whose loop ends there
 // has reached its MaxIters.
 func (e *Engine) fire(ev *event, lane bool) {
@@ -336,7 +338,7 @@ func (e *Engine) fire(ev *event, lane bool) {
 		e.dispatch(c)
 		return
 	}
-	e.endSpinEpoch()
+	e.occurrences++
 	ev.fn()
 }
 
@@ -413,7 +415,7 @@ func (e *Engine) runEvents(caller string, last Time, epilogue func() error) erro
 	}()
 
 	// Anything may have changed simulated state since the last run.
-	e.endSpinEpoch()
+	e.runs++
 	var ev event // one event reused by every pop: no by-value copies
 	for !e.stopped && e.failure == nil {
 		q := &e.queue
@@ -549,7 +551,7 @@ func (e *Engine) shutdown() {
 // invariants").
 func (e *Engine) dispatch(c *Coro) {
 	e.stats.Dispatches++
-	e.endSpinEpoch()
+	e.occurrences++
 	if e.attr != nil {
 		e.attr.CoroDispatched(e.now)
 	}

@@ -8,7 +8,7 @@ import (
 
 // This file implements batched busy-wait probes: the fast path that
 // simulates a spin loop's repeated futile iterations without a
-// coroutine switch per charge and — between two harmful occurrences, a
+// coroutine switch per charge and — until something harms a spinner, a
 // spin epoch — arithmetically, many iterations of every concurrent
 // spinner at once. The per-iteration slow path is preserved behind
 // Engine.SetBatchedSpins(false) and is byte-identical in every simulated
@@ -33,14 +33,19 @@ const SpinUnbounded int64 = -1
 // busy-wait contract:
 //
 //   - A futile Probe leaves simulated state unchanged (a test-and-set
-//     that finds the word held sets no new bits), so re-running it while
-//     only futile spin charges execute keeps failing with no side effect.
+//     that finds the word held writes back the value it read), so
+//     re-running it while nothing harms the spinner keeps failing with
+//     no side effect.
 //   - Probe performs at most the one memory reference described by
 //     ProbeCell/ProbeAtomic; it reads (and conditionally writes) state
 //     via Peek/Poke — the charge has already been applied.
 //   - Probe and PauseCost read no clock, busy time or module counter —
 //     the only state futile spin charges change — so PauseCost is
 //     constant while only futile spin charges run.
+//   - With ProbeCell set, Probe and PauseCost depend only on that cell's
+//     value (and on values fixed for the call), unless the spec is
+//     Volatile. The engine then keeps a spinner batched across every
+//     occurrence that leaves the cell's value alone.
 //
 // All of the package's locks satisfy the contract by construction; the
 // differential spin suites verify the equivalence end to end.
@@ -57,6 +62,12 @@ type SpinSpec struct {
 	Probe func() bool
 	// PauseCost is the busy-wait pause charged after each futile probe.
 	PauseCost func() Time
+	// Volatile declares that Probe or PauseCost reads state other than
+	// ProbeCell's value — a waiter count, a plain Go flag — which any
+	// coroutine dispatch, callback or slice boundary may change. A
+	// volatile loop's batched iterations end at every such occurrence.
+	// A spec with no ProbeCell is volatile whatever this says.
+	Volatile bool
 	// MaxIters bounds the futile iterations (pauses) before SpinUntil
 	// gives up; SpinUnbounded (negative) spins until Probe succeeds, 0
 	// probes once and gives up immediately.
@@ -153,14 +164,16 @@ type spinState struct {
 
 	probeBase Time // fixed access cost of one probe (0 when no cell)
 	probeX    Time // atomic surcharge passed to reserveAccess
+	volatile  bool // spec.Volatile, or no probe cell
 
 	// Steady-state detection for spin epochs: an iteration is clean when
-	// no harmful occurrence (Engine.epoch moving) intervened from its
-	// probe reservation through its pause; steady means the last two
+	// nothing harmed the spinner (Engine.harm) from its probe
+	// reservation through its pause; steady means the last two
 	// iterations were clean with equal (module delay, pause), which by
 	// the busy-wait contract fixes every further iteration until the
-	// next harmful occurrence (see Engine.fastForwardSpin).
-	epoch                uint64 // Engine.epoch at this iteration's probe reservation
+	// spinner is harmed (see Engine.fastForwardSpin).
+	seenRuns, seenOcc    uint64 // the engine's harm counters at this iteration's probe reservation
+	seenVal              uint64 // the probe cell's value at the last probe evaluation
 	resvAt               Time   // when this iteration's probe reserved its module
 	haveLast             bool   // the last iteration was clean
 	steady               bool
@@ -189,7 +202,7 @@ func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool)
 	if e.noBatch || e.tracer != nil {
 		return c.spinSlow(ctx, spec)
 	}
-	s := spinState{c: c, ctx: ctx, spec: *spec, pc: spinProbeStart}
+	s := spinState{c: c, ctx: ctx, spec: *spec, pc: spinProbeStart, volatile: spec.Volatile || spec.ProbeCell == nil}
 	if cell := spec.ProbeCell; cell != nil {
 		if spec.ProbeAtomic {
 			s.probeX = cell.m.cfg.AtomicExtra
@@ -256,7 +269,7 @@ func (e *Engine) runSpin(s *spinState) bool {
 	for {
 		switch s.pc {
 		case spinProbeStart:
-			s.epoch, s.resvAt = e.epoch, e.now
+			s.seenRuns, s.seenOcc, s.resvAt = e.runs, e.occurrences, e.now
 			if cell := s.spec.ProbeCell; cell != nil {
 				cost, delay := cell.m.reserveAccess(s.ctx.Node(), cell.node, s.probeX)
 				s.curDelay = delay
@@ -285,7 +298,7 @@ func (e *Engine) runSpin(s *spinState) bool {
 			s.wait = spinWaitNone
 			s.pc = spinAfterBoundary
 			if s.boundary {
-				e.endSpinEpoch()
+				e.occurrences++
 				if s.ctx.SpinBoundary() {
 					// Preempted mid-charge: the processor's next dispatch
 					// of this context resumes the emulation via Unpark.
@@ -308,6 +321,9 @@ func (e *Engine) runSpin(s *spinState) bool {
 			}
 
 		case spinProbeEval:
+			if cell := s.spec.ProbeCell; cell != nil {
+				s.seenVal = cell.v
+			}
 			if s.spec.Probe() {
 				s.ok = true
 				return true
@@ -327,7 +343,7 @@ func (e *Engine) runSpin(s *spinState) bool {
 			s.pc = spinAccrue
 
 		case spinIterEnd:
-			clean := s.epoch == e.epoch
+			clean := e.harm(s) == harmNone
 			s.steady = clean && s.haveLast && s.lastDelay == s.curDelay && s.lastPause == s.curPause
 			s.haveLast = clean
 			s.lastDelay, s.lastPause = s.curDelay, s.curPause
@@ -339,32 +355,46 @@ func (e *Engine) runSpin(s *spinState) bool {
 	}
 }
 
-// endSpinEpoch records a harmful occurrence — a coro dispatch, a
-// callback (including a delivered cross-shard message), a slice
-// boundary, or the start of a run, after which anything may have
-// changed — and ends the current spin epoch: the epoch counter moves,
-// so every iteration in flight is unclean, and the lane's continuations
-// move into the main heap with their keys unchanged, where they fire
-// one charge at a time until their spinners prove steady again. A probe
-// that succeeds and a MaxIters exhaustion end the epoch through the
-// dispatch that resumes the spinner's body. With an empty lane this is
-// one increment and one check.
-func (e *Engine) endSpinEpoch() {
-	e.epoch++
-	if len(e.lane.a) > 0 {
-		e.flushLane()
+// harmCause names what, if anything, has harmed a spinner: changed what
+// its next probe would see or what its next iteration would cost.
+type harmCause uint8
+
+const (
+	harmNone     harmCause = iota
+	harmCell               // its probe cell holds another value than its last probe saw
+	harmModule             // someone else reserved its module
+	harmVolatile           // a run start; for a volatile spec, any dispatch, callback or boundary
+)
+
+// harm reports what has harmed s since its current iteration's probe
+// reservation, harmNone when nothing has (module reservations aside,
+// which moduleSteady checks). The engine-wide counters s read at the
+// reservation only grow, so one that moved records an occurrence in
+// between. The probe cell is compared by value: by the busy-wait
+// contract a persistent spec's probe and pause depend only on it, so a
+// write that leaves the value the last probe saw — a futile
+// test-and-set's write-back, or a release and re-acquisition between two
+// probes — changes nothing the spinner can see.
+func (e *Engine) harm(s *spinState) harmCause {
+	switch {
+	case s.seenRuns != e.runs || s.volatile && s.seenOcc != e.occurrences:
+		return harmVolatile
+	case s.spec.ProbeCell != nil && s.spec.ProbeCell.v != s.seenVal:
+		return harmCell
 	}
+	return harmNone
 }
 
-// flushLane moves every lane continuation into the main heap.
-func (e *Engine) flushLane() {
-	e.stats.EvictVolatile += uint64(len(e.lane.a))
-	for i := range e.lane.a {
-		ev := &e.lane.a[i]
-		e.queue.push(ev.when, ev.at, ev.seq, nil, ev.coro)
-		ev.coro = nil
+// evictCause reports why lane member s must leave the lane for the
+// main heap, harmNone when it may stay.
+func (e *Engine) evictCause(s *spinState) harmCause {
+	if h := e.harm(s); h != harmNone {
+		return h
 	}
-	e.lane.a = e.lane.a[:0]
+	if !moduleSteady(s) {
+		return harmModule
+	}
+	return harmNone
 }
 
 // spinQueue picks the queue s's next continuation waits in: the spin
@@ -387,7 +417,7 @@ func (e *Engine) isEpochMember(s *spinState) bool {
 	if e.noInline || e.tracer != nil || e.stopped {
 		return false
 	}
-	if !s.steady || s.boundary || s.epoch != e.epoch || s.curDelay != s.lastDelay ||
+	if !s.steady || s.boundary || e.harm(s) != harmNone || s.curDelay != s.lastDelay ||
 		!s.inProbe && s.curPause != s.lastPause || s.lastPause <= 0 ||
 		s.probeBase+s.lastDelay+s.lastPause > maxSpinWindow {
 		return false
@@ -572,7 +602,7 @@ func popBefore(x *epochMember, a int64, y *epochMember, b int64) bool {
 // compareFinal orders committed members' continuations by the key the
 // per-charge engine would have given them: (when, at), then the order of
 // the pops that scheduled them.
-func compareFinal(x, y epochMember) int {
+func compareFinal(x, y *epochMember) int {
 	switch {
 	case x.c == y.c:
 		return 0
@@ -580,43 +610,45 @@ func compareFinal(x, y epochMember) int {
 		return cmp.Compare(x.fw, y.fw)
 	case x.fa != y.fa:
 		return cmp.Compare(x.fa, y.fa)
-	case popBefore(&x, x.n-1, &y, y.n-1):
+	case popBefore(x, x.n-1, y, y.n-1):
 		return -1
 	}
 	return 1
 }
 
-// fastForwardSpin commits one spin epoch: it advances every spin-epoch
-// member — the lane's, plus run, the spinner whose iteration just ended
-// in a steady state (nil when the engine loop commits) — together, in
-// closed form, up to the next harmful occurrence. It reports whether it
-// changed the queues: advanced anything, or moved a member to the heap.
+// fastForwardSpin commits one spin epoch: it advances the spin-epoch
+// members due by the horizon — the lane's, plus run, the spinner whose
+// iteration just ended in a steady state (nil when the engine loop
+// commits) — together, in closed form, up to the next event that might
+// harm one of them. It reports whether it changed the queues: advanced
+// anything, or moved a member to the heap.
 //
-// Legality. Between two harmful occurrences (endSpinEpoch) only futile
-// spin charges fire, and they change nothing but the clock and seq,
-// busy/slice accrual, and module counters. By the busy-wait contract
-// each member's probe therefore stays futile and its (delay, pause)
-// fixed, so its charges complete at the fixed offsets epochMember.pop
-// describes. The commit takes every member pop at or before the horizon
-// H, the earliest of
+// Legality. A lane member stays until something harms it (Engine.harm,
+// moduleSteady); the gather below evicts the harmed ones. Until then
+// nothing the member reads changes: by the busy-wait contract its probe
+// stays futile and its (delay, pause) fixed, so its charges complete at
+// the fixed offsets epochMember.pop describes. The commit takes every
+// member pop at or before the horizon H, the earliest of
 //
 //   - the next non-member event, strictly — at that instant the event
-//     may fire first and change the probed state;
+//     may fire first and harm a member;
 //   - the RunFor/window limit, inclusive;
 //   - each member's own harmful pop (its slice boundary or MaxIters
 //     exhaustion), strictly;
 //
-// and does O(members) work: per member its iterations, one bulk
-// SpinAccrue (which leaves the slice and the boundary flag as the
-// per-charge calls would, a truncated last step included), its module's
-// accesses, queue delay and reservation, and one
-// Attribution.SpinFastForward. seq advances by exactly the number of
-// pops (each schedules one charge), and now moves to the last pop. Each
-// member's re-queued continuation gets its exact (when, at); its seq
-// lies in (seq₀, seq₀ + pops], assigned in compareFinal order, so it
-// orders after every event already queued, before every event scheduled
-// later, and among the members exactly as the per-charge engine would
-// order it — the event seq is read only by event.less.
+// and does O(k log lane) work for the k members with a pop by H: per
+// member its iterations, one bulk SpinAccrue (which leaves the slice and
+// the boundary flag as the per-charge calls would, a truncated last step
+// included), its module's accesses, queue delay and reservation, and one
+// Attribution.SpinFastForward. A member whose pending pop lies past H
+// cannot lower H (its own harmful pop is no earlier) and keeps its lane
+// slot untouched. seq advances by exactly the number of pops (each
+// schedules one charge), and now moves to the last pop. Each member's
+// re-queued continuation gets its exact (when, at); its seq lies in
+// (seq₀, seq₀ + pops], assigned in compareFinal order, so it orders
+// after every event already queued, before every event scheduled later,
+// and among the members exactly as the per-charge engine would order it
+// — the event seq is read only by event.less.
 //
 // When run advanced, it is left either inline — the clock at its next
 // completion and run.pc at spinAfterSleep — or suspended with its
@@ -643,50 +675,32 @@ func (e *Engine) fastForwardSpin(run *spinState) bool {
 		return false
 	}
 
-	// Gather the members. A lane member whose module someone else has
-	// reserved since it joined leaves for the main heap, where it bounds
-	// the horizon like any other event.
+	// Gather the members due by the horizon, the lane's in the order of
+	// their pending pops; each one's own harmful pop may lower it. A lane
+	// member something has harmed since it joined leaves for the main
+	// heap, where it fires one charge at a time and bounds the horizon
+	// like any other event.
 	ms := e.members[:0]
-	rebuild := false
-	for i := range e.lane.a {
-		ev := &e.lane.a[i]
-		if !moduleSteady(ev.coro.spin) {
-			e.stats.EvictModule++
+	evicted := false
+	if run != nil {
+		ms = append(ms, epochMember{c: run.c, run: true, w: e.now, at: -1})
+		bounded = ms[0].place(run, &h) || bounded
+	}
+	var ev event
+	for e.lane.len() > 0 && e.lane.a[0].when <= h {
+		e.lane.pop(&ev)
+		s := ev.coro.spin
+		if cause := e.evictCause(s); cause != harmNone {
+			e.countEviction(cause)
 			e.queue.push(ev.when, ev.at, ev.seq, nil, ev.coro)
-			rebuild = true
+			evicted = true
+			h, bounded = ev.when-1, true
 			continue
 		}
 		ms = append(ms, epochMember{c: ev.coro, w: ev.when, at: ev.at, seq: ev.seq})
+		bounded = ms[len(ms)-1].place(s, &h) || bounded
 	}
-	if run != nil {
-		ms = append(ms, epochMember{c: run.c, run: true, w: e.now, at: -1})
-	}
-	if rebuild && e.queue.a[0].when-1 < h {
-		h, bounded = e.queue.a[0].when-1, true
-	}
-	for i := range ms {
-		m := &ms[i]
-		s := m.state(run)
-		lp, p := s.probeBase+s.lastDelay, s.lastPause
-		switch {
-		case s.spec.ProbeCell == nil:
-			m.g1, m.per, m.evalParity = p, 2*p, -1
-		case m.run || !s.inProbe:
-			m.g1, m.per, m.evalParity = lp, lp+p, 1
-		default:
-			m.g1, m.per, m.evalParity = p, lp+p, 0
-		}
-		left := int64(-1)
-		if max := s.spec.MaxIters; max >= 0 {
-			left = max - s.iters
-		}
-		if end := m.harmAt(s.ctx.SpinBudget(), left); end != MaxTime {
-			if end-1 < h {
-				h = end - 1
-			}
-			bounded = true
-		}
-	}
+	ev.coro = nil
 	if !bounded {
 		// Nothing bounds the epoch: the per-charge loop would spin
 		// forever, so must we (one charge at a time, keeping the hang
@@ -698,26 +712,21 @@ func (e *Engine) fastForwardSpin(run *spinState) bool {
 
 	// Count each member's pops and apply them.
 	var pops int64
-	adv := 0
+	adv := e.advancing[:0]
 	for i := range ms {
 		m := &ms[i]
 		if m.n = m.popsBy(h); m.n > 0 {
 			pops += m.n
-			ms[adv], ms[i] = ms[i], ms[adv]
-			adv++
+			adv = append(adv, m)
 		}
 	}
-	if adv == 0 {
-		if rebuild {
-			e.refillLane(ms)
-		}
-		clear(ms)
-		e.members = ms[:0]
-		return rebuild
+	if len(adv) == 0 {
+		e.requeue(ms)
+		e.members, e.advancing = ms[:0], adv
+		return evicted
 	}
 	last := e.now
-	for i := 0; i < adv; i++ {
-		m := &ms[i]
+	for _, m := range adv {
 		s := m.state(run)
 		m.fa = m.pop(m.n - 1)
 		total := m.pop(m.n) - m.w
@@ -759,23 +768,23 @@ func (e *Engine) fastForwardSpin(run *spinState) bool {
 	seq0 := e.seq
 	e.seq += uint64(pops)
 	e.now = last
-	if adv > 1 {
+	if len(adv) > 1 {
 		e.stats.SharedCommits++
-		slices.SortFunc(ms[:adv], compareFinal)
+		slices.SortFunc(adv, compareFinal)
 	}
 	var rm epochMember
-	for i := 0; i < adv; i++ {
-		ms[i].fseq = seq0 + uint64(pops-int64(adv)+int64(i)+1)
-		if ms[i].run {
-			rm = ms[i]
+	for i, m := range adv {
+		m.fseq = seq0 + uint64(pops-int64(len(adv))+int64(i)+1)
+		if m.run {
+			rm = *m
 		}
 		if e.attr != nil {
-			e.attr.SpinFastForward(last, ms[i].evals(ms[i].n))
+			e.attr.SpinFastForward(last, m.evals(m.n))
 		}
 	}
-	e.refillLane(ms)
-	clear(ms)
-	e.members = ms[:0]
+	// The lane is whole again before run's continuation is placed, so
+	// run cannot advance inline past a member's pending charge.
+	e.requeue(ms)
 	if run != nil {
 		// run is always among the advanced: its pop 0 is at now ≤ h.
 		if e.canInline(rm.fw) {
@@ -784,33 +793,74 @@ func (e *Engine) fastForwardSpin(run *spinState) bool {
 		} else {
 			q := &e.lane
 			if run.boundary {
+				e.stats.EvictOwn++
 				q = &e.queue
 			}
 			q.push(rm.fw, rm.fa, rm.fseq, nil, run.c)
 		}
 	}
+	clear(adv)
+	e.members, e.advancing = ms[:0], adv[:0]
 	return true
 }
 
-// refillLane rebuilds the lane from a commit's members, the running
-// spinner excepted: each keeps its pending key or takes its committed
-// continuation's, and one left on a slice boundary waits in the main
-// heap instead, where it bounds the next horizon.
-func (e *Engine) refillLane(ms []epochMember) {
-	q := &e.lane
-	clear(q.a)
-	q.a = q.a[:0]
+// requeue returns a commit's gathered members, the running spinner
+// excepted, to the queues: each keeps its pending key or takes its
+// committed continuation's, and one left on a slice boundary waits in
+// the main heap instead, where it bounds the next horizon. It leaves ms
+// cleared for reuse.
+func (e *Engine) requeue(ms []epochMember) {
 	for i := range ms {
 		m := &ms[i]
 		switch {
 		case m.run:
 		case m.n == 0:
-			q.push(m.w, m.at, m.seq, nil, m.c)
+			e.lane.push(m.w, m.at, m.seq, nil, m.c)
 		case m.c.spin.boundary:
 			e.stats.EvictOwn++
 			e.queue.push(m.fw, m.fa, m.fseq, nil, m.c)
 		default:
-			q.push(m.fw, m.fa, m.fseq, nil, m.c)
+			e.lane.push(m.fw, m.fa, m.fseq, nil, m.c)
 		}
+	}
+	clear(ms)
+}
+
+// place fixes the member's pop geometry from its spin state s and lowers
+// *h to just before its own harmful pop, if it has one by then. It
+// reports whether the member has a harmful pop at all.
+func (m *epochMember) place(s *spinState, h *Time) bool {
+	lp, p := s.probeBase+s.lastDelay, s.lastPause
+	switch {
+	case s.spec.ProbeCell == nil:
+		m.g1, m.per, m.evalParity = p, 2*p, -1
+	case m.run || !s.inProbe:
+		m.g1, m.per, m.evalParity = lp, lp+p, 1
+	default:
+		m.g1, m.per, m.evalParity = p, lp+p, 0
+	}
+	left := int64(-1)
+	if max := s.spec.MaxIters; max >= 0 {
+		left = max - s.iters
+	}
+	end := m.harmAt(s.ctx.SpinBudget(), left)
+	if end == MaxTime {
+		return false
+	}
+	if end-1 < *h {
+		*h = end - 1
+	}
+	return true
+}
+
+// countEviction counts one member leaving the lane for cause.
+func (e *Engine) countEviction(cause harmCause) {
+	switch cause {
+	case harmCell:
+		e.stats.EvictCell++
+	case harmModule:
+		e.stats.EvictModule++
+	default:
+		e.stats.EvictVolatile++
 	}
 }

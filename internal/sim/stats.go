@@ -29,10 +29,11 @@ type Stats struct {
 	BatchedIters  uint64
 	SharedCommits uint64
 	// Evictions count the members that left the spin lane, by cause: a
-	// value change of the probe cell, someone else reserving the probed
-	// module, the member's own slice boundary or MaxIters, and a harm to
-	// every spinner or to every volatile one (a run start, or a dispatch,
-	// callback or boundary under a volatile spec).
+	// probe cell holding another value than the member's last probe saw,
+	// someone else reserving the probed module, the member's own slice
+	// boundary or MaxIters, and a harm to every spinner or to every
+	// volatile one (a run start, or a dispatch, callback or boundary
+	// under a volatile spec).
 	EvictCell     uint64
 	EvictModule   uint64
 	EvictOwn      uint64
