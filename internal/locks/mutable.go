@@ -104,6 +104,10 @@ type MutableLock struct {
 	// and the fixed spin pause. Lock copies it per phase to set
 	// MaxIters, so the phase allocates nothing.
 	spin sim.SpinSpec
+	// decision is holdEstimatePolicy's reply: the feedback loop applies
+	// a policy's decisions before it samples again, so one reused slot
+	// keeps the release path allocation-free.
+	decision [1]core.Decision
 }
 
 // NewMutableLock allocates a mutable (predictive spin-vs-sleep) lock on
@@ -144,7 +148,8 @@ func (p holdEstimatePolicy) React(s core.Sample, o *core.Object) []core.Decision
 	if o.Attrs.MustGet(AttrHoldEstimate) == s.Value {
 		return nil
 	}
-	return []core.Decision{{Attr: AttrHoldEstimate, Value: s.Value}}
+	p.l.decision[0] = core.Decision{Attr: AttrHoldEstimate, Value: s.Value}
+	return p.l.decision[:]
 }
 
 // Object exposes the underlying adaptive object (the estimate attribute,

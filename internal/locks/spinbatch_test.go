@@ -243,3 +243,67 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 		}
 	}
 }
+
+// TestSpinPhaseAllocFree pins the spin phases of ReconfigurableLock and
+// MutableLock allocation-free: each builds its spin spec once and copies
+// it per phase, so a contended Lock/Unlock cycle — a holder on another
+// processor keeps the word busy, so every Lock spins — allocates
+// nothing once the run is warm.
+func TestSpinPhaseAllocFree(t *testing.T) {
+	builders := []struct {
+		name  string
+		build func(sys *cthreads.System) Lock
+		hold  sim.Time // the holder's hold time
+	}{
+		{"reconfigurable", func(sys *cthreads.System) Lock {
+			return NewReconfigurableLock(sys, 0, "r", DefaultCosts(), 1<<30)
+		}, 20 * sim.Microsecond},
+		// Short holds: the predictive lock spins only when the predicted
+		// wait is below the cost of blocking.
+		{"mutable", func(sys *cthreads.System) Lock {
+			return NewMutableLock(sys, 0, "m", DefaultCosts())
+		}, 300},
+	}
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			sys := testSys(2)
+			l, hold := b.build(sys), b.hold
+			done := false
+			sys.Fork(1, "holder", func(th *cthreads.Thread) {
+				for !done {
+					l.Lock(th)
+					th.Advance(hold)
+					l.Unlock(th)
+					th.Advance(50)
+				}
+			})
+			var allocs float64
+			var spins, blocks uint64
+			sys.Fork(0, "spinner", func(th *cthreads.Thread) {
+				cycle := func() {
+					l.Lock(th)
+					th.Advance(sim.Microsecond)
+					l.Unlock(th)
+					th.Advance(5 * sim.Microsecond)
+				}
+				for i := 0; i < 50; i++ {
+					cycle()
+				}
+				before := l.Stats()
+				allocs = testing.AllocsPerRun(100, cycle)
+				after := l.Stats()
+				spins, blocks = after.SpinIters-before.SpinIters, after.Blocks-before.Blocks
+				done = true
+			})
+			if err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if spins == 0 || blocks > 0 {
+				t.Fatalf("%d spin iterations, %d blocks: the measured cycles must spin and never block", spins, blocks)
+			}
+			if allocs != 0 {
+				t.Errorf("contended Lock/Unlock allocated %.1f times per cycle, want 0", allocs)
+			}
+		})
+	}
+}
