@@ -68,6 +68,7 @@ func reportMech(b *testing.B, s sim.Stats) {
 		{"batched-iters", s.BatchedIters}, {"shared-commits", s.SharedCommits},
 		{"evict-cell", s.EvictCell}, {"evict-module", s.EvictModule},
 		{"evict-own", s.EvictOwn}, {"evict-volatile", s.EvictVolatile},
+		{"lane-survivals", s.LaneSurvivals},
 	} {
 		b.ReportMetric(float64(m.v)/float64(b.N), "mech-"+m.name)
 	}

@@ -187,8 +187,9 @@ func TestLocalSpinLockReleasesQnodes(t *testing.T) {
 // three threads per processor, spinners wait out whole quanta behind
 // descheduled holders: the long, many-spinner epochs spin epochs commit.
 // The fingerprint is the elapsed time, the lock, cohort and scheduler
-// statistics, each thread's busy time and each module's traffic.
-func runFigure1Cell(t *testing.T, build func(sys *cthreads.System) Lock, cs sim.Time, mode simtest.Mode) string {
+// statistics, each thread's busy time and each module's traffic; the
+// engine's mechanism counters come back beside it.
+func runFigure1Cell(t *testing.T, build func(sys *cthreads.System) Lock, cs sim.Time, mode simtest.Mode) (string, sim.Stats) {
 	t.Helper()
 	sys := cthreads.New(sim.Config{Nodes: 8, Quantum: sim.Millisecond, Seed: 3})
 	mode.Set(sys.Engine())
@@ -214,14 +215,16 @@ func runFigure1Cell(t *testing.T, build func(sys *cthreads.System) Lock, cs sim.
 	if c, ok := l.(*CohortLock); ok {
 		fmt.Fprintf(&fp, "cohort %+v\n", c.Cohort())
 	}
-	return threadsAndModules(&fp, sys)
+	return threadsAndModules(&fp, sys), sys.Engine().Stats()
 }
 
 // TestSpinEpochFigure1Differential runs Figure 1's spin-heavy strategies
-// (pure spin, cohort, combined-50) at a short and a long critical
-// section in every engine mode: elapsed time, lock and cohort
-// statistics, scheduler statistics, per-thread busy time and module
-// traffic must be identical to the oracle's.
+// (pure spin, cohort, combined-50) and the backoff lock, whose volatile
+// pause reads the spinner count, and the MCS lock, whose link wait has
+// no probe cell, at a short and a long critical section in every engine
+// mode: elapsed time, lock and cohort statistics, scheduler statistics,
+// per-thread busy time and module traffic must be identical to the
+// oracle's.
 func TestSpinEpochFigure1Differential(t *testing.T) {
 	strategies := []struct {
 		name  string
@@ -232,15 +235,40 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 		{"combined-50", func(sys *cthreads.System) Lock {
 			return NewReconfigurableLock(sys, 0, "combined50", DefaultCosts(), 50)
 		}},
+		{"backoff", func(sys *cthreads.System) Lock { return NewBackoffSpinLock(sys, 0, "backoff", DefaultCosts()) }},
+		{"mcs", func(sys *cthreads.System) Lock { return NewLocalSpinLock(sys, 0, "mcs", DefaultCosts()) }},
 	}
 	for _, s := range strategies {
 		for _, cs := range []sim.Time{50 * sim.Microsecond, 500 * sim.Microsecond} {
 			t.Run(fmt.Sprintf("%s/cs=%v", s.name, cs), func(t *testing.T) {
 				simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
-					return runFigure1Cell(t, s.build, cs, m)
+					fp, _ := runFigure1Cell(t, s.build, cs, m)
+					return fp
 				})
 			})
 		}
+	}
+}
+
+// TestSpinEpochFigure1Engages proves that spin-epoch members outlive the
+// dispatches that leave their probe cells alone, so the local-harm path
+// that TestSpinEpochFigure1Differential checks is not vacuous: in a
+// Figure 1 cohort cell, members must be present at many dispatches and
+// callbacks, no persistent spec may be evicted as volatile, and the
+// commits must take most of the spinning in closed form.
+func TestSpinEpochFigure1Engages(t *testing.T) {
+	build := func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }
+	_, st := runFigure1Cell(t, build, 500*sim.Microsecond, simtest.Mode{Inline: true, Batched: true})
+	if st.LaneSurvivals < st.Dispatches {
+		t.Errorf("lane members survived %d dispatches and callbacks over %d dispatches: want at least one per dispatch",
+			st.LaneSurvivals, st.Dispatches)
+	}
+	if st.EvictVolatile != 0 {
+		t.Errorf("%d evictions of persistent cohort specs as volatile, want 0", st.EvictVolatile)
+	}
+	if st.BatchedIters < 10*st.SpinCharges {
+		t.Errorf("commits took %d iterations against %d charges fired one at a time: want at least 10 times as many",
+			st.BatchedIters, st.SpinCharges)
 	}
 }
 

@@ -339,6 +339,7 @@ func (e *Engine) fire(ev *event, lane bool) {
 		return
 	}
 	e.occurrences++
+	e.stats.LaneSurvivals += uint64(len(e.lane.a))
 	ev.fn()
 }
 
@@ -552,6 +553,7 @@ func (e *Engine) shutdown() {
 func (e *Engine) dispatch(c *Coro) {
 	e.stats.Dispatches++
 	e.occurrences++
+	e.stats.LaneSurvivals += uint64(len(e.lane.a))
 	if e.attr != nil {
 		e.attr.CoroDispatched(e.now)
 	}

@@ -174,6 +174,7 @@ type spinState struct {
 	// spinner is harmed (see Engine.fastForwardSpin).
 	seenRuns, seenOcc    uint64 // the engine's harm counters at this iteration's probe reservation
 	seenVal              uint64 // the probe cell's value at the last probe evaluation
+	descheduled          bool   // preempted under module contention since the reservation
 	resvAt               Time   // when this iteration's probe reserved its module
 	haveLast             bool   // the last iteration was clean
 	steady               bool
@@ -269,7 +270,7 @@ func (e *Engine) runSpin(s *spinState) bool {
 	for {
 		switch s.pc {
 		case spinProbeStart:
-			s.seenRuns, s.seenOcc, s.resvAt = e.runs, e.occurrences, e.now
+			s.seenRuns, s.seenOcc, s.descheduled, s.resvAt = e.runs, e.occurrences, false, e.now
 			if cell := s.spec.ProbeCell; cell != nil {
 				cost, delay := cell.m.reserveAccess(s.ctx.Node(), cell.node, s.probeX)
 				s.curDelay = delay
@@ -302,6 +303,11 @@ func (e *Engine) runSpin(s *spinState) bool {
 				if s.ctx.SpinBoundary() {
 					// Preempted mid-charge: the processor's next dispatch
 					// of this context resumes the emulation via Unpark.
+					// Under module contention the gap breaks the timing
+					// the module recurrence's fixed point depends on.
+					if cell := s.spec.ProbeCell; cell != nil && cell.m.cfg.ModuleService > 0 {
+						s.descheduled = true
+					}
 					s.wait = spinWaitDispatch
 					s.c.parked = true
 					return false
@@ -362,7 +368,7 @@ type harmCause uint8
 const (
 	harmNone     harmCause = iota
 	harmCell               // its probe cell holds another value than its last probe saw
-	harmModule             // someone else reserved its module
+	harmModule             // someone else reserved its module, or a preemption broke its timing
 	harmVolatile           // a run start; for a volatile spec, any dispatch, callback or boundary
 )
 
@@ -377,6 +383,8 @@ const (
 // probes — changes nothing the spinner can see.
 func (e *Engine) harm(s *spinState) harmCause {
 	switch {
+	case s.descheduled:
+		return harmModule
 	case s.seenRuns != e.runs || s.volatile && s.seenOcc != e.occurrences:
 		return harmVolatile
 	case s.spec.ProbeCell != nil && s.spec.ProbeCell.v != s.seenVal:

@@ -503,6 +503,13 @@ type epochParams struct {
 	quantum  Time // spinners' slice budget; 0 = none
 	gap      Time // descheduled time at a slice boundary; 0 = absorbed in place
 	deadline Time // RunFor split point; 0 = one plain Run
+
+	// Local-harm shapes: occurrences that leave most spinners' cells
+	// alone.
+	busy     bool // non-spinners on other nodes that dispatch often and touch no probe cell
+	writer   bool // a coro that writes c0 with its own value, then with new held values and back
+	volatile bool // spinner 1's pause reads a Go variable that a non-spinner changes
+	late     bool // cells other than c0 are freed only late: a long stretch with one cell written
 }
 
 // runEpochWorkload drives many concurrent spinners through SpinUntil so
@@ -517,7 +524,11 @@ type epochParams struct {
 // commit must order them as the per-charge engine would; otherwise
 // pauses and distances differ. Every fourth spinner declares no probe
 // cell, so its iterations are a pause alone. A RunFor deadline, when
-// set, splits the run mid-epoch.
+// set, splits the run mid-epoch. The local-harm shapes add busy
+// non-spinners and callbacks that touch no cell, a writer whose stores
+// to c0 alternate between its current value (no harm) and new held
+// values, a volatile spinner beside persistent ones, and a late release
+// of every cell but c0.
 func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, epochCounts) {
 	tb.Helper()
 	const nodes = 4
@@ -549,10 +560,67 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 	releaser.Start(0)
 	for j := 1; j < len(cells); j++ {
 		cell := cells[j]
-		e.At(Time(100+rng.Intn(1500))*Microsecond, func() {
+		at := Time(100+rng.Intn(1500)) * Microsecond
+		if p.late {
+			at += 3 * Millisecond
+		}
+		e.At(at, func() {
 			cell.Poke(0)
 			logf("callback freed %s", cell.Name())
 		})
+	}
+	if p.busy {
+		for b := 0; b < 3; b++ {
+			r := rng.Fork()
+			a := &spinAccessor{node: (b + 1) % nodes}
+			busy := e.Spawn(fmt.Sprintf("busy%d", b), func(c *Coro) {
+				a.c = c
+				for k := 0; k < 400; k++ {
+					a.Advance(Time(200+r.Intn(3000)) * Nanosecond)
+				}
+				logf("busy%d done", b)
+			})
+			busy.Start(Time(b) * Microsecond)
+			for k := 0; k < 40; k++ {
+				e.At(Time(10+r.Intn(2000))*Microsecond, func() {})
+			}
+		}
+	}
+	if p.writer {
+		r := rng.Fork()
+		a := &spinAccessor{node: 2}
+		w := e.Spawn("writer", func(c *Coro) {
+			a.c = c
+			c0 := cells[0]
+			for k := 0; k < 60; k++ {
+				a.Advance(Time(5+r.Intn(40)) * Microsecond)
+				switch k % 4 {
+				case 0:
+					c0.AtomicOr(a, 0) // rewrites the current value
+				case 1:
+					c0.CompareAndSwap(a, 1, 1) // rewrites a held word
+				case 2:
+					c0.CompareAndSwap(a, 1, 3) // a new value, still held
+				case 3:
+					c0.CompareAndSwap(a, 3, 1) // and back
+				}
+			}
+			logf("writer done c0=%d", c0.Peek())
+		})
+		w.Start(0)
+	}
+	var extra Time // read by the volatile spinner's pause
+	if p.volatile {
+		r := rng.Fork()
+		a := &spinAccessor{node: 3}
+		bump := e.Spawn("bumper", func(c *Coro) {
+			a.c = c
+			for k := 0; k < 50; k++ {
+				a.Advance(Time(10+r.Intn(60)) * Microsecond)
+				extra = Time(k%5) * 100 * Nanosecond
+			}
+		})
+		bump.Start(0)
 	}
 	accs := make([]*spinAccessor, p.spinners)
 	for i := range accs {
@@ -580,6 +648,10 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 				Probe: probe, PauseCost: func() Time { return pause },
 				MaxIters: maxIters,
 			}
+			if p.volatile && i == 1 {
+				spec.Volatile = true
+				spec.PauseCost = func() Time { return pause + extra }
+			}
 			if i%4 == 3 {
 				spec.ProbeCell = nil // probes uncharged state: one charge per iteration
 			}
@@ -606,14 +678,17 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 	if runErr := e.Run(); err == nil {
 		err = runErr
 	}
-	counts.sharedCommits, counts.batchedIters = e.stats.SharedCommits, e.stats.BatchedIters
+	counts.Stats = e.Stats()
 	return spinFingerprint(&fp, m, err, accs), counts
 }
 
-// epochCounts are an epoch workload's spin mechanism counters. They
+// epochCounts are an epoch workload's engine mechanism counters. They
 // depend on the engine mode, so the fingerprint leaves them out; iters
 // is the total the spinners' SpinUntil calls returned.
-type epochCounts struct{ sharedCommits, batchedIters, iters uint64 }
+type epochCounts struct {
+	Stats
+	iters uint64
+}
 
 // epochFuzzParams maps raw fuzz inputs onto a workload.
 func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits uint8, deadlineUnits uint16) epochParams {
@@ -628,6 +703,8 @@ func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits
 	if flags&2 != 0 {
 		p.cells = p.spinners // every spinner on a private cell
 	}
+	p.busy, p.writer = flags&8 != 0, flags&16 != 0
+	p.volatile, p.late = flags&32 != 0, flags&64 != 0
 	if q := Time(quantumUnits % 8); q > 0 {
 		p.quantum = q * 50 * Microsecond
 		if flags&4 != 0 {
@@ -640,10 +717,13 @@ func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits
 // FuzzSpinEpochDifferential drives many concurrent spinners — private
 // and shared cells, lockstep chains with tied (when, at), unequal
 // lengths, module contention on and off, MaxIters, slice budgets, a
-// RunFor deadline mid-epoch, and a non-spinner releasing a cell
-// mid-epoch — through every engine mode, requiring identical (now,
-// seq)-stamped logs, busy accrual, and module-contention accounting. The
-// last two seeds are TestSpinEpochEngages's workloads.
+// RunFor deadline mid-epoch, a non-spinner releasing a cell mid-epoch,
+// and the local-harm shapes: busy non-spinners, same-value and
+// new-value writes, a volatile spinner, one cell written for a long
+// stretch — through every engine mode, requiring identical (now,
+// seq)-stamped logs, busy accrual, and module-contention accounting.
+// Seeds #7 and #8 are TestSpinEpochEngages's workloads, #9 to #12 its
+// local-harm ones.
 func FuzzSpinEpochDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint8(7), uint8(3), uint8(0), uint8(0), uint16(0))
 	f.Add(uint64(2), uint8(15), uint8(3), uint8(1), uint8(0), uint8(0), uint16(300))
@@ -654,6 +734,10 @@ func FuzzSpinEpochDifferential(f *testing.F) {
 	f.Add(uint64(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0))
 	f.Add(uint64(10), uint8(7), uint8(7), uint8(2), uint8(0), uint8(0), uint16(0))
 	f.Add(uint64(10), uint8(7), uint8(7), uint8(3), uint8(0), uint8(0), uint16(0))
+	for _, flags := range localHarmFlags {
+		f.Add(uint64(12), uint8(7), uint8(7), flags, uint8(0), uint8(0), uint16(0))
+	}
+	f.Add(uint64(13), uint8(9), uint8(3), uint8(8|16|32|64|4), uint8(2), uint8(3), uint16(500))
 	f.Fuzz(func(t *testing.T, seed uint64, spinners, cells, flags, svcUnits, quantumUnits uint8, deadlineUnits uint16) {
 		p := epochFuzzParams(seed, spinners, cells, flags, svcUnits, quantumUnits, deadlineUnits)
 		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
@@ -663,23 +747,41 @@ func FuzzSpinEpochDifferential(f *testing.F) {
 	})
 }
 
+// localHarmFlags are the local-harm workload shapes (see epochParams),
+// each on private cells: busy non-spinners; the writer; the volatile
+// spinner beside the bumper; one cell written while the rest wait late.
+var localHarmFlags = []uint8{2 | 8, 2 | 16, 2 | 8 | 32, 2 | 16 | 64}
+
 // TestSpinEpochEngages proves spin epochs commit several members at once
 // — with unequal lengths and in lockstep — and that the commits account
-// for most of the iterations, so FuzzSpinEpochDifferential, whose last
-// two seeds are these workloads, does not pass vacuously.
+// for most of the iterations, so FuzzSpinEpochDifferential, whose seeds
+// #7 and #8 are these workloads, does not pass vacuously. Its local-harm
+// seeds must show members outliving dispatches and callbacks, same-value
+// writes leaving them in place, and the volatile spinner evicted.
 func TestSpinEpochEngages(t *testing.T) {
 	for _, lockstep := range []bool{false, true} {
 		name := fmt.Sprintf("lockstep=%v", lockstep)
 		p := epochParams{seed: 11, spinners: 8, cells: 8, lockstep: lockstep}
 		_, got := runEpochWorkload(t, p, simtest.Mode{Inline: true, Batched: true})
-		if got.sharedCommits == 0 {
+		if got.SharedCommits == 0 {
 			t.Errorf("%s: no commit advanced two or more members", name)
 		}
 		if got.iters < 1000 {
 			t.Errorf("%s: workload too small to be meaningful: %d iters", name, got.iters)
 		}
-		if got.batchedIters < got.iters*3/4 {
-			t.Errorf("%s: commits skipped only %d of %d iterations", name, got.batchedIters, got.iters)
+		if got.BatchedIters < got.iters*3/4 {
+			t.Errorf("%s: commits skipped only %d of %d iterations", name, got.BatchedIters, got.iters)
+		}
+	}
+	for _, flags := range localHarmFlags {
+		p := epochFuzzParams(12, 7, 7, flags, 0, 0, 0)
+		_, got := runEpochWorkload(t, p, simtest.Mode{Inline: true, Batched: true})
+		if got.LaneSurvivals <= got.Dispatches {
+			t.Errorf("flags %#x: lane members survived %d dispatches and callbacks over %d dispatches: want more",
+				flags, got.LaneSurvivals, got.Dispatches)
+		}
+		if p.writer && got.EvictCell == 0 {
+			t.Errorf("flags %#x: the writer's new values evicted no member", flags)
 		}
 	}
 }

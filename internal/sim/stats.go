@@ -38,6 +38,11 @@ type Stats struct {
 	EvictModule   uint64
 	EvictOwn      uint64
 	EvictVolatile uint64
+	// LaneSurvivals sums, over every coroutine dispatch and callback, the
+	// spin-lane members present at it. A persistent member stays in the
+	// lane through the occurrence unless it harms the member; a volatile
+	// one is evicted at the next commit.
+	LaneSurvivals uint64
 }
 
 // Stats reports the engine's mechanism counters so far.
@@ -53,7 +58,7 @@ func (s Stats) Sub(o Stats) Stats {
 }
 
 // statsFields is the number of counters in Stats.
-const statsFields = 12
+const statsFields = 13
 
 // fields lists pointers to every counter in declaration order.
 func (s *Stats) fields() [statsFields]*uint64 {
@@ -61,6 +66,7 @@ func (s *Stats) fields() [statsFields]*uint64 {
 		&s.Events, &s.Dispatches, &s.InlineWakeups, &s.SpinCharges,
 		&s.Commits, &s.MemberCommits, &s.BatchedIters, &s.SharedCommits,
 		&s.EvictCell, &s.EvictModule, &s.EvictOwn, &s.EvictVolatile,
+		&s.LaneSurvivals,
 	}
 }
 
