@@ -190,11 +190,10 @@ func BenchmarkCoupling(b *testing.B) { benchSpec(b, "coupling", experiments.Env{
 func BenchmarkPlatformRetargeting(b *testing.B) { benchSpec(b, "platform", experiments.Env{}) }
 
 // BenchmarkScaling sweeps the centralized TSP comparison over processor
-// counts on a 14-city instance (§4's "gain even higher for massively
-// parallel" prediction).
-func BenchmarkScaling(b *testing.B) {
-	benchSpec(b, "scaling", experiments.Env{TSP: experiments.TSPOptions{Cities: 14}})
-}
+// counts (§4's "gain even higher for massively parallel" prediction) on
+// the default 16-city instance `repro scaling` runs, the costliest
+// experiment of `repro all`.
+func BenchmarkScaling(b *testing.B) { benchSpec(b, "scaling", experiments.Env{}) }
 
 // BenchmarkSOR runs the massively-parallel SOR comparison (the §7
 // follow-on study): blocking vs. adaptive residual lock across worker

@@ -89,15 +89,12 @@ func TestMonitorSweepParallelDeterminism(t *testing.T) {
 	}
 }
 
-// batchedAxis keeps the modes of a matrix that tsp.Solve and ShardedRun
-// can run. Both build their systems themselves, so a test sets only the
-// batched axis, through sim.SetDefaultBatchedSpins, and inline wakeups
-// stay at their default, on. ShardedRun has no serial engine, so with
-// sharded set the serial modes go too.
-func batchedAxis(modes []simtest.Mode, sharded bool) []simtest.Mode {
+// shardedOnly drops the serial modes of a sharded matrix: ShardedRun has
+// no serial engine.
+func shardedOnly(modes []simtest.Mode) []simtest.Mode {
 	var out []simtest.Mode
 	for _, m := range modes {
-		if m.Inline && (!sharded || m.Shards > 0) {
+		if m.Shards > 0 {
 			out = append(out, m)
 		}
 	}
@@ -108,8 +105,7 @@ func batchedAxis(modes []simtest.Mode, sharded bool) []simtest.Mode {
 // disabled and renders every metric of the result, one per line.
 func tspAsyncOffFingerprint(t *testing.T, mode simtest.Mode) string {
 	t.Helper()
-	sim.SetDefaultBatchedSpins(mode.Batched)
-	defer sim.SetDefaultBatchedSpins(true)
+	defer useDefaultMode(mode)()
 	in := tsp.NewRandomInstance(8, 3)
 	res, err := tsp.Solve(tsp.Config{
 		Instance:  in,
@@ -128,20 +124,20 @@ func tspAsyncOffFingerprint(t *testing.T, mode simtest.Mode) string {
 
 // TestAsyncOffEngineModeDifferential checks that the monitor code adds
 // no charge to the disabled path: with the async queue disabled the TSP
-// solve stays byte-identical with spin batching on and off, and the
-// sharded scaling workload stays identical at every shard count and
-// worker count of the matrix, with spin batching on and off.
+// solve stays byte-identical in every serial engine mode, and the
+// sharded scaling workload stays identical at every shard count, worker
+// count and engine mode of the matrix. tsp.Solve and ShardedRun build
+// their systems themselves, so the modes are set as process defaults.
 func TestAsyncOffEngineModeDifferential(t *testing.T) {
 	t.Run("tsp", func(t *testing.T) {
-		simtest.Check(t, batchedAxis(simtest.Serial(), false), func(m simtest.Mode) string {
+		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
 			return tspAsyncOffFingerprint(t, m)
 		})
 	})
 	t.Run("sharded", func(t *testing.T) {
 		cfg := sim.Config{Nodes: 8, Seed: 1}
-		simtest.Check(t, batchedAxis(simtest.Sharded(cfg.Nodes), true), func(m simtest.Mode) string {
-			sim.SetDefaultBatchedSpins(m.Batched)
-			defer sim.SetDefaultBatchedSpins(true)
+		simtest.Check(t, shardedOnly(simtest.Sharded(cfg.Nodes)), func(m simtest.Mode) string {
+			defer useDefaultMode(m)()
 			r, err := ShardedRun(cfg, m.Shards, m.Workers, 6)
 			if err != nil {
 				t.Fatal(err)

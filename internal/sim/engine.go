@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // ErrDeadlock is returned by Engine.Run when the event queue drains while
@@ -206,11 +207,29 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
 	return &Engine{
-		live:    make(map[*Coro]struct{}),
-		noBatch: noBatchDefault.Load(),
-		rank:    -1,
+		live:     make(map[*Coro]struct{}),
+		noInline: noInlineDefault.Load(),
+		noBatch:  noBatchDefault.Load(),
+		rank:     -1,
 	}
 }
+
+// noInlineDefault and noBatchDefault are the process-wide fast-path
+// defaults for new engines (false = on). cmd binaries set the batched
+// one from -no-spin-batch before any simulation starts; tests set both
+// to run whole experiments, whose engines they cannot reach, in every
+// engine mode.
+var noInlineDefault, noBatchDefault atomic.Bool
+
+// SetDefaultInlineWakeups sets whether newly created engines take the
+// inline self-wakeup fast path. Existing engines are unaffected;
+// SetInlineWakeups overrides per engine.
+func SetDefaultInlineWakeups(on bool) { noInlineDefault.Store(!on) }
+
+// SetDefaultBatchedSpins sets whether newly created engines batch spin
+// probes. Existing engines are unaffected; SetBatchedSpins overrides
+// per engine.
+func SetDefaultBatchedSpins(on bool) { noBatchDefault.Store(!on) }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }

@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 )
 
 // This file implements batched busy-wait probes: the fast path that
@@ -99,16 +98,6 @@ type SpinContext interface {
 	// before its next scheduling boundary; MaxTime means no boundary.
 	SpinBudget() Time
 }
-
-// noBatchDefault is the process-wide default for new engines (false =
-// batching on); cmd binaries set it from -no-spin-batch before any
-// simulation starts.
-var noBatchDefault atomic.Bool
-
-// SetDefaultBatchedSpins sets whether newly created engines batch spin
-// probes. Existing engines are unaffected; SetBatchedSpins overrides
-// per engine.
-func SetDefaultBatchedSpins(on bool) { noBatchDefault.Store(!on) }
 
 // SetBatchedSpins enables (the default) or disables the batched-spin
 // fast path on this engine. Both settings produce byte-identical
