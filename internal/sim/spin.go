@@ -461,6 +461,16 @@ func moduleSteady(s *spinState) bool {
 	return s.lastDelay == fixed && m.moduleFree[cell.node] == s.resvAt+s.curDelay+svc
 }
 
+// minGap is the shorter of a steady spinner's two charges: its probe
+// charge (with the module delay) and its pause. A spinner has at least
+// two charges due by h when its pending one completes by h − minGap.
+func (s *spinState) minGap() Time {
+	if s.spec.ProbeCell == nil {
+		return s.lastPause
+	}
+	return min(s.probeBase+s.lastDelay, s.lastPause)
+}
+
 // maxSpinWindow bounds the virtual time one commit spans, so the time
 // and seq arithmetic below can never overflow; a longer epoch simply
 // commits again.
@@ -668,7 +678,14 @@ func (e *Engine) fastForwardSpin(run *spinState) bool {
 	if e.queue.len() > 0 && e.queue.a[0].when-1 < h {
 		h, bounded = e.queue.a[0].when-1, true
 	}
-	if h < first || run != nil && !e.isEpochMember(run) {
+	// A commit pays per member it gathers, so it starts only where the
+	// spinner it starts from has two charges due by the horizon; one
+	// due charge costs less fired through runSpin, which is exact.
+	lead := run
+	if lead == nil {
+		lead = e.lane.a[0].coro.spin
+	}
+	if h-first < lead.minGap() || run != nil && !e.isEpochMember(run) {
 		return false
 	}
 
