@@ -151,9 +151,9 @@ type Engine struct {
 	queue eventQueue
 	// lane holds the continuations of spin-epoch members in a heap of
 	// their own, whose storage is allocated at the first member (see
-	// Engine.fastForwardSpin); members and advancing are the commits' scratch space. The
-	// next event is the smaller of the two heads; every reader of the
-	// queue head looks at both.
+	// Engine.fastForwardSpin); members and advancing are the commits'
+	// scratch space. The next event is the smaller of the two heads;
+	// every reader of the queue head looks at both.
 	lane      eventQueue
 	members   []epochMember
 	advancing []*epochMember
