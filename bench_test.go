@@ -68,7 +68,9 @@ func reportMech(b *testing.B, s sim.Stats) {
 		{"batched-iters", s.BatchedIters}, {"shared-commits", s.SharedCommits},
 		{"evict-cell", s.EvictCell}, {"evict-module", s.EvictModule},
 		{"evict-own", s.EvictOwn}, {"evict-volatile", s.EvictVolatile},
-		{"lane-survivals", s.LaneSurvivals},
+		{"evict-tie", s.EvictTie}, {"evict-loop-end", s.EvictLoopEnd},
+		{"state-reads", s.StateReads}, {"lane-survivals", s.LaneSurvivals},
+		{"lane-refusals", s.LaneRefusals}, {"lane-passed", s.LanePassed},
 	} {
 		b.ReportMetric(float64(m.v)/float64(b.N), "mech-"+m.name)
 	}
@@ -81,11 +83,11 @@ func reportMech(b *testing.B, s sim.Stats) {
 func BenchmarkTable1(b *testing.B) { benchSpecMech(b, "table1", experiments.Env{}) }
 
 // BenchmarkTable2 regenerates Table 2: the distributed TSP implementation.
-func BenchmarkTable2(b *testing.B) { benchSpec(b, "table2", experiments.Env{}) }
+func BenchmarkTable2(b *testing.B) { benchSpecMech(b, "table2", experiments.Env{}) }
 
 // BenchmarkTable3 regenerates Table 3: the distributed implementation with
 // load balancing.
-func BenchmarkTable3(b *testing.B) { benchSpec(b, "table3", experiments.Env{}) }
+func BenchmarkTable3(b *testing.B) { benchSpecMech(b, "table3", experiments.Env{}) }
 
 // BenchmarkTable4 regenerates Table 4: the Lock operation cost of each
 // lock kind, local and remote.
@@ -193,7 +195,7 @@ func BenchmarkPlatformRetargeting(b *testing.B) { benchSpec(b, "platform", exper
 // counts (§4's "gain even higher for massively parallel" prediction) on
 // the default 16-city instance `repro scaling` runs, the costliest
 // experiment of `repro all`.
-func BenchmarkScaling(b *testing.B) { benchSpec(b, "scaling", experiments.Env{}) }
+func BenchmarkScaling(b *testing.B) { benchSpecMech(b, "scaling", experiments.Env{}) }
 
 // BenchmarkSOR runs the massively-parallel SOR comparison (the §7
 // follow-on study): blocking vs. adaptive residual lock across worker

@@ -257,13 +257,14 @@ func (e *Engine) canInline(when Time) bool {
 	if e.tracer != nil || e.stopped {
 		return false
 	}
-	if e.queue.len() > 0 && when >= e.queue.a[0].when {
+	if e.queue.len() > 0 && when >= e.queue.a[0].when || e.limited && when > e.limit {
 		return false
 	}
 	if e.lane.len() > 0 && when >= e.lane.a[0].when {
+		e.stats.LaneRefusals++
 		return false
 	}
-	return !e.limited || when <= e.limit
+	return true
 }
 
 // advanceInline performs the virtual dispatch of an inline self-wakeup:

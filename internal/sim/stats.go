@@ -31,18 +31,29 @@ type Stats struct {
 	// Evictions count the members that left the spin lane, by cause: a
 	// probe cell holding another value than the member's last probe saw,
 	// someone else reserving the probed module, the member's own slice
-	// boundary or MaxIters, and a harm to every spinner or to every
-	// volatile one (a run start, or a dispatch, callback or boundary
-	// under a volatile spec).
+	// boundary or MaxIters, a harm to every spinner or to every volatile
+	// one (a run start, or a dispatch, callback or boundary under a
+	// volatile spec), another occurrence at an instant where the member
+	// charges (a tie), and the end of an event loop. StateReads counts
+	// the members brought up to date, without leaving the lane, because
+	// something read what they accrue (Engine.SyncSpins).
 	EvictCell     uint64
 	EvictModule   uint64
 	EvictOwn      uint64
 	EvictVolatile uint64
+	EvictTie      uint64
+	EvictLoopEnd  uint64
+	StateReads    uint64
 	// LaneSurvivals sums, over every coroutine dispatch and callback, the
 	// spin-lane members present at it. A persistent member stays in the
 	// lane through the occurrence unless it harms the member; a volatile
 	// one is evicted at the next commit.
 	LaneSurvivals uint64
+	// LaneRefusals counts the sleeps and spin charges that could not
+	// advance inline only because of the spin lane; LanePassed counts
+	// the inline advances that passed member charges.
+	LaneRefusals uint64
+	LanePassed   uint64
 }
 
 // Stats reports the engine's mechanism counters so far.
@@ -58,7 +69,7 @@ func (s Stats) Sub(o Stats) Stats {
 }
 
 // statsFields is the number of counters in Stats.
-const statsFields = 13
+const statsFields = 18
 
 // fields lists pointers to every counter in declaration order.
 func (s *Stats) fields() [statsFields]*uint64 {
@@ -66,7 +77,8 @@ func (s *Stats) fields() [statsFields]*uint64 {
 		&s.Events, &s.Dispatches, &s.InlineWakeups, &s.SpinCharges,
 		&s.Commits, &s.MemberCommits, &s.BatchedIters, &s.SharedCommits,
 		&s.EvictCell, &s.EvictModule, &s.EvictOwn, &s.EvictVolatile,
-		&s.LaneSurvivals,
+		&s.EvictTie, &s.EvictLoopEnd, &s.StateReads,
+		&s.LaneSurvivals, &s.LaneRefusals, &s.LanePassed,
 	}
 }
 
