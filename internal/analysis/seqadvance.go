@@ -28,7 +28,10 @@ var seqadvanceMachineFields = map[string]bool{
 // state: the engine's event loop (shared by Run, RunFor and the sharded
 // window), RunFor's clamp of the clock to its deadline, the inline
 // self-wakeup, event scheduling (including barrier message delivery),
-// the module reservation path, and the spin fast-forward. A partial re-implementation of the PR 3/4 fast paths
+// the module reservation path, the spin fast-forward, a spin-lane join
+// (which takes its pop 0's seq) and passPops (which counts a lane
+// member's pops as the clock passes them). A partial re-implementation
+// of the inline and batched-spin fast paths
 // anywhere else would have to write these fields from a new function —
 // and trips this analyzer.
 var seqadvanceAllowed = map[string]bool{
@@ -38,6 +41,8 @@ var seqadvanceAllowed = map[string]bool{
 	"runEvents":       true,
 	"RunFor":          true,
 	"fastForwardSpin": true,
+	"joinLane":        true,
+	"passPops":        true,
 	"reserveAccess":   true,
 }
 
@@ -102,7 +107,7 @@ func protectedField(pass *framework.Pass, lhs ast.Expr) string {
 func checkSeqadvanceBody(pass *framework.Pass, fd *ast.FuncDecl) {
 	report := func(pos token.Pos, field string) {
 		pass.Reportf(pos,
-			"write to %s outside the engine allowlist (%s is not one of advanceInline/schedule/scheduleMessage/runEvents/RunFor/fastForwardSpin/reserveAccess): time and ordering state must advance only through the engine", field, fd.Name.Name)
+			"write to %s outside the engine allowlist (%s is not one of advanceInline/schedule/scheduleMessage/runEvents/RunFor/fastForwardSpin/joinLane/passPops/reserveAccess): time and ordering state must advance only through the engine", field, fd.Name.Name)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -285,6 +285,7 @@ func (s *System) Utilization() float64 {
 	if total <= 0 {
 		return 0
 	}
+	s.eng.SyncSpins()
 	var busy sim.Time
 	for _, p := range s.procs {
 		busy += p.busy

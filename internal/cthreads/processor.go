@@ -33,7 +33,10 @@ func (p *Processor) Current() *Thread { return p.current }
 func (p *Processor) QueueLen() int { return len(p.ready) }
 
 // Busy reports total computation time charged on this processor.
-func (p *Processor) Busy() sim.Time { return p.busy }
+func (p *Processor) Busy() sim.Time {
+	p.sys.eng.SyncSpins()
+	return p.busy
+}
 
 // Switches reports how many thread dispatches this processor performed.
 func (p *Processor) Switches() int { return p.switches }

@@ -82,7 +82,10 @@ func (t *Thread) Rand() *sim.RNG {
 func (t *Thread) Prof() *profile.ThreadProf { return t.prof }
 
 // Busy reports total computation time this thread has charged.
-func (t *Thread) Busy() sim.Time { return t.busy }
+func (t *Thread) Busy() sim.Time {
+	t.sys.eng.SyncSpins()
+	return t.busy
+}
 
 // BlockedTime reports total time this thread has spent blocked.
 func (t *Thread) BlockedTime() sim.Time { return t.blockedTotal }

@@ -251,11 +251,12 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 }
 
 // TestSpinEpochFigure1Engages proves that spin-epoch members outlive the
-// dispatches that leave their probe cells alone, so the local-harm path
-// that TestSpinEpochFigure1Differential checks is not vacuous: in a
-// Figure 1 cohort cell, members must be present at many dispatches and
-// callbacks, no persistent spec may be evicted as volatile, and the
-// commits must take most of the spinning in closed form.
+// dispatches that leave their probe cells alone, so the local-harm and
+// lazy-member paths that TestSpinEpochFigure1Differential checks are not
+// vacuous: in a Figure 1 cohort cell, members must be present at many
+// dispatches and callbacks, bodies must advance inline past members'
+// pops, no persistent spec may be evicted as volatile, and the closed
+// form must take most of the spinning.
 func TestSpinEpochFigure1Engages(t *testing.T) {
 	build := func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }
 	_, st := runFigure1Cell(t, build, 500*sim.Microsecond, simtest.Mode{Inline: true, Batched: true})
@@ -265,6 +266,10 @@ func TestSpinEpochFigure1Engages(t *testing.T) {
 	}
 	if st.EvictVolatile != 0 {
 		t.Errorf("%d evictions of persistent cohort specs as volatile, want 0", st.EvictVolatile)
+	}
+	if st.LanePassed < st.LaneRefusals || st.LanePassed == 0 {
+		t.Errorf("bodies passed members' pops inline %d times and were refused by the lane %d times: want more passes",
+			st.LanePassed, st.LaneRefusals)
 	}
 	if st.BatchedIters < 10*st.SpinCharges {
 		t.Errorf("commits took %d iterations against %d charges fired one at a time: want at least 10 times as many",

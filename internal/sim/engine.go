@@ -42,8 +42,9 @@ type event struct {
 	coro *Coro
 }
 
-// less orders events by (when, at, seq); seq is unique, so this is a
-// total order and any correct heap pops the exact same sequence.
+// less orders events by (when, at, seq); seq is unique among events of
+// one (when, at) pair, so this is a total order and any correct heap
+// pops the exact same sequence.
 func (ev *event) less(other *event) bool {
 	if ev.when != other.when {
 		return ev.when < other.when
@@ -149,14 +150,16 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	queue eventQueue
-	// lane holds the continuations of spin-epoch members in a heap of
-	// their own, whose storage is allocated at the first member (see
-	// Engine.fastForwardSpin); members and advancing are the commits'
-	// scratch space. The next event is the smaller of the two heads;
-	// every reader of the queue head looks at both.
-	lane      eventQueue
-	members   []epochMember
-	advancing []*epochMember
+	// lane holds the spin-epoch members, whose futile charges are
+	// applied only when something needs them (DESIGN.md "Lazy
+	// members"); laneNext is the earliest next instant among them.
+	// Every move of the clock settles the lane first (settleLane,
+	// canInline). Members that leave together move to the slice's tail
+	// first (pushLeaving); applied counts the members a materialization
+	// applied.
+	lane     []epochMember
+	laneNext Time
+	applied  int
 	// The engine-wide spin harm counters (see Engine.harm): runs counts
 	// Run/RunFor/runWindow starts, which harm every spinner; occurrences
 	// counts coroutine dispatches, callbacks and slice boundaries, which
@@ -248,11 +251,15 @@ func (e *Engine) InlineWakeups() bool { return !e.noInline }
 
 // canInline reports whether a self-wakeup at when may run inline: no
 // tracer observing schedule/event occurrences, the engine not stopping,
-// the wakeup strictly earlier than every pending event in the heap and
-// the spin lane (equal times must go through the queue — an
-// already-queued event at the same time has a smaller seq and fires
-// first), and within RunFor's window when one is active. Callers have
-// already checked noInline and the coro's own state.
+// the wakeup strictly earlier than every pending event in the heap
+// (equal times must go through the queue — an already-queued event at
+// the same time has a smaller seq and fires first), within RunFor's
+// window when one is active, and no spin-lane member that must
+// materialize by then: none harmed or at its own instant by when, and
+// none popping at when itself. The wakeup may pass members' futile pops
+// before when; when it may run, canInline passes them, so the caller
+// must advance to when. Callers have already checked noInline and the
+// coro's own state.
 func (e *Engine) canInline(when Time) bool {
 	if e.tracer != nil || e.stopped {
 		return false
@@ -260,9 +267,14 @@ func (e *Engine) canInline(when Time) bool {
 	if e.queue.len() > 0 && when >= e.queue.a[0].when || e.limited && when > e.limit {
 		return false
 	}
-	if e.lane.len() > 0 && when >= e.lane.a[0].when {
-		e.stats.LaneRefusals++
-		return false
+	if len(e.lane) > 0 && when >= e.laneNext {
+		if e.laneStop(when, true) <= when {
+			e.stats.LaneRefusals++
+			return false
+		}
+		if e.passLane(when-1) > 0 {
+			e.stats.LanePassed++
+		}
 	}
 	return true
 }
@@ -340,17 +352,12 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 // emulation (Coro.SpinUntil) is not resumed — the event advances its
 // state machine engine-side instead, and the body resumes only when
 // the whole busy-wait loop completes. A dispatch and a callback harm
-// volatile spinners (Engine.harm); a spin charge harms no one. lane
-// reports that ev came from the spin lane: a member whose loop ends there
-// has reached its MaxIters.
-func (e *Engine) fire(ev *event, lane bool) {
+// volatile spinners (Engine.harm); a spin charge harms no one.
+func (e *Engine) fire(ev *event) {
 	if c := ev.coro; c != nil {
 		if c.spinning && !c.killed {
 			e.stats.SpinCharges++
 			if e.runSpin(c.spin) {
-				if lane && !c.spin.ok {
-					e.stats.EvictOwn++
-				}
 				e.dispatch(c)
 			}
 			return
@@ -359,41 +366,16 @@ func (e *Engine) fire(ev *event, lane bool) {
 		return
 	}
 	e.occurrences++
-	e.stats.LaneSurvivals += uint64(len(e.lane.a))
+	e.stats.LaneSurvivals += uint64(len(e.lane))
 	ev.fn()
-}
-
-// nextQueue returns the queue whose head is the next event due at or
-// before last, or nil when there is none. When a spin-lane member is
-// next, the members are first committed together up to the next
-// non-member event (Engine.fastForwardSpin); only a lane head the commit
-// cannot move is returned to be popped and fired one charge at a time.
-// The event loops test the common case — an empty lane and a due heap
-// head — inline and call this only otherwise.
-func (e *Engine) nextQueue(last Time) *eventQueue {
-	for {
-		q, l := &e.queue, &e.lane
-		if l.len() > 0 && (q.len() == 0 || l.a[0].less(&q.a[0])) {
-			if l.a[0].when > last {
-				return nil
-			}
-			if e.fastForwardSpin(nil) {
-				continue
-			}
-			return l
-		}
-		if q.len() == 0 || q.a[0].when > last {
-			return nil
-		}
-		return q
-	}
 }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return e.queue.len() + e.lane.len() }
+// Pending reports the number of scheduled events, counting one for each
+// spin-lane member's pending charge.
+func (e *Engine) Pending() int { return e.queue.len() + len(e.lane) }
 
 // Live reports the number of spawned coros that have not yet finished.
 func (e *Engine) Live() int { return len(e.live) }
@@ -422,8 +404,12 @@ func (e *Engine) Run() error {
 // due at or before last, in (when, at, seq) order, until none is due,
 // Stop is called or a Coro fails, and returns what the caller's epilogue
 // returns; the epilogue runs while the engine still counts as running.
-// A last below MaxTime also bounds inline wakeups and spin
-// fast-forwards, so no coro commits time past it.
+// A last below MaxTime also bounds inline wakeups and the spin lane, so
+// no coro commits time past it. Before the epilogue the lane empties
+// into the heap, its members' charges applied up to last (up to the
+// clock after Stop or a failure), and the clock moves to the last of
+// those charges, where the per-charge engine's last event would leave
+// it.
 func (e *Engine) runEvents(caller string, last Time, epilogue func() error) error {
 	if e.running {
 		return fmt.Errorf("sim: Engine.%s called reentrantly", caller)
@@ -438,18 +424,27 @@ func (e *Engine) runEvents(caller string, last Time, epilogue func() error) erro
 	// Anything may have changed simulated state since the last run.
 	e.runs++
 	var ev event // one event reused by every pop: no by-value copies
+	q := &e.queue
 	for !e.stopped && e.failure == nil {
-		q := &e.queue
-		if len(e.lane.a) > 0 || len(q.a) == 0 || q.a[0].when > last {
-			if q = e.nextQueue(last); q == nil {
+		if len(e.lane) > 0 {
+			if !e.settleLane(last) {
 				break
 			}
+		} else if len(q.a) == 0 || q.a[0].when > last {
+			break
 		}
 		q.pop(&ev)
 		e.stats.Events++
 		e.now = ev.when
 		e.trace("event")
-		e.fire(&ev, q == &e.lane)
+		e.fire(&ev)
+	}
+	if len(e.lane) > 0 {
+		end := last
+		if e.stopped || e.failure != nil {
+			end = e.now
+		}
+		e.now = e.flushLane(end, leaveEnd)
 	}
 	return epilogue()
 }
@@ -538,8 +533,8 @@ func (e *Engine) nextEventTime() (Time, bool) {
 	if e.queue.len() > 0 {
 		t, ok = e.queue.a[0].when, true
 	}
-	if e.lane.len() > 0 && e.lane.a[0].when < t {
-		t, ok = e.lane.a[0].when, true
+	if len(e.lane) > 0 && e.laneNext < t {
+		t, ok = e.laneNext, true
 	}
 	return t, ok
 }
@@ -573,7 +568,7 @@ func (e *Engine) shutdown() {
 func (e *Engine) dispatch(c *Coro) {
 	e.stats.Dispatches++
 	e.occurrences++
-	e.stats.LaneSurvivals += uint64(len(e.lane.a))
+	e.stats.LaneSurvivals += uint64(len(e.lane))
 	if e.attr != nil {
 		e.attr.CoroDispatched(e.now)
 	}
@@ -621,8 +616,15 @@ func (e *Engine) SetAttribution(a Attribution) { e.attr = a }
 // hook via Tracer.EngineHook.
 type Tracer func(at Time, what string)
 
-// SetTracer installs (or, with nil, removes) the trace hook.
-func (e *Engine) SetTracer(tr Tracer) { e.tracer = tr }
+// SetTracer installs (or, with nil, removes) the trace hook. Installing
+// one empties the spin lane into the heap, so every later charge is a
+// traced event.
+func (e *Engine) SetTracer(tr Tracer) {
+	e.tracer = tr
+	if tr != nil && len(e.lane) > 0 {
+		e.flushLane(e.now, leaveEnd)
+	}
+}
 
 // trace emits one trace line if tracing is enabled.
 func (e *Engine) trace(what string) {

@@ -118,6 +118,10 @@ type Machine struct {
 	queueDelay []Time
 	// accesses counts memory references per node (contention diagnostics).
 	accesses []uint64
+	// spinner is, per node, the spin-lane member probing that node's
+	// module, nil when none; allocated only when ModuleService > 0,
+	// where a reservation by anyone else harms the member.
+	spinner []*Coro
 }
 
 // NewMachine builds a machine on a fresh engine. Zero Config fields take
@@ -127,7 +131,7 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Nodes < 1 {
 		panic(fmt.Sprintf("sim: machine needs at least one node, got %d", cfg.Nodes))
 	}
-	return &Machine{
+	m := &Machine{
 		eng:        NewEngine(),
 		cfg:        cfg,
 		rng:        NewRNG(cfg.Seed),
@@ -135,6 +139,10 @@ func NewMachine(cfg Config) *Machine {
 		queueDelay: make([]Time, cfg.Nodes),
 		accesses:   make([]uint64, cfg.Nodes),
 	}
+	if cfg.ModuleService > 0 {
+		m.spinner = make([]*Coro, cfg.Nodes)
+	}
+	return m
 }
 
 // chargeAccess advances a by the cost of one reference to memory node to,
@@ -160,6 +168,9 @@ func (m *Machine) reserveAccess(from, to int, atomicExtra Time) (cost, delay Tim
 	cost = m.AccessCost(from, to) + atomicExtra
 	m.accesses[to]++
 	if svc := m.cfg.ModuleService; svc > 0 {
+		if c := m.spinner[to]; c != nil {
+			m.eng.moduleHarm(c)
+		}
 		now := m.eng.Now()
 		start := m.moduleFree[to]
 		if start < now {
@@ -175,10 +186,16 @@ func (m *Machine) reserveAccess(from, to int, atomicExtra Time) (cost, delay Tim
 
 // ModuleQueueDelay reports the accumulated contention delay at a node's
 // memory module.
-func (m *Machine) ModuleQueueDelay(node int) Time { return m.queueDelay[node] }
+func (m *Machine) ModuleQueueDelay(node int) Time {
+	m.eng.SyncSpins()
+	return m.queueDelay[node]
+}
 
 // ModuleAccesses reports how many references a node's module served.
-func (m *Machine) ModuleAccesses(node int) uint64 { return m.accesses[node] }
+func (m *Machine) ModuleAccesses(node int) uint64 {
+	m.eng.SyncSpins()
+	return m.accesses[node]
+}
 
 // Engine returns the machine's event engine.
 func (m *Machine) Engine() *Engine { return m.eng }

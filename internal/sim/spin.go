@@ -160,10 +160,10 @@ type spinState struct {
 	// reservation through its pause; steady means the last two
 	// iterations were clean with equal (module delay, pause), which by
 	// the busy-wait contract fixes every further iteration until the
-	// spinner is harmed (see Engine.fastForwardSpin).
+	// spinner is harmed (see Engine.isEpochMember).
 	seenRuns, seenOcc    uint64 // the engine's harm counters at this iteration's probe reservation
 	seenVal              uint64 // the probe cell's value at the last probe evaluation
-	descheduled          bool   // preempted under module contention since the reservation
+	descheduled          bool   // preempted under module contention, or its module reserved by another, since the reservation
 	resvAt               Time   // when this iteration's probe reserved its module
 	haveLast             bool   // the last iteration was clean
 	steady               bool
@@ -183,8 +183,8 @@ type spinState struct {
 // Fast path: the loop runs as an engine-side state machine, so charges
 // that cannot accrue inline cost one event but no coroutine handoff, and
 // once two consecutive iterations prove a fixed per-iteration profile,
-// whole bursts of futile iterations are fast-forwarded arithmetically
-// (see Engine.fastForwardSpin). With batching disabled, or with a tracer
+// the spinner joins the spin lane, where its futile iterations cost
+// nothing until something needs them (see Engine.joinLane). With batching disabled, or with a tracer
 // installed, the loop is open-coded per iteration instead; both paths
 // produce byte-identical simulated histories.
 func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool) {
@@ -253,8 +253,8 @@ func (c *Coro) spinSlow(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool) 
 // conditions hold (one seq bump, clock forward), otherwise by scheduling
 // a continuation event carrying the coro — the same (when, at, seq) the
 // slow path's sleep event would occupy, so downstream tie-breaking is
-// unchanged. A spin-epoch member's continuation waits in the spin lane
-// instead of the heap (Engine.spinQueue); its key is the same.
+// unchanged. A steady spinner joins the spin lane instead, with its
+// continuation's key as its pop 0 (Engine.joinLane).
 func (e *Engine) runSpin(s *spinState) bool {
 	for {
 		switch s.pc {
@@ -277,8 +277,13 @@ func (e *Engine) runSpin(s *spinState) bool {
 			s.boundary = boundary
 			s.pc = spinAfterSleep
 			when := e.now + step
+			if e.isEpochMember(s) {
+				e.joinLane(s, when)
+				s.wait = spinWaitEvent
+				return false
+			}
 			if e.noInline || !e.canInline(when) {
-				e.schedule(e.spinQueue(s), when, nil, s.c)
+				e.schedule(&e.queue, when, nil, s.c)
 				s.wait = spinWaitEvent
 				return false
 			}
@@ -343,15 +348,13 @@ func (e *Engine) runSpin(s *spinState) bool {
 			s.haveLast = clean
 			s.lastDelay, s.lastPause = s.curDelay, s.curPause
 			s.pc = spinProbeStart
-			if s.steady && e.fastForwardSpin(s) && s.wait == spinWaitEvent {
-				return false
-			}
 		}
 	}
 }
 
-// harmCause names what, if anything, has harmed a spinner: changed what
-// its next probe would see or what its next iteration would cost.
+// harmCause names why a member leaves the lane: what, if anything, has
+// harmed it — changed what its next probe would see or what its next
+// iteration would cost — or else the reason it must fire for real.
 type harmCause uint8
 
 const (
@@ -359,11 +362,15 @@ const (
 	harmCell               // its probe cell holds another value than its last probe saw
 	harmModule             // someone else reserved its module, or a preemption broke its timing
 	harmVolatile           // a run start; for a volatile spec, any dispatch, callback or boundary
+	leaveOwn               // its slice boundary or MaxIters exhaustion, or nothing else left to run
+	leaveTie               // another occurrence at an instant where it pops
+	leaveEnd               // the event loop ends, or a tracer is installed
 )
 
 // harm reports what has harmed s since its current iteration's probe
 // reservation, harmNone when nothing has (module reservations aside,
-// which moduleSteady checks). The engine-wide counters s read at the
+// which moduleSteady checks before a spinner joins and reserveAccess
+// flags while it is a member). The engine-wide counters s read at the
 // reservation only grow, so one that moved records an occurrence in
 // between. The probe cell is compared by value: by the busy-wait
 // contract a persistent spec's probe and pause depend only on it, so a
@@ -382,29 +389,8 @@ func (e *Engine) harm(s *spinState) harmCause {
 	return harmNone
 }
 
-// evictCause reports why lane member s must leave the lane for the
-// main heap, harmNone when it may stay.
-func (e *Engine) evictCause(s *spinState) harmCause {
-	if h := e.harm(s); h != harmNone {
-		return h
-	}
-	if !moduleSteady(s) {
-		return harmModule
-	}
-	return harmNone
-}
-
-// spinQueue picks the queue s's next continuation waits in: the spin
-// lane when s is a member, the main heap otherwise.
-func (e *Engine) spinQueue(s *spinState) *eventQueue {
-	if e.isEpochMember(s) {
-		return &e.lane
-	}
-	return &e.queue
-}
-
 // isEpochMember reports whether s, about to wait for a charge completion,
-// is a spin-epoch member: batching possible at all, the last two
+// may join the spin lane: batching possible at all, the last two
 // iterations clean with equal profiles, the current one clean so far
 // and matching them, no slice boundary pending, every charge of
 // positive length, and — when the probed module models contention —
@@ -416,7 +402,7 @@ func (e *Engine) isEpochMember(s *spinState) bool {
 	}
 	if !s.steady || s.boundary || e.harm(s) != harmNone || s.curDelay != s.lastDelay ||
 		!s.inProbe && s.curPause != s.lastPause || s.lastPause <= 0 ||
-		s.probeBase+s.lastDelay+s.lastPause > maxSpinWindow {
+		s.probeBase+s.lastDelay+s.lastPause > maxSpinPeriod {
 		return false
 	}
 	cell := s.spec.ProbeCell
@@ -426,15 +412,7 @@ func (e *Engine) isEpochMember(s *spinState) bool {
 	if s.probeBase+s.lastDelay <= 0 || !moduleSteady(s) {
 		return false
 	}
-	if cell.m.cfg.ModuleService > 0 {
-		for i := range e.lane.a {
-			o := e.lane.a[i].coro.spin.spec.ProbeCell
-			if o != nil && o.m == cell.m && o.node == cell.node {
-				return false
-			}
-		}
-	}
-	return true
+	return cell.m.spinner == nil || cell.m.spinner[cell.node] == nil
 }
 
 // moduleSteady reports whether s's next probe reservation sees the
@@ -461,32 +439,20 @@ func moduleSteady(s *spinState) bool {
 	return s.lastDelay == fixed && m.moduleFree[cell.node] == s.resvAt+s.curDelay+svc
 }
 
-// minGap is the shorter of a steady spinner's two charges: its probe
-// charge (with the module delay) and its pause. A spinner has at least
-// two charges due by h when its pending one completes by h − minGap.
-func (s *spinState) minGap() Time {
-	if s.spec.ProbeCell == nil {
-		return s.lastPause
-	}
-	return min(s.probeBase+s.lastDelay, s.lastPause)
-}
+// maxSpinPeriod bounds a member's iteration, so the pop arithmetic
+// below cannot overflow at any instant a run reaches.
+const maxSpinPeriod = Time(1) << 40
 
-// maxSpinWindow bounds the virtual time one commit spans, so the time
-// and seq arithmetic below can never overflow; a longer epoch simply
-// commits again.
-const maxSpinWindow = Time(1) << 40
-
-// epochMember is one member's part in a spin-epoch commit. A steady
-// member's futile charges complete ("pop") at fixed offsets from its
-// pending completion w: pop k fires at w + ⌊k/2⌋·per + (k mod 2)·g1.
+// epochMember is a lane member's geometry and progress. A steady
+// member's futile charges complete ("pop") at fixed offsets from the
+// completion it joined with: pop k fires at w + ⌊k/2⌋·per + (k mod 2)·g1.
 // A pop either evaluates the probe (and schedules the pause) or ends an
 // iteration (and reserves and schedules the next probe charge); with no
 // probe cell every pop does both.
 type epochMember struct {
-	c   *Coro
-	run bool // the spinner calling the commit; its state is the caller's
-	// w is pop 0's time; at/seq are pop 0's event key. The running
-	// spinner's pop 0 is the one executing, so it orders first (at -1).
+	c *Coro
+	// w, at and seq are pop 0's time and event key: the real key the
+	// charge the member joined with would have had.
 	w   Time
 	at  Time
 	seq uint64
@@ -494,20 +460,18 @@ type epochMember struct {
 	// that evaluate the probe, -1 when every pop does.
 	g1, per    Time
 	evalParity int64
-	// n is the number of pops the commit takes; fw/fa/fseq are the key
-	// of the continuation the last of them schedules.
-	n      int64
-	fw, fa Time
-	fseq   uint64
-}
-
-// state returns the member's spin state: run's for the running spinner,
-// whose state is not (yet) the coro's.
-func (m *epochMember) state(run *spinState) *spinState {
-	if m.run {
-		return run
-	}
-	return m.c.spin
+	// k counts the pops behind the clock, done the pops whose effects
+	// are applied (done ≤ k); booked is when the charge booked so far
+	// completes: pop done, or the slice boundary that truncates it.
+	k, done int64
+	booked  Time
+	// own is the member's own instant — its slice boundary or the probe
+	// evaluation that exhausts MaxIters, MaxTime when it has none — and
+	// ownK the index of its first pop at or after own. next is the
+	// earlier of pop k and own: the member's next instant.
+	own  Time
+	ownK int64
+	next Time
 }
 
 // pop returns the time of pop k.
@@ -539,11 +503,11 @@ func (m *epochMember) popsBy(h Time) int64 {
 	return n
 }
 
-// harmAt returns the first pop that is a harmful occurrence of the
-// member's own — the slice boundary after budget b, or the probe
-// evaluation that exhausts MaxIters with left futile iterations to go
-// (left < 0: unbounded) — or MaxTime when there is none.
-func (m *epochMember) harmAt(b Time, left int64) Time {
+// ownAt returns the member's own instant — the slice boundary after
+// budget b, or the probe evaluation that exhausts MaxIters with left
+// futile iterations to go (left < 0: unbounded) — or MaxTime when it
+// has none.
+func (m *epochMember) ownAt(b Time, left int64) Time {
 	end := MaxTime
 	if b != MaxTime && b <= MaxTime-m.w {
 		end = m.w + b
@@ -572,10 +536,11 @@ func (m *epochMember) harmAt(b Time, left int64) Time {
 // both fire at the same instant. The per-charge engine orders them by
 // the instants their events were scheduled at — the pops before them —
 // and equal instants by the order of those pops, so the walk goes back
-// pop by pop until the chains part or one reaches its pending event,
-// whose real key decides (every committed pop's seq exceeds it). Two
-// equal gaps in a row mean the chains coincide all the way back, since
-// every chain's gaps repeat with period two.
+// pop by pop until the chains part or one reaches its pop 0, whose real
+// key decides (DESIGN.md "Lazy members": a real key is never scheduled
+// at an instant where a member popped lazily). Two equal gaps in a row
+// mean the chains coincide all the way back, since every chain's gaps
+// repeat with period two.
 func popBefore(x *epochMember, a int64, y *epochMember, b int64) bool {
 	for step := 0; ; step++ {
 		if a == 0 || b == 0 {
@@ -606,249 +571,42 @@ func popBefore(x *epochMember, a int64, y *epochMember, b int64) bool {
 	}
 }
 
-// compareFinal orders committed members' continuations by the key the
+// comparePending orders leaving members' pending pops by the key the
 // per-charge engine would have given them: (when, at), then the order of
 // the pops that scheduled them.
-func compareFinal(x, y *epochMember) int {
+func comparePending(mx, my epochMember) int {
 	switch {
-	case x.c == y.c:
-		return 0
-	case x.fw != y.fw:
-		return cmp.Compare(x.fw, y.fw)
-	case x.fa != y.fa:
-		return cmp.Compare(x.fa, y.fa)
-	case popBefore(x, x.n-1, y, y.n-1):
+	case mx.booked != my.booked:
+		return cmp.Compare(mx.booked, my.booked)
+	case mx.pendingAt() != my.pendingAt():
+		return cmp.Compare(mx.pendingAt(), my.pendingAt())
+	case popBefore(&mx, mx.k, &my, my.k):
 		return -1
 	}
 	return 1
 }
 
-// fastForwardSpin commits one spin epoch: it advances the spin-epoch
-// members due by the horizon — the lane's, plus run, the spinner whose
-// iteration just ended in a steady state (nil when the engine loop
-// commits) — together, in closed form, up to the next event that might
-// harm one of them. It reports whether it changed the queues: advanced
-// anything, or moved a member to the heap.
-//
-// Legality. A lane member stays until something harms it (Engine.harm,
-// moduleSteady); the gather below evicts the harmed ones. Until then
-// nothing the member reads changes: by the busy-wait contract its probe
-// stays futile and its (delay, pause) fixed, so its charges complete at
-// the fixed offsets epochMember.pop describes. The commit takes every
-// member pop at or before the horizon H, the earliest of
-//
-//   - the next non-member event, strictly — at that instant the event
-//     may fire first and harm a member;
-//   - the RunFor/window limit, inclusive;
-//   - each member's own harmful pop (its slice boundary or MaxIters
-//     exhaustion), strictly;
-//
-// and does O(k log lane) work for the k members with a pop by H: per
-// member its iterations, one bulk SpinAccrue (which leaves the slice and
-// the boundary flag as the per-charge calls would, a truncated last step
-// included), its module's accesses, queue delay and reservation, and one
-// Attribution.SpinFastForward. A member whose pending pop lies past H
-// cannot lower H (its own harmful pop is no earlier) and keeps its lane
-// slot untouched. seq advances by exactly the number of pops (each
-// schedules one charge), and now moves to the last pop. Each member's
-// re-queued continuation gets its exact (when, at); its seq lies in
-// (seq₀, seq₀ + pops], assigned in compareFinal order, so it orders
-// after every event already queued, before every event scheduled later,
-// and among the members exactly as the per-charge engine would order it
-// — the event seq is read only by event.less.
-//
-// When run advanced, it is left either inline — the clock at its next
-// completion and run.pc at spinAfterSleep — or suspended with its
-// continuation queued (run.wait == spinWaitEvent).
-func (e *Engine) fastForwardSpin(run *spinState) bool {
-	if e.noInline || e.tracer != nil || e.stopped {
-		return false
+// pendingAt is the schedule instant of the member's pending pop k.
+func (m *epochMember) pendingAt() Time {
+	if m.k == 0 {
+		return m.at
 	}
-	first := e.now
-	if run == nil {
-		if e.lane.len() == 0 {
-			return false
-		}
-		first = e.lane.a[0].when
-	}
-	h, bounded := MaxTime, false
-	if e.limited {
-		h, bounded = e.limit, true
-	}
-	if e.queue.len() > 0 && e.queue.a[0].when-1 < h {
-		h, bounded = e.queue.a[0].when-1, true
-	}
-	// A commit pays per member it gathers, so it starts only where the
-	// spinner it starts from has two charges due by the horizon; one
-	// due charge costs less fired through runSpin, which is exact.
-	lead := run
-	if lead == nil {
-		lead = e.lane.a[0].coro.spin
-	}
-	if h-first < lead.minGap() || run != nil && !e.isEpochMember(run) {
-		return false
-	}
-
-	// Gather the members due by the horizon, the lane's in the order of
-	// their pending pops; each one's own harmful pop may lower it. A lane
-	// member something has harmed since it joined leaves for the main
-	// heap, where it fires one charge at a time and bounds the horizon
-	// like any other event.
-	ms := e.members[:0]
-	evicted := false
-	if run != nil {
-		ms = append(ms, epochMember{c: run.c, run: true, w: e.now, at: -1})
-		bounded = ms[0].place(run, &h) || bounded
-	}
-	var ev event
-	for e.lane.len() > 0 && e.lane.a[0].when <= h {
-		e.lane.pop(&ev)
-		s := ev.coro.spin
-		if cause := e.evictCause(s); cause != harmNone {
-			e.countEviction(cause)
-			e.queue.push(ev.when, ev.at, ev.seq, nil, ev.coro)
-			evicted = true
-			h, bounded = ev.when-1, true
-			continue
-		}
-		ms = append(ms, epochMember{c: ev.coro, w: ev.when, at: ev.at, seq: ev.seq})
-		bounded = ms[len(ms)-1].place(s, &h) || bounded
-	}
-	ev.coro = nil
-	if !bounded {
-		// Nothing bounds the epoch: the per-charge loop would spin
-		// forever, so must we (one charge at a time, keeping the hang
-		// observable).
-		h = first - 1
-	} else if h-e.now > maxSpinWindow {
-		h = e.now + maxSpinWindow
-	}
-
-	// Count each member's pops and apply them.
-	var pops int64
-	adv := e.advancing[:0]
-	for i := range ms {
-		m := &ms[i]
-		if m.n = m.popsBy(h); m.n > 0 {
-			pops += m.n
-			adv = append(adv, m)
-		}
-	}
-	if len(adv) == 0 {
-		e.requeue(ms)
-		e.members, e.advancing = ms[:0], adv
-		return evicted
-	}
-	last := e.now
-	for _, m := range adv {
-		s := m.state(run)
-		m.fa = m.pop(m.n - 1)
-		total := m.pop(m.n) - m.w
-		step, boundary := s.ctx.SpinAccrue(total)
-		if step < total && !boundary || step <= 0 {
-			panic("sim: spin fast-forward accrual broke the SpinContext contract")
-		}
-		m.fw = m.w + step
-		s.remaining = total - step
-		s.boundary = boundary
-		evals := m.evals(m.n)
-		s.iters += evals
-		lastIsEval := m.evalParity < 0 || (m.n-1)%2 == m.evalParity
-		s.inProbe = !lastIsEval
-		s.pc = spinAfterSleep
-		s.wait = spinWaitEvent
-		if cell := s.spec.ProbeCell; cell != nil {
-			if resvs := m.n - evals; resvs > 0 {
-				k := m.n - 1
-				if lastIsEval {
-					k--
-				}
-				s.resvAt = m.pop(k)
-				mach := cell.m
-				mach.accesses[cell.node] += uint64(resvs)
-				if svc := mach.cfg.ModuleService; svc > 0 {
-					mach.queueDelay[cell.node] += Time(resvs) * s.lastDelay
-					mach.moduleFree[cell.node] = s.resvAt + s.lastDelay + svc
-				}
-			}
-		}
-		if m.fa > last {
-			last = m.fa
-		}
-		e.stats.MemberCommits++
-		e.stats.BatchedIters += uint64(evals)
-	}
-	e.stats.Commits++
-	seq0 := e.seq
-	e.seq += uint64(pops)
-	e.now = last
-	if len(adv) > 1 {
-		e.stats.SharedCommits++
-		slices.SortFunc(adv, compareFinal)
-	}
-	var rm epochMember
-	for i, m := range adv {
-		m.fseq = seq0 + uint64(pops-int64(len(adv))+int64(i)+1)
-		if m.run {
-			rm = *m
-		}
-		if e.attr != nil {
-			e.attr.SpinFastForward(last, m.evals(m.n))
-		}
-	}
-	// The lane is whole again before run's continuation is placed, so
-	// run cannot advance inline past a member's pending charge.
-	e.requeue(ms)
-	if run != nil {
-		// run is always among the advanced: its pop 0 is at now ≤ h.
-		if e.canInline(rm.fw) {
-			e.now = rm.fw
-			run.wait = spinWaitNone
-		} else {
-			q := &e.lane
-			if run.boundary {
-				e.stats.EvictOwn++
-				q = &e.queue
-			}
-			q.push(rm.fw, rm.fa, rm.fseq, nil, run.c)
-		}
-	}
-	clear(adv)
-	e.members, e.advancing = ms[:0], adv[:0]
-	return true
+	return m.pop(m.k - 1)
 }
 
-// requeue returns a commit's gathered members, the running spinner
-// excepted, to the queues: each keeps its pending key or takes its
-// committed continuation's, and one left on a slice boundary waits in
-// the main heap instead, where it bounds the next horizon. It leaves ms
-// cleared for reuse.
-func (e *Engine) requeue(ms []epochMember) {
-	for i := range ms {
-		m := &ms[i]
-		switch {
-		case m.run:
-		case m.n == 0:
-			e.lane.push(m.w, m.at, m.seq, nil, m.c)
-		case m.c.spin.boundary:
-			e.stats.EvictOwn++
-			e.queue.push(m.fw, m.fa, m.fseq, nil, m.c)
-		default:
-			e.lane.push(m.fw, m.fa, m.fseq, nil, m.c)
-		}
-	}
-	clear(ms)
-}
-
-// place fixes the member's pop geometry from its spin state s and lowers
-// *h to just before its own harmful pop, if it has one by then. It
-// reports whether the member has a harmful pop at all.
-func (m *epochMember) place(s *spinState, h *Time) bool {
+// joinLane makes s, whose pending charge completes at when, a lane
+// member: that completion is its pop 0, keyed as its event would have
+// been, and from there on its pops cost nothing until it materializes
+// (DESIGN.md "Lazy members").
+func (e *Engine) joinLane(s *spinState, when Time) {
+	e.seq++
+	e.lane = append(e.lane, epochMember{c: s.c, w: when, at: e.now, seq: e.seq, booked: when, next: when})
+	m := &e.lane[len(e.lane)-1]
 	lp, p := s.probeBase+s.lastDelay, s.lastPause
 	switch {
 	case s.spec.ProbeCell == nil:
 		m.g1, m.per, m.evalParity = p, 2*p, -1
-	case m.run || !s.inProbe:
+	case !s.inProbe:
 		m.g1, m.per, m.evalParity = lp, lp+p, 1
 	default:
 		m.g1, m.per, m.evalParity = p, lp+p, 0
@@ -857,24 +615,308 @@ func (m *epochMember) place(s *spinState, h *Time) bool {
 	if max := s.spec.MaxIters; max >= 0 {
 		left = max - s.iters
 	}
-	end := m.harmAt(s.ctx.SpinBudget(), left)
-	if end == MaxTime {
-		return false
+	m.own = m.ownAt(s.ctx.SpinBudget(), left)
+	if m.own != MaxTime {
+		m.ownK = m.popsBy(m.own - 1)
 	}
-	if end-1 < *h {
-		*h = end - 1
+	if len(e.lane) == 1 || when < e.laneNext {
+		e.laneNext = when
 	}
-	return true
+	if cell := s.spec.ProbeCell; cell != nil && cell.m.spinner != nil {
+		cell.m.spinner[cell.node] = s.c
+	}
 }
 
-// countEviction counts one member leaving the lane for cause.
-func (e *Engine) countEviction(cause harmCause) {
+// passPops moves member m's clock-passed pops to n, counting each in the
+// engine's seq as the per-charge engine's schedule would have.
+func (e *Engine) passPops(m *epochMember, n int64) {
+	e.seq += uint64(n - m.k)
+	m.k = n
+}
+
+// laneStop returns the earliest instant at or before t at which a member
+// must leave the lane — a harmed member's next pop, a member's own
+// instant, or t itself when real (a real occurrence is due at t) and a
+// member pops exactly at t — or MaxTime when there is none.
+func (e *Engine) laneStop(t Time, real bool) Time {
+	stop := MaxTime
+	for i := range e.lane {
+		m := &e.lane[i]
+		switch {
+		case m.next > t:
+		case e.harm(m.c.spin) != harmNone:
+			stop = min(stop, m.next)
+		case m.own <= t:
+			stop = min(stop, m.own)
+		case real && m.pop(m.popsBy(t)-1) == t:
+			stop = min(stop, t)
+		}
+	}
+	return stop
+}
+
+// passLane passes every member's pops at or before h, none of which may
+// need it to leave (laneStop), and reports how many it passed.
+func (e *Engine) passLane(h Time) int64 {
+	var passed int64
+	e.laneNext = MaxTime
+	for i := range e.lane {
+		m := &e.lane[i]
+		if m.next <= h {
+			n := m.popsBy(h)
+			passed += n - m.k
+			e.passPops(m, n)
+			m.next = min(m.pop(n), m.own)
+		}
+		e.laneNext = min(e.laneNext, m.next)
+	}
+	return passed
+}
+
+// settleLane brings the lane up to the next real event, the heap head
+// if it is due by last: it finds the earliest instant T at or before it
+// where a member must leave, makes every member that must leave at T
+// leave for the heap — where the pending pops then fire one charge at a
+// time, in key order with the rest — and passes every other member's
+// pops before T. It reports whether an event due by last is in the heap.
+func (e *Engine) settleLane(last Time) bool {
+	t, real := last, false
+	if e.queue.len() > 0 && e.queue.a[0].when <= last {
+		t, real = e.queue.a[0].when, true
+	}
+	if t < e.laneNext {
+		return real
+	}
+	// MaxTime marks a member with no own instant, never one that is due.
+	if stop := e.laneStop(min(t, MaxTime-1), real); stop <= t {
+		e.leaveAt(stop)
+		return true
+	}
+	if t == MaxTime {
+		// Nothing else is pending, no member is harmed and none has an
+		// instant of its own: the per-charge loop would spin forever, so
+		// must we, one charge at a time, keeping the hang observable.
+		e.flushLane(e.now, leaveOwn)
+		return true
+	}
+	if real {
+		e.passLane(t - 1)
+	}
+	return real
+}
+
+// leaveAt makes every member that must leave at T leave — harmed with
+// its next pop at T, its own instant at T, or popping at T, where a real
+// occurrence is now due (laneStop returned T) — and passes every other
+// member's pops before T.
+func (e *Engine) leaveAt(T Time) {
+	lane, n := e.lane, len(e.lane)
+	e.laneNext = MaxTime
+	for i := 0; i < n; {
+		m := &lane[i]
+		if m.next <= T {
+			k, why := int64(-1), harmNone
+			if h := e.harm(m.c.spin); h != harmNone && m.next == T {
+				k, why = m.k, h
+			} else if m.own == T {
+				k, why = m.ownK, leaveOwn
+			} else if p := m.popsBy(T); m.pop(p-1) == T {
+				k, why = p-1, leaveTie
+			} else {
+				e.passPops(m, p)
+				m.next = min(m.pop(p), m.own)
+			}
+			if k >= 0 {
+				e.leave(m, k, why)
+				n--
+				lane[i], lane[n] = lane[n], lane[i]
+				continue
+			}
+		}
+		e.laneNext = min(e.laneNext, m.next)
+		i++
+	}
+	e.pushLeaving(n)
+}
+
+// flushLane passes every member's pops at or before L and makes the
+// whole lane leave for the heap, each member at its next pop, for cause
+// unless something harmed it. It returns the latest pop it passed, or
+// the clock when it passed none.
+func (e *Engine) flushLane(L Time, cause harmCause) Time {
+	latest := e.now
+	for i := range e.lane {
+		m := &e.lane[i]
+		if m.next <= L {
+			n := m.popsBy(L)
+			if m.own <= L {
+				n = min(n, m.ownK)
+			}
+			if n > m.k {
+				e.passPops(m, n)
+				latest = max(latest, m.pop(n-1))
+			}
+		}
+		why := cause
+		if h := e.harm(m.c.spin); h != harmNone {
+			why = h
+		}
+		e.leave(m, m.k, why)
+	}
+	e.laneNext = MaxTime
+	e.pushLeaving(0)
+	return latest
+}
+
+// leave passes and applies every pop of member m before pop k, which
+// it leaves the lane with, and counts why. The caller moves m to the
+// lane's tail, which pushLeaving empties into the heap.
+func (e *Engine) leave(m *epochMember, k int64, cause harmCause) {
+	e.passPops(m, k)
+	e.fastForwardSpin(m, k)
+	if cell := m.c.spin.spec.ProbeCell; cell != nil && cell.m.spinner != nil {
+		cell.m.spinner[cell.node] = nil
+	}
 	switch cause {
 	case harmCell:
 		e.stats.EvictCell++
 	case harmModule:
 		e.stats.EvictModule++
-	default:
+	case harmVolatile:
 		e.stats.EvictVolatile++
+	case leaveOwn:
+		e.stats.EvictOwn++
+	case leaveTie:
+		e.stats.EvictTie++
+	default:
+		e.stats.EvictLoopEnd++
+	}
+}
+
+// pushLeaving pushes the members in the lane from index n on, which
+// left together, onto the heap, each with its pending pop's key, and
+// truncates the lane to n. A pop 0 keeps its real key. Any other
+// pending pop was scheduled by a lazy pop, at an instant where no real
+// event was scheduled, so only pops of this same group can share its
+// (when, at); those take the last seqs the counter issued, in the order
+// the per-charge engine would have scheduled them (DESIGN.md "Lazy
+// members", Seq).
+func (e *Engine) pushLeaving(n int) {
+	g := e.lane[n:]
+	if len(g) == 0 {
+		return
+	}
+	e.countCommit()
+	if len(g) > 1 {
+		slices.SortFunc(g, comparePending)
+	}
+	seq := e.seq
+	for i := range g {
+		if g[i].k > 0 {
+			seq--
+		}
+	}
+	for i := range g {
+		m := &g[i]
+		at, sq := m.at, m.seq
+		if m.k > 0 {
+			seq++
+			at, sq = m.pop(m.k-1), seq
+		}
+		e.queue.push(m.booked, at, sq, nil, m.c)
+	}
+	clear(g)
+	e.lane = e.lane[:n]
+}
+
+// SyncSpins brings every spin-lane member's accrued state — its
+// context's busy time and slice, its iterations, its module's accesses,
+// queue delay and reservation — up to the clock. Members apply their
+// futile charges lazily, only when something needs them, so code that
+// reads such state while the engine runs (Machine.ModuleAccesses,
+// cthreads' busy-time accessors) calls this first. The members stay in
+// the lane.
+func (e *Engine) SyncSpins() {
+	for i := range e.lane {
+		if m := &e.lane[i]; m.done < m.k {
+			e.fastForwardSpin(m, m.k)
+			e.stats.StateReads++
+		}
+	}
+	e.countCommit()
+}
+
+// moduleHarm records that someone else reserves the module member c
+// probes: c's charges behind the clock are applied first, so the
+// reservation reads c's last one, and c leaves at its next pop.
+func (e *Engine) moduleHarm(c *Coro) {
+	for i := range e.lane {
+		if m := &e.lane[i]; m.c == c {
+			e.fastForwardSpin(m, m.k)
+			e.countCommit()
+		}
+	}
+	c.spin.descheduled = true
+}
+
+// countCommit counts one materialization that applied the charges of
+// the members fastForwardSpin advanced since the last one.
+func (e *Engine) countCommit() {
+	if e.applied > 0 {
+		e.stats.Commits++
+		if e.applied > 1 {
+			e.stats.SharedCommits++
+		}
+		e.applied = 0
+	}
+}
+
+// fastForwardSpin applies member m's pops before pop k in closed form:
+// exactly what the per-charge engine's pops would have done to its
+// state. Each pop books the charge it schedules, so the bulk SpinAccrue
+// runs up to pop k (which leaves the slice and the boundary flag as the
+// per-charge calls would, a truncated last step included); each
+// evaluating pop counts a futile iteration; each ending pop reserves
+// the probe's module. The clock and seq are not touched: the pops were
+// counted as the clock passed them (passPops).
+func (e *Engine) fastForwardSpin(m *epochMember, k int64) {
+	s := m.c.spin
+	if k <= m.done {
+		return
+	}
+	from := m.pop(m.done)
+	total := m.pop(k) - from
+	step, boundary := s.ctx.SpinAccrue(total)
+	if step < total && !boundary || step <= 0 {
+		panic("sim: spin fast-forward accrual broke the SpinContext contract")
+	}
+	m.booked = from + step
+	s.remaining = total - step
+	s.boundary = boundary
+	evals := m.evals(k) - m.evals(m.done)
+	s.iters += evals
+	lastIsEval := m.evalParity < 0 || (k-1)%2 == m.evalParity
+	s.inProbe = !lastIsEval
+	if cell := s.spec.ProbeCell; cell != nil {
+		if resvs := k - m.done - evals; resvs > 0 {
+			r := k - 1
+			if lastIsEval {
+				r--
+			}
+			s.resvAt = m.pop(r)
+			mach := cell.m
+			mach.accesses[cell.node] += uint64(resvs)
+			if svc := mach.cfg.ModuleService; svc > 0 {
+				mach.queueDelay[cell.node] += Time(resvs) * s.lastDelay
+				mach.moduleFree[cell.node] = s.resvAt + s.lastDelay + svc
+			}
+		}
+	}
+	m.done = k
+	e.applied++
+	e.stats.MemberCommits++
+	e.stats.BatchedIters += uint64(evals)
+	if e.attr != nil {
+		e.attr.SpinFastForward(m.pop(k-1), evals)
 	}
 }

@@ -435,6 +435,50 @@ func TestSpinStopMidSpin(t *testing.T) {
 	}
 }
 
+// stoppingAccessor stops its engine once it has accrued limit.
+type stoppingAccessor struct {
+	spinAccessor
+	limit Time
+}
+
+func (a *stoppingAccessor) SpinAccrue(d Time) (Time, bool) {
+	step, boundary := a.spinAccessor.SpinAccrue(d)
+	if a.busy >= a.limit {
+		a.c.eng.Stop()
+	}
+	return step, boundary
+}
+
+// TestSpinHangStaysObservable spins on a word no one will ever release,
+// with nothing else pending: the per-charge engine would spin forever,
+// so the lane must hand the spinner back one charge at a time rather
+// than pass its pops with no end in sight. The accessor stops the run
+// once it has accrued a millisecond, which Run must then reach.
+func TestSpinHangStaysObservable(t *testing.T) {
+	m := NewMachine(Config{Nodes: 1})
+	e := m.Engine()
+	cell := m.NewCell(0, "held", 1)
+	a := &stoppingAccessor{limit: Millisecond}
+	c := e.Spawn("spinner", func(c *Coro) {
+		a.c = c
+		spec := &SpinSpec{
+			ProbeCell: cell,
+			Probe:     func() bool { return cell.Peek() == 0 },
+			PauseCost: func() Time { return 400 * Nanosecond },
+			MaxIters:  SpinUnbounded,
+		}
+		c.SpinUntil(a, spec)
+	})
+	c.Start(0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() < Millisecond-2*Microsecond || e.Stats().EvictOwn < 100 {
+		t.Errorf("stopped at %v after %d single-charge hand-backs: want about 1ms, one charge at a time",
+			e.Now(), e.Stats().EvictOwn)
+	}
+}
+
 // TestSpinSuspensionAllocFree pins the suspended emulation's state reuse:
 // a coro whose every SpinUntil call suspends — a second coro's wakeups
 // always sit in the heap ahead of the spinner's next charge — allocates
@@ -510,6 +554,12 @@ type epochParams struct {
 	writer   bool // a coro that writes c0 with its own value, then with new held values and back
 	volatile bool // spinner 1's pause reads a Go variable that a non-spinner changes
 	late     bool // cells other than c0 are freed only late: a long stretch with one cell written
+
+	// Lazy-member shapes: occurrences that pass or land on members' pops.
+	sleeper bool // a coro sleeping inline across many member pops
+	ticks   bool // a coro and callbacks on the 300ns grid, where lockstep members pop
+	stop    bool // a callback stops the first run mid-epoch; Run resumes it
+	reader  bool // callbacks read every spinner's busy time and every module's counters
 }
 
 // runEpochWorkload drives many concurrent spinners through SpinUntil so
@@ -609,6 +659,58 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 		})
 		w.Start(0)
 	}
+	if p.writer {
+		// A write restored within one instant: invisible to every member.
+		e.At(Time(20+rng.Intn(200))*Microsecond, func() {
+			v := cells[0].Peek()
+			cells[0].Poke(v ^ 2)
+			cells[0].Poke(v)
+		})
+	}
+	if p.sleeper {
+		a := &spinAccessor{node: 3}
+		s := e.Spawn("sleeper", func(c *Coro) {
+			a.c = c
+			for k := 0; k < 30; k++ {
+				a.Advance(Time(40+k) * Microsecond)
+			}
+			logf("sleeper done")
+		})
+		s.Start(0)
+	}
+	if p.ticks {
+		a := &spinAccessor{node: 2}
+		tk := e.Spawn("ticker", func(c *Coro) {
+			a.c = c
+			for k := 0; k < 2000; k++ {
+				a.Advance(300 * Nanosecond)
+			}
+			logf("ticker done")
+		})
+		tk.Start(0)
+		for k := 0; k < 60; k++ {
+			e.At(Time(rng.Intn(20000))*300*Nanosecond, func() {})
+		}
+	}
+	if p.stop {
+		e.At(Time(30+rng.Intn(300))*Microsecond, e.Stop)
+	}
+	var accs []*spinAccessor
+	if p.reader {
+		for k := 0; k < 12; k++ {
+			e.At(Time(5+rng.Intn(800))*Microsecond, func() {
+				e.SyncSpins()
+				fmt.Fprintf(&fp, "%d/%d read", e.now, e.seq)
+				for _, a := range accs {
+					fmt.Fprintf(&fp, " %d", a.busy)
+				}
+				for n := 0; n < nodes; n++ {
+					fmt.Fprintf(&fp, " %d:%d", m.ModuleAccesses(n), m.ModuleQueueDelay(n))
+				}
+				fp.WriteString("\n")
+			})
+		}
+	}
 	var extra Time // read by the volatile spinner's pause
 	if p.volatile {
 		r := rng.Fork()
@@ -622,7 +724,7 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 		})
 		bump.Start(0)
 	}
-	accs := make([]*spinAccessor, p.spinners)
+	accs = make([]*spinAccessor, p.spinners)
 	for i := range accs {
 		i := i
 		r := rng.Fork()
@@ -671,7 +773,11 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 		c.Start(start)
 	}
 	var err error
-	if p.deadline > 0 {
+	if p.stop {
+		err = e.RunFor(10 * Millisecond)
+		logf("stopped pending=%d", e.Pending())
+	}
+	if p.deadline > 0 && err == nil {
 		err = e.RunFor(p.deadline)
 		logf("deadline pending=%d", e.Pending())
 	}
@@ -705,6 +811,8 @@ func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits
 	}
 	p.busy, p.writer = flags&8 != 0, flags&16 != 0
 	p.volatile, p.late = flags&32 != 0, flags&64 != 0
+	p.sleeper, p.ticks = svcUnits&8 != 0, svcUnits&16 != 0
+	p.stop, p.reader = svcUnits&32 != 0, svcUnits&64 != 0
 	if q := Time(quantumUnits % 8); q > 0 {
 		p.quantum = q * 50 * Microsecond
 		if flags&4 != 0 {
@@ -718,9 +826,13 @@ func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits
 // and shared cells, lockstep chains with tied (when, at), unequal
 // lengths, module contention on and off, MaxIters, slice budgets, a
 // RunFor deadline mid-epoch, a non-spinner releasing a cell mid-epoch,
-// and the local-harm shapes: busy non-spinners, same-value and
-// new-value writes, a volatile spinner, one cell written for a long
-// stretch — through every engine mode, requiring identical (now,
+// the local-harm shapes: busy non-spinners, same-value and new-value
+// writes (one restored within an instant, others only after members
+// popped), a volatile spinner, one cell written for a long stretch —
+// and the lazy-member shapes: a body sleeping inline across many member
+// pops, a ticker and callbacks landing exactly on lockstep members'
+// pops, a Stop mid-epoch, and mid-run reads of busy time and module
+// counters — through every engine mode, requiring identical (now,
 // seq)-stamped logs, busy accrual, and module-contention accounting.
 // Seeds #7 and #8 are TestSpinEpochEngages's workloads, #9 to #12 its
 // local-harm ones.
@@ -738,6 +850,15 @@ func FuzzSpinEpochDifferential(f *testing.F) {
 		f.Add(uint64(12), uint8(7), uint8(7), flags, uint8(0), uint8(0), uint16(0))
 	}
 	f.Add(uint64(13), uint8(9), uint8(3), uint8(8|16|32|64|4), uint8(2), uint8(3), uint16(500))
+	// The lazy-member shapes (svcUnits bits 3–6): an inline sleeper, the
+	// 300ns ticker in lockstep, lockstep members on several cells with c0
+	// written, a Stop and a RunFor deadline with state reads, and all of
+	// them on the hot-spot module model.
+	f.Add(uint64(14), uint8(7), uint8(7), uint8(2), uint8(8), uint8(0), uint16(0))
+	f.Add(uint64(15), uint8(7), uint8(3), uint8(1), uint8(16), uint8(0), uint16(0))
+	f.Add(uint64(16), uint8(7), uint8(3), uint8(1|16), uint8(8|64), uint8(0), uint16(0))
+	f.Add(uint64(17), uint8(9), uint8(4), uint8(16|32), uint8(32|64), uint8(2), uint16(400))
+	f.Add(uint64(18), uint8(11), uint8(5), uint8(1|8|16), uint8(2|8|16|32|64), uint8(3), uint16(900))
 	f.Fuzz(func(t *testing.T, seed uint64, spinners, cells, flags, svcUnits, quantumUnits uint8, deadlineUnits uint16) {
 		p := epochFuzzParams(seed, spinners, cells, flags, svcUnits, quantumUnits, deadlineUnits)
 		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
@@ -752,19 +873,25 @@ func FuzzSpinEpochDifferential(f *testing.F) {
 // spinner beside the bumper; one cell written while the rest wait late.
 var localHarmFlags = []uint8{2 | 8, 2 | 16, 2 | 8 | 32, 2 | 16 | 64}
 
-// TestSpinEpochEngages proves spin epochs commit several members at once
-// — with unequal lengths and in lockstep — and that the commits account
-// for most of the iterations, so FuzzSpinEpochDifferential, whose seeds
-// #7 and #8 are these workloads, does not pass vacuously. Its local-harm
-// seeds must show members outliving dispatches and callbacks, same-value
+// TestSpinEpochEngages proves spin epochs hold several lazy members at
+// once — with unequal lengths and in lockstep — and that their
+// closed-form charges account for most of the iterations, so
+// FuzzSpinEpochDifferential, whose seeds #7 and #8 are these workloads,
+// does not pass vacuously: with unequal lengths other coros pass members'
+// pops inline, and in lockstep members tie and leave the lane together,
+// ordered as the per-charge engine orders them. Its local-harm seeds
+// must show members outliving dispatches and callbacks, same-value
 // writes leaving them in place, and the volatile spinner evicted.
 func TestSpinEpochEngages(t *testing.T) {
 	for _, lockstep := range []bool{false, true} {
 		name := fmt.Sprintf("lockstep=%v", lockstep)
 		p := epochParams{seed: 11, spinners: 8, cells: 8, lockstep: lockstep}
 		_, got := runEpochWorkload(t, p, simtest.Mode{Inline: true, Batched: true})
-		if got.SharedCommits == 0 {
-			t.Errorf("%s: no commit advanced two or more members", name)
+		if lockstep && (got.SharedCommits == 0 || got.EvictTie == 0) {
+			t.Errorf("%s: no members left the lane together at a tie", name)
+		}
+		if !lockstep && got.LanePassed == 0 {
+			t.Errorf("%s: no inline advance passed a member's pops", name)
 		}
 		if got.iters < 1000 {
 			t.Errorf("%s: workload too small to be meaningful: %d iters", name, got.iters)

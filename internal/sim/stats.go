@@ -19,11 +19,12 @@ type Stats struct {
 	InlineWakeups uint64
 	// SpinCharges counts spin charge events fired one at a time.
 	SpinCharges uint64
-	// Commits counts spin-epoch commits that advanced at least one
-	// member; MemberCommits sums the members they advanced,
-	// BatchedIters the futile iterations those members skipped, and
-	// SharedCommits counts the commits that advanced two or more
-	// members at once.
+	// Commits counts materializations that applied at least one spin-lane
+	// member's charges in closed form — a group leaving the lane
+	// together, a state read, a reservation of a member's module;
+	// MemberCommits sums the members they applied, BatchedIters the
+	// futile iterations those members skipped, and SharedCommits counts
+	// the materializations that applied two or more members at once.
 	Commits       uint64
 	MemberCommits uint64
 	BatchedIters  uint64
@@ -47,7 +48,7 @@ type Stats struct {
 	// LaneSurvivals sums, over every coroutine dispatch and callback, the
 	// spin-lane members present at it. A persistent member stays in the
 	// lane through the occurrence unless it harms the member; a volatile
-	// one is evicted at the next commit.
+	// one leaves at its next charge.
 	LaneSurvivals uint64
 	// LaneRefusals counts the sleeps and spin charges that could not
 	// advance inline only because of the spin lane; LanePassed counts
