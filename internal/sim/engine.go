@@ -147,9 +147,16 @@ func (q *eventQueue) pop(out *event) {
 // engine loop or a single Coro), so simulated state needs no locking and
 // every run with the same inputs produces the same history.
 type Engine struct {
-	now   Time
-	seq   uint64
-	queue eventQueue
+	// The fields every event reads come first, ahead of the mechanism
+	// counters: with them at the end, a sharded run's engines read
+	// tracer from the same cache line another shard's engine writes.
+	now     Time
+	seq     uint64
+	queue   eventQueue
+	running bool
+	stopped bool
+	tracer  Tracer
+	attr    Attribution
 	// lane holds the spin-epoch members, whose futile charges are
 	// applied only when something needs them (DESIGN.md "Lazy
 	// members"); laneNext is the earliest next instant among them.
@@ -200,11 +207,6 @@ type Engine struct {
 	// coordinator, -1 on a standalone serial engine. Used only for
 	// diagnostics (deadlock reports name the shard).
 	rank int
-
-	running bool
-	stopped bool
-	tracer  Tracer
-	attr    Attribution
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
