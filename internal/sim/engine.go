@@ -273,7 +273,7 @@ func (e *Engine) canInline(when Time) bool {
 			e.stats.LaneRefusals++
 			return false
 		}
-		if e.passLane(when-1) > 0 {
+		if e.advanceLane(when) > 0 {
 			e.stats.LanePassed++
 		}
 	}

@@ -467,10 +467,8 @@ type epochMember struct {
 	booked  Time
 	// own is the member's own instant — its slice boundary or the probe
 	// evaluation that exhausts MaxIters, MaxTime when it has none — and
-	// ownK the index of its first pop at or after own. next is the
-	// earlier of pop k and own: the member's next instant.
+	// next the earlier of pop k and own: the member's next instant.
 	own  Time
-	ownK int64
 	next Time
 }
 
@@ -616,9 +614,6 @@ func (e *Engine) joinLane(s *spinState, when Time) {
 		left = max - s.iters
 	}
 	m.own = m.ownAt(s.ctx.SpinBudget(), left)
-	if m.own != MaxTime {
-		m.ownK = m.popsBy(m.own - 1)
-	}
 	if len(e.lane) == 1 || when < e.laneNext {
 		e.laneNext = when
 	}
@@ -634,10 +629,10 @@ func (e *Engine) passPops(m *epochMember, n int64) {
 	m.k = n
 }
 
-// laneStop returns the earliest instant at or before t at which a member
-// must leave the lane — a harmed member's next pop, a member's own
-// instant, or t itself when real (a real occurrence is due at t) and a
-// member pops exactly at t — or MaxTime when there is none.
+// laneStop returns the earliest instant at or before t (< MaxTime) at
+// which a member must leave the lane — a harmed member's next pop, a
+// member's own instant, or t itself when real (a real occurrence is due
+// at t) and a member pops exactly at t — or MaxTime when there is none.
 func (e *Engine) laneStop(t Time, real bool) Time {
 	stop := MaxTime
 	for i := range e.lane {
@@ -655,24 +650,6 @@ func (e *Engine) laneStop(t Time, real bool) Time {
 	return stop
 }
 
-// passLane passes every member's pops at or before h, none of which may
-// need it to leave (laneStop), and reports how many it passed.
-func (e *Engine) passLane(h Time) int64 {
-	var passed int64
-	e.laneNext = MaxTime
-	for i := range e.lane {
-		m := &e.lane[i]
-		if m.next <= h {
-			n := m.popsBy(h)
-			passed += n - m.k
-			e.passPops(m, n)
-			m.next = min(m.pop(n), m.own)
-		}
-		e.laneNext = min(e.laneNext, m.next)
-	}
-	return passed
-}
-
 // settleLane brings the lane up to the next real event, the heap head
 // if it is due by last: it finds the earliest instant T at or before it
 // where a member must leave, makes every member that must leave at T
@@ -688,28 +665,28 @@ func (e *Engine) settleLane(last Time) bool {
 		return real
 	}
 	// MaxTime marks a member with no own instant, never one that is due.
-	if stop := e.laneStop(min(t, MaxTime-1), real); stop <= t {
-		e.leaveAt(stop)
+	if stop := e.laneStop(min(t, MaxTime-1), real); stop != MaxTime {
+		e.advanceLane(stop)
 		return true
 	}
-	if t == MaxTime {
+	switch {
+	case t == MaxTime:
 		// Nothing else is pending, no member is harmed and none has an
 		// instant of its own: the per-charge loop would spin forever, so
 		// must we, one charge at a time, keeping the hang observable.
 		e.flushLane(e.now, leaveOwn)
-		return true
+	case real:
+		e.advanceLane(t)
 	}
-	if real {
-		e.passLane(t - 1)
-	}
-	return real
+	return real || t == MaxTime
 }
 
-// leaveAt makes every member that must leave at T leave — harmed with
-// its next pop at T, its own instant at T, or popping at T, where a real
-// occurrence is now due (laneStop returned T) — and passes every other
-// member's pops before T.
-func (e *Engine) leaveAt(T Time) {
+// advanceLane makes every member that must leave at T leave — harmed
+// with its next pop at T, its own instant at T, or popping at T, where a
+// real occurrence is due (laneStop found nothing earlier) — passes every
+// other member's pops before T, and reports how many pops it passed.
+func (e *Engine) advanceLane(T Time) int64 {
+	var passed int64
 	lane, n := e.lane, len(e.lane)
 	e.laneNext = MaxTime
 	for i := 0; i < n; {
@@ -719,10 +696,13 @@ func (e *Engine) leaveAt(T Time) {
 			if h := e.harm(m.c.spin); h != harmNone && m.next == T {
 				k, why = m.k, h
 			} else if m.own == T {
-				k, why = m.ownK, leaveOwn
+				// Pending is the first pop at or after own: the charge
+				// the boundary truncates, or the exhausting evaluation.
+				k, why = m.popsBy(T-1), leaveOwn
 			} else if p := m.popsBy(T); m.pop(p-1) == T {
 				k, why = p-1, leaveTie
 			} else {
+				passed += p - m.k
 				e.passPops(m, p)
 				m.next = min(m.pop(p), m.own)
 			}
@@ -737,6 +717,7 @@ func (e *Engine) leaveAt(T Time) {
 		i++
 	}
 	e.pushLeaving(n)
+	return passed
 }
 
 // flushLane passes every member's pops at or before L and makes the
@@ -748,11 +729,7 @@ func (e *Engine) flushLane(L Time, cause harmCause) Time {
 	for i := range e.lane {
 		m := &e.lane[i]
 		if m.next <= L {
-			n := m.popsBy(L)
-			if m.own <= L {
-				n = min(n, m.ownK)
-			}
-			if n > m.k {
+			if n := m.popsBy(L); n > m.k {
 				e.passPops(m, n)
 				latest = max(latest, m.pop(n-1))
 			}
