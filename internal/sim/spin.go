@@ -184,9 +184,10 @@ type spinState struct {
 // that cannot accrue inline cost one event but no coroutine handoff, and
 // once two consecutive iterations prove a fixed per-iteration profile,
 // the spinner joins the spin lane, where its futile iterations cost
-// nothing until something needs them (see Engine.joinLane). With batching disabled, or with a tracer
-// installed, the loop is open-coded per iteration instead; both paths
-// produce byte-identical simulated histories.
+// nothing until something needs them (see Engine.joinLane). With
+// batching disabled, or with a tracer installed, the loop is open-coded
+// per iteration instead; both paths produce byte-identical simulated
+// histories.
 func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool) {
 	e := c.eng
 	if e.noBatch || e.tracer != nil {
@@ -574,6 +575,8 @@ func popBefore(x *epochMember, a int64, y *epochMember, b int64) bool {
 // the pops that scheduled them.
 func comparePending(mx, my epochMember) int {
 	switch {
+	case mx.c == my.c:
+		return 0
 	case mx.booked != my.booked:
 		return cmp.Compare(mx.booked, my.booked)
 	case mx.pendingAt() != my.pendingAt():
