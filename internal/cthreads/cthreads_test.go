@@ -123,16 +123,33 @@ func TestBlockWake(t *testing.T) {
 	}
 }
 
+// TestWakeNonBlockedReturnsFalse also checks that a thread which blocks
+// while the waker pays the wakeup latency is not woken by that Wake: the
+// block waits for a wakeup of its own.
 func TestWakeNonBlockedReturnsFalse(t *testing.T) {
 	s := New(testConfig(2))
-	busy := s.Fork(0, "busy", func(th *Thread) { th.Advance(10000) })
+	var wokeAt sim.Time
+	busy := s.Fork(0, "busy", func(th *Thread) {
+		th.Advance(100)
+		th.Block()
+		wokeAt = th.Now()
+	})
 	s.Fork(1, "waker", func(th *Thread) {
 		if th.Wake(busy) {
 			t.Error("Wake returned true for running thread")
 		}
+		th.Advance(1000)
+		if !th.Wake(busy) {
+			t.Error("Wake returned false for blocked thread")
+		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	// waker: switch(100) + wakeup charge(200) + 1000 + wakeup charge(200)
+	// = 1500; then busy needs a context switch (100).
+	if wokeAt != 1600 {
+		t.Fatalf("busy woke at %v, want 1600", wokeAt)
 	}
 }
 

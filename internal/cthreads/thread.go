@@ -243,15 +243,19 @@ func (t *Thread) BlockTimeout(d sim.Time) (timedOut bool) {
 
 // Wake makes the blocked thread target runnable, charging the caller the
 // machine's wakeup cost (moving a thread to a — usually remote — ready
-// queue is what makes blocking locks expensive to release). It reports
-// whether target was actually blocked; a false return means target had
+// queue is what makes blocking locks expensive to release). It wakes only
+// the block target is in when Wake is called. It reports whether it woke
+// target; a false return means target was not blocked then, or had
 // already been woken (e.g. its timeout fired while the caller was paying
 // the wakeup cost), and the caller's charge stands, as it would on real
-// hardware.
+// hardware. A target that blocks again while the caller pays is not
+// woken: that block waits for a wakeup of its own, and a lock waiter that
+// took it for its grant would leave its queue entry behind.
 func (t *Thread) Wake(target *Thread) bool {
 	t.mustBeRunning("Wake")
+	blocked, gen := target.state == StateBlocked, target.blockGen
 	t.Advance(t.sys.cfg.Wakeup)
-	if target.state != StateBlocked {
+	if !blocked || target.state != StateBlocked || target.blockGen != gen {
 		return false
 	}
 	t.sys.ready(target)
