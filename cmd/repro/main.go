@@ -9,8 +9,7 @@
 // Run without arguments to list the experiments and their claims. Each
 // experiment declares the inputs it reads; a flag set on the command line
 // that no selected experiment reads is a usage error (exit 2), as is an
-// unknown name and -shards > 1 combined with -trace, -profile-vt, or
-// -ledger.
+// unknown name.
 package main
 
 import (
@@ -19,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/cli"
@@ -39,7 +39,6 @@ var flagInputs = map[string]experiments.Input{
 	"cities": experiments.InTSP, "searchers": experiments.InTSP,
 	"uniform": experiments.InTSP, "steps": experiments.InTSP, "file": experiments.InTSP,
 	"csvdir": experiments.InCSV,
-	"shards": experiments.InShards,
 	"trace":  experiments.InTrace, "trace-capacity": experiments.InTrace,
 	"trace-engine": experiments.InTrace, "trace-reports": experiments.InTrace,
 	"profile-vt": experiments.InObserve, "ledger": experiments.InObserve,
@@ -65,12 +64,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	steps := fs.Int("steps", 0, "instruction steps per TSP expansion work unit (0 = calibrated default)")
 	file := fs.String("file", "", "TSPLIB file (EUC_2D or FULL_MATRIX) to solve instead of a generated instance")
 	csvdir := fs.String("csvdir", "", "write each locking-pattern figure's series as CSV into this directory")
-	jobs := cli.JobsFlag(fs)
-	shards := cli.ShardsFlag(fs)
+	jobs := fs.Int("j", runtime.GOMAXPROCS(0),
+		"parallel workers for independent sweep simulations (1 = serial; output is identical for any value)")
+	noSpinBatch := fs.Bool("no-spin-batch", false,
+		"emulate every futile busy-wait probe per-iteration instead of batching them in the engine (slower wall clock; simulated results are identical)")
 	tf := cli.TraceFlags(fs)
 	obs := cli.ObserveFlags(fs)
 	prof := cli.ProfileFlags(fs)
-	noSpinBatch := cli.NoSpinBatchFlag(fs)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: repro [flags] <name>... | all\n\nexperiments:\n")
 		for _, s := range experiments.Registry() {
@@ -89,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	env := experiments.Env{
 		Machine: sim.Config{Nodes: *procs},
 		Jobs:    *jobs,
-		Shards:  *shards,
 		Iters:   *iters,
 		TSP: experiments.TSPOptions{Cities: *cities, Seed: *seed, Searchers: *searchers,
 			Uniform: *uniform, StepsPerWorkUnit: *steps},
@@ -98,9 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	specs, err := selectSpecs(fs)
 	if err == nil {
 		err = validateCounts(*procs, *iters, *searchers, *cities, *steps)
-	}
-	if err == nil {
-		err = cli.ValidateShards(*shards, tf, obs)
 	}
 	if err == nil && *lockKind != "" {
 		env.Kinds, err = lockKinds(*lockKind)

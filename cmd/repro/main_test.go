@@ -28,9 +28,7 @@ func TestArgValidation(t *testing.T) {
 		{"csvdir without patterns", []string{"-csvdir", dir, "table1"}, 2, "-csvdir: no selected experiment reads it"},
 		{"lock with only table6", []string{"-lock", "spin", "table6"}, 2, "-lock: no selected experiment reads it"},
 		{"unknown lock kind", []string{"-lock", "nosuch", "table4"}, 2, `-lock "nosuch": unknown lock kind`},
-		{"shards with a serial experiment", []string{"-shards", "2", "table8"}, 2, "-shards: no selected experiment reads it"},
-		{"explicit shards 1 with a serial experiment", []string{"-shards", "1", "table8"}, 2, "-shards: no selected experiment reads it"},
-		{"shards below 1", []string{"-shards", "0", "sharded"}, 2, "-shards must be at least 1"},
+		{"shards with the sharded sweep", []string{"-shards", "2", "sharded"}, 2, "flag provided but not defined"},
 		{"tsp flag with lock tables", []string{"-cities", "8", "table4"}, 2, "-cities: no selected experiment reads it"},
 		{"procs with figure 1", []string{"-procs", "4", "fig1"}, 2, "-procs: no selected experiment reads it"},
 		{"trace with figure 1", []string{"-trace", out("f.json"), "fig1"}, 2, "-trace: no selected experiment reads it"},
@@ -45,17 +43,12 @@ func TestArgValidation(t *testing.T) {
 		{"negative iters", []string{"-iters", "-3", "table4"}, 2, "-iters -3: must not be negative"},
 		{"negative steps", []string{"-steps", "-5", "table1"}, 2, "-steps -5: must not be negative"},
 
-		// The shards × observer matrix: an observer records one serial
-		// timeline, so -shards > 1 beside any of them is rejected.
-		{"shards 2 with trace", []string{"-shards", "2", "-trace", out("s.json"), "sharded", "feedback"}, 2, "cannot be combined with -trace"},
-		{"shards 2 with profile-vt", []string{"-shards", "2", "-profile-vt", out("s.prof"), "sharded", "feedback"}, 2, "cannot be combined with -profile-vt/-ledger"},
-		{"shards 2 with ledger", []string{"-shards", "2", "-ledger", out("s.ledger"), "sharded", "feedback"}, 2, "cannot be combined with -profile-vt/-ledger"},
 		{"serial engine with trace", []string{"-trace", out("t.json"), "table8"}, 0, ""},
 		{"serial engine with profile-vt", []string{"-profile-vt", out("t.prof"), "table8"}, 0, ""},
 		{"serial engine with ledger", []string{"-ledger", out("t.ledger"), "table8"}, 0, ""},
 
 		{"flag read by one of several selected", []string{"-lock", "spin", "table4", "table6"}, 0, ""},
-		{"shards with the sharded sweep", []string{"-shards", "2", "sharded"}, 0, ""},
+		{"trace with coupling", []string{"-trace", out("c.json"), "coupling"}, 0, ""},
 		{"csvdir with patterns", []string{"-cities", "7", "-searchers", "3", "-csvdir", dir, "patterns"}, 0, ""},
 	}
 	for _, c := range cases {
@@ -81,10 +74,15 @@ func TestArgValidation(t *testing.T) {
 			t.Errorf("accepted run left no %s (%v)", name, err)
 		}
 	}
-	for _, name := range []string{"f.json", "l.txt", "s.json", "s.prof", "s.ledger"} {
+	for _, name := range []string{"f.json", "l.txt"} {
 		if _, err := os.Stat(out(name)); err == nil {
 			t.Errorf("rejected run wrote %s", name)
 		}
+	}
+	// The loosely coupled loop's monitor thread emits the samples it
+	// feeds its policy; the traced coupling run must have recorded them.
+	if tr, err := os.ReadFile(out("c.json")); err != nil || !strings.Contains(string(tr), `"sample loose=`) {
+		t.Errorf("traced coupling run left no loose sample in c.json (%v)", err)
 	}
 }
 
@@ -99,10 +97,12 @@ func TestRepeatedNameRunsOnce(t *testing.T) {
 	}
 }
 
-// TestInputsReachOnlyTheirReaders checks that an input set for one
-// selected experiment does not leak into another: the tracer is read by
-// table8, and coupling, which can run traced but does not declare it,
-// must neither appear in the trace nor change its golden output.
+// TestInputsReachOnlyTheirReaders checks that an input reaches every
+// selected experiment that reads it: table8, feedback and coupling all
+// read -trace, so the trace holds each one's locks, and tracing leaves
+// coupling's output at its golden. That no unread input reaches an
+// experiment is TestRestrict's, in internal/experiments: no registered
+// experiment can show a leaked input in its output.
 func TestInputsReachOnlyTheirReaders(t *testing.T) {
 	want, err := os.ReadFile("../../internal/experiments/testdata/golden/coupling.txt")
 	if err != nil {
@@ -110,7 +110,7 @@ func TestInputsReachOnlyTheirReaders(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "t.txt")
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-trace", path, "table8", "coupling"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-trace", path, "table8", "feedback", "coupling"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	if !strings.HasSuffix(stdout.String(), string(want)) {
@@ -120,7 +120,9 @@ func TestInputsReachOnlyTheirReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(tr), "loose") {
-		t.Error("the trace recorded the coupling experiment, which does not read -trace")
+	for _, lock := range []string{" cfg ", " demo-lock ", " loose "} {
+		if !strings.Contains(string(tr), lock) {
+			t.Errorf("the trace holds no event of lock%s", lock)
+		}
 	}
 }

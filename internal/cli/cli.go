@@ -1,9 +1,9 @@
-// Package cli holds the run-wide flag plumbing of cmd/repro, the
-// experiment driver: the -trace family (path, capacity, category
-// selection, derived reports), the -profile-vt/-ledger observability
-// pair, the -j sweep parallelism, the -shards count and its validation
-// against the observers, the -no-spin-batch escape hatch, and the
-// -cpuprofile/-memprofile pair.
+// Package cli holds the cmd/repro flag groups that hide an output
+// format: the -trace family (Chrome JSON or text by extension, event
+// capacity, engine events, derived reports), the -profile-vt/-ledger
+// observability pair (folded stacks or a table; JSON or a report), and
+// the -cpuprofile/-memprofile pair. Each group registers its flags,
+// builds its collector and writes its files at the end of the run.
 package cli
 
 import (
@@ -244,57 +244,6 @@ func (p *Profile) Stop() error {
 			runtime.GC() // flush recently freed objects out of the heap profile
 			return pprof.WriteHeapProfile(w)
 		})
-	}
-	return nil
-}
-
-// NoSpinBatchFlag registers the shared escape hatch for the engine's
-// contention-epoch spin batching. When it is set, turn batching off with
-// sim.SetDefaultBatchedSpins(false) before building any simulation.
-func NoSpinBatchFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("no-spin-batch", false,
-		"emulate every futile busy-wait probe per-iteration instead of batching them in the engine (slower wall clock; simulated results are identical)")
-}
-
-// JobsFlag registers the shared sweep-parallelism flag. Independent
-// simulation configurations of one experiment sweep run on up to -j
-// OS-level workers; results are collected in input order, so output is
-// byte-identical for every -j value. The default uses every available
-// core; -j 1 forces the serial path.
-func JobsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("j", runtime.GOMAXPROCS(0),
-		"parallel workers for independent sweep simulations (1 = serial; output is identical for any value)")
-}
-
-// ShardsFlag registers the shared shard-count flag for the
-// conservative-parallel sharded engine. With -shards N > 1 a big
-// simulated machine is partitioned into N contiguous node blocks that
-// advance concurrently between lookahead barriers; results are
-// byte-identical to -shards 1 for workloads built on the posted
-// cross-shard primitives.
-func ShardsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 1,
-		"partition the simulated machine into this many conservative-parallel shards (1 = serial engine; output is identical for any value)")
-}
-
-// ValidateShards rejects flag combinations the sharded engine cannot
-// honor. The tracer, virtual-time profiler, and decision ledger all
-// record one serial timeline — the same rule that forces experiment
-// sweeps serial when observed — so -shards > 1 combined with any of
-// them is an error rather than a silently different recording. tf and
-// obs may be nil.
-func ValidateShards(shards int, tf *Trace, obs *Observe) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", shards)
-	}
-	if shards == 1 {
-		return nil
-	}
-	if tf != nil && tf.Path != "" {
-		return fmt.Errorf("-shards %d cannot be combined with -trace: the tracer records one serial timeline (run with -shards 1)", shards)
-	}
-	if obs != nil && obs.Enabled() {
-		return fmt.Errorf("-shards %d cannot be combined with -profile-vt/-ledger: observers record one serial timeline (run with -shards 1)", shards)
 	}
 	return nil
 }

@@ -38,7 +38,7 @@ func BarrierComparison(e Env) ([]BarrierRow, error) {
 	kinds := []string{"spin", "sleep", "adaptive"}
 	// Flatten the (regime × barrier-kind) grid: all six solves are
 	// independent simulations.
-	cells, err := sweep(sweepJobs(e.Jobs, false), len(regimes)*len(kinds), func(i int) (sim.Time, error) {
+	cells, err := sweep(e, len(regimes)*len(kinds), func(i int) (sim.Time, error) {
 		reg := regimes[i/len(kinds)]
 		kind := kinds[i%len(kinds)]
 		res, err := sor.Solve(sor.Config{

@@ -19,12 +19,10 @@ import (
 func renderTSP(t *testing.T, seed uint64) (chrome, text, metricsOut string) {
 	t.Helper()
 	tr := trace.New(1 << 20)
-	row, err := TSPComparison(tsp.OrgCentralized, TSPOptions{
-		Cities:    8,
-		Seed:      seed,
-		Searchers: 4,
-		Tracer:    tr,
-	})
+	row, err := tspComparison(Env{
+		TSP:    TSPOptions{Cities: 8, Seed: seed, Searchers: 4},
+		Tracer: tr,
+	}, tsp.OrgCentralized, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func Table5(opts Env) ([]LockOpRow, error) {
 
 func lockOpTable(opts Env, kinds []locks.Kind, op string) ([]LockOpRow, error) {
 	opts = opts.lockDefaults()
-	return sweep(sweepJobs(opts.Jobs, opts.observed()), len(kinds), func(i int) (LockOpRow, error) {
+	return sweep(opts, len(kinds), func(i int) (LockOpRow, error) {
 		k := kinds[i]
 		local, err := measureOp(opts, k, 0, op)
 		if err != nil {
@@ -243,7 +243,7 @@ func Table7(opts Env) ([]CycleRow, error) {
 
 func cycleTable(opts Env, cases []cycleCase) ([]CycleRow, error) {
 	opts = opts.lockDefaults()
-	return sweep(sweepJobs(opts.Jobs, opts.observed()), len(cases), func(i int) (CycleRow, error) {
+	return sweep(opts, len(cases), func(i int) (CycleRow, error) {
 		cse := cases[i]
 		local, err := measureCycle(opts, cse.mk, 1) // lock local to the waiter
 		if err != nil {
@@ -311,7 +311,7 @@ func Table8(opts Env) ([]ConfigOpRow, error) {
 			l.GeneralMonitorSample(t)
 		}, false},
 	}
-	return sweep(sweepJobs(opts.Jobs, opts.observed()), len(ops), func(i int) (ConfigOpRow, error) {
+	return sweep(opts, len(ops), func(i int) (ConfigOpRow, error) {
 		o := ops[i]
 		local, err := measure(0, o.run)
 		if err != nil {

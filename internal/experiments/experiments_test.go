@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/locks"
+	"repro/internal/profile"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/tsp"
 )
 
@@ -219,7 +224,7 @@ func TestTSPComparisonShape(t *testing.T) {
 }
 
 func TestLockPatternsShape(t *testing.T) {
-	figs, err := LockPatterns(TSPOptions{Cities: 13, Seed: 1, StepsPerWorkUnit: 30})
+	figs, err := LockPatterns(Env{TSP: TSPOptions{Cities: 13, Seed: 1, StepsPerWorkUnit: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +494,7 @@ func TestSchedulerAdaptationConverges(t *testing.T) {
 }
 
 func TestScalingComparisonShape(t *testing.T) {
-	rows, err := ScalingComparison(TSPOptions{Cities: 14, Seed: 1, Jobs: 2}, []int{4, 16})
+	rows, err := ScalingComparison(Env{TSP: TSPOptions{Cities: 14, Seed: 1}, Jobs: 2}, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +507,7 @@ func TestScalingComparisonShape(t *testing.T) {
 }
 
 func TestSORComparisonShape(t *testing.T) {
-	rows, err := SORComparison([]int{8, 24}, 2)
+	rows, err := SORComparison(Env{Jobs: 2}, []int{8, 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,5 +541,34 @@ func TestBarrierComparisonShape(t *testing.T) {
 	// Multiprogrammed: the adaptive grace-then-sleep beats both statics.
 	if !(shared.Adaptive < shared.Spin && shared.Adaptive < shared.Sleep) {
 		t.Errorf("shared: adaptive (%v) not best (spin %v, sleep %v)", shared.Adaptive, shared.Spin, shared.Sleep)
+	}
+}
+
+// TestRestrict checks that Restrict passes Jobs and exactly the fields of
+// the declared inputs, and that every Env field belongs to some input.
+func TestRestrict(t *testing.T) {
+	full := Env{
+		Machine: sim.Config{Nodes: 4}, Jobs: 3,
+		Tracer: trace.New(1), Profiler: profile.New(), Ledger: core.NewLedger(1),
+		Iters: 5, Kinds: []locks.Kind{locks.KindSpin}, TSP: TSPOptions{Cities: 9}, CSVDir: "d",
+	}
+	cases := []struct {
+		in   Input
+		want Env
+	}{
+		{0, Env{Jobs: 3}},
+		{InMachine, Env{Jobs: 3, Machine: full.Machine}},
+		{InIters, Env{Jobs: 3, Iters: full.Iters}},
+		{InKinds, Env{Jobs: 3, Kinds: full.Kinds}},
+		{InTSP, Env{Jobs: 3, TSP: full.TSP}},
+		{InCSV, Env{Jobs: 3, CSVDir: full.CSVDir}},
+		{InTrace, Env{Jobs: 3, Tracer: full.Tracer}},
+		{InObserve, Env{Jobs: 3, Profiler: full.Profiler, Ledger: full.Ledger}},
+		{InMachine | InIters | InKinds | InTSP | InCSV | InTrace | InObserve, full},
+	}
+	for _, c := range cases {
+		if got := full.Restrict(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Restrict(%b) = %+v, want %+v", c.in, got, c.want)
+		}
 	}
 }

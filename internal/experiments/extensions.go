@@ -30,7 +30,7 @@ func SchedulerComparison(e Env) ([]SchedRow, error) {
 	// the lock adapts its own scheduler (FCFS → priority) as the queue
 	// builds.
 	scheds := []string{locks.SchedFCFS, locks.SchedPriority, locks.SchedHandoff, workload.SchedAdaptive}
-	return sweep(sweepJobs(e.Jobs, false), len(scheds), func(i int) (SchedRow, error) {
+	return sweep(e, len(scheds), func(i int) (SchedRow, error) {
 		sched := scheds[i]
 		res, err := workload.RunClientServer(workload.ClientServerConfig{
 			Clients:     8,
@@ -63,7 +63,7 @@ func SpinVsBlockCrossover(e Env) ([]CrossoverRow, error) {
 	if e.Machine.Quantum == 0 {
 		e.Machine.Quantum = 500 * sim.Microsecond
 	}
-	return sweep(sweepJobs(e.Jobs, false), 4, func(i int) (CrossoverRow, error) {
+	return sweep(e, 4, func(i int) (CrossoverRow, error) {
 		tpp := i + 1
 		cfg := workload.CSConfig{
 			Procs:     procs,
@@ -103,7 +103,7 @@ func PolicyAblation(e Env) ([]AblationRow, error) {
 	}
 	thresholds := []int64{1, 3, 6}
 	steps := []int64{5, 10, 25}
-	return sweep(sweepJobs(e.Jobs, false), len(thresholds)*len(steps), func(i int) (AblationRow, error) {
+	return sweep(e, len(thresholds)*len(steps), func(i int) (AblationRow, error) {
 		threshold := thresholds[i/len(steps)]
 		step := steps[i%len(steps)]
 		res, err := workload.RunCS(workload.CSConfig{
@@ -157,7 +157,7 @@ func AdvisoryComparison(e Env) ([]AdvisoryRow, error) {
 		workload.CombinedStrategy(10),
 		workload.AdvisoryStrategy(),
 	}
-	return sweep(sweepJobs(e.Jobs, false), len(strategies), func(i int) (AdvisoryRow, error) {
+	return sweep(e, len(strategies), func(i int) (AdvisoryRow, error) {
 		s := strategies[i]
 		res, err := workload.RunCS(cfg, s)
 		if err != nil {
@@ -194,7 +194,7 @@ func LockRetargeting(e Env) ([]RetargetRow, error) {
 		e.Machine = sim.HotSpotConfig()
 	}
 	counts := []int{2, 4, 8, 16}
-	return sweep(sweepJobs(e.Jobs, false), len(counts), func(i int) (RetargetRow, error) {
+	return sweep(e, len(counts), func(i int) (RetargetRow, error) {
 		threads := counts[i]
 		m := e.Machine
 		if m.Nodes < threads {

@@ -52,7 +52,7 @@ func Figure1(e Env, csLengths []sim.Time) ([]Figure1Row, error) {
 	strategies := Figure1Strategies()
 	// The grid is flattened to (length, strategy) cells so the fan-out sees
 	// every independent simulation, not just the row count.
-	cells, err := sweep(sweepJobs(e.Jobs, e.observed()), len(csLengths)*len(strategies),
+	cells, err := sweep(e, len(csLengths)*len(strategies),
 		func(i int) (sim.Time, error) {
 			cs := csLengths[i/len(strategies)]
 			strat := strategies[i%len(strategies)]

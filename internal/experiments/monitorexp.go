@@ -119,7 +119,7 @@ func MonitorHotspotRun(machine sim.Config, mode string, callers int) (MonitorHot
 // both sides are reported as measured.
 func MonitorHotspot(e Env) ([]MonitorHotspotRow, error) {
 	n := len(HotspotModes) * len(hotspotCallers)
-	return sweep(sweepJobs(e.Jobs, false), n, func(i int) (MonitorHotspotRow, error) {
+	return sweep(e, n, func(i int) (MonitorHotspotRow, error) {
 		mode := HotspotModes[i/len(hotspotCallers)]
 		callers := hotspotCallers[i%len(hotspotCallers)]
 		return runHotspot(e.Machine, mode, callers, 30)
@@ -243,7 +243,7 @@ func WaitLatencySweep(e Env) ([]WaitLatencyRow, error) {
 	if e.Machine.Nodes < 8 {
 		e.Machine.Nodes = 8
 	}
-	return sweep(sweepJobs(e.Jobs, false), len(e.Kinds), func(i int) (WaitLatencyRow, error) {
+	return sweep(e, len(e.Kinds), func(i int) (WaitLatencyRow, error) {
 		kind := e.Kinds[i]
 		sys := cthreads.New(e.Machine)
 		l, err := locks.New(sys, kind, 0, string(kind), locks.DefaultCosts())
@@ -299,17 +299,16 @@ type TSPAsyncRow struct {
 // modes must find the same optimal tour; the solves are independent
 // simulations and fan out over e.Jobs workers.
 func TSPAsyncQueue(e Env) ([]TSPAsyncRow, error) {
-	opts := e.tspOptions()
+	opts := e.TSP.withDefaults()
 	in := opts.instance()
 	modes := append([]string{"off"}, tsp.AsyncQueueModes()...)
-	return sweep(sweepJobs(e.Jobs, false), len(modes), func(i int) (TSPAsyncRow, error) {
+	return sweep(e, len(modes), func(i int) (TSPAsyncRow, error) {
 		mode := modes[i]
 		cfg := tsp.Config{
 			Instance:         in,
 			Searchers:        opts.Searchers,
 			Org:              tsp.OrgCentralized,
 			LockKind:         locks.KindBlocking,
-			Machine:          opts.Machine,
 			StepsPerWorkUnit: opts.StepsPerWorkUnit,
 		}
 		if mode != "off" {

@@ -35,7 +35,7 @@ func PlatformRetargeting(e Env) ([]PlatformRow, error) {
 		{"GP1000 (NUMA)", sim.GP1000Config()},
 		{"NORMA-like", sim.NORMAConfig()},
 	}
-	return sweep(sweepJobs(e.Jobs, false), len(presets), func(i int) (PlatformRow, error) {
+	return sweep(e, len(presets), func(i int) (PlatformRow, error) {
 		p := presets[i]
 		opts := Env{Machine: p.cfg}.lockDefaults()
 		spinOp, err := measureOp(opts, locks.KindSpin, 1, "lock")

@@ -31,7 +31,7 @@ type CalibRow struct {
 // per-arrival decision is a genuine three-way choice.
 func MutableCalibration(e Env) ([]CalibRow, error) {
 	counts := []int{2, 8, 32}
-	return sweep(sweepJobs(e.Jobs, false), len(counts), func(i int) (CalibRow, error) {
+	return sweep(e, len(counts), func(i int) (CalibRow, error) {
 		waiters := counts[i]
 		m := e.Machine
 		if m.Nodes < waiters {
@@ -101,7 +101,7 @@ func CohortNUMA(e Env) ([]CohortRow, error) {
 	}
 	const perNode = 3
 	counts := []int{2, 4, 8}
-	return sweep(sweepJobs(e.Jobs, false), len(counts), func(i int) (CohortRow, error) {
+	return sweep(e, len(counts), func(i int) (CohortRow, error) {
 		nodes := counts[i]
 		m := e.Machine
 		if m.Nodes < nodes {

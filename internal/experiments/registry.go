@@ -24,14 +24,12 @@ type Env struct {
 	Machine sim.Config
 	// Jobs is the fan-out for independent simulations: each runs on its
 	// own engine, so up to Jobs (capped at GOMAXPROCS) run concurrently
-	// while results keep their input order. 0 or 1 is serial.
+	// while results keep their input order. 0 or 1 is serial, and so is
+	// every sweep of an Env with an observer attached (see sweep).
 	Jobs int
-	// Shards is the largest shard count of the sharded-scaling sweep.
-	Shards int
 	// Tracer, when non-nil, is attached to every observed system; the
 	// microbenchmarks run many short simulations, so their events share
-	// one virtual timeline restarting at zero per measurement. Any
-	// observer forces serial execution regardless of Jobs.
+	// one virtual timeline restarting at zero per measurement.
 	Tracer *trace.Tracer
 	// Profiler, when non-nil, collects the exact virtual-time attribution
 	// of every observed system's threads.
@@ -46,8 +44,9 @@ type Env struct {
 	// sweep to these lock kinds; empty means the full row set.
 	Kinds []locks.Kind
 	// TSP holds the TSP instance options (Instance, Cities, Seed,
-	// Searchers, Uniform, StepsPerWorkUnit); its observer and Jobs fields
-	// are taken from Env.
+	// Searchers, Uniform, StepsPerWorkUnit). Its Profiler, Ledger and Jobs
+	// fields serve only the TSPComparison entry point; on this path Env's
+	// own observers and Jobs apply.
 	TSP TSPOptions
 	// CSVDir, when set, receives each locking-pattern figure's series as
 	// CSV.
@@ -64,7 +63,6 @@ const (
 	InKinds                     // Kinds (-lock)
 	InTSP                       // TSP (-seed -cities -searchers -uniform -steps -file)
 	InCSV                       // CSVDir (-csvdir)
-	InShards                    // Shards (-shards)
 	InTrace                     // Tracer (-trace and its options)
 	InObserve                   // Profiler and Ledger (-profile-vt, -ledger)
 )
@@ -89,9 +87,6 @@ func (e Env) Restrict(in Input) Env {
 	if in&InCSV != 0 {
 		r.CSVDir = e.CSVDir
 	}
-	if in&InShards != 0 {
-		r.Shards = e.Shards
-	}
 	if in&InTrace != 0 {
 		r.Tracer = e.Tracer
 	}
@@ -112,14 +107,6 @@ func (e Env) attach(sys *cthreads.System) {
 	sys.SetTracer(e.Tracer)
 	sys.SetProfiler(e.Profiler)
 	sys.SetLedger(e.Ledger)
-}
-
-// tspOptions is e.TSP with defaults applied and e's observers and
-// fan-out attached.
-func (e Env) tspOptions() TSPOptions {
-	o := e.TSP.withDefaults()
-	o.Tracer, o.Profiler, o.Ledger, o.Jobs = e.Tracer, e.Profiler, e.Ledger, e.Jobs
-	return o
 }
 
 // Spec is one registered experiment.
@@ -242,7 +229,7 @@ func Registry() []Spec {
 		{"patterns", "Figures 4–9, qlock contention: centralized ≫ distributed ≫ distributed+LB; glob-act-lock moderate",
 			InTSP | InCSV, patterns},
 		{"scaling", "§4's prediction: the adaptive lock's gain over blocking grows with the processor count",
-			tspInputs, tabulate(func(e Env) ([]ScalingRow, error) { return ScalingComparison(e.tspOptions(), nil) }, RenderScaling,
+			tspInputs, tabulate(func(e Env) ([]ScalingRow, error) { return ScalingComparison(e, nil) }, RenderScaling,
 				each(func(r ScalingRow) Metric {
 					return Metric{fmt.Sprintf("improvement-%%-%dp", r.Searchers), r.ImprovementPct}
 				}))},
@@ -290,7 +277,7 @@ func Registry() []Spec {
 		{"cohort", "A NUMA cohort lock cuts remote lock transfers versus the flat TAS and MCS locks",
 			0, tabulate(CohortNUMA, RenderCohortNUMA, nil)},
 		{"coupling", "§3/§5.1: the inline feedback loop reacts without lag; the general-purpose monitor pipeline decides a phase late",
-			0, tabulate(CouplingComparison, RenderCoupling, func(rows []CouplingRow) []Metric {
+			InTrace, tabulate(CouplingComparison, RenderCoupling, func(rows []CouplingRow) []Metric {
 				return []Metric{
 					{"sim-ms-closely-coupled", rows[0].Elapsed.Millis()},
 					{"sim-ms-loosely-coupled", rows[1].Elapsed.Millis()},
@@ -301,7 +288,7 @@ func Registry() []Spec {
 			0, tabulate(PlatformRetargeting, RenderPlatforms,
 				each(func(r PlatformRow) Metric { return Metric{"spin/block-" + metricName(r.Platform), r.SpinOverBlock} }))},
 		{"sor", "§7 follow-on: the adaptive residual lock's gain on SOR grows with the worker count",
-			0, tabulate(func(e Env) ([]SORRow, error) { return SORComparison(nil, e.Jobs) }, RenderSOR,
+			0, tabulate(func(e Env) ([]SORRow, error) { return SORComparison(e, nil) }, RenderSOR,
 				each(func(r SORRow) Metric { return Metric{fmt.Sprintf("improvement-%%-%dw", r.Workers), r.ImprovementPct} }))},
 		{"barrier", "§7: an adaptive barrier polls like a spin barrier on private processors and beats both static barriers when multiprogrammed",
 			0, tabulate(BarrierComparison, RenderBarriers, func(rows []BarrierRow) (m []Metric) {
@@ -329,12 +316,11 @@ func Registry() []Spec {
 				}
 			})},
 		{"sharded", "The sharded engine simulates an identical history at every shard count",
-			InShards, func(e Env) (Result, error) {
-				opts := ShardedScalingOptions{Jobs: e.Jobs}
-				if e.Shards > 1 {
-					opts.MaxShards = e.Shards
-				}
-				rows, err := ShardedScaling(opts)
+			0, func(e Env) (Result, error) {
+				shards := []int{1, 2, 4, 8}
+				rows, err := sweep(e, len(shards), func(i int) (ShardedRow, error) {
+					return ShardedRun(sim.Config{}, shards[i], 0, 0)
+				})
 				if err != nil {
 					return Result{}, err
 				}
@@ -364,11 +350,11 @@ func Registry() []Spec {
 // the solve details behind it.
 func tspTable(org tsp.Organization) func(Env) (Result, error) {
 	return func(e Env) (Result, error) {
-		opts := e.tspOptions()
-		row, err := TSPComparison(org, opts)
+		row, err := tspComparison(e, org, org == tsp.OrgCentralized)
 		if err != nil {
 			return Result{}, err
 		}
+		opts := e.TSP.withDefaults()
 		var label string
 		switch {
 		case opts.Instance != nil:
@@ -412,7 +398,7 @@ func tspTable(org tsp.Organization) func(Env) (Result, error) {
 // when it is set, and reports the three qlock figures' mean waiting
 // counts.
 func patterns(e Env) (Result, error) {
-	figs, err := LockPatterns(e.tspOptions())
+	figs, err := LockPatterns(e)
 	if err != nil {
 		return Result{}, err
 	}

@@ -7,23 +7,25 @@ import (
 )
 
 // sweep runs fn(0..n-1) — one fully independent simulation configuration
-// per index — on up to jobs OS-level workers and returns the results in
+// per index — on up to e.Jobs OS-level workers and returns the results in
 // input order, so output is byte-identical to the serial path regardless
 // of worker count. Each configuration must build its own Engine and RNG
 // (every experiment in this package does); nothing else is shared, so the
 // virtual timelines cannot interleave.
 //
-// jobs <= 1 runs serially in the caller's goroutine, preserving the exact
-// pre-parallel behaviour (including early stop at the first error). With
-// jobs > 1, workers are capped at min(jobs, GOMAXPROCS, n); on error the
+// The sweep runs serially in the caller's goroutine, stopping at the
+// first error, when e.Jobs <= 1 or e has an observer attached: a tracer,
+// profiler or ledger records one virtual timeline, and concurrent
+// simulations would interleave theirs nondeterministically. Otherwise
+// workers are capped at min(e.Jobs, GOMAXPROCS, n); on error the
 // remaining indices are cancelled and the error of the lowest index is
 // returned, matching what a serial run would have surfaced. A panic in any
 // configuration is re-raised in the caller.
-func sweep[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
+func sweep[T any](e Env, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if jobs <= 1 || n == 1 {
+	if e.Jobs <= 1 || e.observed() || n == 1 {
 		out := make([]T, 0, n)
 		for i := 0; i < n; i++ {
 			v, err := fn(i)
@@ -35,7 +37,7 @@ func sweep[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 		return out, nil
 	}
 
-	workers := jobs
+	workers := e.Jobs
 	if max := runtime.GOMAXPROCS(0); workers > max {
 		workers = max
 	}
@@ -84,19 +86,4 @@ func sweep[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return results, nil
-}
-
-// sweepJobs normalizes a Jobs option: 0 (the zero value) and 1 mean
-// serial; anything above fans out. When a shared tracer is attached the
-// caller must force serial execution — a tracer records one virtual
-// timeline, and concurrent simulations would interleave theirs
-// nondeterministically — which is what tracedSerial expresses.
-func sweepJobs(jobs int, tracedSerial bool) int {
-	if tracedSerial {
-		return 1
-	}
-	if jobs < 1 {
-		return 1
-	}
-	return jobs
 }

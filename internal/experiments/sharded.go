@@ -9,49 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// ShardedScalingOptions configures the sharded-engine scaling
-// experiment: one big NUMA machine running a communication-heavy
-// client/server workload, partitioned into 1, 2, 4, … shards.
-type ShardedScalingOptions struct {
-	// Machine is the simulated multiprocessor (default 64 nodes — the
-	// benchmark suite runs the same workload at 1024).
-	Machine sim.Config
-	// MaxShards bounds the doubling shard-count grid 1, 2, 4, …
-	// (default 8, clamped to the node count).
-	MaxShards int
-	// Workers caps worker threads per sharded run (default GOMAXPROCS).
-	// Purely wall-clock: every value produces identical rows.
-	Workers int
-	// Rounds is the client/server request rounds per node pair
-	// (default 4).
-	Rounds int
-	// Jobs fans the independent shard-count runs out like any other
-	// sweep (0 or 1 = serial).
-	Jobs int
-}
-
-func (o ShardedScalingOptions) withDefaults() ShardedScalingOptions {
-	if o.Machine.Nodes == 0 {
-		o.Machine.Nodes = 64
-	}
-	if o.Machine.Seed == 0 {
-		o.Machine.Seed = 1
-	}
-	if o.MaxShards < 1 {
-		o.MaxShards = 8
-	}
-	if o.MaxShards > o.Machine.Nodes {
-		o.MaxShards = o.Machine.Nodes
-	}
-	if o.Workers < 1 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Rounds < 1 {
-		o.Rounds = 4
-	}
-	return o
-}
-
 // ShardedRow is one row of the sharded-scaling experiment. SimTime,
 // Busy, and Checksum are properties of the workload, not the partition:
 // every row must carry identical values, and the determinism tests (and
@@ -71,38 +28,9 @@ type ShardedRow struct {
 	Coord     sim.ShardStats
 }
 
-// ShardedScaling runs the client/server ring on partitions of one big
-// machine, doubling the shard count up to MaxShards. The returned rows
-// demonstrate the sharded engine's contract: identical simulated
-// history at every shard count, with only the cross-shard message
-// counter revealing how the work was partitioned.
-func ShardedScaling(opts ShardedScalingOptions) ([]ShardedRow, error) {
-	opts = opts.withDefaults()
-	var counts []int
-	for s := 1; s <= opts.MaxShards; s *= 2 {
-		counts = append(counts, s)
-	}
-	return sweep(sweepJobs(opts.Jobs, false), len(counts), func(i int) (ShardedRow, error) {
-		return shardedRingRun(opts.Machine, counts[i], opts.Workers, opts.Rounds)
-	})
-}
-
-// ShardedRun executes the scaling workload once at a fixed shard count
-// and returns its row — the entry point the root benchmark suite uses
-// to time individual partitionings. Zero cfg/workers/rounds values take
-// the experiment defaults.
-func ShardedRun(cfg sim.Config, shards, workers, rounds int) (ShardedRow, error) {
-	opts := ShardedScalingOptions{Machine: cfg, Workers: workers, Rounds: rounds}.withDefaults()
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > opts.Machine.Nodes {
-		shards = opts.Machine.Nodes
-	}
-	return shardedRingRun(opts.Machine, shards, opts.Workers, opts.Rounds)
-}
-
-// shardedRingRun executes one configuration of the scaling workload: a
+// ShardedRun executes the scaling workload on one big machine
+// partitioned into the given number of shards and returns its row; the
+// sharded experiment runs it at 1, 2, 4 and 8 shards. The workload is a
 // ring of client/server pairs, one per node, wired entirely through the
 // shard-legal primitives — posted cell operations for data, WakePost
 // for wakeups, ForkPost for migration, BlockTimeout and bounded
@@ -112,7 +40,24 @@ func ShardedRun(cfg sim.Config, shards, workers, rounds int) (ShardedRow, error)
 // onto the node halfway across the machine, which posts into a hub
 // counter on node 0. All randomness is seeded per (seed, node), so the
 // history is a function of the workload alone — never of the partition.
-func shardedRingRun(cfg sim.Config, shards, workers, rounds int) (ShardedRow, error) {
+//
+// Zero arguments take the defaults: 64 nodes, seed 1, GOMAXPROCS
+// workers (purely wall-clock: every value produces identical rows) and
+// 4 request rounds per node pair. shards is clamped to [1, nodes].
+func ShardedRun(cfg sim.Config, shards, workers, rounds int) (ShardedRow, error) {
+	if cfg.Nodes == 0 {
+		cfg.Nodes = 64
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	shards = min(max(shards, 1), cfg.Nodes)
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if rounds < 1 {
+		rounds = 4
+	}
 	cl := cthreads.NewCluster(cfg, sim.ShardOptions{Shards: shards, Workers: workers})
 	n := cl.Procs()
 	seed := cl.Sharded().Config().Seed

@@ -7,11 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
-func shardedTestOptions() ShardedScalingOptions {
-	return ShardedScalingOptions{
-		Machine: sim.Config{Nodes: 16, Seed: 7},
-		Rounds:  3,
-	}
+// shardedTestRows runs a small ring at shards 1, 2, 4 and 8, as the
+// sharded experiment does, sweeping the shard counts over jobs workers
+// and running each with the given per-run worker count.
+func shardedTestRows(jobs, workers int) ([]ShardedRow, error) {
+	return sweep(Env{Jobs: jobs}, 4, func(i int) (ShardedRow, error) {
+		return ShardedRun(sim.Config{Nodes: 16, Seed: 7}, 1<<i, workers, 3)
+	})
 }
 
 // TestShardedSweepDeterminism renders the sharded-scaling experiment
@@ -25,10 +27,7 @@ func TestShardedSweepDeterminism(t *testing.T) {
 	var want string
 	for _, jobs := range []int{1, 4, 8} {
 		for _, workers := range []int{1, 2, 4} {
-			opts := shardedTestOptions()
-			opts.Jobs = jobs
-			opts.Workers = workers
-			rows, err := ShardedScaling(opts)
+			rows, err := shardedTestRows(jobs, workers)
 			if err != nil {
 				t.Fatalf("jobs=%d workers=%d: %v", jobs, workers, err)
 			}
@@ -54,7 +53,7 @@ func TestShardedSweepDeterminism(t *testing.T) {
 // serial row has zero cross-shard messages while every sharded row has
 // real traffic.
 func TestShardedScalingInvariants(t *testing.T) {
-	rows, err := ShardedScaling(shardedTestOptions())
+	rows, err := shardedTestRows(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,11 @@ type SORRow struct {
 // lock from every worker at once. Rows sweep the worker count; the
 // adaptive lock's gain at the large end is the §4 prediction under a very
 // different (bursty, barrier-synchronized) locking pattern than TSP's.
-func SORComparison(workerCounts []int, jobs int) ([]SORRow, error) {
+func SORComparison(e Env, workerCounts []int) ([]SORRow, error) {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{8, 16, 24}
 	}
-	return sweep(sweepJobs(jobs, false), len(workerCounts), func(i int) (SORRow, error) {
+	return sweep(e, len(workerCounts), func(i int) (SORRow, error) {
 		w := workerCounts[i]
 		run := func(kind locks.Kind) (sor.Result, error) {
 			return sor.Solve(sor.Config{

@@ -8,7 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/tsp"
 )
 
@@ -27,26 +26,15 @@ type TSPOptions struct {
 	Uniform bool
 	// Searchers is the number of searcher threads / processors (paper: 10).
 	Searchers int
-	Machine   sim.Config
 	// StepsPerWorkUnit scales node-expansion cost relative to lock costs.
 	StepsPerWorkUnit int
-	// RecordPatterns collects the waiting-thread series (Figures 4–9).
-	RecordPatterns bool
-	// Tracer, when non-nil, records the *adaptive* solve of each
-	// comparison (the run whose feedback loop produces reconfiguration
-	// events; attaching one tracer to both runs would interleave two
-	// virtual timelines).
-	Tracer *trace.Tracer
-	// Profiler and Ledger attach to the adaptive solve like Tracer: the
-	// attribution profile and the decision ledger describe the run whose
-	// feedback loop actually adapts.
+	// Profiler, Ledger and Jobs are read only by TSPComparison, the entry
+	// point for callers without an Env; the experiments take all three
+	// from Env. Profiler and Ledger attach to the adaptive solve, the run
+	// whose feedback loop actually adapts; Jobs fans the solves out.
 	Profiler *profile.Profiler
 	Ledger   *core.Ledger
-	// Jobs fans independent solves (the per-lock runs of a comparison, the
-	// organizations of LockPatterns, the machine sizes of
-	// ScalingComparison) out over up to Jobs workers. 0 or 1 is serial.
-	// Sweeps whose every element would share the Tracer run serially.
-	Jobs int
+	Jobs     int
 }
 
 func (o TSPOptions) withDefaults() TSPOptions {
@@ -103,49 +91,50 @@ type TSPRow struct {
 // TSPComparison reproduces one of Tables 1–3: it solves the instance with
 // blocking locks and with adaptive locks under the given organization, and
 // (for the centralized organization, like the paper's Table 1) also runs
-// the sequential baseline.
+// the sequential baseline. It is tspComparison for callers without an
+// Env, taking the observers and fan-out from opts.
 func TSPComparison(org tsp.Organization, opts TSPOptions) (TSPRow, error) {
-	opts = opts.withDefaults()
-	in := opts.instance()
+	e := Env{TSP: opts, Jobs: opts.Jobs, Profiler: opts.Profiler, Ledger: opts.Ledger}
+	return tspComparison(e, org, org == tsp.OrgCentralized)
+}
+
+// tspComparison solves e.TSP's instance under org with blocking and with
+// adaptive locks and, when baseline is set, sequentially too. The solves
+// are independent simulations, so they fan out over e.Jobs even when e is
+// observed: e's observers attach to the adaptive solve alone, the run
+// whose feedback loop produces reconfiguration events, and a shared
+// collector never sees interleaved timelines.
+func tspComparison(e Env, org tsp.Organization, baseline bool) (TSPRow, error) {
+	o := e.TSP.withDefaults()
+	in := o.instance()
 	run := func(kind locks.Kind) (tsp.Result, error) {
 		cfg := tsp.Config{
 			Instance:         in,
-			Searchers:        opts.Searchers,
+			Searchers:        o.Searchers,
 			Org:              org,
 			LockKind:         kind,
-			Machine:          opts.Machine,
-			StepsPerWorkUnit: opts.StepsPerWorkUnit,
-			RecordPatterns:   opts.RecordPatterns,
+			StepsPerWorkUnit: o.StepsPerWorkUnit,
 		}
 		if kind == locks.KindAdaptive {
-			cfg.Tracer = opts.Tracer
-			cfg.Profiler = opts.Profiler
-			cfg.Ledger = opts.Ledger
+			cfg.Tracer, cfg.Profiler, cfg.Ledger = e.Tracer, e.Profiler, e.Ledger
 		}
 		return tsp.Solve(cfg)
 	}
-	row := TSPRow{Org: org}
-	// The per-lock solves (and, for the centralized organization, the
-	// sequential baseline) are fully independent simulations on separate
-	// engines; fan them out. The observers (tracer, profiler, ledger)
-	// attach only to the adaptive run, so a shared collector never sees
-	// interleaved timelines.
 	runs := []struct {
 		name  string
 		solve func() (tsp.Result, error)
 	}{
 		{"blocking", func() (tsp.Result, error) { return run(locks.KindBlocking) }},
 		{"adaptive", func() (tsp.Result, error) { return run(locks.KindAdaptive) }},
+		{"sequential", func() (tsp.Result, error) {
+			return tsp.SolveSequentialSim(in, sim.Config{}, o.StepsPerWorkUnit, 0)
+		}},
 	}
-	if org == tsp.OrgCentralized {
-		runs = append(runs, struct {
-			name  string
-			solve func() (tsp.Result, error)
-		}{"sequential", func() (tsp.Result, error) {
-			return tsp.SolveSequentialSim(in, opts.Machine, opts.StepsPerWorkUnit, 0)
-		}})
+	if !baseline {
+		runs = runs[:2]
 	}
-	results, err := sweep(sweepJobs(opts.Jobs, false), len(runs), func(i int) (tsp.Result, error) {
+	row := TSPRow{Org: org}
+	results, err := sweep(Env{Jobs: e.Jobs}, len(runs), func(i int) (tsp.Result, error) {
 		res, err := runs[i].solve()
 		if err != nil {
 			return res, fmt.Errorf("tsp %s %s: %w", org, runs[i].name, err)
@@ -163,7 +152,7 @@ func TSPComparison(org tsp.Organization, opts TSPOptions) (TSPRow, error) {
 	row.Blocking = row.BlockingRes.Elapsed
 	row.Adaptive = row.AdaptiveRes.Elapsed
 	row.ImprovementPct = 100 * float64(row.Blocking-row.Adaptive) / float64(row.Blocking)
-	if org == tsp.OrgCentralized {
+	if baseline {
 		seq := results[2]
 		if seq.Tour.Cost != row.BlockingRes.Tour.Cost {
 			return row, fmt.Errorf("tsp: sequential found %d, parallel %d", seq.Tour.Cost, row.BlockingRes.Tour.Cost)
@@ -185,10 +174,9 @@ type PatternFigure struct {
 // LockPatterns reproduces Figures 4–9: the waiting-thread pattern of qlock
 // and glob-act-lock for each of the three organizations, measured on the
 // blocking-lock runs (patterns are a property of the program structure,
-// observed per lock request).
-func LockPatterns(opts TSPOptions) ([]PatternFigure, error) {
-	opts = opts.withDefaults()
-	opts.RecordPatterns = true
+// observed per lock request) of e.TSP's instance.
+func LockPatterns(e Env) ([]PatternFigure, error) {
+	opts := e.TSP.withDefaults()
 	figs := []PatternFigure{
 		{Figure: 4, Org: tsp.OrgCentralized, Lock: tsp.LockQueue},
 		{Figure: 5, Org: tsp.OrgCentralized, Lock: tsp.LockActive},
@@ -199,13 +187,12 @@ func LockPatterns(opts TSPOptions) ([]PatternFigure, error) {
 	}
 	in := opts.instance()
 	orgs := []tsp.Organization{tsp.OrgCentralized, tsp.OrgDistributed, tsp.OrgDistributedLB}
-	solved, err := sweep(sweepJobs(opts.Jobs, false), len(orgs), func(i int) (tsp.Result, error) {
+	solved, err := sweep(e, len(orgs), func(i int) (tsp.Result, error) {
 		res, err := tsp.Solve(tsp.Config{
 			Instance:         in,
 			Searchers:        opts.Searchers,
 			Org:              orgs[i],
 			LockKind:         locks.KindBlocking,
-			Machine:          opts.Machine,
 			StepsPerWorkUnit: opts.StepsPerWorkUnit,
 			RecordPatterns:   true,
 		})
@@ -244,25 +231,22 @@ type ScalingRow struct {
 // ScalingComparison tests the paper's §4 prediction: "For massively
 // parallel applications we expect the gain to be even higher because the
 // effect of blocking vs. spinning ... is more pronounced." It runs the
-// centralized TSP implementation at growing processor counts and reports
-// the adaptive lock's improvement at each.
-func ScalingComparison(opts TSPOptions, searcherCounts []int) ([]ScalingRow, error) {
+// centralized TSP implementation on e.TSP's instance at growing processor
+// counts and reports the adaptive lock's improvement at each; no row
+// solves the sequential baseline.
+func ScalingComparison(e Env, searcherCounts []int) ([]ScalingRow, error) {
 	if len(searcherCounts) == 0 {
 		searcherCounts = []int{4, 8, 16, 24}
 	}
-	// Every machine size would attach the same observers to its adaptive
-	// run, so an observed sweep must stay serial to keep one coherent
-	// timeline.
-	observed := opts.Tracer != nil || opts.Profiler != nil || opts.Ledger != nil
-	return sweep(sweepJobs(opts.Jobs, observed), len(searcherCounts), func(i int) (ScalingRow, error) {
-		o := opts
-		o.Searchers = searcherCounts[i]
-		row, err := TSPComparison(tsp.OrgCentralized, o)
+	return sweep(e, len(searcherCounts), func(i int) (ScalingRow, error) {
+		o := e
+		o.TSP.Searchers = searcherCounts[i]
+		row, err := tspComparison(o, tsp.OrgCentralized, false)
 		if err != nil {
-			return ScalingRow{}, fmt.Errorf("scaling %d searchers: %w", o.Searchers, err)
+			return ScalingRow{}, fmt.Errorf("scaling %d searchers: %w", searcherCounts[i], err)
 		}
 		return ScalingRow{
-			Searchers:      o.Searchers,
+			Searchers:      searcherCounts[i],
 			Blocking:       row.Blocking,
 			Adaptive:       row.Adaptive,
 			ImprovementPct: row.ImprovementPct,

@@ -290,17 +290,16 @@ func (e *Engine) advanceInline(when Time) {
 	e.now = when
 }
 
-// schedule pushes onto q (the event heap, or the spin lane for a
-// spin-epoch member's continuation) an event carrying fn or coro,
+// schedule pushes onto the event heap an event carrying fn or coro,
 // stamped with the (clamped) time, the schedule instant, and the next
 // sequence number. Scheduling in the past is rounded up to the present.
-func (e *Engine) schedule(q *eventQueue, when Time, fn func(), coro *Coro) {
+func (e *Engine) schedule(when Time, fn func(), coro *Coro) {
 	if when < e.now {
 		when = e.now
 	}
 	e.seq++
 	e.trace("schedule")
-	q.push(when, e.now, e.seq, fn, coro)
+	e.queue.push(when, e.now, e.seq, fn, coro)
 }
 
 // scheduleMessage pushes a barrier-delivered cross-shard message: an
@@ -326,7 +325,7 @@ func (e *Engine) scheduleMessage(when, at Time, fn func()) {
 // At schedules fn to run at the given absolute virtual time. Scheduling in
 // the past is rounded up to the present.
 func (e *Engine) At(when Time, fn func()) {
-	e.schedule(&e.queue, when, fn, nil)
+	e.schedule(when, fn, nil)
 }
 
 // After schedules fn to run d from now. Negative delays fire immediately
@@ -335,7 +334,7 @@ func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(&e.queue, e.now+d, fn, nil)
+	e.schedule(e.now+d, fn, nil)
 }
 
 // afterCoro schedules a dispatch of c after d, carrying the coro in the
@@ -345,7 +344,7 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(&e.queue, e.now+d, nil, c)
+	e.schedule(e.now+d, nil, c)
 }
 
 // fire executes one popped event: a direct coro dispatch on the fast path,

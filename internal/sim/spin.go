@@ -284,7 +284,7 @@ func (e *Engine) runSpin(s *spinState) bool {
 				return false
 			}
 			if e.noInline || !e.canInline(when) {
-				e.schedule(&e.queue, when, nil, s.c)
+				e.schedule(when, nil, s.c)
 				s.wait = spinWaitEvent
 				return false
 			}
