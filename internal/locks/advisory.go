@@ -26,7 +26,6 @@ const (
 // variable-length critical sections ([MS93] via §2).
 type AdvisoryLock struct {
 	base
-	q   waitQueue
 	obj *core.Object
 
 	// Threshold is the expected-hold duration at or below which the owner
@@ -50,17 +49,12 @@ func NewAdvisoryLock(sys *cthreads.System, node int, name string, costs Costs) *
 	}
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrAdvice, AdviseSpin, true)
-	l.obj.SetLedgerSource(
-		func() *core.Ledger { return sys.Ledger() },
-		func() int64 { return int64(sys.Now()) })
+	sys.WireObject(l.obj, name)
 	return l
 }
 
 // Object exposes the lock's adaptive object.
 func (l *AdvisoryLock) Object() *core.Object { return l.obj }
-
-// waiting reports current waiters (spinners plus sleepers).
-func (l *AdvisoryLock) waiting() int { return l.spinners + l.q.Len() }
 
 // advice reads the advice word without charging (callers charge).
 func (l *AdvisoryLock) advice() int64 { return l.obj.Attrs.MustGet(AttrAdvice) }
@@ -109,12 +103,7 @@ func (l *AdvisoryLock) lockInternal(t *cthreads.Thread, expectedHold sim.Time) {
 	for {
 		if l.flag.AtomicOr(t, 1) == 0 {
 			l.spinners--
-			l.acquired(t, start, contended)
-			if expectedHold >= 0 {
-				l.setAdvice(expectedHold)
-				l.chargeAccesses(t, 1)
-			}
-			return
+			break
 		}
 		contended = true
 		if adv == AdviseSpin {
@@ -129,49 +118,31 @@ func (l *AdvisoryLock) lockInternal(t *cthreads.Thread, expectedHold sim.Time) {
 			continue
 		}
 
-		// Advised to sleep: register, re-test, block; re-contend on wake
-		// (barging, as in the reconfigurable lock).
+		// Advised to sleep: sleep, then re-contend on wake (barging, as
+		// in the reconfigurable lock).
 		l.spinners--
-		w := l.q.enqueue(t)
-		l.chargeAccesses(t, l.costs.QueueOpAccesses)
-		if l.flag.AtomicOr(t, 1) == 0 {
-			l.q.remove(w)
-			l.chargeAccesses(t, l.costs.QueueOpAccesses)
-			l.acquired(t, start, true)
-			if expectedHold >= 0 {
-				l.setAdvice(expectedHold)
-				l.chargeAccesses(t, 1)
-			}
-			return
+		if l.sleep(t, 0) {
+			break
 		}
-		l.stats.Blocks++
-		if !w.granted {
-			l.traceBlocked(t)
-			l.waitStart(t)
-			t.Block()
-			l.waitEnd(t)
-		}
-		t.Compute(l.costs.PostWakeSteps)
 		adv = l.advice()
 		l.chargeAccesses(t, 1)
 		sinceCheck = 0
 		l.spinners++
 	}
+	l.acquired(t, start, contended)
+	if expectedHold >= 0 {
+		l.setAdvice(expectedHold)
+		l.chargeAccesses(t, 1)
+	}
 }
 
 // Unlock releases: free the word, then wake the first sleeper if any
-// (same stranding-free order as the reconfigurable lock).
+// (the grant step, with no extra release work).
 func (l *AdvisoryLock) Unlock(t *cthreads.Thread) {
 	l.checkOwner(t, "Unlock")
 	l.unlockStart(t)
 	t.Compute(l.costs.SpinUnlockSteps)
 	l.chargeAccesses(t, 1)
-	l.owner = nil
-	l.traceRelease(t)
-	l.flag.Store(t, 0)
-	if w := l.q.pick(SchedFCFS, nil); w != nil {
-		w.granted = true
-		t.Wake(w.t)
-	}
+	l.grant(t, SchedFCFS, nil, 0)
 	l.unlockEnd(t)
 }

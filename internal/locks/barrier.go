@@ -125,9 +125,7 @@ func NewAdaptiveBarrier(sys *cthreads.System, name string, parties int, policy c
 		policy = BarrierReadyPolicy{ThresholdPct: 25, GraceSpin: 12, Step: 8, MaxSpin: 600}
 	}
 	b.obj.SetPolicy(policy)
-	b.obj.SetLedgerSource(
-		func() *core.Ledger { return sys.Ledger() },
-		func() int64 { return int64(sys.Now()) })
+	sys.WireObject(b.obj, name)
 	return b
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestAdaptiveBarrierReleasesTogether(t *testing.T) {
@@ -79,6 +81,55 @@ func TestAdaptiveBarrierConvergesToSpinWhenProcessorsIdle(t *testing.T) {
 	pol := b.Object().Policy().(BarrierReadyPolicy)
 	if got := b.Object().Attrs.MustGet(BarrierAttrSpin); got != pol.MaxSpin {
 		t.Fatalf("spin budget = %d after idle-processor run, want MaxSpin %d", got, pol.MaxSpin)
+	}
+}
+
+// TestAdaptiveBarrierTracesFeedbackLoop checks that a traced barrier's
+// feedback loop reaches the tracer like every other adaptive object's:
+// one KindSample per sample and one KindReconfig per applied decision,
+// matching the ledger entry for entry.
+func TestAdaptiveBarrierTracesFeedbackLoop(t *testing.T) {
+	sys := testSys(4)
+	tr := trace.New(1 << 14)
+	sys.SetTracer(tr)
+	sys.SetLedger(core.NewLedger(0))
+	b := NewAdaptiveBarrier(sys, "bar", 4, nil)
+	for i := 0; i < 4; i++ {
+		sys.Fork(i, "w", func(th *cthreads.Thread) {
+			for p := 0; p < 20; p++ {
+				th.Advance(sim.Time(th.Rand().Intn(5000)))
+				b.Arrive(th)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var samples, reconfigs, ledgerSamples, ledgerApplies int
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Name != "bar":
+		case ev.Kind == trace.KindSample:
+			samples++
+		case ev.Kind == trace.KindReconfig:
+			reconfigs++
+		}
+	}
+	for _, e := range sys.Ledger().Entries() {
+		switch {
+		case e.Object != "bar":
+		case e.Kind == core.EntrySample:
+			ledgerSamples++
+		case e.Kind == core.EntryApply && e.Err == "":
+			ledgerApplies++
+		}
+	}
+	if reconfigs == 0 {
+		t.Fatal("traced barrier run recorded no KindReconfig events")
+	}
+	if samples != ledgerSamples || reconfigs != ledgerApplies {
+		t.Errorf("trace has %d samples and %d reconfigs, ledger has %d and %d",
+			samples, reconfigs, ledgerSamples, ledgerApplies)
 	}
 }
 

@@ -9,7 +9,6 @@ import "repro/internal/cthreads"
 // which is exactly what multiprogrammed workloads need (§2, Figure 1).
 type BlockingLock struct {
 	base
-	q waitQueue
 }
 
 // NewBlockingLock allocates a blocking lock on the given node.
@@ -17,10 +16,9 @@ func NewBlockingLock(sys *cthreads.System, node int, name string, costs Costs) *
 	return &BlockingLock{base: newBase(sys, node, name, costs)}
 }
 
-// waiting reports queue length plus spinners (always 0 spinners here).
-func (l *BlockingLock) waiting() int { return l.q.Len() + l.spinners }
-
-// Lock acquires the lock, sleeping if it is busy.
+// Lock acquires the lock, sleeping if it is busy. A sleeper is woken by
+// direct handoff — the releaser leaves the word set and makes it the
+// owner, in FCFS order — so it never re-contends.
 func (l *BlockingLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
 	t.Compute(l.costs.BlockLockSteps)
@@ -29,26 +27,7 @@ func (l *BlockingLock) Lock(t *cthreads.Thread) {
 		l.acquired(t, start, false)
 		return
 	}
-	// Busy: register, then re-test in case the lock was released
-	// while we were registering; otherwise sleep until woken.
-	w := l.q.enqueue(t)
-	l.chargeAccesses(t, l.costs.QueueOpAccesses)
-	if l.flag.AtomicOr(t, 1) == 0 {
-		l.q.remove(w)
-		l.chargeAccesses(t, l.costs.QueueOpAccesses)
-		l.acquired(t, start, true)
-		return
-	}
-	if !w.granted {
-		l.stats.Blocks++
-		l.traceBlocked(t)
-		l.waitStart(t)
-		t.Block()
-		l.waitEnd(t)
-	}
-	// Woken: the releaser handed the lock over directly (the word
-	// stayed set and this thread is the owner), in FCFS order.
-	t.Compute(l.costs.PostWakeSteps)
+	l.sleep(t, 0)
 	l.acquired(t, start, true)
 }
 

@@ -68,22 +68,19 @@ type CohortLock struct {
 	nodes      []*cohortNode
 	globalSpin sim.SpinSpec
 	cstats     CohortStats
-	// frameAdapt attributes the inline monitor-sample work in Unlock.
-	frameAdapt string
 }
 
 // NewCohortLock allocates a cohort lock whose global word lives on the
 // given node, with local words on every machine node.
 func NewCohortLock(sys *cthreads.System, node int, name string, costs Costs) *CohortLock {
 	l := &CohortLock{base: newBase(sys, node, name, costs)}
-	l.frameAdapt = "adapt:" + name
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrCohortBudget, DefaultCohortBudget, true)
 	// The customized lock monitor senses the waiter count on every other
 	// release, so a policy (none installed by default) can retune the
 	// fairness budget from observed contention.
 	l.obj.Monitor.AddSensor(SensorWaiting, 2, func() int64 { return int64(l.spinners) })
-	wireObservability(sys, l.obj, name)
+	sys.WireObject(l.obj, name)
 	m := sys.Machine()
 	l.nodes = make([]*cohortNode, m.Nodes())
 	for i := range l.nodes {
@@ -91,28 +88,10 @@ func NewCohortLock(sys *cthreads.System, node int, name string, costs Costs) *Co
 			flag: m.NewCell(i, fmt.Sprintf("%s.local%d", name, i), 0),
 			pass: m.NewCell(i, fmt.Sprintf("%s.pass%d", name, i), 0),
 		}
-		n.localSpin = sim.SpinSpec{
-			ProbeCell:   n.flag,
-			ProbeAtomic: true,
-			Probe: func() bool {
-				old := n.flag.Peek()
-				n.flag.Poke(old | 1)
-				return old == 0
-			},
-			PauseCost: l.spinPause,
-			MaxIters:  sim.SpinUnbounded,
-			Label:     l.frameSpin,
-		}
+		n.localSpin = l.tasSpin(n.flag, l.spinPause)
 		l.nodes[i] = n
 	}
-	l.globalSpin = sim.SpinSpec{
-		ProbeCell:   l.flag,
-		ProbeAtomic: true,
-		Probe:       l.tasProbe,
-		PauseCost:   l.spinPause,
-		MaxIters:    sim.SpinUnbounded,
-		Label:       l.frameSpin,
-	}
+	l.globalSpin = l.tasSpin(l.flag, l.spinPause)
 	return l
 }
 
@@ -173,17 +152,7 @@ func (l *CohortLock) Unlock(t *cthreads.Thread) {
 	// one local reference reads it.
 	budget := l.obj.Attrs.MustGet(AttrCohortBudget)
 	t.Advance(l.sys.Machine().AccessCost(t.Node(), t.Node()))
-
-	if p := t.Prof(); p != nil {
-		p.Push(t.Now(), l.frameAdapt)
-	}
-	if _, ok := l.obj.Monitor.Probe(SensorWaiting); ok {
-		t.Compute(l.costs.MonitorSampleSteps)
-		l.chargeAccesses(t, 2)
-	}
-	if p := t.Prof(); p != nil {
-		p.Pop(t.Now(), l.frameAdapt)
-	}
+	l.sampleInline(t, l.obj, SensorWaiting)
 
 	l.owner = nil
 	l.traceRelease(t)

@@ -1,9 +1,19 @@
 // Package locks implements the paper's family of multiprocessor locks on
-// the simulated NUMA machine: the raw atomior (test-and-set) lock, spin
-// and backoff-spin locks, a blocking lock, a combined spin-then-block lock,
-// a reconfigurable lock whose waiting policy and scheduler can be changed
-// at run time, and the adaptive lock — a reconfigurable lock with a
-// built-in monitor and the paper's simple adaptation policy (§4, §5).
+// the simulated NUMA machine: spin and backoff-spin locks (the spin lock
+// with the atomior step costs is the raw test-and-set lock), a blocking
+// lock, a combined spin-then-block lock, a reconfigurable lock whose
+// waiting policy and scheduler can be changed at run time, and the
+// adaptive lock — a reconfigurable lock with a built-in monitor and the
+// paper's simple adaptation policy (§4, §5) — plus the mutable, advisory,
+// cohort and local-spin extensions and the adaptive barrier.
+//
+// The locks are built from one set of protocol steps on the shared base
+// (§5.1's registration, acquisition and release components), each
+// implemented once: sleep registers a requester, re-tests the word and
+// sleeps unless a grant already arrived; grant frees the word and then
+// picks a sleeper to wake; release clears the word; sampleInline runs the
+// customized monitor in the unlocking thread; tasSpin builds the
+// test-and-set busy-wait loop.
 //
 // Every lock charges its caller virtual time for the instructions and
 // memory references its implementation would perform, calibrated (see
@@ -14,6 +24,7 @@ package locks
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -60,8 +71,9 @@ type Stats struct {
 type Observer func(now sim.Time, waiting int)
 
 // base carries the state shared by every lock implementation: the lock
-// word (a cell on the lock's home node), ownership, wait accounting, and
-// the observer hook.
+// word (a cell on the lock's home node), ownership, the sleep queue, wait
+// accounting, and the observer hook. Its methods are the lock protocol's
+// shared steps (see the package comment).
 type base struct {
 	name  string
 	sys   *cthreads.System
@@ -71,7 +83,8 @@ type base struct {
 	flag  *sim.Cell
 	owner *cthreads.Thread
 
-	spinners int // threads currently in a spin loop
+	spinners int       // threads currently in a spin loop
+	q        waitQueue // registered sleepers (empty for the spin locks)
 	stats    Stats
 	observer Observer
 	waitHist *metrics.Histogram
@@ -84,6 +97,7 @@ type base struct {
 	frameCS     string
 	frameWait   string
 	frameSpin   string
+	frameAdapt  string
 	// holdFrom is the acquisition instant of the current hold, feeding
 	// the hold-time histogram at release (profiler-only state).
 	holdFrom sim.Time
@@ -104,6 +118,7 @@ func newBase(sys *cthreads.System, node int, name string, costs Costs) base {
 		frameCS:     "cs:" + name,
 		frameWait:   "wait:" + name,
 		frameSpin:   "spin:" + name,
+		frameAdapt:  "adapt:" + name,
 		lastNode:    -1,
 	}
 }
@@ -126,6 +141,10 @@ func (b *base) SetWaitHistogram(h *metrics.Histogram) { b.waitHist = h }
 
 // Owner returns the current owner thread, or nil.
 func (b *base) Owner() *cthreads.Thread { return b.owner }
+
+// waiting reports the number of threads currently waiting for the lock:
+// spinners plus registered sleepers.
+func (b *base) waiting() int { return b.spinners + b.q.Len() }
 
 // observe reports a lock request with the current waiter count. It also
 // opens the request's attribution frame ("Lock:name"), which acquired
@@ -246,19 +265,56 @@ func (b *base) checkOwner(t *cthreads.Thread, op string) {
 	}
 }
 
-// tasProbe is the spin-spec probe shared by the test-and-set lock
-// family: the atomior's effect on the already-charged lock word. A
-// futile probe (word held) sets no new bits, satisfying the busy-wait
-// contract sim.SpinSpec requires.
-func (b *base) tasProbe() bool {
-	old := b.flag.Peek()
-	b.flag.Poke(old | 1)
-	return old == 0
+// tasSpin builds the test-and-set family's busy-wait loop on word: an
+// atomior probe (a futile one sets no new bits, satisfying the busy-wait
+// contract sim.SpinSpec requires), pause per futile iteration, unbounded.
+// Callers that bound a phase copy the spec and set MaxIters.
+func (b *base) tasSpin(word *sim.Cell, pause func() sim.Time) sim.SpinSpec {
+	return sim.SpinSpec{
+		ProbeCell:   word,
+		ProbeAtomic: true,
+		Probe: func() bool {
+			old := word.Peek()
+			word.Poke(old | 1)
+			return old == 0
+		},
+		PauseCost: pause,
+		MaxIters:  sim.SpinUnbounded,
+		Label:     b.frameSpin,
+	}
 }
 
 // spinPause is the spin-spec pause shared by the fixed-pause spin loops.
 func (b *base) spinPause() sim.Time {
 	return b.sys.Machine().InstrCost(b.costs.SpinPauseSteps)
+}
+
+// release is the whole Unlock of the spin locks: steps of release work,
+// then the word is cleared and any spinner's next test-and-set wins. They
+// never register sleepers, so grant only frees the word.
+func (b *base) release(t *cthreads.Thread, steps int) {
+	b.checkOwner(t, "Unlock")
+	b.unlockStart(t)
+	t.Compute(steps)
+	b.grant(t, SchedFCFS, nil, 0)
+	b.unlockEnd(t)
+}
+
+// sampleInline runs the closely-coupled customized lock monitor in the
+// unlocking thread: probe sensor of obj and, when the probe fires,
+// charge collecting the sample and running the adaptation policy (read
+// the sensed state, write the attribute) under the "adapt:name" frame.
+func (b *base) sampleInline(t *cthreads.Thread, obj *core.Object, sensor string) {
+	if p := t.Prof(); p != nil {
+		p.Push(t.Now(), b.frameAdapt)
+	}
+	if _, ok := obj.Monitor.Probe(sensor); ok {
+		t.Compute(b.costs.MonitorSampleSteps)
+		b.chargeAccesses(t, 2)
+	}
+	if p := t.Prof(); p != nil {
+		p.Pop(t.Now(), b.frameAdapt)
+	}
 }
 
 // chargeAccesses charges t the cost of n plain references to the lock's

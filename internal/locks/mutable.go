@@ -84,10 +84,7 @@ type PredictionStats struct {
 // independent.
 type MutableLock struct {
 	base
-	q   waitQueue
 	obj *core.Object
-	// frameAdapt attributes the inline monitor-sample work in Unlock.
-	frameAdapt string
 
 	// heldSince is the acquisition instant of the current hold. Unlike
 	// base.holdFrom it is maintained with or without a profiler: arriving
@@ -114,7 +111,6 @@ type MutableLock struct {
 // the given node.
 func NewMutableLock(sys *cthreads.System, node int, name string, costs Costs) *MutableLock {
 	l := &MutableLock{base: newBase(sys, node, name, costs)}
-	l.frameAdapt = "adapt:" + name
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrHoldEstimate, 0, true)
 	// The customized lock monitor senses every hold's duration at
@@ -126,14 +122,8 @@ func NewMutableLock(sys *cthreads.System, node int, name string, costs Costs) *M
 		Den:   DefaultHoldEWMADen,
 		Inner: holdEstimatePolicy{l},
 	})
-	wireObservability(sys, l.obj, name)
-	l.spin = sim.SpinSpec{
-		ProbeCell:   l.flag,
-		ProbeAtomic: true,
-		Probe:       l.tasProbe,
-		PauseCost:   l.spinPause,
-		Label:       l.frameSpin,
-	}
+	sys.WireObject(l.obj, name)
+	l.spin = l.tasSpin(l.flag, l.spinPause)
 	return l
 }
 
@@ -165,9 +155,6 @@ func (l *MutableLock) Prediction() PredictionStats { return l.pred }
 func (l *MutableLock) Estimate() (sim.Time, bool) {
 	return sim.Time(l.obj.Attrs.MustGet(AttrHoldEstimate)), l.estValid
 }
-
-// waiting reports the number of threads currently waiting for the lock.
-func (l *MutableLock) waiting() int { return l.spinners + l.q.Len() }
 
 // Waiting reports the current waiter count (for sensors and tests).
 func (l *MutableLock) Waiting() int { return l.waiting() }
@@ -290,28 +277,12 @@ func (l *MutableLock) Lock(t *cthreads.Thread) {
 				continue
 			}
 		}
-		// Sleep: register, re-test (the owner may have released while we
-		// registered), block, and re-decide on wakeup.
-		w := l.q.enqueue(t)
-		l.chargeAccesses(t, l.costs.QueueOpAccesses)
-		if l.flag.AtomicOr(t, 1) == 0 {
-			l.q.remove(w)
-			l.chargeAccesses(t, l.costs.QueueOpAccesses)
+		// Sleep, then re-predict and re-contend on wakeup.
+		if l.sleep(t, 0) {
 			l.finishAcquire(t, start, true, firstPred)
 			return
 		}
 		contended = true
-		l.stats.Blocks++
-		l.traceBlocked(t)
-		if !w.granted {
-			l.waitStart(t)
-			t.Block()
-			l.waitEnd(t)
-		}
-		// Woken: the word was freed with us as the pick, but a running
-		// thread may have barged in the wakeup window; re-predict and
-		// re-contend.
-		t.Compute(l.costs.PostWakeSteps)
 		l.chargeAccesses(t, 1)
 		spinRounds = 0
 	}
@@ -345,29 +316,9 @@ func (l *MutableLock) Unlock(t *cthreads.Thread) {
 	t.Compute(l.costs.AdaptUnlockSteps)
 	l.chargeAccesses(t, 1) // inspect the queue head
 	l.lastHold = int64(t.Now() - l.heldSince)
-
-	if p := t.Prof(); p != nil {
-		p.Push(t.Now(), l.frameAdapt)
-	}
-	if _, ok := l.obj.Monitor.Probe(SensorHoldTime); ok {
-		// Collect the hold sample and run the estimator inline.
-		t.Compute(l.costs.MonitorSampleSteps)
-		l.chargeAccesses(t, 2) // read the sensed hold, write the estimate
-	}
-	if p := t.Prof(); p != nil {
-		p.Pop(t.Now(), l.frameAdapt)
-	}
-
-	l.owner = nil
-	l.traceRelease(t)
-	// Free the word FIRST, then consult the queue (see ReconfigurableLock:
-	// no sleeper is ever stranded, and spinners may barge — which is what
-	// makes a predicted spin pay off).
-	l.flag.Store(t, 0)
-	if w := l.q.pick(SchedFCFS, nil); w != nil {
-		t.Compute(l.costs.GrantExtraSteps)
-		w.granted = true
-		t.Wake(w.t)
-	}
+	l.sampleInline(t, l.obj, SensorHoldTime)
+	// Spinners may barge while the grant wakes a sleeper — which is what
+	// makes a predicted spin pay off.
+	l.grant(t, SchedFCFS, nil, l.costs.GrantExtraSteps)
 	l.unlockEnd(t)
 }

@@ -47,12 +47,8 @@ const (
 // external agent (or embedding AdaptiveLock) reconfigures it.
 type ReconfigurableLock struct {
 	base
-	q         waitQueue
 	obj       *core.Object
 	successor *cthreads.Thread
-	// frameAdapt attributes the inline monitor-sample/adaptation work
-	// performed in Unlock ("adapt:name").
-	frameAdapt string
 	// spin is the spin phase's spec under a policy with no delay-time:
 	// an atomior probe of the lock word and the fixed spin pause. Lock
 	// copies it per phase to set MaxIters, so the phase allocates
@@ -67,38 +63,20 @@ type ReconfigurableLock struct {
 // before blocking").
 func NewReconfigurableLock(sys *cthreads.System, node int, name string, costs Costs, initialSpins int64) *ReconfigurableLock {
 	l := &ReconfigurableLock{base: newBase(sys, node, name, costs)}
-	l.frameAdapt = "adapt:" + name
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrSpinTime, initialSpins, true)
 	l.obj.Attrs.Define(AttrDelayTime, 0, true)
 	l.obj.Attrs.Define(AttrSleepTime, 1, true)
 	l.obj.Attrs.Define(AttrTimeout, 0, true)
 	l.obj.Methods.Define(MethodScheduler, 3, SchedFCFS, SchedPriority, SchedHandoff)
-	wireObservability(sys, l.obj, name)
-	l.spin = sim.SpinSpec{
-		ProbeCell:   l.flag,
-		ProbeAtomic: true,
-		Probe:       l.tasProbe,
-		PauseCost:   l.spinPause,
-		Label:       l.frameSpin,
-	}
+	sys.WireObject(l.obj, name)
+	l.spin = l.tasSpin(l.flag, l.spinPause)
 	return l
-}
-
-// wireObservability routes an adaptive object's feedback loop into the
-// system tracer and the adaptation decision ledger. Kept as a thin
-// package-local alias for cthreads.System.WireObject, which monitors and
-// other core.Object embedders share.
-func wireObservability(sys *cthreads.System, obj *core.Object, name string) {
-	sys.WireObject(obj, name)
 }
 
 // Object exposes the underlying adaptive object (attributes, methods,
 // monitor, policy) for configuration and inspection.
 func (l *ReconfigurableLock) Object() *core.Object { return l.obj }
-
-// waiting reports the number of threads currently waiting for the lock.
-func (l *ReconfigurableLock) waiting() int { return l.spinners + l.q.Len() }
 
 // Waiting reports the current waiter count (for sensors and tests).
 func (l *ReconfigurableLock) Waiting() int { return l.waiting() }
@@ -155,54 +133,28 @@ func (l *ReconfigurableLock) Lock(t *cthreads.Thread) {
 		}
 		iters, ok := t.SpinUntil(&spec)
 		l.stats.SpinIters += uint64(iters)
+		l.spinners--
 		if iters > 0 {
 			contended = true
 		}
 		if ok {
-			l.spinners--
-			l.acquired(t, start, contended)
-			return
+			break
 		}
 		contended = true
 
-		// Spins exhausted and sleeping is enabled: register and sleep.
-		l.spinners--
-		w := l.q.enqueue(t)
-		l.chargeAccesses(t, l.costs.QueueOpAccesses)
-		if l.flag.AtomicOr(t, 1) == 0 {
-			// Released while we registered.
-			l.q.remove(w)
-			l.chargeAccesses(t, l.costs.QueueOpAccesses)
-			l.acquired(t, start, true)
-			return
+		// Spins exhausted and sleeping is enabled: register and sleep,
+		// bounded by the timeout if one is set.
+		if l.sleep(t, sim.Time(timeout)) {
+			break
 		}
-		l.stats.Blocks++
-		l.traceBlocked(t)
-		if timeout > 0 {
-			l.waitStart(t)
-			timedOut := t.BlockTimeout(sim.Time(timeout))
-			l.waitEnd(t)
-			if timedOut && !w.granted {
-				// Conditional sleep expired without a grant: leave the
-				// queue before re-contending.
-				l.q.remove(w)
-				l.chargeAccesses(t, l.costs.QueueOpAccesses)
-			}
-		} else if !w.granted {
-			l.waitStart(t)
-			t.Block()
-			l.waitEnd(t)
-		}
-		// Woken — by a grant (the releaser freed the word with this
-		// thread as the scheduler's choice) or by timeout. Either way the
-		// lock is taken by test-and-set, so a running thread may have
-		// barged in the wakeup window; re-read the (possibly
-		// reconfigured) policy and re-contend from the spin phase.
-		t.Compute(l.costs.PostWakeSteps)
+		// Woken — by a grant or by timeout — without the lock: re-read
+		// the (possibly reconfigured) policy and re-contend from the spin
+		// phase.
 		spin, delay, sleep, timeout = l.policy()
 		l.chargeAccesses(t, 1)
 		l.spinners++
 	}
+	l.acquired(t, start, contended)
 }
 
 // Unlock releases the lock: probe the monitor (a no-op unless an adaptive
@@ -214,45 +166,19 @@ func (l *ReconfigurableLock) Unlock(t *cthreads.Thread) {
 	l.unlockStart(t)
 	t.Compute(l.costs.AdaptUnlockSteps)
 	l.chargeAccesses(t, 1) // inspect the queue head
-
-	if p := t.Prof(); p != nil {
-		p.Push(t.Now(), l.frameAdapt)
-	}
-	if _, ok := l.obj.Monitor.Probe(SensorWaiting); ok {
-		// The closely-coupled customized monitor: collect the sample and
-		// run the adaptation policy inline, in the unlocking thread.
-		t.Compute(l.costs.MonitorSampleSteps)
-		l.chargeAccesses(t, 2) // read the sensed state, write the attribute
-	}
-	if p := t.Prof(); p != nil {
-		p.Pop(t.Now(), l.frameAdapt)
-	}
+	l.sampleInline(t, l.obj, SensorWaiting)
 
 	sched, err := l.obj.Methods.Installed(MethodScheduler)
 	if err != nil {
 		panic(err)
 	}
-	l.owner = nil
-	l.traceRelease(t)
 	successor := l.successor
 	l.successor = nil
-	// Free the word FIRST, and only then consult the queue: a requester
-	// that registered and re-tested while our store was in flight is
-	// guaranteed to be visible to the pick below, so no sleeper is ever
-	// stranded. Freeing before waking also means a spinning requester may
-	// barge during the wakeup window — which is exactly what lets a
-	// combined lock's spin phase catch the lock at all.
-	l.flag.Store(t, 0)
-	if w := l.q.pick(sched, successor); w != nil {
-		// Granting a sleeper runs the full release component of the
-		// configurable scheduler (dequeue per the installed variant,
-		// wakeup) — the slow path that makes the blocking-configured
-		// adaptive lock's cycle costlier than the static blocking lock's
-		// (Table 7 vs Table 6).
-		t.Compute(l.costs.GrantExtraSteps)
-		w.granted = true
-		t.Wake(w.t)
-	}
+	// Granting a sleeper runs the full release component of the
+	// configurable scheduler (dequeue per the installed variant, wakeup)
+	// — the slow path that makes the blocking-configured adaptive lock's
+	// cycle costlier than the static blocking lock's (Table 7 vs Table 6).
+	l.grant(t, sched, successor, l.costs.GrantExtraSteps)
 	l.unlockEnd(t)
 }
 

@@ -8,35 +8,42 @@ import (
 // SpinLock is the paper's primitive spin lock: a registered busy-wait lock
 // (the registration work is what separates its latency from the raw
 // atomior's). Waiters occupy their processor until they win the word.
+// With the atomior step costs it is the rawest lock (NewTASLock).
 type SpinLock struct {
 	base
+	// lockSteps and unlockSteps are the lock and unlock call overheads.
+	lockSteps, unlockSteps int
 	// spin is the lock's busy-wait loop as a spec, built once so Lock
-	// allocates nothing: an atomior probe of the lock word, a fixed pause
-	// per futile iteration.
+	// allocates nothing.
 	spin sim.SpinSpec
 }
 
 // NewSpinLock allocates a spin lock on the given node.
 func NewSpinLock(sys *cthreads.System, node int, name string, costs Costs) *SpinLock {
-	l := &SpinLock{base: newBase(sys, node, name, costs)}
-	l.spin = sim.SpinSpec{
-		ProbeCell:   l.flag,
-		ProbeAtomic: true,
-		Probe:       l.tasProbe,
-		PauseCost:   l.spinPause,
-		MaxIters:    sim.SpinUnbounded,
-		Label:       l.frameSpin,
-	}
+	return newSpinLock(sys, node, name, costs, costs.SpinLockSteps, costs.SpinUnlockSteps)
+}
+
+// NewTASLock allocates the rawest lock on the given node: a bare atomior
+// (test-and-set) loop with no registration work — Table 4's "atomior"
+// row, the latency floor every other lock is measured against.
+func NewTASLock(sys *cthreads.System, node int, name string, costs Costs) *SpinLock {
+	return newSpinLock(sys, node, name, costs, costs.TASLockSteps, costs.TASUnlockSteps)
+}
+
+func newSpinLock(sys *cthreads.System, node int, name string, costs Costs, lockSteps, unlockSteps int) *SpinLock {
+	l := &SpinLock{base: newBase(sys, node, name, costs), lockSteps: lockSteps, unlockSteps: unlockSteps}
+	l.spin = l.tasSpin(l.flag, l.spinPause)
 	return l
 }
 
 // Lock busy-waits until acquisition via SpinUntil. Each iteration charges
 // a pause plus an atomic probe, exactly as the open-coded loop would;
 // batched, futile probe bursts between genuine handoffs are
-// fast-forwarded by the engine in one step.
+// fast-forwarded by the engine in one step, and an uncontended
+// acquisition costs a single inline-accrued probe.
 func (l *SpinLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
-	t.Compute(l.costs.SpinLockSteps)
+	t.Compute(l.lockSteps)
 	l.observe(t, l.spinners)
 	l.spinners++
 	iters, _ := t.SpinUntil(&l.spin)
@@ -46,15 +53,7 @@ func (l *SpinLock) Lock(t *cthreads.Thread) {
 }
 
 // Unlock clears the word; any spinner's next test-and-set wins.
-func (l *SpinLock) Unlock(t *cthreads.Thread) {
-	l.checkOwner(t, "Unlock")
-	l.unlockStart(t)
-	t.Compute(l.costs.SpinUnlockSteps)
-	l.owner = nil
-	l.traceRelease(t)
-	l.flag.Store(t, 0)
-	l.unlockEnd(t)
-}
+func (l *SpinLock) Unlock(t *cthreads.Thread) { l.release(t, l.unlockSteps) }
 
 // BackoffSpinLock is the spin-with-backoff variation of Anderson et al.
 // [ALL89] as the paper describes it: a requester spins once and, if the
@@ -72,15 +71,8 @@ type BackoffSpinLock struct {
 // NewBackoffSpinLock allocates a backoff spin lock on the given node.
 func NewBackoffSpinLock(sys *cthreads.System, node int, name string, costs Costs) *BackoffSpinLock {
 	l := &BackoffSpinLock{base: newBase(sys, node, name, costs)}
-	l.spin = sim.SpinSpec{
-		ProbeCell:   l.flag,
-		ProbeAtomic: true,
-		Probe:       l.tasProbe,
-		PauseCost:   l.backoffPause,
-		Volatile:    true,
-		MaxIters:    sim.SpinUnbounded,
-		Label:       l.frameSpin,
-	}
+	l.spin = l.tasSpin(l.flag, l.backoffPause)
+	l.spin.Volatile = true
 	return l
 }
 
@@ -110,12 +102,4 @@ func (l *BackoffSpinLock) Lock(t *cthreads.Thread) {
 }
 
 // Unlock clears the word.
-func (l *BackoffSpinLock) Unlock(t *cthreads.Thread) {
-	l.checkOwner(t, "Unlock")
-	l.unlockStart(t)
-	t.Compute(l.costs.SpinUnlockSteps)
-	l.owner = nil
-	l.traceRelease(t)
-	l.flag.Store(t, 0)
-	l.unlockEnd(t)
-}
+func (l *BackoffSpinLock) Unlock(t *cthreads.Thread) { l.release(t, l.costs.SpinUnlockSteps) }
