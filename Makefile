@@ -48,25 +48,21 @@ race:
 # whose correctness the lint gate leans on; each package's statement
 # coverage must stay at or above 80% (measured across the whole test
 # suite — their exercisers live in sim, cthreads, workload, and
-# experiments tests too).
+# experiments tests too). Each COVER_PAIRS entry is one gate, written
+# covered-package:test-packages.
+COVER_PAIRS = ./internal/profile:./internal/... ./internal/locks:./internal/... \
+	./internal/active:./internal/... ./internal/analysis/...:./internal/analysis/...
+
 cover:
-	$(GO) test -coverprofile=cover.out -coverpkg=./internal/profile ./internal/... > /dev/null
-	@$(GO) tool cover -func=cover.out | tail -1
-	@pct="$$($(GO) tool cover -func=cover.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	  awk -v p="$$pct" 'BEGIN { if (p+0 < 80) { printf "coverage gate: internal/profile at %s%%, need >= 80%%\n", p; exit 1 } }'
-	$(GO) test -coverprofile=cover_locks.out -coverpkg=./internal/locks ./internal/... > /dev/null
-	@$(GO) tool cover -func=cover_locks.out | tail -1
-	@pct="$$($(GO) tool cover -func=cover_locks.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	  awk -v p="$$pct" 'BEGIN { if (p+0 < 80) { printf "coverage gate: internal/locks at %s%%, need >= 80%%\n", p; exit 1 } }'
-	$(GO) test -coverprofile=cover_active.out -coverpkg=./internal/active ./internal/... > /dev/null
-	@$(GO) tool cover -func=cover_active.out | tail -1
-	@pct="$$($(GO) tool cover -func=cover_active.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	  awk -v p="$$pct" 'BEGIN { if (p+0 < 80) { printf "coverage gate: internal/active at %s%%, need >= 80%%\n", p; exit 1 } }'
-	$(GO) test -coverprofile=cover_analysis.out -coverpkg=./internal/analysis/... ./internal/analysis/... > /dev/null
-	@$(GO) tool cover -func=cover_analysis.out | tail -1
-	@pct="$$($(GO) tool cover -func=cover_analysis.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	  awk -v p="$$pct" 'BEGIN { if (p+0 < 80) { printf "coverage gate: internal/analysis at %s%%, need >= 80%%\n", p; exit 1 } }'
-	@rm -f cover.out cover_locks.out cover_active.out cover_analysis.out
+	@for pair in $(COVER_PAIRS); do \
+	  pkg=$${pair%%:*}; tests=$${pair#*:}; name=$${pkg#./}; name=$${name%/...}; \
+	  echo "$(GO) test -coverprofile=cover.out -coverpkg=$$pkg $$tests > /dev/null"; \
+	  $(GO) test -coverprofile=cover.out -coverpkg=$$pkg $$tests > /dev/null || exit 1; \
+	  $(GO) tool cover -func=cover.out | tail -1; \
+	  pct="$$($(GO) tool cover -func=cover.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
+	  awk -v p="$$pct" -v n="$$name" 'BEGIN { if (p+0 < 80) { printf "coverage gate: %s at %s%%, need >= 80%%\n", n, p; exit 1 } }' || exit 1; \
+	done
+	@rm -f cover.out
 
 # Time-boxed fuzzing: runs every Fuzz* target in the module for FUZZTIME
 # each (`go test` alone only replays the seed corpora) and fails on the

@@ -218,19 +218,19 @@ func BenchmarkLockContended(b *testing.B) {
 		build func(sys *cthreads.System) locks.Lock
 	}{
 		{"spin", func(sys *cthreads.System) locks.Lock {
-			return locks.NewSpinLock(sys, 0, "spin", locks.DefaultCosts())
+			return locks.NewSpinLock(sys, 0, "spin")
 		}},
 		{"backoff", func(sys *cthreads.System) locks.Lock {
-			return locks.NewBackoffSpinLock(sys, 0, "backoff", locks.DefaultCosts())
+			return locks.NewBackoffSpinLock(sys, 0, "backoff")
 		}},
 		{"mcs", func(sys *cthreads.System) locks.Lock {
-			return locks.NewLocalSpinLock(sys, 0, "mcs", locks.DefaultCosts())
+			return locks.NewLocalSpinLock(sys, 0, "mcs")
 		}},
 		{"mutable", func(sys *cthreads.System) locks.Lock {
-			return locks.NewMutableLock(sys, 0, "mutable", locks.DefaultCosts())
+			return locks.NewMutableLock(sys, 0, "mutable")
 		}},
 		{"cohort", func(sys *cthreads.System) locks.Lock {
-			return locks.NewCohortLock(sys, 0, "cohort", locks.DefaultCosts())
+			return locks.NewCohortLock(sys, 0, "cohort")
 		}},
 	}
 	for _, bl := range builders {

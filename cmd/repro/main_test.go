@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestArgValidation drives the command's argument checks end to end: each
@@ -49,6 +53,7 @@ func TestArgValidation(t *testing.T) {
 
 		{"flag read by one of several selected", []string{"-lock", "spin", "table4", "table6"}, 0, ""},
 		{"trace with coupling", []string{"-trace", out("c.json"), "coupling"}, 0, ""},
+		{"ledger with coupling", []string{"-ledger", out("c.ledger.json"), "coupling"}, 0, ""},
 		{"csvdir with patterns", []string{"-cities", "7", "-searchers", "3", "-csvdir", dir, "patterns"}, 0, ""},
 	}
 	for _, c := range cases {
@@ -83,6 +88,17 @@ func TestArgValidation(t *testing.T) {
 	// feeds its policy; the traced coupling run must have recorded them.
 	if tr, err := os.ReadFile(out("c.json")); err != nil || !strings.Contains(string(tr), `"sample loose=`) {
 		t.Errorf("traced coupling run left no loose sample in c.json (%v)", err)
+	}
+	// The same loop's monitor pipeline records each delivery, with its
+	// collection-to-delivery lag, in the ledger.
+	var ledger struct{ Entries []core.Entry }
+	if raw, err := os.ReadFile(out("c.ledger.json")); err != nil {
+		t.Error(err)
+	} else if err := json.Unmarshal(raw, &ledger); err != nil {
+		t.Error(err)
+	}
+	if !slices.ContainsFunc(ledger.Entries, func(e core.Entry) bool { return e.Kind == core.EntryDeliver && e.Lag > 0 }) {
+		t.Errorf("coupling ledger holds no deliver entry with a positive lag among its %d entries", len(ledger.Entries))
 	}
 }
 

@@ -25,7 +25,7 @@ func main() {
 	// An adaptive lock on node 0 with the paper's simple adaptation
 	// policy: it senses the number of waiting threads on every other
 	// unlock and retunes how long requesters spin before sleeping.
-	lock := locks.NewAdaptiveLock(sys, 0, "counter-lock", locks.DefaultCosts(), nil)
+	lock := locks.NewAdaptiveLock(sys, 0, "counter-lock", nil)
 
 	// A shared counter in node 0's memory: every access from nodes 1-3 is
 	// charged the remote latency automatically.

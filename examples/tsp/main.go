@@ -20,7 +20,7 @@ func main() {
 	in := tsp.NewEuclideanInstance(14, 7)
 	fmt.Printf("instance: %s\n\n", in)
 
-	seq, err := tsp.SolveSequentialSim(in, sim.Config{Nodes: 1}, 60, 20)
+	seq, err := tsp.SolveSequentialSim(in, sim.Config{Nodes: 1}, 60)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@
 //
 // Every operation charges virtual time exactly like the lock family:
 // instruction steps via Thread.Compute (constants below, in the spirit of
-// locks.Costs), memory references to the monitor's home node via the
+// the lock costs), memory references to the monitor's home node via the
 // machine's access-cost model, and atomic election probes at atomic cost.
 // Queue mutations themselves are plain Go between charge points, which
 // the engine's cooperative scheduling makes atomic (see DESIGN.md
@@ -90,7 +90,7 @@ const (
 )
 
 // Instruction-step charges of the asynchronous path, calibrated in the
-// same spirit as locks.Costs: a submit is an enqueue plus an election
+// same spirit as the lock costs: a submit is an enqueue plus an election
 // probe's call overhead; a combiner pays a small dispatch cost per method;
 // future operations are a flag read plus bookkeeping.
 const (
@@ -115,8 +115,6 @@ type Config struct {
 	// LockKind picks the lock to build when Lock is nil (default
 	// locks.KindSpin).
 	LockKind locks.Kind
-	// Costs is the lock-family cost table (zero value = DefaultCosts).
-	Costs locks.Costs
 	// ExecMode is the initial exec-mode attribute (ExecSync or ExecAsync).
 	ExecMode int64
 	// Combiner is the initially installed combiner variant (default
@@ -128,12 +126,6 @@ type Config struct {
 	// the feedback loop (default 4; same role as the adaptive lock's
 	// sampling interval).
 	SensorEvery int
-	// ServerNode is the processor the dedicated server thread runs on
-	// (server combiner only). The zero value places it on Node. Place it
-	// on a processor with no long-polling threads: processors are not
-	// preempted, so a thread that polls in a loop without blocking or
-	// yielding starves a co-located server indefinitely.
-	ServerNode int
 }
 
 // Stats aggregates a monitor's activity over a run.
@@ -163,12 +155,11 @@ type Stats struct {
 // methods must be called from inside simulated threads, except the Setup*
 // helpers and accessors documented otherwise.
 type Monitor struct {
-	sys   *cthreads.System
-	node  int
-	name  string
-	mu    locks.Lock
-	obj   *core.Object
-	costs locks.Costs
+	sys  *cthreads.System
+	node int
+	name string
+	mu   locks.Lock
+	obj  *core.Object
 
 	// election is the flat-combining combiner election word (test-and-set
 	// semantics: nonzero = a combiner is active).
@@ -184,7 +175,6 @@ type Monitor struct {
 	inflight int64
 
 	server         *cthreads.Thread
-	serverNode     int
 	serverSleeping bool
 	serverStop     bool
 
@@ -203,9 +193,6 @@ func New(sys *cthreads.System, cfg Config) *Monitor {
 	if cfg.Name == "" {
 		cfg.Name = "monitor"
 	}
-	if cfg.Costs == (locks.Costs{}) {
-		cfg.Costs = locks.DefaultCosts()
-	}
 	if cfg.Combiner == "" {
 		cfg.Combiner = CombinerFlat
 	}
@@ -221,18 +208,13 @@ func New(sys *cthreads.System, cfg Config) *Monitor {
 		if kind == "" {
 			kind = locks.KindSpin
 		}
-		mu = locks.MustNew(sys, kind, cfg.Node, cfg.Name+".mu", cfg.Costs)
-	}
-	if cfg.ServerNode == 0 {
-		cfg.ServerNode = cfg.Node
+		mu = locks.MustNew(sys, kind, cfg.Node, cfg.Name+".mu")
 	}
 	m := &Monitor{
 		sys:          sys,
 		node:         cfg.Node,
-		serverNode:   cfg.ServerNode,
 		name:         cfg.Name,
 		mu:           mu,
-		costs:        cfg.Costs,
 		election:     sys.Machine().NewCell(cfg.Node, cfg.Name+".election", 0),
 		latency:      metrics.NewHistogram(cfg.Name + ".method-latency"),
 		frameSubmit:  "submit:" + cfg.Name,
@@ -283,7 +265,7 @@ func (m *Monitor) chargeAccesses(t *cthreads.Thread, n int) {
 // feedback loop (same cost shape as the adaptive lock's Unlock probe).
 func (m *Monitor) probe(t *cthreads.Thread) {
 	if _, ok := m.obj.Monitor.Probe(SensorConcurrent); ok {
-		t.Compute(m.costs.MonitorSampleSteps)
+		t.Compute(locks.MonitorSampleSteps)
 		m.chargeAccesses(t, 2) // read the sensed state, write the attribute
 	}
 }
@@ -332,7 +314,7 @@ func (m *Monitor) submit(t *cthreads.Thread, body func(*cthreads.Thread), start 
 		p.Push(t.Now(), m.frameSubmit)
 	}
 	t.Compute(submitSteps)
-	m.chargeAccesses(t, m.costs.QueueOpAccesses)
+	m.chargeAccesses(t, locks.QueueOpAccesses)
 	f := &Future{m: m, body: body, submitted: start}
 	m.pending = append(m.pending, f)
 	depth := int64(len(m.pending))
@@ -417,7 +399,7 @@ func (m *Monitor) drain(t *cthreads.Thread, isServer bool) {
 		for n < limit && len(m.pending) > 0 {
 			f := m.pending[0]
 			m.pending = m.pending[1:]
-			m.chargeAccesses(t, m.costs.QueueOpAccesses)
+			m.chargeAccesses(t, locks.QueueOpAccesses)
 			t.Compute(combineDispatchSteps)
 			f.body(t)
 			// Completion: mark done, record latency, and hand off to a
@@ -449,13 +431,13 @@ func (m *Monitor) drain(t *cthreads.Thread, isServer bool) {
 	}
 }
 
-// ensureServer forks the dedicated server thread on its configured
-// processor the first time the server combiner is used.
+// ensureServer forks the dedicated server thread on the monitor's home
+// node the first time the server combiner is used.
 func (m *Monitor) ensureServer() {
 	if m.server != nil {
 		return
 	}
-	m.server = m.sys.Fork(m.serverNode, m.name+".server", m.serverLoop)
+	m.server = m.sys.Fork(m.node, m.name+".server", m.serverLoop)
 }
 
 // serverLoop is the dedicated combiner: drain when work is pending, sleep
@@ -471,7 +453,7 @@ func (m *Monitor) serverLoop(t *cthreads.Thread) {
 			// submitter's flag-clear-then-wake.
 			m.serverSleeping = true
 			t.Block()
-			t.Compute(m.costs.PostWakeSteps)
+			t.Compute(locks.PostWakeSteps)
 			continue
 		}
 		m.drain(t, true)

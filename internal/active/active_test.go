@@ -325,7 +325,7 @@ func TestTraceEvents(t *testing.T) {
 // TestExternalLock hands the monitor an existing lock (the TSP wiring).
 func TestExternalLock(t *testing.T) {
 	sys := testSys(4)
-	l := locks.MustNew(sys, locks.KindBlocking, 0, "shared", locks.DefaultCosts())
+	l := locks.MustNew(sys, locks.KindBlocking, 0, "shared")
 	m := New(sys, Config{Node: 0, Name: "ext-mon", Lock: l, ExecMode: ExecAsync})
 	if m.Lock() != l {
 		t.Fatal("monitor did not adopt the provided lock")

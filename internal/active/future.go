@@ -2,6 +2,7 @@ package active
 
 import (
 	"repro/internal/cthreads"
+	"repro/internal/locks"
 	"repro/internal/sim"
 )
 
@@ -82,7 +83,7 @@ func (f *Future) block(t *cthreads.Thread) {
 	if !f.done {
 		f.waiter = t
 		t.Block()
-		t.Compute(f.m.costs.PostWakeSteps)
+		t.Compute(locks.PostWakeSteps)
 	}
 	if p := t.Prof(); p != nil {
 		p.Pop(t.Now(), f.m.frameFuture)

@@ -139,17 +139,10 @@ func (s *System) SetTracer(tr *trace.Tracer) {
 func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
 // SetProfiler attaches (or, with nil, detaches) the virtual-time
-// attribution profiler. Threads forked from this point on are registered;
-// the engine's attribution hook is installed for the mechanism
-// diagnostics. Unlike SetTracer this does not force any engine slow path.
-func (s *System) SetProfiler(p *profile.Profiler) {
-	s.prof = p
-	if p != nil {
-		s.eng.SetAttribution(p)
-	} else {
-		s.eng.SetAttribution(nil)
-	}
-}
+// attribution profiler. Threads forked from this point on are registered,
+// and each Run adds its engine mechanism counters to the profiler. Unlike
+// SetTracer this does not force any engine slow path.
+func (s *System) SetProfiler(p *profile.Profiler) { s.prof = p }
 
 // Profiler returns the attached profiler (nil when profiling is disabled).
 // The nil profiler is safe to record to, so callers need not check.
@@ -248,6 +241,7 @@ func (s *System) Fork(proc int, name string, fn func(t *Thread)) *Thread {
 // error if the machine deadlocks (threads blocked forever) or a thread
 // panics; the error names the stuck threads.
 func (s *System) Run() error {
+	before := s.eng.Stats()
 	err := s.eng.Run()
 	if s.prof != nil {
 		// Close this system's attribution records at the run's end time,
@@ -258,6 +252,7 @@ func (s *System) Run() error {
 		for _, t := range s.all {
 			t.prof.Flush(end)
 		}
+		s.prof.AddEngineStats(s.eng.Stats().Sub(before))
 	}
 	if err == nil {
 		return nil

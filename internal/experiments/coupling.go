@@ -80,10 +80,11 @@ func couplingWorkload(sys *cthreads.System, l locks.Lock, procs int,
 // cannot track faster locking-pattern changes, while the inline loop's
 // lag is structurally zero.
 //
-// e.Tracer, when set, is attached to both systems. The two runs are
-// sequential, so their events share one virtual timeline restarting at
-// zero; AdaptationLag separates them by lock name ("tight" vs "loose").
-// In the loose run the monitor
+// e's observers, when set, are attached to both systems. The two runs
+// are sequential, so their events share one virtual timeline restarting
+// at zero; AdaptationLag separates them by lock name ("tight" vs
+// "loose"). The ledger also receives one deliver entry per record the
+// monitor thread processes, with its lag. In the loose run the monitor
 // thread emits a KindSample carrying the record's *collection* time just
 // before running the policy, so the trace-derived lag is the §5.1
 // trace-pipeline delay; the tight lock's inline samples carry the
@@ -101,8 +102,8 @@ func CouplingComparison(e Env) ([]CouplingRow, error) {
 		tight.Nodes = procs
 	}
 	tightSys := cthreads.New(tight)
-	tightSys.SetTracer(e.Tracer)
-	tightLock := locks.NewAdaptiveLock(tightSys, 0, "tight", locks.DefaultCosts(), policy)
+	e.attach(tightSys)
+	tightLock := locks.NewAdaptiveLock(tightSys, 0, "tight", policy)
 	tightDone := couplingWorkload(tightSys, tightLock, procs, nil)
 	if err := tightSys.Run(); err != nil {
 		return nil, fmt.Errorf("coupling tight: %w", err)
@@ -115,8 +116,8 @@ func CouplingComparison(e Env) ([]CouplingRow, error) {
 		loose.Nodes = procs + 1
 	}
 	looseSys := cthreads.New(loose)
-	looseSys.SetTracer(e.Tracer)
-	looseLock := locks.NewReconfigurableLock(looseSys, 0, "loose", locks.DefaultCosts(), locks.DefaultInitialSpins)
+	e.attach(looseSys)
+	looseLock := locks.NewReconfigurableLock(looseSys, 0, "loose", locks.DefaultInitialSpins)
 	// The general-purpose monitor is built for trace collection, not
 	// control: it batches records and polls at millisecond granularity
 	// (and forwards batches toward the central monitor), so decisions

@@ -103,7 +103,7 @@ func (e Env) tableKinds(all []locks.Kind) []locks.Kind {
 func measureOp(opts Env, kind locks.Kind, threadNode int, op string) (sim.Time, error) {
 	sys := cthreads.New(opts.Machine)
 	opts.attach(sys)
-	l, err := locks.New(sys, kind, 0, string(kind), locks.DefaultCosts())
+	l, err := locks.New(sys, kind, 0, string(kind))
 	if err != nil {
 		return 0, err
 	}
@@ -170,7 +170,7 @@ type CycleRow struct {
 }
 
 // cycleLock builds the lock under test for Table 6/7 rows.
-type cycleLock func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock
+type cycleLock func(sys *cthreads.System, node int) locks.Lock
 
 // cycleCase is one Table 6/7 row: its label and the lock it measures.
 type cycleCase struct {
@@ -189,7 +189,7 @@ func measureCycle(opts Env, mk cycleLock, lockNode int) (sim.Time, error) {
 	}
 	sys := cthreads.New(opts.Machine)
 	opts.attach(sys)
-	l := mk(sys, lockNode, locks.DefaultCosts())
+	l := mk(sys, lockNode)
 	var releaseAt, acquiredAt sim.Time
 	sys.Fork(0, "holder", func(t *cthreads.Thread) {
 		l.Lock(t)
@@ -216,14 +216,14 @@ func measureCycle(opts Env, mk cycleLock, lockNode int) (sim.Time, error) {
 // spin-with-backoff, and blocking (§5.2 Table 6).
 func Table6(opts Env) ([]CycleRow, error) {
 	return cycleTable(opts, []cycleCase{
-		{"Spin", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
-			return locks.NewSpinLock(sys, node, "spin", c)
+		{"Spin", func(sys *cthreads.System, node int) locks.Lock {
+			return locks.NewSpinLock(sys, node, "spin")
 		}},
-		{"Spin-with-backoff", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
-			return locks.NewBackoffSpinLock(sys, node, "backoff", c)
+		{"Spin-with-backoff", func(sys *cthreads.System, node int) locks.Lock {
+			return locks.NewBackoffSpinLock(sys, node, "backoff")
 		}},
-		{"Blocking-lock", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
-			return locks.NewBlockingLock(sys, node, "blocking", c)
+		{"Blocking-lock", func(sys *cthreads.System, node int) locks.Lock {
+			return locks.NewBlockingLock(sys, node, "blocking")
 		}},
 	})
 }
@@ -232,11 +232,11 @@ func Table6(opts Env) ([]CycleRow, error) {
 // pure-spin and pure-blocking configurations (§5.2 Table 7).
 func Table7(opts Env) ([]CycleRow, error) {
 	return cycleTable(opts, []cycleCase{
-		{"Spin", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
-			return locks.NewPureSpinConfigured(sys, node, "adaptive-as-spin", c)
+		{"Spin", func(sys *cthreads.System, node int) locks.Lock {
+			return locks.NewPureSpinConfigured(sys, node, "adaptive-as-spin")
 		}},
-		{"Blocking", func(sys *cthreads.System, node int, c locks.Costs) locks.Lock {
-			return locks.NewPureBlockingConfigured(sys, node, "adaptive-as-blocking", c)
+		{"Blocking", func(sys *cthreads.System, node int) locks.Lock {
+			return locks.NewPureBlockingConfigured(sys, node, "adaptive-as-blocking")
 		}},
 	})
 }
@@ -273,7 +273,7 @@ func Table8(opts Env) ([]ConfigOpRow, error) {
 	measure := func(threadNode int, f func(t *cthreads.Thread, l *locks.ReconfigurableLock)) (sim.Time, error) {
 		sys := cthreads.New(opts.Machine)
 		opts.attach(sys)
-		l := locks.NewReconfigurableLock(sys, 0, "cfg", locks.DefaultCosts(), 10)
+		l := locks.NewReconfigurableLock(sys, 0, "cfg", 10)
 		var dur sim.Time
 		sys.Fork(threadNode, "agent", func(t *cthreads.Thread) {
 			start := t.Now()

@@ -219,13 +219,13 @@ func LockRetargeting(e Env) ([]RetargetRow, error) {
 			return sys.Now(), sys.Machine().ModuleQueueDelay(0), nil
 		}
 		remote, hot, err := run(func(sys *cthreads.System) locks.Lock {
-			return locks.NewSpinLock(sys, 0, "tas-spin", locks.DefaultCosts())
+			return locks.NewSpinLock(sys, 0, "tas-spin")
 		})
 		if err != nil {
 			return RetargetRow{}, fmt.Errorf("retarget tas threads=%d: %w", threads, err)
 		}
 		local, _, err := run(func(sys *cthreads.System) locks.Lock {
-			return locks.NewLocalSpinLock(sys, 0, "local-spin", locks.DefaultCosts())
+			return locks.NewLocalSpinLock(sys, 0, "local-spin")
 		})
 		if err != nil {
 			return RetargetRow{}, fmt.Errorf("retarget mcs threads=%d: %w", threads, err)
@@ -239,8 +239,8 @@ func LockRetargeting(e Env) ([]RetargetRow, error) {
 func adaptiveStrategy(threshold, step int64) workload.Strategy {
 	return workload.Strategy{
 		Name: fmt.Sprintf("adaptive(t=%d,n=%d)", threshold, step),
-		Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-			return locks.NewAdaptiveLock(sys, node, "adaptive", costs, core.SimpleAdapt{
+		Make: func(sys *cthreads.System, node int) locks.Lock {
+			return locks.NewAdaptiveLock(sys, node, "adaptive", core.SimpleAdapt{
 				SpinAttr:         locks.AttrSpinTime,
 				WaitingThreshold: threshold,
 				Step:             step,

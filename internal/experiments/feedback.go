@@ -24,7 +24,7 @@ func feedback(e Env) (Result, error) {
 	sys := cthreads.New(sim.Config{Nodes: procs})
 	e.attach(sys)
 	policy := core.SimpleAdapt{SpinAttr: locks.AttrSpinTime, WaitingThreshold: 2, Step: 10, MaxSpin: 100}
-	l := locks.NewAdaptiveLock(sys, 0, "demo-lock", locks.DefaultCosts(), policy)
+	l := locks.NewAdaptiveLock(sys, 0, "demo-lock", policy)
 
 	// Tap the feedback loop: wrap the policy so each sample is printed
 	// along with the decision it produced.

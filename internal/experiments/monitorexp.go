@@ -8,6 +8,7 @@ import (
 	"repro/internal/cthreads"
 	"repro/internal/locks"
 	"repro/internal/metrics"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/tsp"
 )
@@ -233,7 +234,7 @@ type WaitLatencyRow struct {
 }
 
 // WaitLatencySweep runs a contended critical-section workload per lock
-// kind with a wait histogram attached and reports each kind's
+// kind with a profiler attached and reports each kind's
 // per-acquisition wait latency (metrics.Histogram Summary: n, mean, p50,
 // p99, p999, max).
 func WaitLatencySweep(e Env) ([]WaitLatencyRow, error) {
@@ -246,13 +247,12 @@ func WaitLatencySweep(e Env) ([]WaitLatencyRow, error) {
 	return sweep(e, len(e.Kinds), func(i int) (WaitLatencyRow, error) {
 		kind := e.Kinds[i]
 		sys := cthreads.New(e.Machine)
-		l, err := locks.New(sys, kind, 0, string(kind), locks.DefaultCosts())
+		prof := profile.New()
+		sys.SetProfiler(prof)
+		l, err := locks.New(sys, kind, 0, string(kind))
 		if err != nil {
 			return WaitLatencyRow{}, err
 		}
-		h := metrics.NewHistogram(string(kind) + ".wait")
-		type histSink interface{ SetWaitHistogram(*metrics.Histogram) }
-		l.(histSink).SetWaitHistogram(h)
 		for w := 0; w < 8; w++ {
 			sys.Fork(w%sys.Procs(), fmt.Sprintf("w%d", w), func(t *cthreads.Thread) {
 				for j := 0; j < 20; j++ {
@@ -266,7 +266,7 @@ func WaitLatencySweep(e Env) ([]WaitLatencyRow, error) {
 		if err := sys.Run(); err != nil {
 			return WaitLatencyRow{}, fmt.Errorf("wait latency %s: %w", kind, err)
 		}
-		return WaitLatencyRow{Kind: kind, Summary: h.Summary()}, nil
+		return WaitLatencyRow{Kind: kind, Summary: prof.WaitHistogram(string(kind)).Summary()}, nil
 	})
 }
 

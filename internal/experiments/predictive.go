@@ -41,7 +41,7 @@ func MutableCalibration(e Env) ([]CalibRow, error) {
 			m.Seed = 1
 		}
 		sys := cthreads.New(m)
-		l := locks.NewMutableLock(sys, 0, "calib", locks.DefaultCosts())
+		l := locks.NewMutableLock(sys, 0, "calib")
 		for w := 0; w < waiters; w++ {
 			sys.Fork(w, fmt.Sprintf("w%d", w), func(t *cthreads.Thread) {
 				r := t.Rand()
@@ -132,20 +132,20 @@ func CohortNUMA(e Env) ([]CohortRow, error) {
 			return sys.Now(), l, nil
 		}
 		spinT, spinL, err := run(func(sys *cthreads.System) locks.Lock {
-			return locks.NewSpinLock(sys, 0, "spin", locks.DefaultCosts())
+			return locks.NewSpinLock(sys, 0, "spin")
 		})
 		if err != nil {
 			return CohortRow{}, fmt.Errorf("cohort-numa spin nodes=%d: %w", nodes, err)
 		}
 		mcsT, mcsL, err := run(func(sys *cthreads.System) locks.Lock {
-			return locks.NewLocalSpinLock(sys, 0, "mcs", locks.DefaultCosts())
+			return locks.NewLocalSpinLock(sys, 0, "mcs")
 		})
 		if err != nil {
 			return CohortRow{}, fmt.Errorf("cohort-numa mcs nodes=%d: %w", nodes, err)
 		}
 		var cohort *locks.CohortLock
 		cohortT, _, err := run(func(sys *cthreads.System) locks.Lock {
-			cohort = locks.NewCohortLock(sys, 0, "cohort", locks.DefaultCosts())
+			cohort = locks.NewCohortLock(sys, 0, "cohort")
 			return cohort
 		})
 		if err != nil {

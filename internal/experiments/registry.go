@@ -277,7 +277,7 @@ func Registry() []Spec {
 		{"cohort", "A NUMA cohort lock cuts remote lock transfers versus the flat TAS and MCS locks",
 			0, tabulate(CohortNUMA, RenderCohortNUMA, nil)},
 		{"coupling", "§3/§5.1: the inline feedback loop reacts without lag; the general-purpose monitor pipeline decides a phase late",
-			InTrace, tabulate(CouplingComparison, RenderCoupling, func(rows []CouplingRow) []Metric {
+			InTrace | InObserve, tabulate(CouplingComparison, RenderCoupling, func(rows []CouplingRow) []Metric {
 				return []Metric{
 					{"sim-ms-closely-coupled", rows[0].Elapsed.Millis()},
 					{"sim-ms-loosely-coupled", rows[1].Elapsed.Millis()},

@@ -127,7 +127,7 @@ func tspComparison(e Env, org tsp.Organization, baseline bool) (TSPRow, error) {
 		{"blocking", func() (tsp.Result, error) { return run(locks.KindBlocking) }},
 		{"adaptive", func() (tsp.Result, error) { return run(locks.KindAdaptive) }},
 		{"sequential", func() (tsp.Result, error) {
-			return tsp.SolveSequentialSim(in, sim.Config{}, o.StepsPerWorkUnit, 0)
+			return tsp.SolveSequentialSim(in, sim.Config{}, o.StepsPerWorkUnit)
 		}},
 	}
 	if !baseline {

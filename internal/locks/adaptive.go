@@ -22,9 +22,9 @@ const DefaultInitialSpins = 10
 
 // NewAdaptiveLock allocates an adaptive lock on the given node. A nil
 // policy installs core.DefaultSimpleAdapt.
-func NewAdaptiveLock(sys *cthreads.System, node int, name string, costs Costs, policy core.Policy) *AdaptiveLock {
+func NewAdaptiveLock(sys *cthreads.System, node int, name string, policy core.Policy) *AdaptiveLock {
 	l := &AdaptiveLock{
-		ReconfigurableLock: *NewReconfigurableLock(sys, node, name, costs, DefaultInitialSpins),
+		ReconfigurableLock: *NewReconfigurableLock(sys, node, name, DefaultInitialSpins),
 	}
 	// The customized lock monitor: sense no-of-waiting-threads on every
 	// other unlock (§4), collected inline by the unlocking thread so the

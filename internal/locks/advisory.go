@@ -41,9 +41,9 @@ type AdvisoryLock struct {
 const DefaultAdviceThreshold = 150 * sim.Microsecond
 
 // NewAdvisoryLock allocates an advisory lock on the given node.
-func NewAdvisoryLock(sys *cthreads.System, node int, name string, costs Costs) *AdvisoryLock {
+func NewAdvisoryLock(sys *cthreads.System, node int, name string) *AdvisoryLock {
 	l := &AdvisoryLock{
-		base:             newBase(sys, node, name, costs),
+		base:             newBase(sys, node, name),
 		Threshold:        DefaultAdviceThreshold,
 		adviceCheckEvery: 8,
 	}
@@ -92,7 +92,7 @@ func (l *AdvisoryLock) Advise(t *cthreads.Thread, expectedRemaining sim.Time) {
 
 func (l *AdvisoryLock) lockInternal(t *cthreads.Thread, expectedHold sim.Time) {
 	start := t.Now()
-	t.Compute(l.costs.SpinLockSteps)
+	t.Compute(SpinLockSteps)
 	l.observe(t, l.waiting())
 	contended := false
 	sinceCheck := 0
@@ -109,7 +109,7 @@ func (l *AdvisoryLock) lockInternal(t *cthreads.Thread, expectedHold sim.Time) {
 		if adv == AdviseSpin {
 			l.stats.SpinIters++
 			sinceCheck++
-			t.Compute(l.costs.SpinPauseSteps)
+			t.Compute(SpinPauseSteps)
 			if sinceCheck >= l.adviceCheckEvery {
 				sinceCheck = 0
 				adv = l.advice()
@@ -141,7 +141,7 @@ func (l *AdvisoryLock) lockInternal(t *cthreads.Thread, expectedHold sim.Time) {
 func (l *AdvisoryLock) Unlock(t *cthreads.Thread) {
 	l.checkOwner(t, "Unlock")
 	l.unlockStart(t)
-	t.Compute(l.costs.SpinUnlockSteps)
+	t.Compute(SpinUnlockSteps)
 	l.chargeAccesses(t, 1)
 	l.grant(t, SchedFCFS, nil, 0)
 	l.unlockEnd(t)

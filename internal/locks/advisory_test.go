@@ -9,13 +9,13 @@ import (
 
 func TestAdvisoryMutualExclusion(t *testing.T) {
 	sys := testSys(4)
-	l := NewAdvisoryLock(sys, 0, "adv", DefaultCosts())
+	l := NewAdvisoryLock(sys, 0, "adv")
 	exerciseMutex(t, sys, l, 4, 20, false)
 }
 
 func TestAdvisoryShortHoldAdvisesSpin(t *testing.T) {
 	sys := testSys(2)
-	l := NewAdvisoryLock(sys, 0, "adv", DefaultCosts())
+	l := NewAdvisoryLock(sys, 0, "adv")
 	l.Threshold = 100 * sim.Microsecond
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.LockHint(th, 50*sim.Microsecond) // short: advise spin
@@ -41,7 +41,7 @@ func TestAdvisoryShortHoldAdvisesSpin(t *testing.T) {
 
 func TestAdvisoryLongHoldAdvisesSleep(t *testing.T) {
 	sys := testSys(2)
-	l := NewAdvisoryLock(sys, 0, "adv", DefaultCosts())
+	l := NewAdvisoryLock(sys, 0, "adv")
 	l.Threshold = 100 * sim.Microsecond
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.LockHint(th, 5*sim.Millisecond) // long: advise sleep
@@ -68,7 +68,7 @@ func TestAdvisoryLongHoldAdvisesSleep(t *testing.T) {
 
 func TestAdvisoryMidSectionAdviceChange(t *testing.T) {
 	sys := testSys(2)
-	l := NewAdvisoryLock(sys, 0, "adv", DefaultCosts())
+	l := NewAdvisoryLock(sys, 0, "adv")
 	l.Threshold = 100 * sim.Microsecond
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.LockHint(th, 5*sim.Millisecond) // phase 1: long
@@ -93,7 +93,7 @@ func TestAdvisoryMidSectionAdviceChange(t *testing.T) {
 
 func TestAdviseByNonOwnerPanics(t *testing.T) {
 	sys := testSys(2)
-	l := NewAdvisoryLock(sys, 0, "adv", DefaultCosts())
+	l := NewAdvisoryLock(sys, 0, "adv")
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
 		th.Advance(100_000)
@@ -115,7 +115,7 @@ func TestAdviseByNonOwnerPanics(t *testing.T) {
 
 func TestAdvisorySleepersWakeOnRelease(t *testing.T) {
 	sys := testSys(4)
-	l := NewAdvisoryLock(sys, 0, "adv", DefaultCosts())
+	l := NewAdvisoryLock(sys, 0, "adv")
 	l.Threshold = 10 * sim.Microsecond
 	acquired := 0
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {

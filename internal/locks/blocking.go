@@ -12,8 +12,8 @@ type BlockingLock struct {
 }
 
 // NewBlockingLock allocates a blocking lock on the given node.
-func NewBlockingLock(sys *cthreads.System, node int, name string, costs Costs) *BlockingLock {
-	return &BlockingLock{base: newBase(sys, node, name, costs)}
+func NewBlockingLock(sys *cthreads.System, node int, name string) *BlockingLock {
+	return &BlockingLock{base: newBase(sys, node, name)}
 }
 
 // Lock acquires the lock, sleeping if it is busy. A sleeper is woken by
@@ -21,7 +21,7 @@ func NewBlockingLock(sys *cthreads.System, node int, name string, costs Costs) *
 // owner, in FCFS order — so it never re-contends.
 func (l *BlockingLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
-	t.Compute(l.costs.BlockLockSteps)
+	t.Compute(BlockLockSteps)
 	l.observe(t, l.waiting())
 	if l.flag.AtomicOr(t, 1) == 0 {
 		l.acquired(t, start, false)
@@ -43,7 +43,7 @@ func (l *BlockingLock) Unlock(t *cthreads.Thread) {
 	l.checkOwner(t, "Unlock")
 	l.unlockStart(t)
 	defer l.unlockEnd(t) // the handoff loop has several exits
-	t.Compute(l.costs.BlockUnlockSteps)
+	t.Compute(BlockUnlockSteps)
 	l.chargeAccesses(t, 1) // inspect the queue head
 	l.owner = nil
 	l.traceRelease(t)

@@ -72,8 +72,8 @@ type CohortLock struct {
 
 // NewCohortLock allocates a cohort lock whose global word lives on the
 // given node, with local words on every machine node.
-func NewCohortLock(sys *cthreads.System, node int, name string, costs Costs) *CohortLock {
-	l := &CohortLock{base: newBase(sys, node, name, costs)}
+func NewCohortLock(sys *cthreads.System, node int, name string) *CohortLock {
+	l := &CohortLock{base: newBase(sys, node, name)}
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrCohortBudget, DefaultCohortBudget, true)
 	// The customized lock monitor senses the waiter count on every other
@@ -108,7 +108,7 @@ func (l *CohortLock) Cohort() CohortStats { return l.cstats }
 // pinned to their processor's node, so this holds by construction).
 func (l *CohortLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
-	t.Compute(l.costs.SpinLockSteps)
+	t.Compute(SpinLockSteps)
 	n := l.nodes[t.Node()]
 	l.observe(t, l.spinners)
 	contended := false
@@ -146,7 +146,7 @@ func (l *CohortLock) Lock(t *cthreads.Thread) {
 func (l *CohortLock) Unlock(t *cthreads.Thread) {
 	l.checkOwner(t, "Unlock")
 	l.unlockStart(t)
-	t.Compute(l.costs.SpinUnlockSteps)
+	t.Compute(SpinUnlockSteps)
 	n := l.nodes[t.Node()]
 	// The budget is cached in the node-local slice of the lock's state:
 	// one local reference reads it.

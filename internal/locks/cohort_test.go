@@ -55,7 +55,7 @@ func runCohortWorkload(t *testing.T, l *CohortLock, sys *cthreads.System, nodes,
 // transfers well below what node-oblivious granting would produce.
 func TestCohortHandoffAccounting(t *testing.T) {
 	sys := cohortSys(2)
-	l := NewCohortLock(sys, 0, "cohort", DefaultCosts())
+	l := NewCohortLock(sys, 0, "cohort")
 	runCohortWorkload(t, l, sys, 2, 2, 25, 2*sim.Microsecond)
 
 	st, cs := l.Stats(), l.Cohort()
@@ -88,7 +88,7 @@ func TestCohortHandoffAccounting(t *testing.T) {
 // lock must release the global word at least every other acquisition.
 func TestCohortBudgetOne(t *testing.T) {
 	sys := cohortSys(2)
-	l := NewCohortLock(sys, 0, "b1", DefaultCosts())
+	l := NewCohortLock(sys, 0, "b1")
 	if err := l.Object().Apply(core.Decision{Attr: AttrCohortBudget, Value: 1}, core.OwnerSelf); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCohortPolicyRetunesBudget(t *testing.T) {
 	sys := cohortSys(2)
 	led := core.NewLedger(0)
 	sys.SetLedger(led)
-	l := NewCohortLock(sys, 0, "tuned", DefaultCosts())
+	l := NewCohortLock(sys, 0, "tuned")
 	// Contention observed → widen the budget to favor locality.
 	l.Object().SetPolicy(core.PolicyFunc(func(s core.Sample, o *core.Object) []core.Decision {
 		if s.Value > 0 && o.Attrs.MustGet(AttrCohortBudget) != 32 {

@@ -42,22 +42,22 @@ func KindNames() []string {
 
 // New constructs a lock of the given kind on the given node. Adaptive
 // locks get the default SimpleAdapt policy.
-func New(sys *cthreads.System, kind Kind, node int, name string, costs Costs) (Lock, error) {
+func New(sys *cthreads.System, kind Kind, node int, name string) (Lock, error) {
 	switch kind {
 	case KindTAS:
-		return NewTASLock(sys, node, name, costs), nil
+		return NewTASLock(sys, node, name), nil
 	case KindSpin:
-		return NewSpinLock(sys, node, name, costs), nil
+		return NewSpinLock(sys, node, name), nil
 	case KindBackoff:
-		return NewBackoffSpinLock(sys, node, name, costs), nil
+		return NewBackoffSpinLock(sys, node, name), nil
 	case KindBlocking:
-		return NewBlockingLock(sys, node, name, costs), nil
+		return NewBlockingLock(sys, node, name), nil
 	case KindAdaptive:
-		return NewAdaptiveLock(sys, node, name, costs, nil), nil
+		return NewAdaptiveLock(sys, node, name, nil), nil
 	case KindMutable:
-		return NewMutableLock(sys, node, name, costs), nil
+		return NewMutableLock(sys, node, name), nil
 	case KindCohort:
-		return NewCohortLock(sys, node, name, costs), nil
+		return NewCohortLock(sys, node, name), nil
 	default:
 		return nil, fmt.Errorf("locks: unknown kind %q (valid kinds: %s)",
 			kind, strings.Join(KindNames(), ", "))
@@ -66,8 +66,8 @@ func New(sys *cthreads.System, kind Kind, node int, name string, costs Costs) (L
 
 // MustNew is New, panicking on error (for table-driven experiment code
 // where the kind is a compile-time constant).
-func MustNew(sys *cthreads.System, kind Kind, node int, name string, costs Costs) Lock {
-	l, err := New(sys, kind, node, name, costs)
+func MustNew(sys *cthreads.System, kind Kind, node int, name string) Lock {
+	l, err := New(sys, kind, node, name)
 	if err != nil {
 		panic(err)
 	}

@@ -40,9 +40,9 @@ type qnode struct {
 // on the given node. Queue records are released as their threads exit, so
 // a run that churns through short-lived threads does not accumulate one
 // qnode (and one simulated cell) per thread that ever touched the lock.
-func NewLocalSpinLock(sys *cthreads.System, node int, name string, costs Costs) *LocalSpinLock {
+func NewLocalSpinLock(sys *cthreads.System, node int, name string) *LocalSpinLock {
 	l := &LocalSpinLock{
-		base:  newBase(sys, node, name, costs),
+		base:  newBase(sys, node, name),
 		nodes: make(map[*cthreads.Thread]*qnode),
 	}
 	l.tailCell = sys.Machine().NewCell(node, name+".tail", 0)
@@ -82,7 +82,7 @@ func (l *LocalSpinLock) retained() int { return len(l.nodes) }
 // flag until the predecessor hands over.
 func (l *LocalSpinLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
-	t.Compute(l.costs.SpinLockSteps)
+	t.Compute(SpinLockSteps)
 	l.observe(t, l.spinners)
 	qn := l.qnodeFor(t)
 	qn.next = nil
@@ -114,7 +114,7 @@ func (l *LocalSpinLock) Unlock(t *cthreads.Thread) {
 	l.checkOwner(t, "Unlock")
 	l.unlockStart(t)
 	defer l.unlockEnd(t) // the no-successor path has an early exit
-	t.Compute(l.costs.SpinUnlockSteps)
+	t.Compute(SpinUnlockSteps)
 	qn := l.qnodeFor(t)
 	l.owner = nil
 	l.traceRelease(t)

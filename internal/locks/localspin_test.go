@@ -10,7 +10,7 @@ import (
 
 func TestLocalSpinMutualExclusion(t *testing.T) {
 	sys := testSys(4)
-	l := NewLocalSpinLock(sys, 0, "mcs", DefaultCosts())
+	l := NewLocalSpinLock(sys, 0, "mcs")
 	exerciseMutex(t, sys, l, 4, 25, false)
 	if l.Stats().Acquisitions != 100 {
 		t.Fatalf("acquisitions = %d, want 100", l.Stats().Acquisitions)
@@ -19,7 +19,7 @@ func TestLocalSpinMutualExclusion(t *testing.T) {
 
 func TestLocalSpinFIFOOrder(t *testing.T) {
 	sys := testSys(4)
-	l := NewLocalSpinLock(sys, 0, "mcs", DefaultCosts())
+	l := NewLocalSpinLock(sys, 0, "mcs")
 	var order []string
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
@@ -57,7 +57,7 @@ func TestLocalSpinWaitersSpinLocally(t *testing.T) {
 		ModuleService: 5,
 	}
 	sys := cthreads.New(cfg)
-	l := NewLocalSpinLock(sys, 0, "mcs", DefaultCosts())
+	l := NewLocalSpinLock(sys, 0, "mcs")
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
 		th.Advance(200_000)
@@ -82,13 +82,13 @@ func TestLocalSpinWaitersSpinLocally(t *testing.T) {
 
 func TestLocalSpinManyContenders(t *testing.T) {
 	sys := testSys(8)
-	l := NewLocalSpinLock(sys, 0, "mcs", DefaultCosts())
+	l := NewLocalSpinLock(sys, 0, "mcs")
 	exerciseMutex(t, sys, l, 8, 10, false)
 }
 
 func TestLocalSpinUnlockByNonOwnerPanics(t *testing.T) {
 	sys := testSys(2)
-	l := NewLocalSpinLock(sys, 0, "mcs", DefaultCosts())
+	l := NewLocalSpinLock(sys, 0, "mcs")
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
 		th.Advance(50_000)

@@ -17,8 +17,8 @@
 //
 // Every lock charges its caller virtual time for the instructions and
 // memory references its implementation would perform, calibrated (see
-// Costs) so that the microbenchmark tables of §5.2 reproduce in shape and
-// rough magnitude.
+// costs.go) so that the microbenchmark tables of §5.2 reproduce in shape
+// and rough magnitude.
 package locks
 
 import (
@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cthreads"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -75,10 +74,9 @@ type Observer func(now sim.Time, waiting int)
 // accounting, and the observer hook. Its methods are the lock protocol's
 // shared steps (see the package comment).
 type base struct {
-	name  string
-	sys   *cthreads.System
-	node  int
-	costs Costs
+	name string
+	sys  *cthreads.System
+	node int
 
 	flag  *sim.Cell
 	owner *cthreads.Thread
@@ -87,7 +85,6 @@ type base struct {
 	q        waitQueue // registered sleepers (empty for the spin locks)
 	stats    Stats
 	observer Observer
-	waitHist *metrics.Histogram
 
 	// Attribution frame labels, precomputed at construction so the
 	// profiler emit sites allocate nothing. frameSpin doubles as the
@@ -106,12 +103,11 @@ type base struct {
 	lastNode int
 }
 
-func newBase(sys *cthreads.System, node int, name string, costs Costs) base {
+func newBase(sys *cthreads.System, node int, name string) base {
 	return base{
 		name:        name,
 		sys:         sys,
 		node:        node,
-		costs:       costs,
 		flag:        sys.Machine().NewCell(node, name+".flag", 0),
 		frameLock:   "Lock:" + name,
 		frameUnlock: "Unlock:" + name,
@@ -134,10 +130,6 @@ func (b *base) Stats() Stats { return b.stats }
 
 // SetObserver installs the per-request observer (nil to remove).
 func (b *base) SetObserver(o Observer) { b.observer = o }
-
-// SetWaitHistogram attaches a histogram that records each acquisition's
-// request-to-grant wait (nil to detach).
-func (b *base) SetWaitHistogram(h *metrics.Histogram) { b.waitHist = h }
 
 // Owner returns the current owner thread, or nil.
 func (b *base) Owner() *cthreads.Thread { return b.owner }
@@ -177,9 +169,6 @@ func (b *base) acquired(t *cthreads.Thread, start sim.Time, wasContended bool) {
 	b.lastNode = t.Node()
 	wait := t.Now() - start
 	b.stats.TotalWait += wait
-	if b.waitHist != nil {
-		b.waitHist.Record(wait)
-	}
 	if p := t.Prof(); p != nil {
 		now := t.Now()
 		p.Pop(now, b.frameLock)
@@ -286,7 +275,7 @@ func (b *base) tasSpin(word *sim.Cell, pause func() sim.Time) sim.SpinSpec {
 
 // spinPause is the spin-spec pause shared by the fixed-pause spin loops.
 func (b *base) spinPause() sim.Time {
-	return b.sys.Machine().InstrCost(b.costs.SpinPauseSteps)
+	return b.sys.Machine().InstrCost(SpinPauseSteps)
 }
 
 // release is the whole Unlock of the spin locks: steps of release work,
@@ -309,7 +298,7 @@ func (b *base) sampleInline(t *cthreads.Thread, obj *core.Object, sensor string)
 		p.Push(t.Now(), b.frameAdapt)
 	}
 	if _, ok := obj.Monitor.Probe(sensor); ok {
-		t.Compute(b.costs.MonitorSampleSteps)
+		t.Compute(MonitorSampleSteps)
 		b.chargeAccesses(t, 2)
 	}
 	if p := t.Prof(); p != nil {

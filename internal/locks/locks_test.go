@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cthreads"
-	"repro/internal/metrics"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -29,7 +29,7 @@ func testSys(procs int) *cthreads.System {
 // makeLock builds each lock kind uniformly for table-driven tests.
 func makeLock(t *testing.T, sys *cthreads.System, kind Kind) Lock {
 	t.Helper()
-	l, err := New(sys, kind, 0, string(kind), DefaultCosts())
+	l, err := New(sys, kind, 0, string(kind))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMutualExclusionMultiprogrammed(t *testing.T) {
 
 func TestCombinedLockSpinThenBlock(t *testing.T) {
 	sys := testSys(2)
-	l := NewReconfigurableLock(sys, 0, "combined", DefaultCosts(), 3)
+	l := NewReconfigurableLock(sys, 0, "combined", 3)
 	exerciseMutex(t, sys, l, 2, 20, false)
 	st := l.Stats()
 	if st.SpinIters == 0 {
@@ -118,7 +118,7 @@ func TestCombinedLockSpinThenBlock(t *testing.T) {
 
 func TestPureSpinNeverBlocks(t *testing.T) {
 	sys := testSys(4)
-	l := NewPureSpinConfigured(sys, 0, "purespin", DefaultCosts())
+	l := NewPureSpinConfigured(sys, 0, "purespin")
 	exerciseMutex(t, sys, l, 4, 15, false)
 	if st := l.Stats(); st.Blocks != 0 {
 		t.Fatalf("pure-spin lock blocked %d times", st.Blocks)
@@ -127,7 +127,7 @@ func TestPureSpinNeverBlocks(t *testing.T) {
 
 func TestPureBlockingNeverSpins(t *testing.T) {
 	sys := testSys(4)
-	l := NewPureBlockingConfigured(sys, 0, "pureblock", DefaultCosts())
+	l := NewPureBlockingConfigured(sys, 0, "pureblock")
 	exerciseMutex(t, sys, l, 4, 15, false)
 	st := l.Stats()
 	if st.SpinIters != 0 {
@@ -166,7 +166,7 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 
 func TestBlockingLockWaitersSleepNotSpin(t *testing.T) {
 	sys := testSys(2)
-	l := NewBlockingLock(sys, 0, "blk", DefaultCosts())
+	l := NewBlockingLock(sys, 0, "blk")
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
 		th.Advance(100_000)
@@ -198,7 +198,7 @@ func TestBlockingLockWaitersSleepNotSpin(t *testing.T) {
 
 func TestSpinLockWaitersBurnCycles(t *testing.T) {
 	sys := testSys(2)
-	l := NewSpinLock(sys, 0, "spn", DefaultCosts())
+	l := NewSpinLock(sys, 0, "spn")
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
 		th.Advance(100_000)
@@ -221,7 +221,7 @@ func TestSpinLockWaitersBurnCycles(t *testing.T) {
 
 func TestFCFSGrantOrder(t *testing.T) {
 	sys := testSys(4)
-	l := NewPureBlockingConfigured(sys, 0, "fcfs", DefaultCosts())
+	l := NewPureBlockingConfigured(sys, 0, "fcfs")
 	var order []string
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
@@ -251,7 +251,7 @@ func TestFCFSGrantOrder(t *testing.T) {
 
 func TestPrioritySchedulerGrantsHighestFirst(t *testing.T) {
 	sys := testSys(4)
-	l := NewPureBlockingConfigured(sys, 0, "prio", DefaultCosts())
+	l := NewPureBlockingConfigured(sys, 0, "prio")
 	if _, err := l.Object().Methods.Install(MethodScheduler, SchedPriority); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestPrioritySchedulerGrantsHighestFirst(t *testing.T) {
 
 func TestHandoffSchedulerGrantsSuccessor(t *testing.T) {
 	sys := testSys(4)
-	l := NewPureBlockingConfigured(sys, 0, "handoff", DefaultCosts())
+	l := NewPureBlockingConfigured(sys, 0, "handoff")
 	if _, err := l.Object().Methods.Install(MethodScheduler, SchedHandoff); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestHandoffSchedulerGrantsSuccessor(t *testing.T) {
 
 func TestTimeoutConditionalSleepRetries(t *testing.T) {
 	sys := testSys(2)
-	l := NewReconfigurableLock(sys, 0, "timeout", DefaultCosts(), 0)
+	l := NewReconfigurableLock(sys, 0, "timeout", 0)
 	l.SetupPolicy(0, 0, 1, 50_000) // pure blocking with a 50µs timeout
 	acquired := false
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
@@ -345,7 +345,7 @@ func TestTimeoutConditionalSleepRetries(t *testing.T) {
 
 func TestAdaptiveConfiguresNoContentionLockToSpin(t *testing.T) {
 	sys := testSys(1)
-	l := NewAdaptiveLock(sys, 0, "adapt", DefaultCosts(), nil)
+	l := NewAdaptiveLock(sys, 0, "adapt", nil)
 	sys.Fork(0, "solo", func(th *cthreads.Thread) {
 		for i := 0; i < 40; i++ {
 			l.Lock(th)
@@ -369,7 +369,7 @@ func TestAdaptiveConfiguresNoContentionLockToSpin(t *testing.T) {
 
 func TestAdaptiveConfiguresOverloadedLockToBlocking(t *testing.T) {
 	sys := testSys(8)
-	l := NewAdaptiveLock(sys, 0, "adapt", DefaultCosts(),
+	l := NewAdaptiveLock(sys, 0, "adapt",
 		core.SimpleAdapt{SpinAttr: AttrSpinTime, WaitingThreshold: 1, Step: 4, MaxSpin: 1000})
 	var minSpinSeen int64 = 1 << 60
 	for i := 0; i < 8; i++ {
@@ -397,7 +397,7 @@ func TestAdaptiveConfiguresOverloadedLockToBlocking(t *testing.T) {
 
 func TestAdaptiveMonitorSamplesEveryOtherUnlock(t *testing.T) {
 	sys := testSys(1)
-	l := NewAdaptiveLock(sys, 0, "adapt", DefaultCosts(), nil)
+	l := NewAdaptiveLock(sys, 0, "adapt", nil)
 	sys.Fork(0, "solo", func(th *cthreads.Thread) {
 		for i := 0; i < 10; i++ {
 			l.Lock(th)
@@ -415,7 +415,7 @@ func TestAdaptiveMonitorSamplesEveryOtherUnlock(t *testing.T) {
 
 func TestConfigureByChargesAndApplies(t *testing.T) {
 	sys := testSys(1)
-	l := NewReconfigurableLock(sys, 0, "cfg", DefaultCosts(), 5)
+	l := NewReconfigurableLock(sys, 0, "cfg", 5)
 	var attrCost, schedCost sim.Time
 	sys.Fork(0, "cfg", func(th *cthreads.Thread) {
 		start := th.Now()
@@ -445,7 +445,7 @@ func TestConfigureByChargesAndApplies(t *testing.T) {
 
 func TestExternalAgentOwnershipOverLock(t *testing.T) {
 	sys := testSys(2)
-	l := NewAdaptiveLock(sys, 0, "adapt", DefaultCosts(), nil)
+	l := NewAdaptiveLock(sys, 0, "adapt", nil)
 	agent := core.OwnerID(77)
 	sys.Fork(0, "agent", func(th *cthreads.Thread) {
 		if err := l.AcquireAttrBy(th, AttrSpinTime, agent); err != nil {
@@ -475,7 +475,7 @@ func TestExternalAgentOwnershipOverLock(t *testing.T) {
 
 func TestObserverSeesWaiterCounts(t *testing.T) {
 	sys := testSys(4)
-	l := NewBlockingLock(sys, 0, "obs", DefaultCosts())
+	l := NewBlockingLock(sys, 0, "obs")
 	maxSeen := -1
 	l.SetObserver(func(now sim.Time, waiting int) {
 		if waiting > maxSeen {
@@ -504,7 +504,7 @@ func TestObserverSeesWaiterCounts(t *testing.T) {
 
 func TestFactoryUnknownKind(t *testing.T) {
 	sys := testSys(1)
-	if _, err := New(sys, Kind("bogus"), 0, "x", DefaultCosts()); err == nil {
+	if _, err := New(sys, Kind("bogus"), 0, "x"); err == nil {
 		t.Fatal("New accepted bogus kind")
 	}
 }
@@ -513,7 +513,7 @@ func TestFactoryUnknownKind(t *testing.T) {
 // valid kinds in sorted order.
 func TestFactoryKindsErrorListsKinds(t *testing.T) {
 	sys := testSys(1)
-	_, err := New(sys, Kind("bogus"), 0, "x", DefaultCosts())
+	_, err := New(sys, Kind("bogus"), 0, "x")
 	if err == nil {
 		t.Fatal("unknown kind accepted")
 	}
@@ -539,7 +539,7 @@ func TestLockKindsQuickProperty(t *testing.T) {
 			Nodes: nThreads, LocalAccess: 10, RemoteAccess: 40, AtomicExtra: 5,
 			Instr: 1, ContextSwitch: 100, Wakeup: 200, Seed: uint64(seed) + 1,
 		})
-		l, err := New(sys, kind, 0, "prop", DefaultCosts())
+		l, err := New(sys, kind, 0, "prop")
 		if err != nil {
 			return false
 		}
@@ -579,7 +579,7 @@ func TestLockKindsQuickProperty(t *testing.T) {
 // progress must hold.
 func TestChaosReconfiguration(t *testing.T) {
 	sys := testSys(6)
-	l := NewAdaptiveLock(sys, 0, "chaos", DefaultCosts(), nil)
+	l := NewAdaptiveLock(sys, 0, "chaos", nil)
 	inside := false
 	counter := 0
 	for i := 0; i < 5; i++ {
@@ -638,12 +638,15 @@ func TestChaosReconfiguration(t *testing.T) {
 	}
 }
 
+// TestWaitHistogramRecords checks that every acquisition's wait reaches
+// the attached profiler's histogram for the lock.
 func TestWaitHistogramRecords(t *testing.T) {
 	sys := testSys(4)
-	l := NewBlockingLock(sys, 0, "hist", DefaultCosts())
-	h := metrics.NewHistogram("waits")
-	l.SetWaitHistogram(h)
+	prof := profile.New()
+	sys.SetProfiler(prof)
+	l := NewBlockingLock(sys, 0, "hist")
 	exerciseMutex(t, sys, l, 4, 10, false)
+	h := prof.WaitHistogram("hist")
 	if h.Count() != 40 {
 		t.Fatalf("histogram samples = %d, want 40", h.Count())
 	}
@@ -667,9 +670,9 @@ func TestExtensionLocksQuickProperty(t *testing.T) {
 		})
 		var l Lock
 		if which%2 == 0 {
-			l = NewAdvisoryLock(sys, 0, "adv", DefaultCosts())
+			l = NewAdvisoryLock(sys, 0, "adv")
 		} else {
-			l = NewLocalSpinLock(sys, 0, "mcs", DefaultCosts())
+			l = NewLocalSpinLock(sys, 0, "mcs")
 		}
 		counter := 0
 		inside := false

@@ -109,8 +109,8 @@ type MutableLock struct {
 
 // NewMutableLock allocates a mutable (predictive spin-vs-sleep) lock on
 // the given node.
-func NewMutableLock(sys *cthreads.System, node int, name string, costs Costs) *MutableLock {
-	l := &MutableLock{base: newBase(sys, node, name, costs)}
+func NewMutableLock(sys *cthreads.System, node int, name string) *MutableLock {
+	l := &MutableLock{base: newBase(sys, node, name)}
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrHoldEstimate, 0, true)
 	// The customized lock monitor senses every hold's duration at
@@ -167,8 +167,8 @@ func (l *MutableLock) blockCost(t *cthreads.Thread) sim.Time {
 	m := l.sys.Machine()
 	cfg := m.Config()
 	return cfg.ContextSwitch + cfg.Wakeup +
-		m.InstrCost(l.costs.PostWakeSteps) +
-		sim.Time(2*l.costs.QueueOpAccesses)*m.AccessCost(t.Node(), l.node)
+		m.InstrCost(PostWakeSteps) +
+		sim.Time(2*QueueOpAccesses)*m.AccessCost(t.Node(), l.node)
 }
 
 // predictWait predicts this arrival's wait: the current hold's estimated
@@ -189,14 +189,14 @@ func (l *MutableLock) predictWait(t *cthreads.Thread, est sim.Time) sim.Time {
 func (l *MutableLock) spinIterCost(t *cthreads.Thread) sim.Time {
 	m := l.sys.Machine()
 	return m.AccessCost(t.Node(), l.node) + m.Config().AtomicExtra +
-		m.InstrCost(l.costs.SpinPauseSteps)
+		m.InstrCost(SpinPauseSteps)
 }
 
 // Lock acquires the lock, choosing this waiter's mode from the predicted
 // wait (see the type comment).
 func (l *MutableLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
-	t.Compute(l.costs.SpinLockSteps)
+	t.Compute(SpinLockSteps)
 	l.observe(t, l.waiting())
 	// The estimate is one word of the lock's state: one reference reads it.
 	l.chargeAccesses(t, 1)
@@ -313,12 +313,12 @@ func (l *MutableLock) finishAcquire(t *cthreads.Thread, start sim.Time, contende
 func (l *MutableLock) Unlock(t *cthreads.Thread) {
 	l.checkOwner(t, "Unlock")
 	l.unlockStart(t)
-	t.Compute(l.costs.AdaptUnlockSteps)
+	t.Compute(AdaptUnlockSteps)
 	l.chargeAccesses(t, 1) // inspect the queue head
 	l.lastHold = int64(t.Now() - l.heldSince)
 	l.sampleInline(t, l.obj, SensorHoldTime)
 	// Spinners may barge while the grant wakes a sleeper — which is what
 	// makes a predicted spin pay off.
-	l.grant(t, SchedFCFS, nil, l.costs.GrantExtraSteps)
+	l.grant(t, SchedFCFS, nil, GrantExtraSteps)
 	l.unlockEnd(t)
 }

@@ -23,7 +23,7 @@ func within(got, want sim.Time, tol float64) bool {
 // change in the hold time.
 func TestMutableEstimateConvergence(t *testing.T) {
 	sys := testSys(1)
-	l := NewMutableLock(sys, 0, "m", DefaultCosts())
+	l := NewMutableLock(sys, 0, "m")
 	const short, long = 50 * sim.Microsecond, 200 * sim.Microsecond
 	var afterShort, afterLong sim.Time
 	sys.Fork(0, "w", func(th *cthreads.Thread) {
@@ -59,7 +59,7 @@ func TestMutableEstimateConvergence(t *testing.T) {
 // trusting a zero estimate.
 func TestMutableColdStart(t *testing.T) {
 	sys := testSys(2)
-	l := NewMutableLock(sys, 0, "cold", DefaultCosts())
+	l := NewMutableLock(sys, 0, "cold")
 	sys.Fork(0, "holder", func(th *cthreads.Thread) {
 		l.Lock(th)
 		th.Advance(200 * sim.Microsecond) // far beyond the cold spin budget
@@ -91,7 +91,7 @@ func TestMutableColdStart(t *testing.T) {
 func TestMutableDecisionClasses(t *testing.T) {
 	run := func(hold sim.Time) (PredictionStats, Stats) {
 		sys := testSys(2)
-		l := NewMutableLock(sys, 0, "d", DefaultCosts())
+		l := NewMutableLock(sys, 0, "d")
 		for i := 0; i < 2; i++ {
 			sys.Fork(i, fmt.Sprintf("w%d", i), func(th *cthreads.Thread) {
 				for j := 0; j < 30; j++ {
@@ -154,7 +154,7 @@ func runMutableFuzz(t *testing.T, seed uint64, threads, iters int, holdSpread si
 		Instr: 1, ContextSwitch: 100, Wakeup: 200, Seed: seed,
 	}
 	sys := cthreads.New(cfg)
-	l := NewMutableLock(sys, 0, "fuzz", DefaultCosts())
+	l := NewMutableLock(sys, 0, "fuzz")
 	var maxHold sim.Time
 	for i := 0; i < threads; i++ {
 		sys.Fork(i%sys.Procs(), fmt.Sprintf("w%d", i), func(th *cthreads.Thread) {
@@ -205,7 +205,7 @@ func FuzzMutableEstimator(f *testing.F) {
 		// A measured hold is the caller's Advance plus the release path's
 		// fixed entry work (AdaptUnlockSteps instructions + one access);
 		// the EWMA stays inside the convex hull of its inputs.
-		overhead := sim.Time(DefaultCosts().AdaptUnlockSteps) + 40
+		overhead := sim.Time(AdaptUnlockSteps) + 40
 		if fp.Estimate > maxHold+overhead {
 			t.Errorf("estimate %v exceeds max observed hold %v + overhead %v", fp.Estimate, maxHold, overhead)
 		}

@@ -33,7 +33,7 @@ const MethodScheduler = "scheduler"
 const SensorWaiting = "no-of-waiting-threads"
 
 // Extra instruction-step charges for explicit reconfiguration operations
-// (Table 8 calibration; see Costs for the philosophy).
+// (Table 8 calibration; see costs.go for the philosophy).
 const (
 	configureWaitingSteps = 34
 	configureSchedSteps   = 38
@@ -61,8 +61,8 @@ type ReconfigurableLock struct {
 // iterations (initialSpins 0 = pure blocking). One that nobody
 // reconfigures is Figure 1's combined lock ("spins N times initially
 // before blocking").
-func NewReconfigurableLock(sys *cthreads.System, node int, name string, costs Costs, initialSpins int64) *ReconfigurableLock {
-	l := &ReconfigurableLock{base: newBase(sys, node, name, costs)}
+func NewReconfigurableLock(sys *cthreads.System, node int, name string, initialSpins int64) *ReconfigurableLock {
+	l := &ReconfigurableLock{base: newBase(sys, node, name)}
 	l.obj = core.NewObject(name)
 	l.obj.Attrs.Define(AttrSpinTime, initialSpins, true)
 	l.obj.Attrs.Define(AttrDelayTime, 0, true)
@@ -102,7 +102,7 @@ func (l *ReconfigurableLock) policy() (spin, delay, sleep, timeout int64) {
 // requester under a pure-spin policy (sleep-time 0) never sleeps.
 func (l *ReconfigurableLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
-	t.Compute(l.costs.SpinLockSteps)
+	t.Compute(SpinLockSteps)
 	l.observe(t, l.waiting())
 	// The four waiting-policy attributes are packed into one word of the
 	// lock's state, so reading the whole policy costs one reference.
@@ -164,7 +164,7 @@ func (l *ReconfigurableLock) Lock(t *cthreads.Thread) {
 func (l *ReconfigurableLock) Unlock(t *cthreads.Thread) {
 	l.checkOwner(t, "Unlock")
 	l.unlockStart(t)
-	t.Compute(l.costs.AdaptUnlockSteps)
+	t.Compute(AdaptUnlockSteps)
 	l.chargeAccesses(t, 1) // inspect the queue head
 	l.sampleInline(t, l.obj, SensorWaiting)
 
@@ -178,7 +178,7 @@ func (l *ReconfigurableLock) Unlock(t *cthreads.Thread) {
 	// configurable scheduler (dequeue per the installed variant, wakeup)
 	// — the slow path that makes the blocking-configured adaptive lock's
 	// cycle costlier than the static blocking lock's (Table 7 vs Table 6).
-	l.grant(t, sched, successor, l.costs.GrantExtraSteps)
+	l.grant(t, sched, successor, GrantExtraSteps)
 	l.unlockEnd(t)
 }
 
@@ -218,7 +218,7 @@ func (l *ReconfigurableLock) ReleaseAttrBy(t *cthreads.Thread, attr string, by c
 // coupled: the sample is handed to a monitor thread on another node. Used
 // only to reproduce Table 8's monitor row.
 func (l *ReconfigurableLock) GeneralMonitorSample(t *cthreads.Thread) int64 {
-	t.Compute(l.costs.GeneralMonitorSteps)
+	t.Compute(GeneralMonitorSteps)
 	l.chargeAccesses(t, 1)
 	return int64(l.waiting())
 }
@@ -244,16 +244,16 @@ func (l *ReconfigurableLock) SetupPolicy(spin, delay, sleep, timeout int64) {
 
 // NewPureSpinConfigured builds a reconfigurable lock pinned to the
 // pure-spin configuration (sleep disabled), for Table 7.
-func NewPureSpinConfigured(sys *cthreads.System, node int, name string, costs Costs) *ReconfigurableLock {
-	l := NewReconfigurableLock(sys, node, name, costs, 0)
+func NewPureSpinConfigured(sys *cthreads.System, node int, name string) *ReconfigurableLock {
+	l := NewReconfigurableLock(sys, node, name, 0)
 	l.SetupPolicy(0, 0, 0, 0)
 	return l
 }
 
 // NewPureBlockingConfigured builds a reconfigurable lock pinned to the
 // pure-blocking configuration (zero spins), for Table 7.
-func NewPureBlockingConfigured(sys *cthreads.System, node int, name string, costs Costs) *ReconfigurableLock {
-	l := NewReconfigurableLock(sys, node, name, costs, 0)
+func NewPureBlockingConfigured(sys *cthreads.System, node int, name string) *ReconfigurableLock {
+	l := NewReconfigurableLock(sys, node, name, 0)
 	l.SetupPolicy(0, 0, 1, 0)
 	return l
 }

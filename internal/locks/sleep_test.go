@@ -87,17 +87,17 @@ func TestGrantBeforeSleep(t *testing.T) {
 		build         func(sys *cthreads.System) Lock
 	}{
 		{"reconfigurable-timed", 360, 565, func(sys *cthreads.System) Lock {
-			l := NewReconfigurableLock(sys, 0, "timed", DefaultCosts(), 0)
+			l := NewReconfigurableLock(sys, 0, "timed", 0)
 			l.SetupPolicy(0, 0, 1, int64(sim.Millisecond))
 			return l
 		}},
 		{"reconfigurable", 360, 565, func(sys *cthreads.System) Lock {
-			l := NewReconfigurableLock(sys, 0, "untimed", DefaultCosts(), 0)
+			l := NewReconfigurableLock(sys, 0, "untimed", 0)
 			l.SetupPolicy(0, 0, 1, 0)
 			return l
 		}},
-		{"mutable", 800, 800, func(sys *cthreads.System) Lock { return NewMutableLock(sys, 0, "mutable", DefaultCosts()) }},
-		{"advisory", 520, 565, func(sys *cthreads.System) Lock { return NewAdvisoryLock(sys, 0, "advisory", DefaultCosts()) }},
+		{"mutable", 800, 800, func(sys *cthreads.System) Lock { return NewMutableLock(sys, 0, "mutable") }},
+		{"advisory", 520, 565, func(sys *cthreads.System) Lock { return NewAdvisoryLock(sys, 0, "advisory") }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := runGrantRace(t, c.build, c.hold, c.bargeAt)
@@ -145,9 +145,9 @@ func runSleepingFuzz(t *testing.T, c sleepingFuzzCase) string {
 	})
 	var l Lock
 	if c.kind == "advisory" {
-		l = NewAdvisoryLock(sys, 0, "fuzz", DefaultCosts())
+		l = NewAdvisoryLock(sys, 0, "fuzz")
 	} else {
-		l = MustNew(sys, c.kind, 0, "fuzz", DefaultCosts())
+		l = MustNew(sys, c.kind, 0, "fuzz")
 	}
 	adaptive, _ := l.(*AdaptiveLock)
 	if adaptive != nil {

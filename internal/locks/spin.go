@@ -19,19 +19,19 @@ type SpinLock struct {
 }
 
 // NewSpinLock allocates a spin lock on the given node.
-func NewSpinLock(sys *cthreads.System, node int, name string, costs Costs) *SpinLock {
-	return newSpinLock(sys, node, name, costs, costs.SpinLockSteps, costs.SpinUnlockSteps)
+func NewSpinLock(sys *cthreads.System, node int, name string) *SpinLock {
+	return newSpinLock(sys, node, name, SpinLockSteps, SpinUnlockSteps)
 }
 
 // NewTASLock allocates the rawest lock on the given node: a bare atomior
 // (test-and-set) loop with no registration work — Table 4's "atomior"
 // row, the latency floor every other lock is measured against.
-func NewTASLock(sys *cthreads.System, node int, name string, costs Costs) *SpinLock {
-	return newSpinLock(sys, node, name, costs, costs.TASLockSteps, costs.TASUnlockSteps)
+func NewTASLock(sys *cthreads.System, node int, name string) *SpinLock {
+	return newSpinLock(sys, node, name, TASLockSteps, TASUnlockSteps)
 }
 
-func newSpinLock(sys *cthreads.System, node int, name string, costs Costs, lockSteps, unlockSteps int) *SpinLock {
-	l := &SpinLock{base: newBase(sys, node, name, costs), lockSteps: lockSteps, unlockSteps: unlockSteps}
+func newSpinLock(sys *cthreads.System, node int, name string, lockSteps, unlockSteps int) *SpinLock {
+	l := &SpinLock{base: newBase(sys, node, name), lockSteps: lockSteps, unlockSteps: unlockSteps}
 	l.spin = l.tasSpin(l.flag, l.spinPause)
 	return l
 }
@@ -69,8 +69,8 @@ type BackoffSpinLock struct {
 }
 
 // NewBackoffSpinLock allocates a backoff spin lock on the given node.
-func NewBackoffSpinLock(sys *cthreads.System, node int, name string, costs Costs) *BackoffSpinLock {
-	l := &BackoffSpinLock{base: newBase(sys, node, name, costs)}
+func NewBackoffSpinLock(sys *cthreads.System, node int, name string) *BackoffSpinLock {
+	l := &BackoffSpinLock{base: newBase(sys, node, name)}
 	l.spin = l.tasSpin(l.flag, l.backoffPause)
 	l.spin.Volatile = true
 	return l
@@ -78,7 +78,7 @@ func NewBackoffSpinLock(sys *cthreads.System, node int, name string, costs Costs
 
 // backoffPause is the proportional backoff charged after a futile retest.
 func (l *BackoffSpinLock) backoffPause() sim.Time {
-	return l.costs.BackoffUnit * sim.Time(l.spinners)
+	return BackoffUnit * sim.Time(l.spinners)
 }
 
 // Lock tests once, then alternates proportional backoff with retests. The
@@ -86,7 +86,7 @@ func (l *BackoffSpinLock) backoffPause() sim.Time {
 // and SpinUntil carries the retest-then-backoff tail.
 func (l *BackoffSpinLock) Lock(t *cthreads.Thread) {
 	start := t.Now()
-	t.Compute(l.costs.SpinLockSteps)
+	t.Compute(SpinLockSteps)
 	l.observe(t, l.spinners)
 	if l.flag.AtomicOr(t, 1) == 0 {
 		l.acquired(t, start, false)
@@ -102,4 +102,4 @@ func (l *BackoffSpinLock) Lock(t *cthreads.Thread) {
 }
 
 // Unlock clears the word.
-func (l *BackoffSpinLock) Unlock(t *cthreads.Thread) { l.release(t, l.costs.SpinUnlockSteps) }
+func (l *BackoffSpinLock) Unlock(t *cthreads.Thread) { l.release(t, SpinUnlockSteps) }

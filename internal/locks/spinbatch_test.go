@@ -24,15 +24,15 @@ type lockBuilder struct {
 // and the NUMA cohort lock.
 func spinBatchBuilders() []lockBuilder {
 	return []lockBuilder{
-		{"tas", func(sys *cthreads.System) Lock { return NewTASLock(sys, 0, "tas", DefaultCosts()) }},
-		{"spin", func(sys *cthreads.System) Lock { return NewSpinLock(sys, 0, "spin", DefaultCosts()) }},
-		{"backoff", func(sys *cthreads.System) Lock { return NewBackoffSpinLock(sys, 0, "backoff", DefaultCosts()) }},
-		{"mcs", func(sys *cthreads.System) Lock { return NewLocalSpinLock(sys, 0, "mcs", DefaultCosts()) }},
-		{"pure-spin", func(sys *cthreads.System) Lock { return NewPureSpinConfigured(sys, 0, "pure-spin", DefaultCosts()) }},
-		{"combined-10", func(sys *cthreads.System) Lock { return NewReconfigurableLock(sys, 0, "combined", DefaultCosts(), 10) }},
-		{"adaptive", func(sys *cthreads.System) Lock { return NewAdaptiveLock(sys, 0, "adaptive", DefaultCosts(), nil) }},
-		{"mutable", func(sys *cthreads.System) Lock { return NewMutableLock(sys, 0, "mutable", DefaultCosts()) }},
-		{"cohort", func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }},
+		{"tas", func(sys *cthreads.System) Lock { return NewTASLock(sys, 0, "tas") }},
+		{"spin", func(sys *cthreads.System) Lock { return NewSpinLock(sys, 0, "spin") }},
+		{"backoff", func(sys *cthreads.System) Lock { return NewBackoffSpinLock(sys, 0, "backoff") }},
+		{"mcs", func(sys *cthreads.System) Lock { return NewLocalSpinLock(sys, 0, "mcs") }},
+		{"pure-spin", func(sys *cthreads.System) Lock { return NewPureSpinConfigured(sys, 0, "pure-spin") }},
+		{"combined-10", func(sys *cthreads.System) Lock { return NewReconfigurableLock(sys, 0, "combined", 10) }},
+		{"adaptive", func(sys *cthreads.System) Lock { return NewAdaptiveLock(sys, 0, "adaptive", nil) }},
+		{"mutable", func(sys *cthreads.System) Lock { return NewMutableLock(sys, 0, "mutable") }},
+		{"cohort", func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort") }},
 	}
 }
 
@@ -158,7 +158,7 @@ func FuzzModuleSpinAccountingDifferential(f *testing.F) {
 // (and one simulated cell) per dead thread in the lock's map.
 func TestLocalSpinLockReleasesQnodes(t *testing.T) {
 	sys := testSys(2)
-	l := NewLocalSpinLock(sys, 0, "churn", DefaultCosts())
+	l := NewLocalSpinLock(sys, 0, "churn")
 	const generations = 40
 	sys.Fork(0, "driver", func(th *cthreads.Thread) {
 		for g := 0; g < generations; g++ {
@@ -230,13 +230,13 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 		name  string
 		build func(sys *cthreads.System) Lock
 	}{
-		{"pure-spin", func(sys *cthreads.System) Lock { return NewPureSpinConfigured(sys, 0, "spin", DefaultCosts()) }},
-		{"cohort", func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }},
+		{"pure-spin", func(sys *cthreads.System) Lock { return NewPureSpinConfigured(sys, 0, "spin") }},
+		{"cohort", func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort") }},
 		{"combined-50", func(sys *cthreads.System) Lock {
-			return NewReconfigurableLock(sys, 0, "combined50", DefaultCosts(), 50)
+			return NewReconfigurableLock(sys, 0, "combined50", 50)
 		}},
-		{"backoff", func(sys *cthreads.System) Lock { return NewBackoffSpinLock(sys, 0, "backoff", DefaultCosts()) }},
-		{"mcs", func(sys *cthreads.System) Lock { return NewLocalSpinLock(sys, 0, "mcs", DefaultCosts()) }},
+		{"backoff", func(sys *cthreads.System) Lock { return NewBackoffSpinLock(sys, 0, "backoff") }},
+		{"mcs", func(sys *cthreads.System) Lock { return NewLocalSpinLock(sys, 0, "mcs") }},
 	}
 	for _, s := range strategies {
 		for _, cs := range []sim.Time{50 * sim.Microsecond, 500 * sim.Microsecond} {
@@ -258,7 +258,7 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 // pops, no persistent spec may be evicted as volatile, and the closed
 // form must take most of the spinning.
 func TestSpinEpochFigure1Engages(t *testing.T) {
-	build := func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort", DefaultCosts()) }
+	build := func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort") }
 	_, st := runFigure1Cell(t, build, 500*sim.Microsecond, simtest.Mode{Inline: true, Batched: true})
 	if st.LaneSurvivals < st.Dispatches {
 		t.Errorf("lane members survived %d dispatches and callbacks over %d dispatches: want at least one per dispatch",
@@ -289,12 +289,12 @@ func TestSpinPhaseAllocFree(t *testing.T) {
 		hold  sim.Time // the holder's hold time
 	}{
 		{"reconfigurable", func(sys *cthreads.System) Lock {
-			return NewReconfigurableLock(sys, 0, "r", DefaultCosts(), 1<<30)
+			return NewReconfigurableLock(sys, 0, "r", 1<<30)
 		}, 20 * sim.Microsecond},
 		// Short holds: the predictive lock spins only when the predicted
 		// wait is below the cost of blocking.
 		{"mutable", func(sys *cthreads.System) Lock {
-			return NewMutableLock(sys, 0, "m", DefaultCosts())
+			return NewMutableLock(sys, 0, "m")
 		}, 300},
 	}
 	for _, b := range builders {

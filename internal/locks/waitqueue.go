@@ -94,10 +94,10 @@ func (q *waitQueue) pick(variant string, successor *cthreads.Thread) *waiter {
 // window.
 func (b *base) sleep(t *cthreads.Thread, timeout sim.Time) (took bool) {
 	w := b.q.enqueue(t)
-	b.chargeAccesses(t, b.costs.QueueOpAccesses)
+	b.chargeAccesses(t, QueueOpAccesses)
 	if b.flag.AtomicOr(t, 1) == 0 {
 		b.q.remove(w)
-		b.chargeAccesses(t, b.costs.QueueOpAccesses)
+		b.chargeAccesses(t, QueueOpAccesses)
 		return true
 	}
 	if !w.granted {
@@ -113,10 +113,10 @@ func (b *base) sleep(t *cthreads.Thread, timeout sim.Time) (took bool) {
 		b.waitEnd(t)
 		if timedOut && !w.granted {
 			b.q.remove(w)
-			b.chargeAccesses(t, b.costs.QueueOpAccesses)
+			b.chargeAccesses(t, QueueOpAccesses)
 		}
 	}
-	t.Compute(b.costs.PostWakeSteps)
+	t.Compute(PostWakeSteps)
 	return false
 }
 

@@ -51,12 +51,13 @@ type Config struct {
 	BufferCap int
 	// Poll is the monitor thread's polling period.
 	Poll sim.Time
-	// PerRecordSteps is the low-level processing charge per record.
-	PerRecordSteps int
 	// CentralForwardSteps, when > 0, models forwarding each processed
 	// batch to a central monitor (possibly on a remote machine).
 	CentralForwardSteps int
 }
+
+// perRecordSteps is the low-level processing charge per record.
+const perRecordSteps = 40
 
 func (c Config) withDefaults() Config {
 	if c.BufferCap == 0 {
@@ -64,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Poll == 0 {
 		c.Poll = 200 * sim.Microsecond
-	}
-	if c.PerRecordSteps == 0 {
-		c.PerRecordSteps = 40
 	}
 	return c
 }
@@ -103,10 +101,6 @@ type Local struct {
 	stop    bool
 	stopped bool
 	thread  *cthreads.Thread
-
-	// ledger, when set, receives one deliver entry per processed record
-	// with the pipeline's collection-to-delivery lag.
-	ledger *core.Ledger
 }
 
 // NewLocal creates a local monitor; Start forks its thread.
@@ -123,14 +117,6 @@ func NewLocal(sys *cthreads.System, cfg Config) *Local {
 //
 //simlint:allow chargepath -- pre-Start wiring, runs before the simulation clock exists
 func (m *Local) Subscribe(s Subscriber) { m.subs = append(m.subs, s) }
-
-// SetLedger attaches (or, with nil, detaches) an adaptation decision
-// ledger: each processed record appends one deliver entry carrying the
-// pipeline lag, making the loose coupling the paper's §3 discusses
-// directly auditable next to the closely-coupled decisions.
-//
-//simlint:allow chargepath -- pre-Start wiring, runs before the simulation clock exists
-func (m *Local) SetLedger(l *core.Ledger) { m.ledger = l }
 
 // Stats returns activity counters.
 func (m *Local) Stats() Stats {
@@ -197,11 +183,15 @@ func (m *Local) Start() *cthreads.Thread {
 			m.ring = nil
 			m.batches++
 			for _, rec := range batch {
-				t.Compute(m.cfg.PerRecordSteps)
+				t.Compute(perRecordSteps)
 				m.delivered++
 				m.lagSum += t.Now() - rec.At
-				if m.ledger != nil { // guard: the Entry assembly below allocates
-					m.ledger.Append(core.Entry{At: int64(t.Now()), Object: "monitor",
+				// The system's ledger, when attached, gets one deliver
+				// entry per record carrying the pipeline lag, so the
+				// loose coupling §3 discusses is auditable next to the
+				// closely-coupled decisions.
+				if l := m.sys.Ledger(); l != nil { // guard: the Entry assembly below allocates
+					l.Append(core.Entry{At: int64(t.Now()), Object: "monitor",
 						Kind: core.EntryDeliver, Sensor: fmt.Sprintf("sensor-%d", rec.Sensor),
 						Value: rec.Value, Lag: int64(t.Now() - rec.At)})
 				}

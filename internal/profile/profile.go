@@ -33,7 +33,10 @@
 // stacks for flamegraph tooling, WriteTable a fixed-width attribution
 // table, WriteHistograms per-lock wait/hold digests with p50/p99/p999.
 // Engine-level dispatch and fast-forward counts are mode-dependent
-// diagnostics and are deliberately excluded from all three.
+// diagnostics and are deliberately excluded from all three; they are the
+// engine's own sim.Stats, which cthreads.System.Run adds at the end of
+// each profiled run (AddEngineStats). A caller that wants a lock's wait
+// distribution attaches a Profiler and reads WaitHistogram.
 package profile
 
 import (
@@ -63,8 +66,9 @@ type Profiler struct {
 	waitHists map[string]*metrics.Histogram
 	holdHists map[string]*metrics.Histogram
 
-	// Mode-dependent diagnostics fed by the engine attribution hooks.
-	// They count mechanism (dispatches, fast-forward commits), not
+	// Mode-dependent diagnostics summed from the engine's sim.Stats at
+	// the end of each profiled run (AddEngineStats). They count
+	// mechanism (dispatches, fast-forward commits), not
 	// virtual time, so they differ across reference modes and are never
 	// part of the byte-reproducible exports.
 	dispatches   int64
@@ -148,23 +152,17 @@ func (p *Profiler) HoldHistogram(name string) *metrics.Histogram {
 	return p.holdHists[name]
 }
 
-// CoroDispatched implements sim.Attribution: one engine dispatch (a real
-// coroutine handoff — inline self-wakeups don't dispatch, so this count
-// is mode-dependent and diagnostic only).
-func (p *Profiler) CoroDispatched(at sim.Time) {
+// AddEngineStats adds one run's engine mechanism counters: its
+// dispatches (real coroutine handoffs — inline self-wakeups don't
+// dispatch) and its batched-spin commits with the iterations they
+// skipped. The counts are mode-dependent and diagnostic only — a spin's
+// virtual duration is attributed through the thread's spin frame whether
+// or not it was batched.
+func (p *Profiler) AddEngineStats(st sim.Stats) {
 	if p != nil {
-		p.dispatches++
-	}
-}
-
-// SpinFastForward implements sim.Attribution: the engine committed iters
-// batched spin iterations in closed form at virtual time at. Diagnostic
-// only — the spin's virtual duration is attributed through the thread's
-// spin frame regardless of whether it was batched.
-func (p *Profiler) SpinFastForward(at sim.Time, iters int64) {
-	if p != nil {
-		p.fastForwards++
-		p.batchedIters += iters
+		p.dispatches += int64(st.Dispatches)
+		p.fastForwards += int64(st.MemberCommits)
+		p.batchedIters += int64(st.BatchedIters)
 	}
 }
 

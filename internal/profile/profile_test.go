@@ -35,11 +35,10 @@ func runWorkload(t *testing.T, configure func(*sim.Engine)) (*profile.Profiler, 
 	if configure != nil {
 		configure(sys.Engine())
 	}
-	costs := locks.DefaultCosts()
 	policy := core.SimpleAdapt{SpinAttr: locks.AttrSpinTime, WaitingThreshold: 2, Step: 10, MaxSpin: 100}
-	al := locks.NewAdaptiveLock(sys, 0, "alock", costs, policy)
-	bl := locks.NewBlockingLock(sys, 1, "block", costs)
-	ml := locks.NewLocalSpinLock(sys, 2, "mcs", costs)
+	al := locks.NewAdaptiveLock(sys, 0, "alock", policy)
+	bl := locks.NewBlockingLock(sys, 1, "block")
+	ml := locks.NewLocalSpinLock(sys, 2, "mcs")
 	bar := locks.NewAdaptiveBarrier(sys, "bar", workers, nil)
 	for i := 0; i < workers; i++ {
 		sys.Fork(i%procs, fmt.Sprintf("w%d", i), func(t *cthreads.Thread) {
@@ -126,12 +125,20 @@ func TestExportsDifferential(t *testing.T) {
 // TestModeDependentDiagnostics pins the boundary of the byte-identity
 // claim: the engine-level dispatch/fast-forward counters are diagnostics
 // that legitimately differ across reference modes, which is exactly why
-// the exporters exclude them.
+// the exporters exclude them. They are the engine's own sim.Stats,
+// which System.Run adds to the profiler.
 func TestModeDependentDiagnostics(t *testing.T) {
-	fast, _, _ := runWorkload(t, nil)
+	fast, _, sys := runWorkload(t, nil)
 	slow, _, _ := runWorkload(t, func(e *sim.Engine) { e.SetBatchedSpins(false) })
 	if fast.FastForwards() == 0 {
 		t.Error("fast-path run committed no spin fast-forwards — workload has no batched spins to conserve")
+	}
+	st := sys.Engine().Stats()
+	if fast.Dispatches() != int64(st.Dispatches) || fast.FastForwards() != int64(st.MemberCommits) ||
+		fast.BatchedIters() != int64(st.BatchedIters) {
+		t.Errorf("profiler counts (dispatches %d, fast-forwards %d, batched iters %d), engine stats (%d, %d, %d)",
+			fast.Dispatches(), fast.FastForwards(), fast.BatchedIters(),
+			st.Dispatches, st.MemberCommits, st.BatchedIters)
 	}
 	if slow.FastForwards() != 0 {
 		t.Errorf("no-spin-batch run committed %d fast-forwards, want 0", slow.FastForwards())
@@ -208,8 +215,7 @@ func TestNilInstrumentsAllocationFree(t *testing.T) {
 		}
 		p.RecordWait("l", 10)
 		p.RecordHold("l", 10)
-		p.CoroDispatched(0)
-		p.SpinFastForward(0, 8)
+		p.AddEngineStats(sim.Stats{Dispatches: 1})
 		_ = p.Threads()
 		_ = p.Dispatches()
 		tp.SetBase(5, profile.BaseRunning)

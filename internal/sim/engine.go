@@ -155,7 +155,6 @@ type Engine struct {
 	running bool
 	stopped bool
 	tracer  Tracer
-	attr    Attribution
 	// lane holds the spin-epoch members, whose futile charges are
 	// applied only when something needs them (DESIGN.md "Lazy
 	// members"); laneNext is the earliest next instant among them.
@@ -569,9 +568,6 @@ func (e *Engine) dispatch(c *Coro) {
 	e.stats.Dispatches++
 	e.occurrences++
 	e.stats.LaneSurvivals += uint64(len(e.lane))
-	if e.attr != nil {
-		e.attr.CoroDispatched(e.now)
-	}
 	if c.w == nil {
 		c.w = getWorker()
 		c.w.c = c
@@ -590,24 +586,6 @@ func (e *Engine) fail(err error) {
 	}
 	e.stopped = true
 }
-
-// Attribution receives engine-mechanism notifications for the virtual-time
-// profiler (internal/profile). Unlike the Tracer it does NOT force the
-// engine's slow paths: inline wakeups and spin batching stay on while an
-// Attribution is installed, so what it observes is mechanism (dispatch and
-// fast-forward counts), which is mode-dependent and diagnostic only —
-// virtual-time attribution itself happens at the thread layer and is
-// identical across modes. Callbacks must not mutate simulated state.
-type Attribution interface {
-	// CoroDispatched fires on every real coroutine handoff.
-	CoroDispatched(at Time)
-	// SpinFastForward fires after a batched-spin commit of iters
-	// iterations ending at virtual time at.
-	SpinFastForward(at Time, iters int64)
-}
-
-// SetAttribution installs (or, with nil, removes) the attribution hook.
-func (e *Engine) SetAttribution(a Attribution) { e.attr = a }
 
 // Tracer receives one line per engine occurrence when tracing is enabled:
 // event scheduling ("schedule"), event dispatch ("event"), and coro

@@ -28,7 +28,7 @@ func benchProfileLock(b *testing.B, p *profile.Profiler) {
 	b.ReportAllocs()
 	sys := cthreads.New(sim.Config{Nodes: 2})
 	sys.SetProfiler(p)
-	l := locks.NewSpinLock(sys, 0, "bench", locks.DefaultCosts())
+	l := locks.NewSpinLock(sys, 0, "bench")
 	sys.Fork(0, "worker", func(t *cthreads.Thread) {
 		for i := 0; i < b.N; i++ {
 			l.Lock(t)

@@ -896,7 +896,4 @@ func (e *Engine) fastForwardSpin(m *epochMember, k int64) {
 	e.applied++
 	e.stats.MemberCommits++
 	e.stats.BatchedIters += uint64(evals)
-	if e.attr != nil {
-		e.attr.SpinFastForward(m.pop(k-1), evals)
-	}
 }

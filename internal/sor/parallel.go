@@ -9,6 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
+// stepsPerCell is the computation charge per cell update.
+const stepsPerCell = 4
+
 // Config parameterizes a parallel solve on the simulated machine.
 type Config struct {
 	Problem
@@ -22,9 +25,6 @@ type Config struct {
 	// LockKind selects the residual lock's implementation.
 	LockKind locks.Kind
 	Machine  sim.Config
-	Costs    *locks.Costs
-	// StepsPerCell is the computation charge per cell update (default 4).
-	StepsPerCell int
 	// BarrierKind selects the sweep barrier: "sleep" (default), "spin"
 	// (arrivals poll), or "adaptive" (locks.AdaptiveBarrier, which moves
 	// between the two from the sensed arrival spread).
@@ -69,16 +69,9 @@ func Solve(cfg Config) (Result, error) {
 	if cfg.Machine.Nodes < cfg.Procs {
 		cfg.Machine.Nodes = cfg.Procs
 	}
-	costs := locks.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	if cfg.StepsPerCell == 0 {
-		cfg.StepsPerCell = 4
-	}
 
 	sys := cthreads.New(cfg.Machine)
-	resLock := locks.MustNew(sys, cfg.LockKind, 0, "residual-lock", costs)
+	resLock := locks.MustNew(sys, cfg.LockKind, 0, "residual-lock")
 	// Three rendezvous per sweep, each its own barrier object so an
 	// adaptive barrier tunes to its phase's arrival pattern.
 	mkBarrier := func(name string) (locks.Barrier, error) {
@@ -145,11 +138,11 @@ func Solve(cfg Config) (Result, error) {
 			for s := 0; !done && s < p.MaxSweeps; s++ {
 				slot := s % 2
 				redRes, redCells := sweepRows(g, lo, hi, 0, p.Omega)
-				t.Compute(redCells * cfg.StepsPerCell)
+				t.Compute(redCells * stepsPerCell)
 				barRed.Arrive(t)
 
 				blackRes, blackCells := sweepRows(g, lo, hi, 1, p.Omega)
-				t.Compute(blackCells * cfg.StepsPerCell)
+				t.Compute(blackCells * stepsPerCell)
 				local := math.Max(redRes, blackRes)
 
 				resLock.Lock(t)

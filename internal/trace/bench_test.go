@@ -26,7 +26,7 @@ func benchWorkload(b *testing.B, tr *trace.Tracer) {
 		}
 		sys := cthreads.New(sim.Config{Nodes: 4})
 		sys.SetTracer(tr)
-		l := locks.NewSpinLock(sys, 0, "bench", locks.DefaultCosts())
+		l := locks.NewSpinLock(sys, 0, "bench")
 		for w := 0; w < 4; w++ {
 			w := w
 			sys.Fork(w, fmt.Sprintf("w%d", w), func(t *cthreads.Thread) {

@@ -21,7 +21,7 @@ func contendedRun(t *testing.T, tr *trace.Tracer) {
 	t.Helper()
 	sys := cthreads.New(sim.Config{Nodes: 4})
 	sys.SetTracer(tr)
-	l := locks.NewAdaptiveLock(sys, 0, "testlock", locks.DefaultCosts(), nil)
+	l := locks.NewAdaptiveLock(sys, 0, "testlock", nil)
 	for i := 0; i < 8; i++ {
 		i := i
 		sys.Fork(i%4, fmt.Sprintf("worker%d", i), func(th *cthreads.Thread) {

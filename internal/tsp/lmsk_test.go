@@ -236,7 +236,7 @@ func sameTour(a, b Tour) bool {
 // reorders bound ties, so there, as for every organization on four
 // searchers, the optimal cost must match.
 func TestRecyclingSolversMatchReference(t *testing.T) {
-	const queueOpSteps, stepsPerWork = 20, 3
+	const stepsPerWork = 3
 	for seed := uint64(1); seed <= 20; seed++ {
 		in := NewRandomInstance(8+int(seed%4), seed)
 		ref, pushes := refBestFirst(in)
@@ -248,7 +248,7 @@ func TestRecyclingSolversMatchReference(t *testing.T) {
 		}
 
 		machine := fastMachine(1)
-		seq, err := SolveSequentialSim(in, machine, stepsPerWork, queueOpSteps)
+		seq, err := SolveSequentialSim(in, machine, stepsPerWork)
 		if err != nil {
 			t.Fatalf("seed %d: SolveSequentialSim: %v", seed, err)
 		}

@@ -39,6 +39,15 @@ const (
 	LockGlobal = "globlock"
 )
 
+// The cost of one queue push/pop. queueOpSteps is its instruction
+// charge, the same in the parallel and the sequential solver;
+// queueOpAccesses is its memory references, charged at the queue's home
+// node distance (the parallel solver's queues only).
+const (
+	queueOpSteps    = 20
+	queueOpAccesses = 3
+)
+
 // Config parameterizes a parallel solve.
 type Config struct {
 	Instance  *Instance
@@ -49,17 +58,10 @@ type Config struct {
 	// Machine configures the simulated multiprocessor; zero fields take
 	// sim defaults, and Nodes is raised to Searchers if smaller.
 	Machine sim.Config
-	// Costs calibrates lock operations; the zero value means defaults.
-	Costs *locks.Costs
 
 	// StepsPerWorkUnit charges expansion work (default 1 step per touched
 	// matrix cell as estimated by Node.Expand).
 	StepsPerWorkUnit int
-	// QueueOpSteps is the instruction charge of one queue push/pop.
-	QueueOpSteps int
-	// QueueOpAccesses is the memory references of one queue push/pop,
-	// charged at the queue's home node distance.
-	QueueOpAccesses int
 	// PollInterval is the idle searcher's re-check period.
 	PollInterval sim.Time
 	// AsyncQueue routes the centralized shared work queue through an
@@ -131,18 +133,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Machine.Nodes < c.Searchers {
 		c.Machine.Nodes = c.Searchers
 	}
-	if c.Costs == nil {
-		d := locks.DefaultCosts()
-		c.Costs = &d
-	}
 	if c.StepsPerWorkUnit < 1 {
 		c.StepsPerWorkUnit = 1
-	}
-	if c.QueueOpSteps < 1 {
-		c.QueueOpSteps = 20
-	}
-	if c.QueueOpAccesses < 1 {
-		c.QueueOpAccesses = 3
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 50 * sim.Microsecond
@@ -262,7 +254,7 @@ func Solve(cfg Config) (Result, error) {
 func (s *solver) build() {
 	cfg := s.cfg
 	mkLock := func(name string, node int) locks.Lock {
-		l := locks.MustNew(s.sys, cfg.LockKind, node, name, *cfg.Costs)
+		l := locks.MustNew(s.sys, cfg.LockKind, node, name)
 		if cfg.RecordPatterns {
 			s.observe(l, name)
 		}
@@ -312,20 +304,13 @@ func (s *solver) build() {
 	if cfg.AsyncQueue != "" {
 		// Wrap the centralized queue's own lock, so mutual exclusion —
 		// and lock-level stats — stay on qlock whichever mode runs.
-		mc := active.Config{Node: 0, Name: "qmon", Lock: s.qlocks[0], Costs: *cfg.Costs}
+		mc := active.Config{Node: 0, Name: "qmon", Lock: s.qlocks[0]}
 		switch cfg.AsyncQueue {
 		case AsyncQueueFlat:
 			mc.ExecMode = active.ExecAsync
 		case AsyncQueueServer:
 			mc.ExecMode = active.ExecAsync
 			mc.Combiner = active.CombinerServer
-			// Dedicate a processor beyond the searchers' when the machine
-			// has one: processors are not preempted, so a server sharing
-			// node 0 with a searcher only runs while that searcher is off
-			// the processor.
-			if s.sys.Procs() > cfg.Searchers {
-				mc.ServerNode = cfg.Searchers
-			}
 		case AsyncQueueAdaptive:
 			mc.ExecMode = active.ExecSync
 			mc.SensorEvery = 2
@@ -368,8 +353,8 @@ func (s *solver) observe(l locks.Lock, name string) {
 
 // chargeQueueOp charges one queue operation against the queue's home node.
 func (s *solver) chargeQueueOp(t *cthreads.Thread, q int) {
-	t.Compute(s.cfg.QueueOpSteps)
-	t.Advance(sim.Time(s.cfg.QueueOpAccesses) * s.sys.Machine().AccessCost(t.Node(), s.qNodes[q]))
+	t.Compute(queueOpSteps)
+	t.Advance(queueOpAccesses * s.sys.Machine().AccessCost(t.Node(), s.qNodes[q]))
 }
 
 // bestFor returns the best-cost cell a searcher on processor me consults.
@@ -655,15 +640,12 @@ func (s *solver) result() (Result, error) {
 // SolveSequentialSim runs the sequential LMSK program on one simulated
 // processor, charging the same expansion and queue costs but using no
 // locks — the paper's sequential baseline of Table 1.
-func SolveSequentialSim(in *Instance, machine sim.Config, stepsPerWorkUnit, queueOpSteps int) (Result, error) {
+func SolveSequentialSim(in *Instance, machine sim.Config, stepsPerWorkUnit int) (Result, error) {
 	if machine.Nodes < 1 {
 		machine.Nodes = 1
 	}
 	if stepsPerWorkUnit < 1 {
 		stepsPerWorkUnit = 1
-	}
-	if queueOpSteps < 1 {
-		queueOpSteps = 20
 	}
 	sys := cthreads.New(machine)
 	var h nodeHeap

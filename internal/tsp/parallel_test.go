@@ -80,7 +80,7 @@ func TestAllLockKindsSolveCentralized(t *testing.T) {
 func TestSequentialSimMatchesSerial(t *testing.T) {
 	in := NewRandomInstance(10, 3)
 	serial := SolveSerial(in)
-	res, err := SolveSequentialSim(in, fastMachine(1), 1, 20)
+	res, err := SolveSequentialSim(in, fastMachine(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestParallelFasterThanSequential(t *testing.T) {
 	// regime where parallel branch-and-bound pays (the paper reports 6.5×
 	// on 10 processors).
 	in := NewEuclideanInstance(14, 1)
-	seq, err := SolveSequentialSim(in, fastMachine(1), 50, 20)
+	seq, err := SolveSequentialSim(in, fastMachine(1), 50)
 	if err != nil {
 		t.Fatal(err)
 	}

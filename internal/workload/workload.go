@@ -20,58 +20,58 @@ import (
 // to it.
 type Strategy struct {
 	Name string
-	Make func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock
+	Make func(sys *cthreads.System, node int) locks.Lock
 }
 
 // SpinStrategy waits by pure spinning.
 func SpinStrategy() Strategy {
-	return Strategy{Name: "pure-spin", Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewPureSpinConfigured(sys, node, "spin", costs)
+	return Strategy{Name: "pure-spin", Make: func(sys *cthreads.System, node int) locks.Lock {
+		return locks.NewPureSpinConfigured(sys, node, "spin")
 	}}
 }
 
 // BlockStrategy waits by pure sleeping.
 func BlockStrategy() Strategy {
-	return Strategy{Name: "pure-block", Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewPureBlockingConfigured(sys, node, "block", costs)
+	return Strategy{Name: "pure-block", Make: func(sys *cthreads.System, node int) locks.Lock {
+		return locks.NewPureBlockingConfigured(sys, node, "block")
 	}}
 }
 
 // CombinedStrategy spins k times, then sleeps (Figure 1's combined locks).
 func CombinedStrategy(k int64) Strategy {
-	return Strategy{Name: fmt.Sprintf("combined-%d", k), Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewReconfigurableLock(sys, node, fmt.Sprintf("combined%d", k), costs, k)
+	return Strategy{Name: fmt.Sprintf("combined-%d", k), Make: func(sys *cthreads.System, node int) locks.Lock {
+		return locks.NewReconfigurableLock(sys, node, fmt.Sprintf("combined%d", k), k)
 	}}
 }
 
 // AdaptiveStrategy uses the adaptive lock with the default policy.
 func AdaptiveStrategy() Strategy {
-	return Strategy{Name: "adaptive", Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewAdaptiveLock(sys, node, "adaptive", costs, nil)
+	return Strategy{Name: "adaptive", Make: func(sys *cthreads.System, node int) locks.Lock {
+		return locks.NewAdaptiveLock(sys, node, "adaptive", nil)
 	}}
 }
 
 // AdvisoryStrategy uses the advisory lock; RunCS passes each critical
 // section's length as the hold hint, so the owner's advice is exact.
 func AdvisoryStrategy() Strategy {
-	return Strategy{Name: "advisory", Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewAdvisoryLock(sys, node, "advisory", costs)
+	return Strategy{Name: "advisory", Make: func(sys *cthreads.System, node int) locks.Lock {
+		return locks.NewAdvisoryLock(sys, node, "advisory")
 	}}
 }
 
 // MutableStrategy uses the predictive mutable lock: each waiter chooses
 // spin, spin-then-block, or block from the monitored hold-time estimate.
 func MutableStrategy() Strategy {
-	return Strategy{Name: "mutable", Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewMutableLock(sys, node, "mutable", costs)
+	return Strategy{Name: "mutable", Make: func(sys *cthreads.System, node int) locks.Lock {
+		return locks.NewMutableLock(sys, node, "mutable")
 	}}
 }
 
 // CohortStrategy uses the NUMA cohort lock: releases hand off within the
 // releasing node while the fairness budget allows.
 func CohortStrategy() Strategy {
-	return Strategy{Name: "cohort", Make: func(sys *cthreads.System, node int, costs locks.Costs) locks.Lock {
-		return locks.NewCohortLock(sys, node, "cohort", costs)
+	return Strategy{Name: "cohort", Make: func(sys *cthreads.System, node int) locks.Lock {
+		return locks.NewCohortLock(sys, node, "cohort")
 	}}
 }
 
@@ -106,7 +106,6 @@ type CSConfig struct {
 	LongCS   sim.Time
 	LongFrac float64
 	Machine  sim.Config
-	Costs    *locks.Costs
 	// Profiler and Ledger, when non-nil, observe the run: virtual-time
 	// attribution and adaptation decisions respectively.
 	Profiler *profile.Profiler
@@ -128,14 +127,10 @@ func RunCS(cfg CSConfig, strat Strategy) (CSResult, error) {
 	if cfg.Machine.Nodes < cfg.Procs {
 		cfg.Machine.Nodes = cfg.Procs
 	}
-	costs := locks.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	sys := cthreads.New(cfg.Machine)
 	sys.SetProfiler(cfg.Profiler)
 	sys.SetLedger(cfg.Ledger)
-	l := strat.Make(sys, 0, costs)
+	l := strat.Make(sys, 0)
 	for i := 0; i < cfg.Threads; i++ {
 		proc := i % cfg.Procs
 		sys.Fork(proc, fmt.Sprintf("%s-w%d", strat.Name, i), func(t *cthreads.Thread) {
@@ -179,7 +174,6 @@ type ClientServerConfig struct {
 	ThinkTime   sim.Time
 	Scheduler   string // locks.SchedFCFS, SchedPriority, SchedHandoff
 	Machine     sim.Config
-	Costs       *locks.Costs
 }
 
 // ClientServerResult reports the workload outcome.
@@ -211,10 +205,6 @@ func RunClientServer(cfg ClientServerConfig) (ClientServerResult, error) {
 	if cfg.Machine.Nodes < procs {
 		cfg.Machine.Nodes = procs
 	}
-	costs := locks.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	sys := cthreads.New(cfg.Machine)
 	var l *locks.ReconfigurableLock
 	if cfg.Scheduler == SchedAdaptive {
@@ -222,7 +212,7 @@ func RunClientServer(cfg ClientServerConfig) (ClientServerResult, error) {
 		// reconfigures the *scheduler* method — FCFS while the lock is
 		// calm, priority once a queue builds — while the waiting policy
 		// stays pure blocking.
-		al := locks.NewAdaptiveLock(sys, 0, "cs-lock", costs, core.SchedulerAdapt{
+		al := locks.NewAdaptiveLock(sys, 0, "cs-lock", core.SchedulerAdapt{
 			Method:         locks.MethodScheduler,
 			Calm:           locks.SchedFCFS,
 			Busy:           locks.SchedPriority,
@@ -231,7 +221,7 @@ func RunClientServer(cfg ClientServerConfig) (ClientServerResult, error) {
 		al.SetupPolicy(0, 0, 1, 0)
 		l = &al.ReconfigurableLock
 	} else {
-		l = locks.NewPureBlockingConfigured(sys, 0, "cs-lock", costs)
+		l = locks.NewPureBlockingConfigured(sys, 0, "cs-lock")
 		if _, err := l.Object().Methods.Install(locks.MethodScheduler, cfg.Scheduler); err != nil {
 			return ClientServerResult{}, err
 		}
