@@ -15,21 +15,24 @@ vet:
 # Simlint: the repo's own static-analysis suite (internal/analysis),
 # run through the standard vet driver so package loading, caching, and
 # diagnostics all come from the toolchain. See DESIGN.md "Statically
-# enforced invariants". The timing line makes analyzer-cost regressions
-# visible in CI logs (the flow-sensitive analyzers build a CFG per
-# function; a blowup shows up here long before it hurts locally).
+# enforced invariants". bench/ is its own module, so it gets its own
+# run. The timing line makes analyzer-cost regressions visible in CI
+# logs (the balance checks build a CFG per function; a blowup shows up
+# here long before it hurts locally).
 lint:
 	$(GO) build -o bin/simlint ./cmd/simlint
 	@start=$$(date +%s); \
-	  $(GO) vet -vettool=bin/simlint ./...; rc=$$?; \
+	  $(GO) vet -vettool=bin/simlint ./... && (cd bench && $(GO) vet -vettool=../bin/simlint ./...); rc=$$?; \
 	  end=$$(date +%s); echo "simlint: whole-tree lint took $$((end - start))s"; \
 	  exit $$rc
 
-# Audit //simlint:allow directives: fails on malformed ones and on stale
-# ones (suppressions whose analyzer no longer fires at that position).
+# Audit //simlint:allow directives, in both modules: fails on malformed
+# ones and on stale ones (suppressions whose analyzer no longer fires at
+# that position).
 lint-allows:
 	$(GO) build -o bin/simlint ./cmd/simlint
 	./bin/simlint -allows ./...
+	cd bench && ../bin/simlint -allows ./...
 
 # Formatting gate: fails (listing the offenders) if any file needs gofmt.
 fmt-check:

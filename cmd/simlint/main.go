@@ -1,7 +1,7 @@
 // Command simlint runs the simulator's static-analysis suite
 // (internal/analysis): the syntax checks (walltime, rawspin, maporder,
-// virtualtime, seqadvance, crossshard) and the flow-sensitive checks
-// (framebalance, lockpair, chargepath). It speaks the `go vet -vettool`
+// virtualtime, seqadvance, crossshard) and the flow-sensitive balance
+// checks (framebalance, lockpair). It speaks the `go vet -vettool`
 // protocol, so the full toolchain integration is
 //
 //	go build -o bin/simlint ./cmd/simlint

@@ -1,8 +1,10 @@
 // Package analysis implements simlint: a suite of static analyzers that
-// enforce the simulator's determinism and spin-batching invariants at
-// the source level, before any differential fuzz run can catch a
-// violation dynamically. See DESIGN.md "Statically enforced invariants"
-// for the invariant each analyzer guards.
+// enforce the simulator's determinism, spin-batching and pairing
+// invariants at the source level. Each analyzer stays only while it
+// catches a seeded mutation that the test suite misses; EXPERIMENTS.md
+// "What simlint catches that the tests miss" names each one's catch,
+// and DESIGN.md "Statically enforced invariants" the invariant it
+// guards.
 //
 // A finding can be suppressed — with a mandatory reason — by a comment
 // on the offending line or the line directly above it:
@@ -28,7 +30,6 @@ func All() []*framework.Analyzer {
 		Crossshard,
 		Framebalance,
 		Lockpair,
-		Chargepath,
 	}
 }
 

@@ -46,10 +46,6 @@ func TestLockpair(t *testing.T) {
 	analysistest.Run(t, "testdata", "lockpair/locks", Lockpair)
 }
 
-func TestChargepath(t *testing.T) {
-	analysistest.Run(t, "testdata", "chargepath/sim", Chargepath)
-}
-
 // TestAllowsAudit drives the -allows classification over a fixture
 // seeded with one live, one stale, and two malformed directives: stale
 // detection is the audit's whole point, so it is proven here rather

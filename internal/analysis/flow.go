@@ -1,16 +1,124 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 
 	"repro/internal/analysis/framework"
 )
 
 // Shared machinery for the flow-sensitive analyzers (framebalance,
-// lockpair, chargepath): function enumeration, call scanning that
-// respects function-literal boundaries, and canonical expression keys.
+// lockpair): the one balance check both run, function enumeration, call
+// scanning that respects function-literal boundaries, and canonical
+// expression keys.
+
+// balanceOp classifies a call as opening (+1) or closing (-1) the key
+// its operand names — a profile frame pushed or popped, a lock acquired
+// or released — or as neither (delta 0).
+type balanceOp func(pass *framework.Pass, aliases aliasMap, call *ast.CallExpr) (operand ast.Expr, delta int)
+
+// checkBalance is the balance check framebalance and lockpair share.
+// For each function body in the package's non-test files that op sees,
+// it solves the interval dataflow of each key's net count and hands
+// atExit the net over the normal exits, anchored at the key's first
+// event in the body (bodies with no normal exit are skipped). It
+// returns the package-wide first sighting of each type-qualified key
+// as an opener and as a closer: a protocol split across helpers leaves
+// every function self-consistent, so deleting its only close shows up
+// only as a key with one side (see reportUnpaired).
+func checkBalance(pass *framework.Pass, op balanceOp, opts framework.CFGOptions,
+	atExit func(fn funcUnit, key string, net intv, pos token.Pos)) (opened, closed map[string]token.Pos) {
+	info := pass.TypesInfo
+	opened, closed = map[string]token.Pos{}, map[string]token.Pos{}
+	for _, f := range pass.Files {
+		if pass.IsTestFile(f) {
+			continue
+		}
+		for _, fn := range functionsIn(f) {
+			aliases := collectAliases(info, fn.body)
+			firstPos := map[string]token.Pos{}
+			scanCalls(fn.body, func(call *ast.CallExpr) {
+				operand, delta := op(pass, aliases, call)
+				if delta == 0 {
+					return
+				}
+				if key := aliases.exprKey(info, operand); firstPos[key] == token.NoPos {
+					firstPos[key] = call.Pos()
+				}
+				side := opened
+				if delta < 0 {
+					side = closed
+				}
+				if qkey := aliases.qualifiedKey(info, operand); side[qkey] == token.NoPos {
+					side[qkey] = call.Pos()
+				}
+			})
+			if len(firstPos) == 0 {
+				continue
+			}
+
+			res := framework.Solve(framework.BuildCFG(fn.body, opts), &framework.FlowProblem{
+				Entry: balanceFact{},
+				Transfer: func(b *framework.Block, in framework.Fact) framework.Fact {
+					f := in.(balanceFact)
+					out, cloned := f, false
+					for _, n := range b.Nodes {
+						scanCalls(n, func(call *ast.CallExpr) {
+							operand, delta := op(pass, aliases, call)
+							if delta == 0 {
+								return
+							}
+							if !cloned {
+								out, cloned = f.clone(), true
+							}
+							key := aliases.exprKey(info, operand)
+							out[key] = out.get(key).add(delta)
+						})
+					}
+					return out
+				},
+				Join:  joinBalance,
+				Equal: equalBalance,
+			})
+			exit, _ := res.ExitFact().(balanceFact)
+			if exit == nil {
+				continue // no normal exit: a combiner loop or always-panicking body
+			}
+			for _, k := range sortedKeys(firstPos) {
+				atExit(fn, k, exit.get(k), firstPos[k])
+			}
+		}
+	}
+	return opened, closed
+}
+
+// reportUnpaired reports each key seen on one side of the package but
+// not the other; openedOnly and closedOnly are the two messages, each
+// formatting the key.
+func reportUnpaired(pass *framework.Pass, opened, closed map[string]token.Pos, openedOnly, closedOnly string) {
+	for _, k := range sortedKeys(opened) {
+		if _, ok := closed[k]; !ok {
+			pass.Reportf(opened[k], openedOnly, k)
+		}
+	}
+	for _, k := range sortedKeys(closed) {
+		if _, ok := opened[k]; !ok {
+			pass.Reportf(closed[k], closedOnly, k)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
+}
 
 // funcUnit is one function-like body analyzed as its own control-flow
 // context: a declared function/method, or a function literal (whose
@@ -19,7 +127,6 @@ type funcUnit struct {
 	name string
 	decl *ast.FuncDecl // nil for function literals
 	body *ast.BlockStmt
-	pos  token.Pos
 }
 
 // functionsIn enumerates every function body in f: declarations first,
@@ -31,13 +138,12 @@ func functionsIn(f *ast.File) []funcUnit {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		units = append(units, funcUnit{name: fd.Name.Name, decl: fd, body: fd.Body, pos: fd.Name.Pos()})
+		units = append(units, funcUnit{name: fd.Name.Name, decl: fd, body: fd.Body})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
 				units = append(units, funcUnit{
 					name: fd.Name.Name + " (function literal)",
 					body: lit.Body,
-					pos:  lit.Pos(),
 				})
 			}
 			return true
@@ -48,8 +154,7 @@ func functionsIn(f *ast.File) []funcUnit {
 
 // scanCalls visits every call expression in n in source order, without
 // descending into nested function literals — those are separate flow
-// contexts enumerated by functionsIn. root distinguishes n itself from
-// a nested literal.
+// contexts enumerated by functionsIn.
 func scanCalls(n ast.Node, visit func(*ast.CallExpr)) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {
@@ -177,6 +282,8 @@ func clamp(v int) int {
 func (iv intv) add(d int) intv {
 	return intv{clamp(iv.lo + d), clamp(iv.hi + d)}
 }
+
+func (iv intv) String() string { return fmt.Sprintf("%d..%d", iv.lo, iv.hi) }
 
 // balanceFact maps keys to their count interval. A missing key is
 // {0, 0}.

@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 
 	"repro/internal/analysis/framework"
 )
@@ -18,6 +16,9 @@ import (
 // analyzer rejects is a frame whose net count differs between two exit
 // paths, which is exactly how the PR 9 combiner bug leaked a "submit:"
 // frame on its error path and broke Total() == end - Registered().
+// Pairing push and pop sites package-wide closes the cross-helper hole:
+// deleting the only pop of a frame leaves every function
+// self-consistent but the key one-sided.
 var Framebalance = &framework.Analyzer{
 	Name: "framebalance",
 	Doc: "report profile frames whose push/pop balance differs between " +
@@ -26,140 +27,40 @@ var Framebalance = &framework.Analyzer{
 }
 
 func runFramebalance(pass *framework.Pass) error {
-	// Package-wide first sightings of each frame key as a push and as a
-	// pop. Path-consistency below is per-function and cannot see a
-	// protocol whose push and pop live in different helpers (observe
-	// pushes "Lock:", acquired pops it); pairing the sites at package
-	// level closes that hole: deleting the only pop of a frame leaves
-	// every function self-consistent but the key one-sided here.
-	pushed, popped := map[string]token.Pos{}, map[string]token.Pos{}
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
-		for _, fn := range functionsIn(f) {
-			checkFrameBalance(pass, fn, pushed, popped)
-		}
-	}
-	for _, k := range sortedKeys(keySet(pushed)) {
-		if _, ok := popped[k]; !ok {
-			pass.Reportf(pushed[k],
-				"profile frame %s is pushed but popped nowhere in this package: the conservation invariant cannot hold",
-				k)
-		}
-	}
-	for _, k := range sortedKeys(keySet(popped)) {
-		if _, ok := pushed[k]; !ok {
-			pass.Reportf(popped[k],
-				"profile frame %s is popped but pushed nowhere in this package",
-				k)
-		}
-	}
+	// The profiler nil-guard idiom (`if p := t.Prof(); p != nil { ... }`)
+	// wraps every push and pop independently; whether a profiler is
+	// attached is fixed for a whole run, so the guards' outcomes
+	// correlate and collapsing them is sound (see DESIGN.md).
+	pushed, popped := checkBalance(pass, frameEvent, framework.CFGOptions{CollapseNilGuards: true},
+		func(fn funcUnit, key string, net intv, pos token.Pos) {
+			if net.lo != net.hi {
+				pass.Reportf(pos,
+					"profile frame %s is balanced on some paths out of %s but not all (net %s at return)",
+					key, fn.name, net)
+			}
+		})
+	reportUnpaired(pass, pushed, popped,
+		"profile frame %s is pushed but popped nowhere in this package: the conservation invariant cannot hold",
+		"profile frame %s is popped but pushed nowhere in this package")
 	return nil
 }
 
-func keySet[V any](m map[string]V) map[string]bool {
-	s := make(map[string]bool, len(m))
-	for k := range m {
-		s[k] = true
-	}
-	return s
-}
-
-// frameEvent classifies a call as a frame push (+1) or pop (-1) of a
-// canonical frame key, or neither (delta 0).
-func frameEvent(pass *framework.Pass, aliases aliasMap, call *ast.CallExpr) (key string, delta int) {
-	name := calleeName(call)
-	switch name {
+// frameEvent classifies a call as a frame push (+1) or pop (-1) of the
+// frame its second argument names, or neither (delta 0).
+func frameEvent(pass *framework.Pass, _ aliasMap, call *ast.CallExpr) (ast.Expr, int) {
+	delta := 0
+	switch calleeName(call) {
 	case "Push":
 		delta = 1
 	case "Pop":
 		delta = -1
 	default:
-		return "", 0
+		return nil, 0
 	}
 	recv := callReceiver(call)
-	if recv == nil || len(call.Args) < 2 {
-		return "", 0
+	if recv == nil || len(call.Args) < 2 ||
+		!namedFrom(pass.TypesInfo.Types[recv].Type, "profile", "ThreadProf") {
+		return nil, 0
 	}
-	if !namedFrom(pass.TypesInfo.Types[recv].Type, "profile", "ThreadProf") {
-		return "", 0
-	}
-	return aliases.exprKey(pass.TypesInfo, call.Args[1]), delta
-}
-
-func checkFrameBalance(pass *framework.Pass, fn funcUnit, pushed, popped map[string]token.Pos) {
-	aliases := collectAliases(pass.TypesInfo, fn.body)
-
-	// First sweep: does this body touch frames at all, and where is each
-	// key's first event (the diagnostic anchor)?
-	firstPos := map[string]token.Pos{}
-	scanCalls(fn.body, func(call *ast.CallExpr) {
-		if key, delta := frameEvent(pass, aliases, call); delta != 0 {
-			if _, seen := firstPos[key]; !seen {
-				firstPos[key] = call.Pos()
-			}
-			side := pushed
-			if delta < 0 {
-				side = popped
-			}
-			qkey := aliases.qualifiedKey(pass.TypesInfo, call.Args[1])
-			if _, seen := side[qkey]; !seen {
-				side[qkey] = call.Pos()
-			}
-		}
-	})
-	if len(firstPos) == 0 {
-		return
-	}
-
-	// The profiler nil-guard idiom (`if p := t.Prof(); p != nil { ... }`)
-	// wraps every push and pop independently; whether a profiler is
-	// attached is fixed for a whole run, so the guards' outcomes
-	// correlate and collapsing them is sound (see DESIGN.md).
-	cfg := framework.BuildCFG(fn.body, framework.CFGOptions{CollapseNilGuards: true})
-	res := framework.Solve(cfg, &framework.FlowProblem{
-		Entry: balanceFact{},
-		Transfer: func(b *framework.Block, in framework.Fact) framework.Fact {
-			f := in.(balanceFact)
-			out, cloned := f, false
-			for _, n := range b.Nodes {
-				scanCalls(n, func(call *ast.CallExpr) {
-					key, delta := frameEvent(pass, aliases, call)
-					if delta == 0 {
-						return
-					}
-					if !cloned {
-						out, cloned = f.clone(), true
-					}
-					out[key] = out.get(key).add(delta)
-				})
-			}
-			return out
-		},
-		Join:  joinBalance,
-		Equal: equalBalance,
-	})
-
-	exit := res.ExitFact()
-	if exit == nil {
-		return // no normal exit: a combiner loop or always-panicking body
-	}
-	keys := make([]string, 0, len(firstPos))
-	for k := range firstPos {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		iv := exit.(balanceFact).get(k)
-		if iv.lo != iv.hi {
-			pass.Reportf(firstPos[k],
-				"profile frame %s is balanced on some paths out of %s but not all (net %s at return)",
-				k, fn.name, rangeString(iv))
-		}
-	}
-}
-
-func rangeString(iv intv) string {
-	return fmt.Sprintf("%d..%d", iv.lo, iv.hi)
+	return call.Args[1], delta
 }

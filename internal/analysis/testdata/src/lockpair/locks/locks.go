@@ -43,38 +43,3 @@ type Dropper struct {
 func (d *Dropper) Lock(cs int) { d.inner.Lock(cs) } // want `lock Dropper\.inner is acquired but released nowhere in this package`
 
 func (d *Dropper) Unlock(cs int) {} // the lost delegation: d.inner.Unlock is gone
-
-// Cohort is a lock-protocol type whose Lock acquires an inner lock of
-// its own (the NUMA-local shape): a call to Cohort.Lock is both a
-// direct lock event and a carrier of the callee's acquire summary, and
-// the order analysis must record held -> Cohort.local edges through it.
-type Cohort struct {
-	local *Mutex
-}
-
-func (c *Cohort) Lock(cs int)   { c.local.Lock(cs) }
-func (c *Cohort) Unlock(cs int) { c.local.Unlock(cs) }
-
-// Pair closes a cycle only visible through that transitive acquire:
-// forward holds guard across the cohort acquire (guard -> Cohort.local,
-// via the summary), backward takes the cohort's inner lock directly and
-// then guard (Cohort.local -> guard). Treating the protocol call as a
-// bare lock event would drop the summary edge and miss the cycle.
-type Pair struct {
-	guard *Mutex
-	c     *Cohort
-}
-
-func (p *Pair) forward() {
-	p.guard.Lock(1)
-	p.c.Lock(1) // want `lock-order cycle Cohort\.local -> Pair\.c -> Pair\.guard -> Cohort\.local can deadlock`
-	p.c.Unlock(1)
-	p.guard.Unlock(1)
-}
-
-func (p *Pair) backward() {
-	p.c.local.Lock(1)
-	p.guard.Lock(1)
-	p.guard.Unlock(1)
-	p.c.local.Unlock(1)
-}

@@ -294,7 +294,7 @@ type TSPAsyncRow struct {
 
 // TSPAsyncQueue solves one centralized TSP instance per shared-queue
 // execution mode — off (the untouched lock-per-operation path), sync
-// (through the monitor, synchronous locking), flat, server, and adaptive —
+// (through the monitor, synchronous locking), flat, and adaptive —
 // and reports each mode's completion time and queue-operation latency. All
 // modes must find the same optimal tour; the solves are independent
 // simulations and fan out over e.Jobs workers.

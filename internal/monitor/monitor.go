@@ -114,8 +114,6 @@ func NewLocal(sys *cthreads.System, cfg Config) *Local {
 
 // Subscribe registers a consumer of processed records. Must be called
 // before Start.
-//
-//simlint:allow chargepath -- pre-Start wiring, runs before the simulation clock exists
 func (m *Local) Subscribe(s Subscriber) { m.subs = append(m.subs, s) }
 
 // Stats returns activity counters.
@@ -154,8 +152,6 @@ func (m *Local) Probe(t *cthreads.Thread, sensor int, value int64) {
 
 // RequestStop asks the monitor thread to exit once the ring drains. Safe
 // to call from any context (it is bookkeeping, not simulated state).
-//
-//simlint:allow chargepath -- stop flag is harness bookkeeping, not simulated state
 func (m *Local) RequestStop() { m.stop = true }
 
 // Stopped reports whether the monitor thread has exited.
@@ -164,8 +160,6 @@ func (m *Local) Stopped() bool { return m.stopped }
 // Start forks the monitor thread on its dedicated processor: it polls the
 // ring, charges per-record processing, forwards to the central monitor if
 // configured, and delivers each record to the subscribers.
-//
-//simlint:allow chargepath -- Fork bootstraps the thread that will do the charging
 func (m *Local) Start() *cthreads.Thread {
 	if m.thread != nil {
 		panic("monitor: Start called twice")

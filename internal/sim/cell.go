@@ -139,6 +139,4 @@ func (c *Cell) PostAdd(a Accessor, delta int64) {
 func (c *Cell) Peek() uint64 { return c.v }
 
 // Poke writes the cell without charging time. For setup only.
-//
-//simlint:allow chargepath -- documented setup-only escape hatch, never used on simulated paths
 func (c *Cell) Poke(v uint64) { c.v = v }

@@ -70,21 +70,57 @@ func TestCellChargesAndMutates(t *testing.T) {
 	}
 }
 
+// TestCellAtomicAddAndCAS prices every Cell primitive from a local and
+// a remote accessor: a plain reference (Load, Store) costs the access,
+// a read-modify-write (AtomicOr, AtomicAdd, CompareAndSwap whether it
+// swaps or not) the access plus AtomicExtra.
 func TestCellAtomicAddAndCAS(t *testing.T) {
-	m := NewMachine(Config{Nodes: 1})
+	m := NewMachine(Config{Nodes: 2, LocalAccess: 10, RemoteAccess: 40, AtomicExtra: 5})
 	c := m.NewCell(0, "n", 5)
-	a := &fakeAccessor{node: 0}
-	if got := c.AtomicAdd(a, -2); got != 3 {
-		t.Errorf("AtomicAdd = %d, want 3", got)
-	}
-	if !c.CompareAndSwap(a, 3, 10) {
-		t.Error("CAS(3,10) failed on value 3")
-	}
-	if c.CompareAndSwap(a, 3, 11) {
-		t.Error("CAS(3,11) succeeded on value 10")
-	}
-	if c.Peek() != 10 {
-		t.Errorf("value = %d, want 10", c.Peek())
+	for _, acc := range []struct {
+		name       string
+		node       int
+		plain, rmw Time
+	}{{"local", 0, 10, 15}, {"remote", 1, 40, 45}} {
+		a := &fakeAccessor{node: acc.node}
+		price := func(op string, want Time, do func()) {
+			t.Helper()
+			a.charged = 0
+			do()
+			if a.charged != want {
+				t.Errorf("%s %s charged %v, want %v", acc.name, op, a.charged, want)
+			}
+		}
+		c.Poke(5)
+		price("Load", acc.plain, func() {
+			if v := c.Load(a); v != 5 {
+				t.Errorf("Load = %d, want 5", v)
+			}
+		})
+		price("Store", acc.plain, func() { c.Store(a, 5) })
+		price("AtomicOr", acc.rmw, func() {
+			if old := c.AtomicOr(a, 0); old != 5 {
+				t.Errorf("AtomicOr old = %d, want 5", old)
+			}
+		})
+		price("AtomicAdd", acc.rmw, func() {
+			if got := c.AtomicAdd(a, -2); got != 3 {
+				t.Errorf("AtomicAdd = %d, want 3", got)
+			}
+		})
+		price("CompareAndSwap success", acc.rmw, func() {
+			if !c.CompareAndSwap(a, 3, 10) {
+				t.Error("CAS(3,10) failed on value 3")
+			}
+		})
+		price("CompareAndSwap failure", acc.rmw, func() {
+			if c.CompareAndSwap(a, 3, 11) {
+				t.Error("CAS(3,11) succeeded on value 10")
+			}
+		})
+		if c.Peek() != 10 {
+			t.Errorf("%s: value = %d, want 10", acc.name, c.Peek())
+		}
 	}
 }
 

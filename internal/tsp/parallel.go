@@ -68,10 +68,12 @@ type Config struct {
 	// active.Monitor instead of raw lock/unlock around each queue op.
 	// "" (the default) leaves the original path untouched — byte-identical
 	// to the seed. "sync" runs queue methods synchronously through the
-	// monitor (measures pure monitor overhead); "flat" and "server"
-	// execute them asynchronously with the respective combiner; "adaptive"
-	// starts synchronous and lets core.ExecModeAdapt switch per phase off
-	// the concurrency sensor. Centralized organization only.
+	// monitor (measures pure monitor overhead); "flat" executes them
+	// asynchronously with flat combining; "adaptive" starts synchronous
+	// and lets core.ExecModeAdapt switch per phase off the concurrency
+	// sensor. Centralized organization only. The server combiner is not
+	// offered: Solve gives the machine one processor per searcher, so its
+	// thread would share searcher 0's processor and measure that sharing.
 	AsyncQueue string
 	// RecordPatterns enables waiting-thread series per lock (Figures 4–9).
 	RecordPatterns bool
@@ -145,10 +147,10 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("tsp: unknown organization %q", c.Org)
 	}
 	switch c.AsyncQueue {
-	case "", AsyncQueueSync, AsyncQueueFlat, AsyncQueueServer, AsyncQueueAdaptive:
+	case "", AsyncQueueSync, AsyncQueueFlat, AsyncQueueAdaptive:
 	default:
-		return c, fmt.Errorf("tsp: unknown AsyncQueue mode %q (want %q, %q, %q, %q, or empty)",
-			c.AsyncQueue, AsyncQueueSync, AsyncQueueFlat, AsyncQueueServer, AsyncQueueAdaptive)
+		return c, fmt.Errorf("tsp: unknown AsyncQueue mode %q (want %q, %q, %q, or empty)",
+			c.AsyncQueue, AsyncQueueSync, AsyncQueueFlat, AsyncQueueAdaptive)
 	}
 	if c.AsyncQueue != "" && c.Org != OrgCentralized {
 		return c, fmt.Errorf("tsp: AsyncQueue requires the centralized organization (its single shared queue is the contended monitor); got %q", c.Org)
@@ -160,13 +162,12 @@ func (c Config) withDefaults() (Config, error) {
 const (
 	AsyncQueueSync     = "sync"
 	AsyncQueueFlat     = "flat"
-	AsyncQueueServer   = "server"
 	AsyncQueueAdaptive = "adaptive"
 )
 
 // AsyncQueueModes lists the valid non-empty Config.AsyncQueue values.
 func AsyncQueueModes() []string {
-	return []string{AsyncQueueSync, AsyncQueueFlat, AsyncQueueServer, AsyncQueueAdaptive}
+	return []string{AsyncQueueSync, AsyncQueueFlat, AsyncQueueAdaptive}
 }
 
 // solver is the shared state of one parallel run.
@@ -234,9 +235,10 @@ func Solve(cfg Config) (Result, error) {
 		})
 	}
 	if s.qmon != nil {
-		// The monitor's server thread (if its combiner ever runs) never
-		// exits on its own; a closer joins the searchers and shuts it
-		// down. A no-op when the server was never forked.
+		// A closer joins the searchers and shuts the monitor down. No
+		// queue mode forks the monitor's server thread, so Shutdown is a
+		// no-op, but the closer's thread is part of the pinned schedule:
+		// removing it changes the async-queue golden.
 		s.sys.Fork(0, "qmon-closer", func(t *cthreads.Thread) {
 			for _, w := range searchers {
 				t.Join(w)
@@ -308,9 +310,6 @@ func (s *solver) build() {
 		switch cfg.AsyncQueue {
 		case AsyncQueueFlat:
 			mc.ExecMode = active.ExecAsync
-		case AsyncQueueServer:
-			mc.ExecMode = active.ExecAsync
-			mc.Combiner = active.CombinerServer
 		case AsyncQueueAdaptive:
 			mc.ExecMode = active.ExecSync
 			mc.SensorEvery = 2

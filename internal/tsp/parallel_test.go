@@ -213,7 +213,7 @@ func TestConfigValidation(t *testing.T) {
 func TestAsyncQueueModesFindOptimum(t *testing.T) {
 	in := NewRandomInstance(9, 5)
 	want := SolveBruteForce(in).Cost
-	for _, mode := range []string{AsyncQueueSync, AsyncQueueFlat, AsyncQueueServer, AsyncQueueAdaptive} {
+	for _, mode := range AsyncQueueModes() {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			res, err := Solve(Config{
@@ -239,7 +239,7 @@ func TestAsyncQueueModesFindOptimum(t *testing.T) {
 				if st.Submits != 0 || st.SyncCalls == 0 {
 					t.Fatalf("stats = %+v, want sync-only activity", st)
 				}
-			case AsyncQueueFlat, AsyncQueueServer:
+			case AsyncQueueFlat:
 				if st.Submits == 0 || st.Executed != st.Submits {
 					t.Fatalf("stats = %+v, want every submit executed", st)
 				}
