@@ -101,6 +101,9 @@ const (
 	serverWakeSteps      = 8
 )
 
+// initialBatchLimit is the batch-limit attribute's initial value.
+const initialBatchLimit = 8
+
 // Config configures a Monitor.
 type Config struct {
 	// Node is the home node of the monitor's state (queue, election word,
@@ -108,20 +111,14 @@ type Config struct {
 	Node int
 	// Name names the monitor in traces, frames, and the ledger.
 	Name string
-	// Lock, when non-nil, is the mutual-exclusion lock methods run under
-	// (e.g. an existing qlock). When nil, a lock of LockKind is built on
-	// Node.
-	Lock locks.Lock
-	// LockKind picks the lock to build when Lock is nil (default
-	// locks.KindSpin).
+	// LockKind picks the mutual-exclusion lock methods run under, built
+	// on Node (default locks.KindSpin).
 	LockKind locks.Kind
 	// ExecMode is the initial exec-mode attribute (ExecSync or ExecAsync).
 	ExecMode int64
 	// Combiner is the initially installed combiner variant (default
 	// CombinerFlat).
 	Combiner string
-	// BatchLimit is the initial batch-limit attribute (default 8).
-	BatchLimit int64
 	// SensorEvery delivers every Nth probe of the concurrency sensor to
 	// the feedback loop (default 4; same role as the adaptive lock's
 	// sampling interval).
@@ -196,25 +193,17 @@ func New(sys *cthreads.System, cfg Config) *Monitor {
 	if cfg.Combiner == "" {
 		cfg.Combiner = CombinerFlat
 	}
-	if cfg.BatchLimit <= 0 {
-		cfg.BatchLimit = 8
-	}
 	if cfg.SensorEvery <= 0 {
 		cfg.SensorEvery = 4
 	}
-	mu := cfg.Lock
-	if mu == nil {
-		kind := cfg.LockKind
-		if kind == "" {
-			kind = locks.KindSpin
-		}
-		mu = locks.MustNew(sys, kind, cfg.Node, cfg.Name+".mu")
+	if cfg.LockKind == "" {
+		cfg.LockKind = locks.KindSpin
 	}
 	m := &Monitor{
 		sys:          sys,
 		node:         cfg.Node,
 		name:         cfg.Name,
-		mu:           mu,
+		mu:           locks.MustNew(sys, cfg.LockKind, cfg.Node, cfg.Name+".mu"),
 		election:     sys.Machine().NewCell(cfg.Node, cfg.Name+".election", 0),
 		latency:      metrics.NewHistogram(cfg.Name + ".method-latency"),
 		frameSubmit:  "submit:" + cfg.Name,
@@ -223,7 +212,7 @@ func New(sys *cthreads.System, cfg Config) *Monitor {
 	}
 	m.obj = core.NewObject(cfg.Name)
 	m.obj.Attrs.Define(AttrExecMode, cfg.ExecMode, true)
-	m.obj.Attrs.Define(AttrBatchLimit, cfg.BatchLimit, true)
+	m.obj.Attrs.Define(AttrBatchLimit, initialBatchLimit, true)
 	m.obj.Methods.Define(MethodCombiner, 1, CombinerFlat, CombinerServer)
 	if cfg.Combiner != CombinerFlat {
 		if _, err := m.obj.Methods.Install(MethodCombiner, cfg.Combiner); err != nil {
@@ -238,9 +227,6 @@ func New(sys *cthreads.System, cfg Config) *Monitor {
 // Object exposes the underlying adaptive object (attributes, combiner
 // method, sensor, policy) for configuration and inspection.
 func (m *Monitor) Object() *core.Object { return m.obj }
-
-// Lock exposes the monitor's mutual-exclusion lock.
-func (m *Monitor) Lock() locks.Lock { return m.mu }
 
 // Name returns the monitor's name.
 func (m *Monitor) Name() string { return m.name }

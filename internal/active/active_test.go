@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cthreads"
-	"repro/internal/locks"
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -172,7 +171,10 @@ func TestSubmitPollDone(t *testing.T) {
 
 func TestBatchLimit(t *testing.T) {
 	sys := testSys(2)
-	m := New(sys, Config{Node: 0, Name: "batch-mon", ExecMode: ExecAsync, BatchLimit: 2})
+	m := New(sys, Config{Node: 0, Name: "batch-mon", ExecMode: ExecAsync})
+	if err := m.Object().Attrs.Set(AttrBatchLimit, 2, core.OwnerSelf); err != nil {
+		t.Fatal(err)
+	}
 	got := exercise(t, sys, m, 8, 5)
 	if got != 40 {
 		t.Fatalf("counter = %d, want 40", got)
@@ -319,19 +321,6 @@ func TestTraceEvents(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "mon-submit") || !strings.Contains(sb.String(), "mon-combine") {
 		t.Fatalf("text exporter missing monitor events:\n%s", sb.String())
-	}
-}
-
-// TestExternalLock hands the monitor an existing lock (the TSP wiring).
-func TestExternalLock(t *testing.T) {
-	sys := testSys(4)
-	l := locks.MustNew(sys, locks.KindBlocking, 0, "shared")
-	m := New(sys, Config{Node: 0, Name: "ext-mon", Lock: l, ExecMode: ExecAsync})
-	if m.Lock() != l {
-		t.Fatal("monitor did not adopt the provided lock")
-	}
-	if got := exercise(t, sys, m, 4, 5); got != 20 {
-		t.Fatalf("counter = %d, want 20", got)
 	}
 }
 

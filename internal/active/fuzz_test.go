@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/sim"
 )
@@ -19,7 +20,10 @@ func fuzzRun(t *testing.T, data []byte, mode int64, combiner string) (counter in
 	t.Helper()
 	const workers = 4
 	sys := testSys(workers)
-	m := New(sys, Config{Node: 0, Name: "fuzz-mon", ExecMode: mode, Combiner: combiner, BatchLimit: 3})
+	m := New(sys, Config{Node: 0, Name: "fuzz-mon", ExecMode: mode, Combiner: combiner})
+	if err := m.Object().Attrs.Set(AttrBatchLimit, 3, core.OwnerSelf); err != nil {
+		t.Fatal(err)
+	}
 	nOps := len(data)
 	execs = make([]int, nOps)
 	var journal []int

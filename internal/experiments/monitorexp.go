@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/sim"
-	"repro/internal/tsp"
 )
 
 // Execution modes of the contended-hotspot monitor benchmark. "sync" is
@@ -276,69 +275,6 @@ func RenderWaitLatency(rows []WaitLatencyRow) *metrics.Table {
 		"Lock type", "wait digest")
 	for _, r := range rows {
 		tb.AddRow(string(r.Kind), r.Summary)
-	}
-	return tb
-}
-
-// TSPAsyncRow is one async-queue mode of the centralized TSP solve: total
-// completion time plus the shared queue's method-completion digest and
-// monitor counters. Mode "off" is the untouched baseline path.
-type TSPAsyncRow struct {
-	Mode    string
-	Elapsed sim.Time
-	P50     sim.Time
-	P99     sim.Time
-	P999    sim.Time
-	Stats   active.Stats
-}
-
-// TSPAsyncQueue solves one centralized TSP instance per shared-queue
-// execution mode — off (the untouched lock-per-operation path), sync
-// (through the monitor, synchronous locking), flat, and adaptive —
-// and reports each mode's completion time and queue-operation latency. All
-// modes must find the same optimal tour; the solves are independent
-// simulations and fan out over e.Jobs workers.
-func TSPAsyncQueue(e Env) ([]TSPAsyncRow, error) {
-	opts := e.TSP.withDefaults()
-	in := opts.instance()
-	modes := append([]string{"off"}, tsp.AsyncQueueModes()...)
-	return sweep(e, len(modes), func(i int) (TSPAsyncRow, error) {
-		mode := modes[i]
-		cfg := tsp.Config{
-			Instance:         in,
-			Searchers:        opts.Searchers,
-			Org:              tsp.OrgCentralized,
-			LockKind:         locks.KindBlocking,
-			StepsPerWorkUnit: opts.StepsPerWorkUnit,
-		}
-		if mode != "off" {
-			cfg.AsyncQueue = mode
-		}
-		res, err := tsp.Solve(cfg)
-		if err != nil {
-			return TSPAsyncRow{}, fmt.Errorf("tsp async-queue %s: %w", mode, err)
-		}
-		row := TSPAsyncRow{Mode: mode, Elapsed: res.Elapsed, Stats: res.QueueMonitor}
-		if h := res.QueueLatency; h != nil {
-			row.P50, row.P99, row.P999 = h.P50(), h.P99(), h.P999()
-		}
-		return row, nil
-	})
-}
-
-// RenderTSPAsyncQueue renders the async-queue TSP comparison.
-func RenderTSPAsyncQueue(rows []TSPAsyncRow) *metrics.Table {
-	tb := metrics.NewTable("Centralized TSP: shared work queue by execution mode",
-		"Queue mode", "elapsed (µs)", "queue p50 (µs)", "queue p99 (µs)", "queue p999 (µs)",
-		"sync calls", "submits", "batches", "max batch")
-	for _, r := range rows {
-		p50, p99, p999 := "-", "-", "-"
-		if r.Mode != "off" {
-			p50, p99, p999 = us(r.P50), us(r.P99), us(r.P999)
-		}
-		tb.AddRow(r.Mode, us(r.Elapsed), p50, p99, p999,
-			fmt.Sprintf("%d", r.Stats.SyncCalls), fmt.Sprintf("%d", r.Stats.Submits),
-			fmt.Sprintf("%d", r.Stats.Batches), fmt.Sprintf("%d", r.Stats.MaxBatch))
 	}
 	return tb
 }

@@ -101,9 +101,9 @@ func shardedOnly(modes []simtest.Mode) []simtest.Mode {
 	return out
 }
 
-// tspAsyncOffFingerprint solves one seeded TSP instance with AsyncQueue
-// disabled and renders every metric of the result, one per line.
-func tspAsyncOffFingerprint(t *testing.T, mode simtest.Mode) string {
+// tspFingerprint solves one seeded centralized TSP instance with adaptive
+// locks and renders every metric of the result, one per line.
+func tspFingerprint(t *testing.T, mode simtest.Mode) string {
 	t.Helper()
 	defer useDefaultMode(mode)()
 	in := tsp.NewRandomInstance(8, 3)
@@ -122,16 +122,16 @@ func tspAsyncOffFingerprint(t *testing.T, mode simtest.Mode) string {
 		res.LockStats[tsp.LockQueue], res.FinalSpin, res.Sched)
 }
 
-// TestAsyncOffEngineModeDifferential checks that the monitor code adds
-// no charge to the disabled path: with the async queue disabled the TSP
-// solve stays byte-identical in every serial engine mode, and the
-// sharded scaling workload stays identical at every shard count, worker
-// count and engine mode of the matrix. tsp.Solve and ShardedRun build
-// their systems themselves, so the modes are set as process defaults.
-func TestAsyncOffEngineModeDifferential(t *testing.T) {
+// TestBuiltSystemsEngineModeDifferential checks the two workloads that
+// build their own systems: a TSP solve stays byte-identical in every
+// serial engine mode, and the sharded scaling workload stays identical at
+// every shard count, worker count and engine mode of the matrix. Since
+// tsp.Solve and ShardedRun build their systems themselves, the modes are
+// set as process defaults.
+func TestBuiltSystemsEngineModeDifferential(t *testing.T) {
 	t.Run("tsp", func(t *testing.T) {
 		simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
-			return tspAsyncOffFingerprint(t, m)
+			return tspFingerprint(t, m)
 		})
 	})
 	t.Run("sharded", func(t *testing.T) {

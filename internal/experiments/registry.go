@@ -233,8 +233,6 @@ func Registry() []Spec {
 				each(func(r ScalingRow) Metric {
 					return Metric{fmt.Sprintf("improvement-%%-%dp", r.Searchers), r.ImprovementPct}
 				}))},
-		{"async-queue", "Centralized TSP's shared work queue through the adaptive monitor: every execution mode finds the same tour, combining cuts queue latency",
-			InTSP, tabulate(TSPAsyncQueue, RenderTSPAsyncQueue, nil)},
 		{"table4", "Lock-op latency ordering: atomior < spin ≈ backoff ≈ adaptive < blocking; remote ≥ local",
 			lockInputs | InKinds, tabulate(Table4, titled("Table 4: Cost of the Lock operation for different locks", RenderLockOpTable), lockOpMetrics)},
 		{"table5", "Unlock latency: spin ≈ backoff ≪ adaptive < blocking",

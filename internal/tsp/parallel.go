@@ -3,7 +3,6 @@ package tsp
 import (
 	"fmt"
 
-	"repro/internal/active"
 	"repro/internal/core"
 	"repro/internal/cthreads"
 	"repro/internal/locks"
@@ -48,6 +47,9 @@ const (
 	queueOpAccesses = 3
 )
 
+// pollInterval is the idle searcher's re-check period.
+const pollInterval = 50 * sim.Microsecond
+
 // Config parameterizes a parallel solve.
 type Config struct {
 	Instance  *Instance
@@ -62,19 +64,6 @@ type Config struct {
 	// StepsPerWorkUnit charges expansion work (default 1 step per touched
 	// matrix cell as estimated by Node.Expand).
 	StepsPerWorkUnit int
-	// PollInterval is the idle searcher's re-check period.
-	PollInterval sim.Time
-	// AsyncQueue routes the centralized shared work queue through an
-	// active.Monitor instead of raw lock/unlock around each queue op.
-	// "" (the default) leaves the original path untouched — byte-identical
-	// to the seed. "sync" runs queue methods synchronously through the
-	// monitor (measures pure monitor overhead); "flat" executes them
-	// asynchronously with flat combining; "adaptive" starts synchronous
-	// and lets core.ExecModeAdapt switch per phase off the concurrency
-	// sensor. Centralized organization only. The server combiner is not
-	// offered: Solve gives the machine one processor per searcher, so its
-	// thread would share searcher 0's processor and measure that sharing.
-	AsyncQueue string
 	// RecordPatterns enables waiting-thread series per lock (Figures 4–9).
 	RecordPatterns bool
 	// Tracer, when non-nil, records the solve's thread, lock, and
@@ -108,14 +97,6 @@ type Result struct {
 	FinalSpin map[string]int64
 	// Sched reports thread-package counters.
 	Sched cthreads.Stats
-	// QueueLatency is the shared-queue method-completion latency digest
-	// (submission/entry to body completion) when Config.AsyncQueue is
-	// set; nil otherwise.
-	QueueLatency *metrics.Histogram
-	// QueueMonitor reports the active monitor's counters when
-	// Config.AsyncQueue is set (submits, batches, mode switches seen as
-	// sync-vs-async call splits).
-	QueueMonitor active.Stats
 }
 
 // withDefaults validates and fills the configuration.
@@ -138,36 +119,12 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StepsPerWorkUnit < 1 {
 		c.StepsPerWorkUnit = 1
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 50 * sim.Microsecond
-	}
 	switch c.Org {
 	case OrgCentralized, OrgDistributed, OrgDistributedLB:
 	default:
 		return c, fmt.Errorf("tsp: unknown organization %q", c.Org)
 	}
-	switch c.AsyncQueue {
-	case "", AsyncQueueSync, AsyncQueueFlat, AsyncQueueAdaptive:
-	default:
-		return c, fmt.Errorf("tsp: unknown AsyncQueue mode %q (want %q, %q, %q, or empty)",
-			c.AsyncQueue, AsyncQueueSync, AsyncQueueFlat, AsyncQueueAdaptive)
-	}
-	if c.AsyncQueue != "" && c.Org != OrgCentralized {
-		return c, fmt.Errorf("tsp: AsyncQueue requires the centralized organization (its single shared queue is the contended monitor); got %q", c.Org)
-	}
 	return c, nil
-}
-
-// AsyncQueue modes (Config.AsyncQueue).
-const (
-	AsyncQueueSync     = "sync"
-	AsyncQueueFlat     = "flat"
-	AsyncQueueAdaptive = "adaptive"
-)
-
-// AsyncQueueModes lists the valid non-empty Config.AsyncQueue values.
-func AsyncQueueModes() []string {
-	return []string{AsyncQueueSync, AsyncQueueFlat, AsyncQueueAdaptive}
 }
 
 // solver is the shared state of one parallel run.
@@ -189,10 +146,6 @@ type solver struct {
 
 	doneCell *sim.Cell
 	globLock locks.Lock
-
-	// qmon wraps the centralized queue's lock in an active monitor when
-	// Config.AsyncQueue is set; nil on the untouched original path.
-	qmon *active.Monitor
 
 	// trueBest mirrors the best tour cost known anywhere, for useless-work
 	// accounting only (not visible to simulated code).
@@ -227,23 +180,10 @@ func Solve(cfg Config) (Result, error) {
 	// program does this before forking, §4).
 	s.queues[0].push(NewRoot(cfg.Instance))
 
-	searchers := make([]*cthreads.Thread, cfg.Searchers)
 	for i := 0; i < cfg.Searchers; i++ {
 		i := i
-		searchers[i] = s.sys.Fork(i, fmt.Sprintf("searcher%d", i), func(t *cthreads.Thread) {
+		s.sys.Fork(i, fmt.Sprintf("searcher%d", i), func(t *cthreads.Thread) {
 			s.search(t, i)
-		})
-	}
-	if s.qmon != nil {
-		// A closer joins the searchers and shuts the monitor down. No
-		// queue mode forks the monitor's server thread, so Shutdown is a
-		// no-op, but the closer's thread is part of the pinned schedule:
-		// removing it changes the async-queue golden.
-		s.sys.Fork(0, "qmon-closer", func(t *cthreads.Thread) {
-			for _, w := range searchers {
-				t.Join(w)
-			}
-			s.qmon.Shutdown(t)
 		})
 	}
 	if err := s.sys.Run(); err != nil {
@@ -302,26 +242,6 @@ func (s *solver) build() {
 	s.globLock = mkLock(LockGlobal, 0)
 	s.activeCell = s.sys.Machine().NewCell(0, "active", uint64(cfg.Searchers))
 	s.doneCell = s.sys.Machine().NewCell(0, "done", 0)
-
-	if cfg.AsyncQueue != "" {
-		// Wrap the centralized queue's own lock, so mutual exclusion —
-		// and lock-level stats — stay on qlock whichever mode runs.
-		mc := active.Config{Node: 0, Name: "qmon", Lock: s.qlocks[0]}
-		switch cfg.AsyncQueue {
-		case AsyncQueueFlat:
-			mc.ExecMode = active.ExecAsync
-		case AsyncQueueAdaptive:
-			mc.ExecMode = active.ExecSync
-			mc.SensorEvery = 2
-		}
-		s.qmon = active.New(s.sys, mc)
-		if cfg.AsyncQueue == AsyncQueueAdaptive {
-			s.qmon.Object().SetPolicy(core.ExecModeAdapt{
-				Attr: active.AttrExecMode, Sync: active.ExecSync, Async: active.ExecAsync,
-				AsyncAt: 4, SyncAt: 1,
-			})
-		}
-	}
 }
 
 // observe attaches a waiting-thread series to a lock; per-node qlock
@@ -369,14 +289,6 @@ func (s *solver) bestFor(me int) *sim.Cell {
 func (s *solver) getWork(t *cthreads.Thread, me int) *Node {
 	switch s.cfg.Org {
 	case OrgCentralized:
-		if s.qmon != nil {
-			var n *Node
-			s.qmon.Invoke(t, func(bt *cthreads.Thread) {
-				s.chargeQueueOp(bt, 0)
-				n = s.queues[0].pop()
-			})
-			return n
-		}
 		s.qlocks[0].Lock(t)
 		s.chargeQueueOp(t, 0)
 		n := s.queues[0].pop()
@@ -441,13 +353,6 @@ func (s *solver) putWork(t *cthreads.Thread, me int, n *Node) {
 	q := 0
 	if s.dist {
 		q = me
-	}
-	if s.qmon != nil {
-		s.qmon.Invoke(t, func(bt *cthreads.Thread) {
-			s.chargeQueueOp(bt, 0)
-			s.queues[0].push(n)
-		})
-		return
 	}
 	s.qlocks[q].Lock(t)
 	s.chargeQueueOp(t, q)
@@ -568,15 +473,7 @@ func (s *solver) idle(t *cthreads.Thread) bool {
 			s.globLock.Unlock(t)
 			return true
 		}
-		t.Advance(s.cfg.PollInterval)
-		if s.qmon != nil {
-			// The monitor's combiner threads may share this searcher's
-			// processor; without preemption an unyielding poll loop would
-			// starve them (and with them the futures the still-active
-			// searchers are blocked on). Only the monitor modes fork such
-			// threads, so the baseline path stays charge-identical.
-			t.Yield()
-		}
+		t.Advance(pollInterval)
 	}
 }
 
@@ -628,10 +525,6 @@ func (s *solver) result() (Result, error) {
 		if al, ok := l.(*locks.AdaptiveLock); ok {
 			res.FinalSpin[l.Name()] = al.Object().Attrs.MustGet(locks.AttrSpinTime)
 		}
-	}
-	if s.qmon != nil {
-		res.QueueLatency = s.qmon.Latency()
-		res.QueueMonitor = s.qmon.Stats()
 	}
 	return res, nil
 }

@@ -3,7 +3,6 @@ package tsp
 import (
 	"testing"
 
-	"repro/internal/active"
 	"repro/internal/locks"
 	"repro/internal/sim"
 )
@@ -112,7 +111,6 @@ func TestParallelFasterThanSequential(t *testing.T) {
 		LockKind:         locks.KindBlocking,
 		Machine:          fastMachine(8),
 		StepsPerWorkUnit: 50,
-		PollInterval:     2 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,77 +203,5 @@ func TestConfigValidation(t *testing.T) {
 	in := NewRandomInstance(6, 1)
 	if _, err := Solve(Config{Instance: in, Org: Organization("bogus")}); err == nil {
 		t.Fatal("Solve accepted bogus organization")
-	}
-}
-
-// TestAsyncQueueModesFindOptimum checks every AsyncQueue mode solves
-// exactly and records queue-method latency digests.
-func TestAsyncQueueModesFindOptimum(t *testing.T) {
-	in := NewRandomInstance(9, 5)
-	want := SolveBruteForce(in).Cost
-	for _, mode := range AsyncQueueModes() {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			res, err := Solve(Config{
-				Instance:   in,
-				Searchers:  8,
-				Org:        OrgCentralized,
-				LockKind:   locks.KindBlocking,
-				Machine:    fastMachine(8),
-				AsyncQueue: mode,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Tour.Cost != want {
-				t.Fatalf("cost %d, want %d", res.Tour.Cost, want)
-			}
-			if res.QueueLatency == nil || res.QueueLatency.Count() == 0 {
-				t.Fatal("no queue-method latency recorded")
-			}
-			st := res.QueueMonitor
-			switch mode {
-			case AsyncQueueSync:
-				if st.Submits != 0 || st.SyncCalls == 0 {
-					t.Fatalf("stats = %+v, want sync-only activity", st)
-				}
-			case AsyncQueueFlat:
-				if st.Submits == 0 || st.Executed != st.Submits {
-					t.Fatalf("stats = %+v, want every submit executed", st)
-				}
-			}
-		})
-	}
-}
-
-// TestAsyncQueueOffLeavesResultUntouched pins the differential contract:
-// AsyncQueue "" must not even construct the monitor, so the solve is
-// field-identical with and without the new code path in the binary.
-func TestAsyncQueueOffLeavesResultUntouched(t *testing.T) {
-	res := solveWith(t, OrgCentralized, locks.KindBlocking, 9, 5, 4)
-	if res.QueueLatency != nil {
-		t.Fatal("AsyncQueue off but a queue latency digest was recorded")
-	}
-	if res.QueueMonitor != (active.Stats{}) {
-		t.Fatalf("AsyncQueue off but monitor stats nonzero: %+v", res.QueueMonitor)
-	}
-}
-
-// TestAsyncQueueRequiresCentralized pins the validation.
-func TestAsyncQueueRequiresCentralized(t *testing.T) {
-	_, err := Solve(Config{
-		Instance:   NewRandomInstance(8, 1),
-		Org:        OrgDistributed,
-		AsyncQueue: AsyncQueueFlat,
-	})
-	if err == nil {
-		t.Fatal("distributed + AsyncQueue accepted, want error")
-	}
-	_, err = Solve(Config{
-		Instance:   NewRandomInstance(8, 1),
-		AsyncQueue: "bogus",
-	})
-	if err == nil {
-		t.Fatal("bogus AsyncQueue accepted, want error")
 	}
 }
