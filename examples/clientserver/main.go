@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/locks"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -22,14 +21,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-10s %-14s %-18s %s\n", "scheduler", "completion", "mean response", "peak backlog")
 	for _, sched := range []string{locks.SchedFCFS, locks.SchedPriority, locks.SchedHandoff} {
-		res, err := workload.RunClientServer(workload.ClientServerConfig{
-			Clients:     8,
-			Requests:    25,
-			ServiceTime: 10 * sim.Microsecond,
-			ThinkTime:   20 * sim.Microsecond,
-			Scheduler:   sched,
-			Machine:     sim.Config{},
-		})
+		res, err := workload.RunClientServer(workload.ClientServerConfig{Scheduler: sched})
 		if err != nil {
 			log.Fatal(err)
 		}

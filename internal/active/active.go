@@ -104,15 +104,16 @@ const (
 // initialBatchLimit is the batch-limit attribute's initial value.
 const initialBatchLimit = 8
 
+// homeNode is the home node of a monitor's state (queue, election word,
+// attributes, lock and server thread); all memory charges go there.
+const homeNode = 0
+
 // Config configures a Monitor.
 type Config struct {
-	// Node is the home node of the monitor's state (queue, election word,
-	// attributes); all memory charges go there.
-	Node int
 	// Name names the monitor in traces, frames, and the ledger.
 	Name string
 	// LockKind picks the mutual-exclusion lock methods run under, built
-	// on Node (default locks.KindSpin).
+	// on homeNode (default locks.KindSpin).
 	LockKind locks.Kind
 	// ExecMode is the initial exec-mode attribute (ExecSync or ExecAsync).
 	ExecMode int64
@@ -153,7 +154,6 @@ type Stats struct {
 // helpers and accessors documented otherwise.
 type Monitor struct {
 	sys  *cthreads.System
-	node int
 	name string
 	mu   locks.Lock
 	obj  *core.Object
@@ -201,10 +201,9 @@ func New(sys *cthreads.System, cfg Config) *Monitor {
 	}
 	m := &Monitor{
 		sys:          sys,
-		node:         cfg.Node,
 		name:         cfg.Name,
-		mu:           locks.MustNew(sys, cfg.LockKind, cfg.Node, cfg.Name+".mu"),
-		election:     sys.Machine().NewCell(cfg.Node, cfg.Name+".election", 0),
+		mu:           locks.MustNew(sys, cfg.LockKind, homeNode, cfg.Name+".mu"),
+		election:     sys.Machine().NewCell(homeNode, cfg.Name+".election", 0),
 		latency:      metrics.NewHistogram(cfg.Name + ".method-latency"),
 		frameSubmit:  "submit:" + cfg.Name,
 		frameCombine: "combine:" + cfg.Name,
@@ -243,7 +242,7 @@ func (m *Monitor) chargeAccesses(t *cthreads.Thread, n int) {
 	if n <= 0 {
 		return
 	}
-	t.Advance(sim.Time(n) * m.sys.Machine().AccessCost(t.Node(), m.node))
+	t.Advance(sim.Time(n) * m.sys.Machine().AccessCost(t.Node(), homeNode))
 }
 
 // probe samples the concurrency sensor, charging the closely-coupled
@@ -423,7 +422,7 @@ func (m *Monitor) ensureServer() {
 	if m.server != nil {
 		return
 	}
-	m.server = m.sys.Fork(m.node, m.name+".server", m.serverLoop)
+	m.server = m.sys.Fork(homeNode, m.name+".server", m.serverLoop)
 }
 
 // serverLoop is the dedicated combiner: drain when work is pending, sleep

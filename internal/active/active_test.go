@@ -58,7 +58,7 @@ func exercise(t *testing.T, sys *cthreads.System, m *Monitor, nThreads, nIters i
 
 func TestSyncMode(t *testing.T) {
 	sys := testSys(4)
-	m := New(sys, Config{Node: 0, Name: "sync-mon", ExecMode: ExecSync})
+	m := New(sys, Config{Name: "sync-mon", ExecMode: ExecSync})
 	got := exercise(t, sys, m, 4, 10)
 	if got != 40 {
 		t.Fatalf("counter = %d, want 40", got)
@@ -77,7 +77,7 @@ func TestSyncMode(t *testing.T) {
 
 func TestFlatCombining(t *testing.T) {
 	sys := testSys(4)
-	m := New(sys, Config{Node: 0, Name: "flat-mon", ExecMode: ExecAsync})
+	m := New(sys, Config{Name: "flat-mon", ExecMode: ExecAsync})
 	got := exercise(t, sys, m, 8, 10)
 	if got != 80 {
 		t.Fatalf("counter = %d, want 80", got)
@@ -102,7 +102,7 @@ func TestFlatCombining(t *testing.T) {
 
 func TestServerCombining(t *testing.T) {
 	sys := testSys(4)
-	m := New(sys, Config{Node: 0, Name: "srv-mon", ExecMode: ExecAsync, Combiner: CombinerServer})
+	m := New(sys, Config{Name: "srv-mon", ExecMode: ExecAsync, Combiner: CombinerServer})
 	inside := false
 	counter := 0
 	workers := make([]*cthreads.Thread, 8)
@@ -150,7 +150,7 @@ func TestServerCombining(t *testing.T) {
 
 func TestSubmitPollDone(t *testing.T) {
 	sys := testSys(2)
-	m := New(sys, Config{Node: 0, Name: "poll-mon", ExecMode: ExecAsync})
+	m := New(sys, Config{Name: "poll-mon", ExecMode: ExecAsync})
 	sys.Fork(0, "w", func(th *cthreads.Thread) {
 		ran := false
 		f := m.Submit(th, func(*cthreads.Thread) { ran = true })
@@ -171,7 +171,7 @@ func TestSubmitPollDone(t *testing.T) {
 
 func TestBatchLimit(t *testing.T) {
 	sys := testSys(2)
-	m := New(sys, Config{Node: 0, Name: "batch-mon", ExecMode: ExecAsync})
+	m := New(sys, Config{Name: "batch-mon", ExecMode: ExecAsync})
 	if err := m.Object().Attrs.Set(AttrBatchLimit, 2, core.OwnerSelf); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestAdaptationSwitches(t *testing.T) {
 	sys := testSys(8)
 	ledger := core.NewLedger(0)
 	sys.SetLedger(ledger)
-	m := New(sys, Config{Node: 0, Name: "adapt-mon", ExecMode: ExecSync, SensorEvery: 1})
+	m := New(sys, Config{Name: "adapt-mon", ExecMode: ExecSync, SensorEvery: 1})
 	m.Object().SetPolicy(core.ExecModeAdapt{
 		Attr: AttrExecMode, Sync: ExecSync, Async: ExecAsync,
 		AsyncAt: 4, SyncAt: 1,
@@ -259,7 +259,7 @@ func TestAdaptationSwitches(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() string {
 		sys := testSys(4)
-		m := New(sys, Config{Node: 0, Name: "det-mon", ExecMode: ExecAsync})
+		m := New(sys, Config{Name: "det-mon", ExecMode: ExecAsync})
 		exercise(t, sys, m, 8, 10)
 		return fmt.Sprintf("%d %+v %s", sys.Now(), m.Stats(), m.Latency().Summary())
 	}
@@ -275,7 +275,7 @@ func TestProfilerFrames(t *testing.T) {
 	sys := testSys(4)
 	prof := profile.New()
 	sys.SetProfiler(prof)
-	m := New(sys, Config{Node: 0, Name: "prof-mon", ExecMode: ExecAsync})
+	m := New(sys, Config{Name: "prof-mon", ExecMode: ExecAsync})
 	exercise(t, sys, m, 8, 10)
 	var sb strings.Builder
 	if err := prof.WriteFolded(&sb); err != nil {
@@ -301,7 +301,7 @@ func TestTraceEvents(t *testing.T) {
 	sys := testSys(4)
 	tr := trace.New(4096)
 	sys.SetTracer(tr)
-	m := New(sys, Config{Node: 0, Name: "tr-mon", ExecMode: ExecAsync})
+	m := New(sys, Config{Name: "tr-mon", ExecMode: ExecAsync})
 	exercise(t, sys, m, 4, 5)
 	var submits, combines int
 	for _, ev := range tr.Events() {
@@ -326,7 +326,7 @@ func TestTraceEvents(t *testing.T) {
 
 func TestShutdownWithoutServer(t *testing.T) {
 	sys := testSys(2)
-	m := New(sys, Config{Node: 0, Name: "noop-mon", ExecMode: ExecSync})
+	m := New(sys, Config{Name: "noop-mon", ExecMode: ExecSync})
 	sys.Fork(0, "w", func(th *cthreads.Thread) {
 		m.Invoke(th, func(*cthreads.Thread) {})
 		m.Shutdown(th) // no server ever forked: must be a no-op

@@ -23,7 +23,7 @@ func monitorFingerprint(t *testing.T, mode string, em simtest.Mode) string {
 	}
 	sys := cthreads.New(cfg)
 	em.Set(sys.Engine())
-	mc := Config{Node: 0, Name: "em-mon"}
+	mc := Config{Name: "em-mon"}
 	switch mode {
 	case "sync":
 		mc.ExecMode = ExecSync

@@ -20,7 +20,7 @@ func fuzzRun(t *testing.T, data []byte, mode int64, combiner string) (counter in
 	t.Helper()
 	const workers = 4
 	sys := testSys(workers)
-	m := New(sys, Config{Node: 0, Name: "fuzz-mon", ExecMode: mode, Combiner: combiner})
+	m := New(sys, Config{Name: "fuzz-mon", ExecMode: mode, Combiner: combiner})
 	if err := m.Object().Attrs.Set(AttrBatchLimit, 3, core.OwnerSelf); err != nil {
 		t.Fatal(err)
 	}

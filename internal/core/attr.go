@@ -11,24 +11,10 @@ import (
 // because every attribute in the paper's lock objects (spin-time,
 // delay-time, sleep-time, timeout, thresholds) is a count or a duration.
 type Attr struct {
-	name    string
 	value   int64
-	init    int64
 	mutable bool
 	owner   OwnerID
 }
-
-// Name returns the attribute name.
-func (a *Attr) Name() string { return a.name }
-
-// Value returns the current value without cost accounting (diagnostics).
-func (a *Attr) Value() int64 { return a.value }
-
-// Mutable reports whether the attribute may currently be changed.
-func (a *Attr) Mutable() bool { return a.mutable }
-
-// Owner returns the agent holding explicit ownership, or OwnerNone.
-func (a *Attr) Owner() OwnerID { return a.owner }
 
 // AttrSet is the mutable-attribute sub-state CV of an adaptive object,
 // with read/write cost accounting. It is not internally synchronized: the
@@ -36,7 +22,6 @@ func (a *Attr) Owner() OwnerID { return a.owner }
 // substrate wraps it under its own lock.
 type AttrSet struct {
 	attrs map[string]*Attr
-	order []string
 	cost  CostModel
 }
 
@@ -47,14 +32,11 @@ func NewAttrSet() *AttrSet {
 
 // Define adds an attribute with an initial value. Defining an existing
 // name panics: attribute layouts are fixed at object construction.
-func (s *AttrSet) Define(name string, init int64, mutable bool) *Attr {
+func (s *AttrSet) Define(name string, init int64, mutable bool) {
 	if _, dup := s.attrs[name]; dup {
 		panic(fmt.Sprintf("core: attribute %q defined twice", name))
 	}
-	a := &Attr{name: name, value: init, init: init, mutable: mutable}
-	s.attrs[name] = a
-	s.order = append(s.order, name)
-	return a
+	s.attrs[name] = &Attr{value: init, mutable: mutable}
 }
 
 // Get reads an attribute value, counting one read.
@@ -128,34 +110,6 @@ func (s *AttrSet) Release(name string, by OwnerID) error {
 	return nil
 }
 
-// SetMutable changes whether an attribute may be modified (attribute
-// mutability is itself time-dependent in the model).
-func (s *AttrSet) SetMutable(name string, mutable bool) error {
-	a, ok := s.attrs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownAttr, name)
-	}
-	a.mutable = mutable
-	return nil
-}
-
-// Names returns the attribute names in definition order.
-func (s *AttrSet) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// Snapshot returns the current instance CVᵢ of the attribute values,
-// without cost accounting.
-func (s *AttrSet) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(s.attrs))
-	for n, a := range s.attrs {
-		out[n] = a.value
-	}
-	return out
-}
-
 // Cost returns reads and writes accumulated by all attribute operations.
 func (s *AttrSet) Cost() CostModel { return s.cost }
 
@@ -172,13 +126,4 @@ func (s *AttrSet) String() string {
 		parts[i] = fmt.Sprintf("%s=%d", n, s.attrs[n].value)
 	}
 	return strings.Join(parts, " ")
-}
-
-// reset restores every attribute to its initial value and clears explicit
-// ownership (the I operation's CV₀).
-func (s *AttrSet) reset() {
-	for _, a := range s.attrs {
-		a.value = a.init
-		a.owner = OwnerNone
-	}
 }

@@ -6,7 +6,7 @@
 // Following the paper's formal characterization, an adaptive object couples:
 //
 //   - internal state IV (owned by the object's ordinary methods; not
-//     modelled here beyond cost accounting),
+//     modelled here),
 //   - mutable attributes CV (AttrSet) whose values select among
 //     implementations — each instance CVᵢ of the attribute values is one
 //     policy Φᵢ,
@@ -147,12 +147,10 @@ type Object struct {
 	// loop, so Apply can record what triggered the decision.
 	feedbackSample *Sample
 
-	decisions   uint64
-	applied     uint64
-	rejected    uint64
-	transitions uint64
-	reconfig    CostModel
-	ivCost      CostModel
+	decisions uint64
+	applied   uint64
+	rejected  uint64
+	reconfig  CostModel
 }
 
 // NewObject creates an empty adaptive object with the given diagnostic
@@ -321,30 +319,4 @@ func (o *Object) Configuration() string {
 	}
 	b.WriteString(o.Attrs.String())
 	return b.String()
-}
-
-// Transition accounts one state-transition operation Υ on the object's
-// internal state IV (§3.1: SVpre : Υ : SVpost [t], with t = n₁R n₂W).
-// The object model does not interpret internal state — each abstraction
-// owns its own — but transitions report their costs here so a
-// configuration's total cost is inspectable.
-func (o *Object) Transition(cost CostModel) {
-	o.transitions++
-	o.ivCost = o.ivCost.Add(cost)
-}
-
-// Transitions reports how many Υ operations were accounted.
-func (o *Object) Transitions() uint64 { return o.transitions }
-
-// TransitionCost reports the accumulated cost of Υ operations.
-func (o *Object) TransitionCost() CostModel { return o.ivCost }
-
-// Init is the initialization operation I (§3.1): it restores the initial
-// configuration ⟨IV₀ ∪ CV₀ ∪ Γ₀⟩ — every attribute back to its defined
-// initial value with ownership cleared, every method back to its first
-// variant. Counters and accumulated costs are unaffected (they describe
-// history, not state).
-func (o *Object) Init() {
-	o.Attrs.reset()
-	o.Methods.reset()
 }

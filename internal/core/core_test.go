@@ -36,11 +36,8 @@ func TestAttrImmutable(t *testing.T) {
 	if err := s.Set("owner", 5, OwnerSelf); !errors.Is(err, ErrImmutable) {
 		t.Fatalf("Set immutable: %v, want ErrImmutable", err)
 	}
-	if err := s.SetMutable("owner", true); err != nil {
-		t.Fatalf("SetMutable: %v", err)
-	}
-	if err := s.Set("owner", 5, OwnerSelf); err != nil {
-		t.Fatalf("Set after SetMutable: %v", err)
+	if v := s.MustGet("owner"); v != 0 {
+		t.Fatalf("immutable attribute changed to %d", v)
 	}
 }
 
@@ -102,10 +99,6 @@ func TestAttrSnapshotAndString(t *testing.T) {
 	s := NewAttrSet()
 	s.Define("spin-time", 10, true)
 	s.Define("sleep-time", 1, true)
-	snap := s.Snapshot()
-	if snap["spin-time"] != 10 || snap["sleep-time"] != 1 {
-		t.Fatalf("snapshot = %v", snap)
-	}
 	if got, want := s.String(), "sleep-time=1 spin-time=10"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
@@ -140,20 +133,12 @@ func TestMonitorUnknownSensorNoop(t *testing.T) {
 	}
 }
 
-func TestMonitorDiversityAndProbeAll(t *testing.T) {
+func TestMonitorDiversity(t *testing.T) {
 	m := NewMonitor()
 	m.AddSensor("a", 1, func() int64 { return 1 })
 	m.AddSensor("b", 3, func() int64 { return 2 })
 	if m.Diversity() != 2 {
 		t.Fatalf("Diversity = %d, want 2", m.Diversity())
-	}
-	total := 0
-	for i := 0; i < 3; i++ {
-		total += len(m.ProbeAll())
-	}
-	// a samples 3 times, b once (on the 3rd probe).
-	if total != 4 {
-		t.Fatalf("ProbeAll yielded %d samples, want 4", total)
 	}
 }
 
@@ -335,44 +320,5 @@ func TestSimpleAdaptConvergenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTransitionAccounting(t *testing.T) {
-	o := NewObject("x")
-	o.Transition(CostModel{Reads: 2, Writes: 1})
-	o.Transition(CostModel{Reads: 1})
-	if o.Transitions() != 2 {
-		t.Fatalf("Transitions = %d, want 2", o.Transitions())
-	}
-	if c := o.TransitionCost(); c.Reads != 3 || c.Writes != 1 {
-		t.Fatalf("TransitionCost = %v, want 3R 1W", c)
-	}
-}
-
-func TestInitRestoresInitialConfiguration(t *testing.T) {
-	o := NewObject("x")
-	o.Attrs.Define("spin-time", 10, true)
-	o.Methods.Define("scheduler", 3, "fcfs", "priority")
-	if err := o.Attrs.Set("spin-time", 99, OwnerSelf); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Attrs.Acquire("spin-time", OwnerID(7)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Methods.Install("scheduler", "priority"); err != nil {
-		t.Fatal(err)
-	}
-
-	o.Init()
-	if v := o.Attrs.MustGet("spin-time"); v != 10 {
-		t.Fatalf("after Init spin-time = %d, want initial 10", v)
-	}
-	// Ownership cleared: OwnerSelf can write again.
-	if err := o.Attrs.Set("spin-time", 5, OwnerSelf); err != nil {
-		t.Fatalf("Set after Init: %v", err)
-	}
-	if v, _ := o.Methods.Installed("scheduler"); v != "fcfs" {
-		t.Fatalf("after Init scheduler = %q, want fcfs", v)
 	}
 }

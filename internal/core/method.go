@@ -12,24 +12,15 @@ import "fmt"
 // three submodules, one memory write to set a flag ... and another memory
 // write to reset the flag").
 type Method struct {
-	name          string
 	variants      map[string]bool
-	order         []string
 	installed     string
 	subcomponents int
 }
-
-// Name returns the method name.
-func (m *Method) Name() string { return m.name }
-
-// Installed returns the currently installed variant.
-func (m *Method) Installed() string { return m.installed }
 
 // MethodTable is the configurable-method part Γ of an object configuration
 // C = Γ × Φ.
 type MethodTable struct {
 	methods map[string]*Method
-	order   []string
 }
 
 // NewMethodTable returns an empty method table.
@@ -40,7 +31,7 @@ func NewMethodTable() *MethodTable {
 // Define registers a reconfigurable method with its variants; the first
 // variant is installed. subcomponents must be ≥ 1 (a monolithic method has
 // one).
-func (t *MethodTable) Define(name string, subcomponents int, variants ...string) *Method {
+func (t *MethodTable) Define(name string, subcomponents int, variants ...string) {
 	if _, dup := t.methods[name]; dup {
 		panic(fmt.Sprintf("core: method %q defined twice", name))
 	}
@@ -51,7 +42,6 @@ func (t *MethodTable) Define(name string, subcomponents int, variants ...string)
 		subcomponents = 1
 	}
 	m := &Method{
-		name:          name,
 		variants:      make(map[string]bool, len(variants)),
 		subcomponents: subcomponents,
 	}
@@ -60,16 +50,10 @@ func (t *MethodTable) Define(name string, subcomponents int, variants ...string)
 			panic(fmt.Sprintf("core: method %q variant %q defined twice", name, v))
 		}
 		m.variants[v] = true
-		m.order = append(m.order, v)
 	}
 	m.installed = variants[0]
 	t.methods[name] = m
-	t.order = append(t.order, name)
-	return m
 }
-
-// Method returns the named method, or nil.
-func (t *MethodTable) Method(name string) *Method { return t.methods[name] }
 
 // Installed returns the installed variant of the named method.
 func (t *MethodTable) Installed(name string) (string, error) {
@@ -103,12 +87,4 @@ func (t *MethodTable) Install(name, variant string) (CostModel, error) {
 	}
 	m.installed = variant
 	return CostModel{Writes: m.subcomponents + 2}, nil
-}
-
-// reset restores every method to its first (initial) variant (the I
-// operation's Γ₀).
-func (t *MethodTable) reset() {
-	for _, m := range t.methods {
-		m.installed = m.order[0]
-	}
 }

@@ -26,12 +26,6 @@ type Sensor struct {
 	samples uint64
 }
 
-// Name returns the sensor name.
-func (s *Sensor) Name() string { return s.name }
-
-// Every returns the sampling rate (probes per sample).
-func (s *Sensor) Every() int { return s.every }
-
 // Probes reports how many times the instrumentation point was hit.
 func (s *Sensor) Probes() uint64 { return s.probes }
 
@@ -40,12 +34,11 @@ func (s *Sensor) Samples() uint64 { return s.samples }
 
 // Monitor is the monitor module M: a set of sensors whose samples are
 // delivered synchronously to a sink (the object's feedback loop). The
-// number of sensors is the paper's "diversity factor"; each sensor's Every
-// is its sampling rate.
+// number of sensors is the paper's "diversity factor"; each sensor's
+// every-N setting is its sampling rate.
 type Monitor struct {
-	sensors []*Sensor
-	byName  map[string]*Sensor
-	sink    func(Sample)
+	byName map[string]*Sensor
+	sink   func(Sample)
 }
 
 // NewMonitor returns an empty monitor.
@@ -55,17 +48,14 @@ func NewMonitor() *Monitor {
 
 // AddSensor registers a sensor. every < 1 is treated as 1 (sample every
 // probe). read is called only when a sample is due.
-func (m *Monitor) AddSensor(name string, every int, read func() int64) *Sensor {
+func (m *Monitor) AddSensor(name string, every int, read func() int64) {
 	if _, dup := m.byName[name]; dup {
 		panic("core: sensor " + name + " defined twice")
 	}
 	if every < 1 {
 		every = 1
 	}
-	s := &Sensor{name: name, every: every, read: read}
-	m.sensors = append(m.sensors, s)
-	m.byName[name] = s
-	return s
+	m.byName[name] = &Sensor{name: name, every: every, read: read}
 }
 
 // Sensor returns the named sensor, or nil.
@@ -73,7 +63,7 @@ func (m *Monitor) Sensor(name string) *Sensor { return m.byName[name] }
 
 // Diversity returns the number of registered sensors (the diversity factor
 // of the monitored information).
-func (m *Monitor) Diversity() int { return len(m.sensors) }
+func (m *Monitor) Diversity() int { return len(m.byName) }
 
 // Probe hits the named sensor's instrumentation point. If a sample is due
 // per the sampling rate, the sensor is read and the sample is delivered to
@@ -94,15 +84,4 @@ func (m *Monitor) Probe(name string) (Sample, bool) {
 		m.sink(smp)
 	}
 	return smp, true
-}
-
-// ProbeAll probes every sensor, returning the samples that were due.
-func (m *Monitor) ProbeAll() []Sample {
-	var out []Sample
-	for _, s := range m.sensors {
-		if smp, ok := m.Probe(s.name); ok {
-			out = append(out, smp)
-		}
-	}
-	return out
 }

@@ -26,9 +26,6 @@ type Processor struct {
 // ID returns the processor (= memory node) number.
 func (p *Processor) ID() int { return p.id }
 
-// Current returns the running thread, or nil when idle/switching.
-func (p *Processor) Current() *Thread { return p.current }
-
 // QueueLen reports how many threads are on the ready queue.
 func (p *Processor) QueueLen() int { return len(p.ready) }
 

@@ -118,16 +118,9 @@ func CouplingComparison(e Env) ([]CouplingRow, error) {
 	looseSys := cthreads.New(loose)
 	e.attach(looseSys)
 	looseLock := locks.NewReconfigurableLock(looseSys, 0, "loose", locks.DefaultInitialSpins)
-	// The general-purpose monitor is built for trace collection, not
-	// control: it batches records and polls at millisecond granularity
-	// (and forwards batches toward the central monitor), so decisions
-	// reach the lock a phase late.
-	mon := monitor.NewLocal(looseSys, monitor.Config{
-		Node:                procs,
-		Poll:                2 * sim.Millisecond,
-		BufferCap:           64,
-		CentralForwardSteps: 400,
-	})
+	// The general-purpose monitor batches and polls (monitor's pipeline
+	// costs), so decisions reach the lock a phase late.
+	mon := monitor.NewLocal(looseSys, monitor.Config{Node: procs})
 	mon.Subscribe(func(mt *cthreads.Thread, r monitor.Record) {
 		if str := looseSys.Tracer(); str != nil {
 			// The sample enters the policy now, but was collected at r.At:

@@ -32,14 +32,7 @@ func SchedulerComparison(e Env) ([]SchedRow, error) {
 	scheds := []string{locks.SchedFCFS, locks.SchedPriority, locks.SchedHandoff, workload.SchedAdaptive}
 	return sweep(e, len(scheds), func(i int) (SchedRow, error) {
 		sched := scheds[i]
-		res, err := workload.RunClientServer(workload.ClientServerConfig{
-			Clients:     8,
-			Requests:    25,
-			ServiceTime: 10 * sim.Microsecond,
-			ThinkTime:   20 * sim.Microsecond,
-			Scheduler:   sched,
-			Machine:     e.Machine,
-		})
+		res, err := workload.RunClientServer(workload.ClientServerConfig{Scheduler: sched, Machine: e.Machine})
 		if err != nil {
 			return SchedRow{}, fmt.Errorf("scheduler %s: %w", sched, err)
 		}

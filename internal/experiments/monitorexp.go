@@ -41,8 +41,8 @@ type MonitorHotspotRow struct {
 // monitor's mutual exclusion is the blocking lock in every mode — a
 // monitor's waiters sleep, which is exactly the regime where combining
 // saves the per-method Wakeup + ContextSwitch handoff.
-func monitorConfig(mode string, node int) active.Config {
-	cfg := active.Config{Node: node, Name: "hotspot", LockKind: locks.KindBlocking}
+func monitorConfig(mode string) active.Config {
+	cfg := active.Config{Name: "hotspot", LockKind: locks.KindBlocking}
 	switch mode {
 	case "flat":
 		cfg.ExecMode = active.ExecAsync
@@ -64,8 +64,7 @@ func runHotspot(machine sim.Config, mode string, callers, iters int) (MonitorHot
 		machine.Nodes = callers
 	}
 	sys := cthreads.New(machine)
-	cfg := monitorConfig(mode, 0)
-	m := active.New(sys, cfg)
+	m := active.New(sys, monitorConfig(mode))
 	if mode == "adaptive" {
 		m.Object().SetPolicy(core.ExecModeAdapt{
 			Attr: active.AttrExecMode, Sync: active.ExecSync, Async: active.ExecAsync,
@@ -168,7 +167,7 @@ func MonitorPhases(machine sim.Config) (MonitorPhaseReport, error) {
 	sys := cthreads.New(machine)
 	ledger := core.NewLedger(0)
 	sys.SetLedger(ledger)
-	m := active.New(sys, active.Config{Node: 0, Name: "phase-mon", ExecMode: active.ExecSync, SensorEvery: 1})
+	m := active.New(sys, active.Config{Name: "phase-mon", ExecMode: active.ExecSync, SensorEvery: 1})
 	m.Object().SetPolicy(core.ExecModeAdapt{
 		Attr: active.AttrExecMode, Sync: active.ExecSync, Async: active.ExecAsync,
 		AsyncAt: 4, SyncAt: 1,

@@ -131,9 +131,6 @@ func (b *base) Stats() Stats { return b.stats }
 // SetObserver installs the per-request observer (nil to remove).
 func (b *base) SetObserver(o Observer) { b.observer = o }
 
-// Owner returns the current owner thread, or nil.
-func (b *base) Owner() *cthreads.Thread { return b.owner }
-
 // waiting reports the number of threads currently waiting for the lock:
 // spinners plus registered sleepers.
 func (b *base) waiting() int { return b.spinners + b.q.Len() }

@@ -73,27 +73,6 @@ func (s *Series) FracAbove(v int64) float64 {
 	return float64(n) / float64(len(s.vs))
 }
 
-// Merge appends all samples of o into a new series and re-sorts by time;
-// used to aggregate the per-node qlock series of the distributed TSP
-// implementations into one pattern.
-func (s *Series) Merge(o *Series) *Series {
-	out := &Series{Name: s.Name}
-	i, j := 0, 0
-	for i < len(s.ts) || j < len(o.ts) {
-		switch {
-		case j >= len(o.ts) || (i < len(s.ts) && s.ts[i] <= o.ts[j]):
-			out.ts = append(out.ts, s.ts[i])
-			out.vs = append(out.vs, s.vs[i])
-			i++
-		default:
-			out.ts = append(out.ts, o.ts[j])
-			out.vs = append(out.vs, o.vs[j])
-			j++
-		}
-	}
-	return out
-}
-
 // Buckets downsamples the series into n time buckets, averaging the values
 // in each; empty buckets repeat 0. Used for ASCII rendering.
 func (s *Series) Buckets(n int) []float64 {
@@ -218,14 +197,6 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return sb.String()
-}
-
-// Pct formats an improvement percentage like the paper's tables ("17.8%").
-func Pct(baseline, improved sim.Time) string {
-	if baseline <= 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(baseline-improved)/float64(baseline))
 }
 
 // WriteCSV emits the series as "time_ns,value" rows with a header, for

@@ -41,30 +41,6 @@ func TestSeriesEmpty(t *testing.T) {
 	}
 }
 
-func TestSeriesMergeSortsByTime(t *testing.T) {
-	a := NewSeries("a")
-	b := NewSeries("b")
-	a.Add(10, 1)
-	a.Add(30, 3)
-	b.Add(20, 2)
-	b.Add(40, 4)
-	m := a.Merge(b)
-	if m.Len() != 4 {
-		t.Fatalf("merged Len = %d", m.Len())
-	}
-	var prev sim.Time = -1
-	for i := 0; i < m.Len(); i++ {
-		tm, v := m.At(i)
-		if tm < prev {
-			t.Fatalf("merge not time-ordered at %d", i)
-		}
-		prev = tm
-		if int64(tm/10) != v {
-			t.Fatalf("sample mismatch: t=%v v=%d", tm, v)
-		}
-	}
-}
-
 func TestSeriesBuckets(t *testing.T) {
 	s := NewSeries("x")
 	for i := 0; i < 100; i++ {
@@ -115,15 +91,6 @@ func TestTableShortRowsPad(t *testing.T) {
 	tb.AddRow("only")
 	if got := tb.Cell(0, 2); got != "" {
 		t.Fatalf("missing cell = %q, want empty", got)
-	}
-}
-
-func TestPct(t *testing.T) {
-	if got := Pct(3207*sim.Millisecond, 2636*sim.Millisecond); got != "17.8%" {
-		t.Fatalf("Pct = %q, want 17.8%% (the paper's Table 1)", got)
-	}
-	if got := Pct(0, 10); got != "n/a" {
-		t.Fatalf("Pct(0,·) = %q", got)
 	}
 }
 

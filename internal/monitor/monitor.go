@@ -46,28 +46,24 @@ type Config struct {
 	// Node is the dedicated processor/memory node the monitor thread runs
 	// on (application threads pay remote references to deliver records).
 	Node int
-	// BufferCap bounds the trace ring; records arriving at a full ring
+}
+
+// The pipeline's fixed costs. The general-purpose monitor is built for
+// trace collection, not control: it batches records, polls at
+// millisecond granularity and forwards each batch toward the central
+// monitor, so decisions reach the adapted object a phase late.
+const (
+	// bufferCap bounds the trace ring; records arriving at a full ring
 	// are dropped and counted ("information overload", §3).
-	BufferCap int
-	// Poll is the monitor thread's polling period.
-	Poll sim.Time
-	// CentralForwardSteps, when > 0, models forwarding each processed
-	// batch to a central monitor (possibly on a remote machine).
-	CentralForwardSteps int
-}
-
-// perRecordSteps is the low-level processing charge per record.
-const perRecordSteps = 40
-
-func (c Config) withDefaults() Config {
-	if c.BufferCap == 0 {
-		c.BufferCap = 256
-	}
-	if c.Poll == 0 {
-		c.Poll = 200 * sim.Microsecond
-	}
-	return c
-}
+	bufferCap = 64
+	// poll is the monitor thread's polling period.
+	poll = 2 * sim.Millisecond
+	// perRecordSteps is the low-level processing charge per record.
+	perRecordSteps = 40
+	// centralForwardSteps models forwarding each processed batch to a
+	// central monitor (possibly on a remote machine).
+	centralForwardSteps = 400
+)
 
 // Stats summarizes a local monitor's activity.
 type Stats struct {
@@ -105,7 +101,6 @@ type Local struct {
 
 // NewLocal creates a local monitor; Start forks its thread.
 func NewLocal(sys *cthreads.System, cfg Config) *Local {
-	cfg = cfg.withDefaults()
 	if cfg.Node < 0 || cfg.Node >= sys.Procs() {
 		panic(fmt.Sprintf("monitor: node %d out of range", cfg.Node))
 	}
@@ -143,7 +138,7 @@ func (m *Local) Probe(t *cthreads.Thread, sensor int, value int64) {
 			Proc: int32(t.Node()), Thread: int32(t.ID()),
 			Name: "monitor", A: rec.Value, B: int64(rec.Sensor)})
 	}
-	if len(m.ring) >= m.cfg.BufferCap {
+	if len(m.ring) >= bufferCap {
 		m.drops++
 		return
 	}
@@ -158,8 +153,8 @@ func (m *Local) RequestStop() { m.stop = true }
 func (m *Local) Stopped() bool { return m.stopped }
 
 // Start forks the monitor thread on its dedicated processor: it polls the
-// ring, charges per-record processing, forwards to the central monitor if
-// configured, and delivers each record to the subscribers.
+// ring, charges per-record processing, forwards to the central monitor,
+// and delivers each record to the subscribers.
 func (m *Local) Start() *cthreads.Thread {
 	if m.thread != nil {
 		panic("monitor: Start called twice")
@@ -170,7 +165,7 @@ func (m *Local) Start() *cthreads.Thread {
 				if m.stop {
 					break
 				}
-				t.Advance(m.cfg.Poll)
+				t.Advance(poll)
 				continue
 			}
 			batch := m.ring
@@ -198,10 +193,8 @@ func (m *Local) Start() *cthreads.Thread {
 					s(t, rec)
 				}
 			}
-			if m.cfg.CentralForwardSteps > 0 {
-				t.Compute(m.cfg.CentralForwardSteps)
-			}
-			t.Advance(m.cfg.Poll)
+			t.Compute(centralForwardSteps)
+			t.Advance(poll)
 		}
 		m.stopped = true
 	})

@@ -22,7 +22,7 @@ func monSys(procs int) *cthreads.System {
 
 func TestRecordsFlowToSubscriber(t *testing.T) {
 	sys := monSys(2)
-	m := NewLocal(sys, Config{Node: 1, Poll: 1000})
+	m := NewLocal(sys, Config{Node: 1})
 	var got []Record
 	m.Subscribe(func(mt *cthreads.Thread, r Record) { got = append(got, r) })
 	m.Start()
@@ -51,7 +51,7 @@ func TestRecordsFlowToSubscriber(t *testing.T) {
 
 func TestDeliveryLagIsPositive(t *testing.T) {
 	sys := monSys(2)
-	m := NewLocal(sys, Config{Node: 1, Poll: 5000})
+	m := NewLocal(sys, Config{Node: 1})
 	m.Subscribe(func(mt *cthreads.Thread, r Record) {})
 	m.Start()
 	sys.Fork(0, "app", func(th *cthreads.Thread) {
@@ -76,12 +76,16 @@ func TestDeliveryLagIsPositive(t *testing.T) {
 
 func TestRingOverflowDrops(t *testing.T) {
 	sys := monSys(2)
-	m := NewLocal(sys, Config{Node: 1, BufferCap: 4, Poll: sim.Second})
+	m := NewLocal(sys, Config{Node: 1})
 	m.Subscribe(func(mt *cthreads.Thread, r Record) {})
 	m.Start()
+	const extra = 10
 	sys.Fork(0, "app", func(th *cthreads.Thread) {
-		for i := 0; i < 20; i++ {
-			m.Probe(th, 1, int64(i)) // far faster than the 1s poll
+		for i := 0; i < bufferCap+extra; i++ {
+			m.Probe(th, 1, int64(i)) // all before the first poll
+		}
+		if th.Now() >= poll {
+			t.Errorf("probes ended at %v, after the first poll", th.Now())
 		}
 		m.RequestStop()
 	})
@@ -89,20 +93,15 @@ func TestRingOverflowDrops(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	st := m.Stats()
-	if st.Drops == 0 {
-		t.Fatal("no drops despite a tiny ring and a slow poll")
-	}
-	if st.Records != 20 {
-		t.Fatalf("records = %d, want 20", st.Records)
-	}
-	if st.Drops+st.Delivered != 20 {
-		t.Fatalf("drops (%d) + delivered (%d) != 20", st.Drops, st.Delivered)
+	if st.Records != bufferCap+extra || st.Delivered != bufferCap || st.Drops != extra {
+		t.Fatalf("records/delivered/drops = %d/%d/%d, want %d/%d/%d",
+			st.Records, st.Delivered, st.Drops, bufferCap+extra, bufferCap, extra)
 	}
 }
 
 func TestProbeChargesRemoteDelivery(t *testing.T) {
 	sys := monSys(2)
-	m := NewLocal(sys, Config{Node: 1, Poll: 1000})
+	m := NewLocal(sys, Config{Node: 1})
 	m.Start()
 	var cost sim.Time
 	sys.Fork(0, "app", func(th *cthreads.Thread) {
@@ -134,30 +133,30 @@ func TestDoubleStartPanics(t *testing.T) {
 	m.Start()
 }
 
+// Forwarding each batch to the central monitor keeps the monitor thread
+// busy, so a record that arrives after a batch waits for the forwarding
+// as well as the poll and its delivery lag grows — the loosening of the feedback loop §3 warns
+// about.
 func TestCentralForwardDelaysDeliveries(t *testing.T) {
-	run := func(forward int) sim.Time {
-		sys := monSys(2)
-		m := NewLocal(sys, Config{Node: 1, Poll: 1000, CentralForwardSteps: forward})
-		m.Subscribe(func(mt *cthreads.Thread, r Record) {})
-		m.Start()
-		sys.Fork(0, "app", func(th *cthreads.Thread) {
-			for i := 0; i < 50; i++ {
-				m.Probe(th, 1, int64(i))
-				th.Advance(500)
-			}
-			m.RequestStop()
-		})
-		if err := sys.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return m.Stats().MeanLag
+	sys := monSys(2)
+	m := NewLocal(sys, Config{Node: 1})
+	var delivered []sim.Time
+	m.Subscribe(func(mt *cthreads.Thread, r Record) { delivered = append(delivered, mt.Now()) })
+	m.Start()
+	sys.Fork(0, "app", func(th *cthreads.Thread) {
+		m.Probe(th, 1, 0)
+		th.Advance(poll + 1000) // past the first batch's delivery
+		m.Probe(th, 1, 1)
+		m.RequestStop()
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	without := run(0)
-	with := run(5000)
-	// Forwarding each batch to the central monitor keeps the monitor
-	// thread busy, so records sit in the ring longer — the loosening of
-	// the feedback loop §3 warns about.
-	if with <= without {
-		t.Fatalf("central forwarding did not increase delivery lag: %v vs %v", with, without)
+	if len(delivered) != 2 || m.Stats().Batches != 2 {
+		t.Fatalf("delivered %d records in %d batches, want 2 in 2", len(delivered), m.Stats().Batches)
+	}
+	instr := sys.Machine().InstrCost(1)
+	if gap, want := delivered[1]-delivered[0], poll+(centralForwardSteps+perRecordSteps)*instr; gap != want {
+		t.Fatalf("gap between batches = %d, want forward + poll + processing = %d", int64(gap), int64(want))
 	}
 }

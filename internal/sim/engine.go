@@ -246,9 +246,6 @@ func (e *Engine) Now() Time { return e.now }
 // path.
 func (e *Engine) SetInlineWakeups(on bool) { e.noInline = !on }
 
-// InlineWakeups reports whether the self-wakeup fast path is enabled.
-func (e *Engine) InlineWakeups() bool { return !e.noInline }
-
 // canInline reports whether a self-wakeup at when may run inline: no
 // tracer observing schedule/event occurrences, the engine not stopping,
 // the wakeup strictly earlier than every pending event in the heap

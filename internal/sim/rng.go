@@ -45,23 +45,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n) as a slice, via an
-// in-place Fisher–Yates shuffle. It returns an empty slice for n <= 0.
-func (r *RNG) Perm(n int) []int {
-	if n <= 0 {
-		return []int{}
-	}
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Duration returns a Time in [0, d). It panics if d <= 0.
 func (r *RNG) Duration(d Time) Time {
 	return Time(r.Int63n(int64(d)))

@@ -79,49 +79,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(5)
-	for _, n := range []int{0, -3, 1, 2, 17} {
-		p := r.Perm(n)
-		wantLen := n
-		if n < 0 {
-			wantLen = 0
-		}
-		if len(p) != wantLen {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, wantLen)
-		for _, v := range p {
-			if v < 0 || v >= wantLen || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-
-	// Same seed, same permutation; the stream advances between calls.
-	p1 := NewRNG(9).Perm(10)
-	p2 := NewRNG(9).Perm(10)
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("Perm is not deterministic for a fixed seed")
-		}
-	}
-
-	// Perm(10) should not be the identity for this seed (it isn't; a
-	// regression here means the shuffle stopped consuming the stream).
-	identity := true
-	for i, v := range p1 {
-		if v != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		t.Fatal("Perm(10) returned the identity permutation; shuffle is inert")
-	}
-}
-
 func TestRNGFork(t *testing.T) {
 	c := NewRNG(42)
 	d := c.Fork()

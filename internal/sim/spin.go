@@ -107,9 +107,6 @@ type SpinContext interface {
 // schedule/event stream complete.
 func (e *Engine) SetBatchedSpins(on bool) { e.noBatch = !on }
 
-// BatchedSpins reports whether the batched-spin fast path is enabled.
-func (e *Engine) BatchedSpins() bool { return !e.noBatch }
-
 // spinPC is the resume point of a suspended spin emulation.
 type spinPC uint8
 

@@ -29,10 +29,6 @@ type Config struct {
 	// (arrivals poll), or "adaptive" (locks.AdaptiveBarrier, which moves
 	// between the two from the sensed arrival spread).
 	BarrierKind string
-	// Skew imbalances the strip sizes: worker w's share is weighted by
-	// 1 + Skew·w/(Workers-1), so late strips hold earlier arrivals at the
-	// barrier longer. 0 = balanced.
-	Skew float64
 }
 
 // Result is the outcome of a parallel solve.
@@ -108,28 +104,11 @@ func Solve(cfg Config) (Result, error) {
 	sweeps := 0
 	done := false
 
-	// Strip boundaries: rows 1..N split by (possibly skewed) weights.
+	// Strip boundaries: rows 1..N split evenly. Workers ≤ N, so every
+	// strip holds at least one row.
 	bounds := make([]int, cfg.Workers+1)
-	bounds[0] = 1
-	weights := make([]float64, cfg.Workers)
-	var totalW float64
-	for w := 0; w < cfg.Workers; w++ {
-		weights[w] = 1
-		if cfg.Skew > 0 && cfg.Workers > 1 {
-			weights[w] = 1 + cfg.Skew*float64(w)/float64(cfg.Workers-1)
-		}
-		totalW += weights[w]
-	}
-	acc := 0.0
-	for w := 0; w < cfg.Workers; w++ {
-		acc += weights[w]
-		bounds[w+1] = 1 + int(acc/totalW*float64(p.N)+0.5)
-	}
-	bounds[cfg.Workers] = p.N + 1
-	for w := 0; w < cfg.Workers; w++ {
-		if bounds[w+1] <= bounds[w] {
-			return Result{}, fmt.Errorf("sor: skew %g leaves worker %d without rows", cfg.Skew, w)
-		}
+	for w := range bounds {
+		bounds[w] = 1 + int(float64(w)/float64(cfg.Workers)*float64(p.N)+0.5)
 	}
 
 	for w := 0; w < cfg.Workers; w++ {

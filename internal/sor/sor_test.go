@@ -65,7 +65,7 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 5} {
+	for _, workers := range []int{2, 3, 4, 5, 20} {
 		par, err := Solve(Config{
 			Problem:  p,
 			Workers:  workers,

@@ -179,9 +179,9 @@ func (n *Node) reduce() {
 
 // pivot selects the branching zero cell: the zero whose exclusion would
 // raise the bound the most (maximum penalty = row second-minimum + column
-// second-minimum). Returns matrix indices and the penalty; ok=false if the
-// matrix has no zero (infeasible).
-func (n *Node) pivot() (pr, pc int, penalty int64, ok bool) {
+// second-minimum). Returns matrix indices; ok=false if the matrix has no
+// zero (infeasible).
+func (n *Node) pivot() (pr, pc int, ok bool) {
 	nr, nc := len(n.rows), len(n.cols)
 	best := int64(-1)
 	for r := 0; r < nr; r++ {
@@ -211,9 +211,9 @@ func (n *Node) pivot() (pr, pc int, penalty int64, ok bool) {
 		}
 	}
 	if best < 0 {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	return pr, pc, best, true
+	return pr, pc, true
 }
 
 // exclude builds the child with edge (rows[pr] → cols[pc]) forbidden.
@@ -302,14 +302,11 @@ func (n *Node) complete() *Tour {
 	a := n.at(0, 0) + n.at(1, 1)
 	b := n.at(0, 1) + n.at(1, 0)
 	var pairs [2]Edge
-	var add int64
 	switch {
 	case a < Inf && (b >= Inf || a <= b):
 		pairs = [2]Edge{{n.rows[0], n.cols[0]}, {n.rows[1], n.cols[1]}}
-		add = a
 	case b < Inf:
 		pairs = [2]Edge{{n.rows[0], n.cols[1]}, {n.rows[1], n.cols[0]}}
-		add = b
 	default:
 		return nil
 	}
@@ -333,7 +330,6 @@ func (n *Node) complete() *Tour {
 	for i, c := range order {
 		cost += n.inst.Cost[c][order[(i+1)%n.inst.N]]
 	}
-	_ = add
 	return &Tour{Order: order, Cost: cost}
 }
 
@@ -361,7 +357,7 @@ func (n *Node) Expand() ExpandResult {
 		res.Tour = n.complete()
 		return res
 	}
-	pr, pc, penalty, ok := n.pivot()
+	pr, pc, ok := n.pivot()
 	if !ok {
 		return res
 	}
@@ -372,7 +368,6 @@ func (n *Node) Expand() ExpandResult {
 		inc.Release()
 	}
 	exc := n.exclude(pr, pc)
-	_ = penalty
 	if exc.Bound < Inf {
 		res.Children = append(res.Children, exc)
 	} else {

@@ -168,23 +168,6 @@ func TestLMSKOptimalityProperty(t *testing.T) {
 	}
 }
 
-// Property: the greedy tour is always valid and never better than the
-// LMSK optimum.
-func TestGreedyTourUpperBoundProperty(t *testing.T) {
-	f := func(seed uint16, nRaw uint8) bool {
-		n := int(nRaw%6) + 4
-		in := NewRandomInstance(n, uint64(seed)+1)
-		g := GreedyTour(in)
-		if g.Valid(in) != nil {
-			return false
-		}
-		return g.Cost >= SolveSerial(in).Tour.Cost
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // refBestFirst is SolveSerial's best-first search without node
 // recycling: it never calls Release, so it is the oracle the recycling
 // solvers must match step for step.

@@ -2,6 +2,7 @@ package tsp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cthreads"
@@ -250,13 +251,7 @@ func (s *solver) observe(l locks.Lock, name string) {
 	if s.patterns == nil {
 		s.patterns = make(map[string]*metrics.Series)
 	}
-	base := name
-	for i := 0; i < len(name); i++ {
-		if name[i] == '#' {
-			base = name[:i]
-			break
-		}
-	}
+	base, _, _ := strings.Cut(name, "#")
 	series, ok := s.patterns[base]
 	if !ok {
 		series = metrics.NewSeries(base)
@@ -495,14 +490,10 @@ func (s *solver) result() (Result, error) {
 		FinalSpin:  make(map[string]int64),
 		Sched:      s.sys.Stats(),
 	}
-	addStats := func(name string, st locks.Stats) {
-		base := name
-		for i := 0; i < len(name); i++ {
-			if name[i] == '#' {
-				base = name[:i]
-				break
-			}
-		}
+	all := append(append([]locks.Lock(nil), s.qlocks...), s.lowLock, s.actLock, s.globLock)
+	for _, l := range all {
+		base, _, _ := strings.Cut(l.Name(), "#")
+		st := l.Stats()
 		agg := res.LockStats[base]
 		agg.Acquisitions += st.Acquisitions
 		agg.Contended += st.Contended
@@ -513,15 +504,6 @@ func (s *solver) result() (Result, error) {
 			agg.MaxWaiting = st.MaxWaiting
 		}
 		res.LockStats[base] = agg
-	}
-	for _, l := range s.qlocks {
-		addStats(l.Name(), l.Stats())
-		if al, ok := l.(*locks.AdaptiveLock); ok {
-			res.FinalSpin[l.Name()] = al.Object().Attrs.MustGet(locks.AttrSpinTime)
-		}
-	}
-	for _, l := range []locks.Lock{s.lowLock, s.actLock, s.globLock} {
-		addStats(l.Name(), l.Stats())
 		if al, ok := l.(*locks.AdaptiveLock); ok {
 			res.FinalSpin[l.Name()] = al.Object().Attrs.MustGet(locks.AttrSpinTime)
 		}
@@ -540,44 +522,16 @@ func SolveSequentialSim(in *Instance, machine sim.Config, stepsPerWorkUnit int) 
 		stepsPerWorkUnit = 1
 	}
 	sys := cthreads.New(machine)
-	var h nodeHeap
-	var best *Tour
-	bestCost := Inf
-	expansions := 0
+	var res SerialResult
+	var ok bool
 	sys.Fork(0, "sequential", func(t *cthreads.Thread) {
-		h.push(NewRoot(in))
-		for {
-			t.Compute(queueOpSteps)
-			if h.peekBound() >= bestCost {
-				break
-			}
-			n := h.pop()
-			if n == nil {
-				break
-			}
-			out := n.Expand()
-			n.Release()
-			expansions++
-			t.Compute(out.Work * stepsPerWorkUnit)
-			if out.Tour != nil && out.Tour.Cost < bestCost {
-				bestCost = out.Tour.Cost
-				best = out.Tour
-			}
-			for _, c := range out.Children {
-				if c.Bound < bestCost {
-					t.Compute(queueOpSteps)
-					h.push(c)
-				} else {
-					c.Release()
-				}
-			}
-		}
+		res, ok = bestFirst(in, stepsPerWorkUnit, t.Compute)
 	})
 	if err := sys.Run(); err != nil {
 		return Result{}, err
 	}
-	if best == nil {
+	if !ok {
 		return Result{}, fmt.Errorf("tsp: sequential run found no tour")
 	}
-	return Result{Tour: *best, Elapsed: sys.Now(), Expansions: expansions, Sched: sys.Stats()}, nil
+	return Result{Tour: res.Tour, Elapsed: sys.Now(), Expansions: res.Expansions, Sched: sys.Stats()}, nil
 }

@@ -48,24 +48,6 @@ func (h *nodeHeap) pop() *Node {
 	return heap.Pop(h).(*Node)
 }
 
-// popOldest removes and returns the oldest inserted node (FIFO
-// discipline), or nil when empty. The paper's plain distributed
-// implementation keeps only partially ordered work queues; FIFO service
-// models that partial ordering, and is what the load-balancing variant
-// improves on.
-func (h *nodeHeap) popOldest() *Node {
-	if len(h.ns) == 0 {
-		return nil
-	}
-	idx := 0
-	for i, n := range h.ns {
-		if n.Seq < h.ns[idx].Seq {
-			idx = i
-		}
-	}
-	return heap.Remove(h, idx).(*Node)
-}
-
 // peekBound returns the best bound, or Inf when empty.
 func (h *nodeHeap) peekBound() int64 {
 	if len(h.ns) == 0 {
@@ -87,12 +69,25 @@ type SerialResult struct {
 // search, natively (no simulation). It is both the testing oracle above
 // brute-force sizes and the work model for the simulated sequential run.
 func SolveSerial(in *Instance) SerialResult {
+	res, ok := bestFirst(in, 1, func(int) {})
+	if !ok {
+		panic(fmt.Sprintf("tsp: no tour found for %s", in))
+	}
+	return res
+}
+
+// bestFirst is the sequential LMSK search loop. charge is told the steps
+// of every operation: one queue op before each pop attempt and before
+// each push, and Work·stepsPerWork after each expansion. It reports
+// false when no tour was found.
+func bestFirst(in *Instance, stepsPerWork int, charge func(steps int)) (SerialResult, bool) {
 	var h nodeHeap
 	h.push(NewRoot(in))
 	best := Inf
 	var bestTour *Tour
 	res := SerialResult{}
 	for {
+		charge(queueOpSteps)
 		if h.peekBound() >= best {
 			break
 		}
@@ -104,12 +99,14 @@ func SolveSerial(in *Instance) SerialResult {
 		n.Release()
 		res.Expansions++
 		res.WorkUnits += out.Work
+		charge(out.Work * stepsPerWork)
 		if out.Tour != nil && out.Tour.Cost < best {
 			best = out.Tour.Cost
 			bestTour = out.Tour
 		}
 		for _, c := range out.Children {
 			if c.Bound < best {
+				charge(queueOpSteps)
 				h.push(c)
 			} else {
 				c.Release()
@@ -117,10 +114,10 @@ func SolveSerial(in *Instance) SerialResult {
 		}
 	}
 	if bestTour == nil {
-		panic(fmt.Sprintf("tsp: no tour found for %s", in))
+		return res, false
 	}
 	res.Tour = *bestTour
-	return res
+	return res, true
 }
 
 // SolveBruteForce enumerates all tours (first city fixed) and returns the
@@ -157,30 +154,4 @@ func SolveBruteForce(in *Instance) Tour {
 	}
 	rec(0)
 	return best
-}
-
-// GreedyTour builds a nearest-neighbour tour from city 0: a fast upper
-// bound for seeding branch-and-bound incumbents or sanity-checking
-// optima (it is never below the optimum).
-func GreedyTour(in *Instance) Tour {
-	order := make([]int, 0, in.N)
-	visited := make([]bool, in.N)
-	city := 0
-	order = append(order, city)
-	visited[city] = true
-	var cost int64
-	for len(order) < in.N {
-		best, bestCost := -1, Inf
-		for next := 0; next < in.N; next++ {
-			if !visited[next] && in.Cost[city][next] < bestCost {
-				best, bestCost = next, in.Cost[city][next]
-			}
-		}
-		cost += bestCost
-		city = best
-		visited[city] = true
-		order = append(order, city)
-	}
-	cost += in.Cost[city][0]
-	return Tour{Order: order, Cost: cost}
 }

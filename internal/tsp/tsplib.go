@@ -205,30 +205,3 @@ func parseFullMatrix(sc *bufio.Scanner, name string, n int) (*Instance, error) {
 	}
 	return &Instance{N: n, Cost: c, label: label}, nil
 }
-
-// WriteTSPLIB emits the instance in EXPLICIT FULL_MATRIX form (diagonal
-// written as 0, per convention).
-func (in *Instance) WriteTSPLIB(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "NAME: %s\n", in.String())
-	fmt.Fprintf(bw, "TYPE: TSP\n")
-	fmt.Fprintf(bw, "DIMENSION: %d\n", in.N)
-	fmt.Fprintf(bw, "EDGE_WEIGHT_TYPE: EXPLICIT\n")
-	fmt.Fprintf(bw, "EDGE_WEIGHT_FORMAT: FULL_MATRIX\n")
-	fmt.Fprintf(bw, "EDGE_WEIGHT_SECTION\n")
-	for i := 0; i < in.N; i++ {
-		for j := 0; j < in.N; j++ {
-			v := in.Cost[i][j]
-			if i == j {
-				v = 0
-			}
-			if j > 0 {
-				fmt.Fprint(bw, " ")
-			}
-			fmt.Fprintf(bw, "%d", v)
-		}
-		fmt.Fprintln(bw)
-	}
-	fmt.Fprintln(bw, "EOF")
-	return bw.Flush()
-}

@@ -1,7 +1,6 @@
 package tsp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -40,34 +39,6 @@ func TestParseEUC2D(t *testing.T) {
 	want := SolveBruteForce(in)
 	if got.Tour.Cost != want.Cost {
 		t.Fatalf("LMSK %d vs brute force %d", got.Tour.Cost, want.Cost)
-	}
-}
-
-func TestParseFullMatrixRoundTrip(t *testing.T) {
-	orig := NewRandomInstance(7, 3)
-	var buf bytes.Buffer
-	if err := orig.WriteTSPLIB(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseTSPLIB(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.N != orig.N {
-		t.Fatalf("N = %d, want %d", parsed.N, orig.N)
-	}
-	for i := 0; i < orig.N; i++ {
-		for j := 0; j < orig.N; j++ {
-			if i == j {
-				continue
-			}
-			if parsed.Cost[i][j] != orig.Cost[i][j] {
-				t.Fatalf("cost[%d][%d] = %d, want %d", i, j, parsed.Cost[i][j], orig.Cost[i][j])
-			}
-		}
-	}
-	if SolveSerial(parsed).Tour.Cost != SolveSerial(orig).Tour.Cost {
-		t.Fatal("round-tripped instance has a different optimum")
 	}
 }
 

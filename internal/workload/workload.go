@@ -44,13 +44,6 @@ func CombinedStrategy(k int64) Strategy {
 	}}
 }
 
-// AdaptiveStrategy uses the adaptive lock with the default policy.
-func AdaptiveStrategy() Strategy {
-	return Strategy{Name: "adaptive", Make: func(sys *cthreads.System, node int) locks.Lock {
-		return locks.NewAdaptiveLock(sys, node, "adaptive", nil)
-	}}
-}
-
 // AdvisoryStrategy uses the advisory lock; RunCS passes each critical
 // section's length as the hold hint, so the owner's advice is exact.
 func AdvisoryStrategy() Strategy {
@@ -168,13 +161,19 @@ func RunCS(cfg CSConfig, strat Strategy) (CSResult, error) {
 // client, and handoff lets each client pass the lock straight to the
 // server.
 type ClientServerConfig struct {
-	Clients     int
-	Requests    int // per client
-	ServiceTime sim.Time
-	ThinkTime   sim.Time
-	Scheduler   string // locks.SchedFCFS, SchedPriority, SchedHandoff
-	Machine     sim.Config
+	Scheduler string // locks.SchedFCFS, SchedPriority, SchedHandoff
+	Machine   sim.Config
 }
+
+// The client-server workload's fixed shape: csClients clients each
+// enqueue csRequests requests, thinking csThinkTime before each; the
+// server spends csServiceTime on every request.
+const (
+	csClients     = 8
+	csRequests    = 25
+	csServiceTime = 10 * sim.Microsecond
+	csThinkTime   = 20 * sim.Microsecond
+)
 
 // ClientServerResult reports the workload outcome.
 type ClientServerResult struct {
@@ -193,15 +192,12 @@ type ClientServerResult struct {
 // RunClientServer runs the client-server workload under the given lock
 // scheduler and returns total completion time.
 func RunClientServer(cfg ClientServerConfig) (ClientServerResult, error) {
-	if cfg.Clients < 1 || cfg.Requests < 1 {
-		return ClientServerResult{}, fmt.Errorf("workload: Clients and Requests must be positive")
-	}
 	switch cfg.Scheduler {
 	case locks.SchedFCFS, locks.SchedPriority, locks.SchedHandoff, SchedAdaptive:
 	default:
 		return ClientServerResult{}, fmt.Errorf("workload: unknown scheduler %q", cfg.Scheduler)
 	}
-	procs := cfg.Clients + 1
+	procs := csClients + 1
 	if cfg.Machine.Nodes < procs {
 		cfg.Machine.Nodes = procs
 	}
@@ -237,7 +233,7 @@ func RunClientServer(cfg ClientServerConfig) (ClientServerResult, error) {
 	// long serial drain phase; under priority (and under handoff with
 	// clients designating the server) the server consumes concurrently
 	// with production.
-	total := cfg.Clients * cfg.Requests
+	total := csClients * csRequests
 	var queue []sim.Time // enqueue timestamps
 	peak := 0
 	served := 0
@@ -255,7 +251,7 @@ func RunClientServer(cfg ClientServerConfig) (ClientServerResult, error) {
 			}
 			l.Unlock(t)
 			if enqueuedAt >= 0 {
-				t.Advance(cfg.ServiceTime)
+				t.Advance(csServiceTime)
 				served++
 				totalResponse += t.Now() - enqueuedAt
 			} else {
@@ -264,13 +260,13 @@ func RunClientServer(cfg ClientServerConfig) (ClientServerResult, error) {
 		}
 	})
 
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < csClients; i++ {
 		sys.Fork(i+1, fmt.Sprintf("client%d", i), func(t *cthreads.Thread) {
 			t.SetPriority(1)
-			for j := 0; j < cfg.Requests; j++ {
-				t.Advance(cfg.ThinkTime)
+			for j := 0; j < csRequests; j++ {
+				t.Advance(csThinkTime)
 				l.Lock(t)
-				t.Advance(cfg.ServiceTime / 4) // build the request in place
+				t.Advance(csServiceTime / 4) // build the request in place
 				queue = append(queue, t.Now())
 				if len(queue) > peak {
 					peak = len(queue)
