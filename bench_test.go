@@ -79,7 +79,9 @@ func reportMech(b *testing.B, s sim.Stats) {
 // BenchmarkTable1 regenerates Table 1: the centralized TSP implementation,
 // sequential vs. blocking locks vs. adaptive locks (16-city Euclidean
 // instance on 10 processors, the same scale regime as the paper's
-// 32-city runs).
+// 32-city runs). Tables 1–3 also report the mean waiting count of the
+// qlock figure (4, 6, 8) their blocking solve records; the centralized
+// one dominating is the shape of Figures 4–9.
 func BenchmarkTable1(b *testing.B) { benchSpecMech(b, "table1", experiments.Env{}) }
 
 // BenchmarkTable2 regenerates Table 2: the distributed TSP implementation.
@@ -115,15 +117,6 @@ func BenchmarkTable8(b *testing.B) { benchSpec(b, "table8", experiments.Env{}) }
 // one at a 10µs critical section — below 1.0 it reproduces the paper's
 // observation.
 func BenchmarkFigure1(b *testing.B) { benchSpecMech(b, "fig1", experiments.Env{}) }
-
-// BenchmarkLockPatterns regenerates Figures 4–9 on a 14-city instance:
-// the waiting-thread patterns of qlock and glob-act-lock under each TSP
-// organization. The metrics are the mean waiting counts of the three
-// qlock figures (4, 6, 8) — the centralized one dominating is the
-// figures' shape.
-func BenchmarkLockPatterns(b *testing.B) {
-	benchSpec(b, "patterns", experiments.Env{TSP: experiments.TSPOptions{Cities: 14}})
-}
 
 // BenchmarkSchedulerComparison runs the FCFS/priority/handoff client-server
 // extension experiment.

@@ -29,7 +29,8 @@ func TestArgValidation(t *testing.T) {
 		{"unknown name", []string{"table9"}, 2, `unknown experiment "table9"`},
 		{"unknown name beside a known one", []string{"table9", "calib"}, 2, `unknown experiment "table9"`},
 		{"unknown flag", []string{"-table", "4"}, 2, "flag provided but not defined"},
-		{"csvdir without patterns", []string{"-csvdir", dir, "table1"}, 2, "-csvdir: no selected experiment reads it"},
+		{"retired patterns experiment", []string{"patterns"}, 2, `unknown experiment "patterns"`},
+		{"csvdir with only table4", []string{"-csvdir", dir, "table4"}, 2, "-csvdir: no selected experiment reads it"},
 		{"lock with only table6", []string{"-lock", "spin", "table6"}, 2, "-lock: no selected experiment reads it"},
 		{"unknown lock kind", []string{"-lock", "nosuch", "table4"}, 2, `-lock "nosuch": unknown lock kind`},
 		{"shards with the sharded sweep", []string{"-shards", "2", "sharded"}, 2, "flag provided but not defined"},
@@ -54,7 +55,7 @@ func TestArgValidation(t *testing.T) {
 		{"flag read by one of several selected", []string{"-lock", "spin", "table4", "table6"}, 0, ""},
 		{"trace with coupling", []string{"-trace", out("c.json"), "coupling"}, 0, ""},
 		{"ledger with coupling", []string{"-ledger", out("c.ledger.json"), "coupling"}, 0, ""},
-		{"csvdir with patterns", []string{"-cities", "7", "-searchers", "3", "-csvdir", dir, "patterns"}, 0, ""},
+		{"csvdir with table1", []string{"-cities", "7", "-searchers", "3", "-csvdir", dir, "table1"}, 0, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,7 +75,8 @@ func TestArgValidation(t *testing.T) {
 			}
 		})
 	}
-	for _, name := range []string{"t.json", "t.prof", "t.ledger", "figure4_centralized_qlock.csv"} {
+	for _, name := range []string{"t.json", "t.prof", "t.ledger",
+		"figure4_centralized_qlock.csv", "figure5_centralized_glob-act-lock.csv"} {
 		if fi, err := os.Stat(out(name)); err != nil || fi.Size() == 0 {
 			t.Errorf("accepted run left no %s (%v)", name, err)
 		}

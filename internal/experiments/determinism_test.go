@@ -22,7 +22,7 @@ func renderTSP(t *testing.T, seed uint64) (chrome, text, metricsOut string) {
 	row, err := tspComparison(Env{
 		TSP:    TSPOptions{Cities: 8, Seed: seed, Searchers: 4},
 		Tracer: tr,
-	}, tsp.OrgCentralized, true)
+	}, tsp.OrgCentralized, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/locks"
+	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -223,26 +224,27 @@ func TestTSPComparisonShape(t *testing.T) {
 	}
 }
 
+// TestLockPatternsShape checks Figures 4, 6 and 8 as the blocking solves
+// of Tables 1–3 record them: every figure has a series, and centralized
+// qlock contention dominates the distributed organizations'.
 func TestLockPatternsShape(t *testing.T) {
-	figs, err := LockPatterns(Env{TSP: TSPOptions{Cities: 13, Seed: 1, StepsPerWorkUnit: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 6 {
-		t.Fatalf("%d figures, want 6", len(figs))
-	}
-	series := map[int]*PatternFigure{}
-	for i := range figs {
-		series[figs[i].Figure] = &figs[i]
-		if figs[i].Series.Len() == 0 {
-			t.Fatalf("figure %d: empty series", figs[i].Figure)
+	e := Env{TSP: TSPOptions{Cities: 13, Seed: 1, StepsPerWorkUnit: 30}}
+	qlock := map[tsp.Organization]*metrics.Series{}
+	for _, org := range []tsp.Organization{tsp.OrgCentralized, tsp.OrgDistributed, tsp.OrgDistributedLB} {
+		row, err := tspComparison(e, org, false, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, lock := range []string{tsp.LockQueue, tsp.LockActive} {
+			if s := row.BlockingRes.Patterns[lock]; s == nil || s.Len() == 0 {
+				t.Fatalf("%s %s: empty series", org, lock)
+			}
+		}
+		qlock[org] = row.BlockingRes.Patterns[tsp.LockQueue]
 	}
-	// Figures 4 vs 6 vs 8: centralized qlock contention dominates the
-	// distributed organizations'.
-	cenQ := series[4].Series
-	disQ := series[6].Series
-	lbQ := series[8].Series
+	cenQ := qlock[tsp.OrgCentralized]
+	disQ := qlock[tsp.OrgDistributed]
+	lbQ := qlock[tsp.OrgDistributedLB]
 	if !(cenQ.Mean() > disQ.Mean() && cenQ.Mean() > lbQ.Mean()) {
 		t.Errorf("qlock waiting means: cen=%.2f dis=%.2f lb=%.2f; centralized must dominate",
 			cenQ.Mean(), disQ.Mean(), lbQ.Mean())

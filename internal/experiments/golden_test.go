@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -53,8 +54,18 @@ func useDefaultMode(m simtest.Mode) (restore func()) {
 }
 
 // checkGoldens compares every registered experiment's output with its
-// golden file, one subtest per experiment.
+// golden file, one subtest per experiment, and fails on a golden file no
+// registered experiment owns, such as a removed experiment's.
 func checkGoldens(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if _, ok := Lookup(strings.TrimSuffix(filepath.Base(path), ".txt")); !ok {
+			t.Errorf("%s belongs to no registered experiment", path)
+		}
+	}
 	for _, spec := range Registry() {
 		t.Run(spec.Name, func(t *testing.T) {
 			res, err := spec.Run(Env{Jobs: runtime.GOMAXPROCS(0)})

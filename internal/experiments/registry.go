@@ -211,7 +211,7 @@ const (
 )
 
 // Registry lists every experiment, grouped by subject: the TSP
-// application (Tables 1–3, Figures 4–9, and their extensions), the lock
+// application (Tables 1–3 with Figures 4–9, and their extension), the lock
 // microbenchmarks (Tables 4–8 and theirs), Figure 1, then the remaining
 // extensions. It is built per call rather than held in a variable, so a binary that
 // only imports this package's cell-level entry points does not link
@@ -221,13 +221,11 @@ func Registry() []Spec {
 	cycleMetrics := each(func(r CycleRow) Metric { return localMicros(r.Kind, r.Local) })
 	return []Spec{
 		{"table1", "Centralized TSP: adaptive lock ~17.8% faster than blocking; parallel ≫ sequential",
-			tspInputs, tspTable(tsp.OrgCentralized)},
+			tspInputs | InCSV, tspTable(tsp.OrgCentralized, 4)},
 		{"table2", "Distributed TSP: adaptive ~12.7% better",
-			tspInputs, tspTable(tsp.OrgDistributed)},
+			tspInputs | InCSV, tspTable(tsp.OrgDistributed, 6)},
 		{"table3", "Distributed+LB TSP: adaptive ~6.5% better (least gain — least synchronization)",
-			tspInputs, tspTable(tsp.OrgDistributedLB)},
-		{"patterns", "Figures 4–9, qlock contention: centralized ≫ distributed ≫ distributed+LB; glob-act-lock moderate",
-			InTSP | InCSV, patterns},
+			tspInputs | InCSV, tspTable(tsp.OrgDistributedLB, 8)},
 		{"scaling", "§4's prediction: the adaptive lock's gain over blocking grows with the processor count",
 			tspInputs, tabulate(func(e Env) ([]ScalingRow, error) { return ScalingComparison(e, nil) }, RenderScaling,
 				each(func(r ScalingRow) Metric {
@@ -344,11 +342,14 @@ func Registry() []Spec {
 	}
 }
 
-// tspTable runs one of Tables 1–3 and prints the instance, the table, and
-// the solve details behind it.
-func tspTable(org tsp.Organization) func(Env) (Result, error) {
+// tspTable runs one of Tables 1–3 and prints the instance, the table, the
+// solve details behind it, and the two of Figures 4–9 (numbered from
+// figure) its blocking solve records: qlock's and glob-act-lock's waiting
+// threads per lock request. With CSVDir set it writes each figure's series
+// there as CSV.
+func tspTable(org tsp.Organization, figure int) func(Env) (Result, error) {
 	return func(e Env) (Result, error) {
-		row, err := tspComparison(e, org, org == tsp.OrgCentralized)
+		row, err := tspComparison(e, org, org == tsp.OrgCentralized, true)
 		if err != nil {
 			return Result{}, err
 		}
@@ -383,6 +384,21 @@ func tspTable(org tsp.Organization) func(Env) (Result, error) {
 			}
 			b.WriteString("\n")
 		}
+		for i, lock := range []string{tsp.LockQueue, tsp.LockActive} {
+			f := PatternFigure{Figure: figure + i, Org: org, Lock: lock, Series: row.BlockingRes.Patterns[lock]}
+			b.WriteString(RenderPattern(f, 72))
+			if lock == tsp.LockQueue {
+				m = append(m, Metric{metricName(string(org)) + "-qlock-mean-waiting", f.Series.Mean()})
+			}
+			if e.CSVDir == "" {
+				continue
+			}
+			path := filepath.Join(e.CSVDir, fmt.Sprintf("figure%d_%s_%s.csv", f.Figure, org, lock))
+			if err := writeCSV(path, f.Series); err != nil {
+				return Result{}, err
+			}
+			fmt.Fprintf(&b, "  wrote %s\n", path)
+		}
 		b.WriteString("\n")
 		m = append(m,
 			Metric{"sim-ms-blocking", row.Blocking.Millis()},
@@ -390,34 +406,6 @@ func tspTable(org tsp.Organization) func(Env) (Result, error) {
 			Metric{"improvement-%", row.ImprovementPct})
 		return Result{Text: b.String(), Metrics: m}, nil
 	}
-}
-
-// patterns renders Figures 4–9, writing each series as CSV into CSVDir
-// when it is set, and reports the three qlock figures' mean waiting
-// counts.
-func patterns(e Env) (Result, error) {
-	figs, err := LockPatterns(e)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	var b strings.Builder
-	for _, f := range figs {
-		b.WriteString(RenderPattern(f, 72))
-		if f.Lock == tsp.LockQueue {
-			res.Metrics = append(res.Metrics, Metric{metricName(string(f.Org)) + "-qlock-mean-waiting", f.Series.Mean()})
-		}
-		if e.CSVDir == "" {
-			continue
-		}
-		path := filepath.Join(e.CSVDir, fmt.Sprintf("figure%d_%s_%s.csv", f.Figure, f.Org, f.Lock))
-		if err := writeCSV(path, f.Series); err != nil {
-			return Result{}, err
-		}
-		fmt.Fprintf(&b, "  wrote %s\n", path)
-	}
-	res.Text = b.String()
-	return res, nil
 }
 
 func writeCSV(path string, s *metrics.Series) error {

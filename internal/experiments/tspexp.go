@@ -95,7 +95,7 @@ type TSPRow struct {
 // Env, taking the observers and fan-out from opts.
 func TSPComparison(org tsp.Organization, opts TSPOptions) (TSPRow, error) {
 	e := Env{TSP: opts, Jobs: opts.Jobs, Profiler: opts.Profiler, Ledger: opts.Ledger}
-	return tspComparison(e, org, org == tsp.OrgCentralized)
+	return tspComparison(e, org, org == tsp.OrgCentralized, false)
 }
 
 // tspComparison solves e.TSP's instance under org with blocking and with
@@ -103,8 +103,10 @@ func TSPComparison(org tsp.Organization, opts TSPOptions) (TSPRow, error) {
 // are independent simulations, so they fan out over e.Jobs even when e is
 // observed: e's observers attach to the adaptive solve alone, the run
 // whose feedback loop produces reconfiguration events, and a shared
-// collector never sees interleaved timelines.
-func tspComparison(e Env, org tsp.Organization, baseline bool) (TSPRow, error) {
+// collector never sees interleaved timelines. When patterns is set, the
+// blocking solve records each lock's waiting-thread series (Figures 4–9)
+// in BlockingRes.Patterns; recording changes no simulated time.
+func tspComparison(e Env, org tsp.Organization, baseline, patterns bool) (TSPRow, error) {
 	o := e.TSP.withDefaults()
 	in := o.instance()
 	run := func(kind locks.Kind) (tsp.Result, error) {
@@ -117,6 +119,8 @@ func tspComparison(e Env, org tsp.Organization, baseline bool) (TSPRow, error) {
 		}
 		if kind == locks.KindAdaptive {
 			cfg.Tracer, cfg.Profiler, cfg.Ledger = e.Tracer, e.Profiler, e.Ledger
+		} else {
+			cfg.RecordPatterns = patterns
 		}
 		return tsp.Solve(cfg)
 	}
@@ -171,54 +175,6 @@ type PatternFigure struct {
 	Series *metrics.Series
 }
 
-// LockPatterns reproduces Figures 4–9: the waiting-thread pattern of qlock
-// and glob-act-lock for each of the three organizations, measured on the
-// blocking-lock runs (patterns are a property of the program structure,
-// observed per lock request) of e.TSP's instance.
-func LockPatterns(e Env) ([]PatternFigure, error) {
-	opts := e.TSP.withDefaults()
-	figs := []PatternFigure{
-		{Figure: 4, Org: tsp.OrgCentralized, Lock: tsp.LockQueue},
-		{Figure: 5, Org: tsp.OrgCentralized, Lock: tsp.LockActive},
-		{Figure: 6, Org: tsp.OrgDistributed, Lock: tsp.LockQueue},
-		{Figure: 7, Org: tsp.OrgDistributed, Lock: tsp.LockActive},
-		{Figure: 8, Org: tsp.OrgDistributedLB, Lock: tsp.LockQueue},
-		{Figure: 9, Org: tsp.OrgDistributedLB, Lock: tsp.LockActive},
-	}
-	in := opts.instance()
-	orgs := []tsp.Organization{tsp.OrgCentralized, tsp.OrgDistributed, tsp.OrgDistributedLB}
-	solved, err := sweep(e, len(orgs), func(i int) (tsp.Result, error) {
-		res, err := tsp.Solve(tsp.Config{
-			Instance:         in,
-			Searchers:        opts.Searchers,
-			Org:              orgs[i],
-			LockKind:         locks.KindBlocking,
-			StepsPerWorkUnit: opts.StepsPerWorkUnit,
-			RecordPatterns:   true,
-		})
-		if err != nil {
-			return res, fmt.Errorf("patterns %s: %w", orgs[i], err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	byOrg := map[tsp.Organization]tsp.Result{}
-	for i, org := range orgs {
-		byOrg[org] = solved[i]
-	}
-	for i := range figs {
-		res := byOrg[figs[i].Org]
-		s, ok := res.Patterns[figs[i].Lock]
-		if !ok || s == nil {
-			return nil, fmt.Errorf("patterns: no series for %s in %s", figs[i].Lock, figs[i].Org)
-		}
-		figs[i].Series = s
-	}
-	return figs, nil
-}
-
 // ScalingRow is the adaptive-over-blocking improvement at one machine
 // size.
 type ScalingRow struct {
@@ -241,7 +197,7 @@ func ScalingComparison(e Env, searcherCounts []int) ([]ScalingRow, error) {
 	return sweep(e, len(searcherCounts), func(i int) (ScalingRow, error) {
 		o := e
 		o.TSP.Searchers = searcherCounts[i]
-		row, err := tspComparison(o, tsp.OrgCentralized, false)
+		row, err := tspComparison(o, tsp.OrgCentralized, false, false)
 		if err != nil {
 			return ScalingRow{}, fmt.Errorf("scaling %d searchers: %w", searcherCounts[i], err)
 		}

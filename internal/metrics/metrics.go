@@ -151,12 +151,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the row count.
-func (t *Table) Rows() int { return len(t.rows) }
-
-// Cell returns row r, column c.
-func (t *Table) Cell(r, c int) string { return t.rows[r][c] }
-
 // String renders the table with padded columns and a rule under the
 // header.
 func (t *Table) String() string {

@@ -94,9 +94,8 @@ type Local struct {
 	delivered uint64
 	lagSum    sim.Time
 
-	stop    bool
-	stopped bool
-	thread  *cthreads.Thread
+	stop   bool
+	thread *cthreads.Thread
 }
 
 // NewLocal creates a local monitor; Start forks its thread.
@@ -149,9 +148,6 @@ func (m *Local) Probe(t *cthreads.Thread, sensor int, value int64) {
 // to call from any context (it is bookkeeping, not simulated state).
 func (m *Local) RequestStop() { m.stop = true }
 
-// Stopped reports whether the monitor thread has exited.
-func (m *Local) Stopped() bool { return m.stopped }
-
 // Start forks the monitor thread on its dedicated processor: it polls the
 // ring, charges per-record processing, forwards to the central monitor,
 // and delivers each record to the subscribers.
@@ -196,7 +192,6 @@ func (m *Local) Start() *cthreads.Thread {
 			t.Compute(centralForwardSteps)
 			t.Advance(poll)
 		}
-		m.stopped = true
 	})
 	return m.thread
 }

@@ -25,7 +25,7 @@ func TestRecordsFlowToSubscriber(t *testing.T) {
 	m := NewLocal(sys, Config{Node: 1})
 	var got []Record
 	m.Subscribe(func(mt *cthreads.Thread, r Record) { got = append(got, r) })
-	m.Start()
+	mt := m.Start()
 	sys.Fork(0, "app", func(th *cthreads.Thread) {
 		for i := 0; i < 10; i++ {
 			m.Probe(th, 7, int64(i))
@@ -44,8 +44,8 @@ func TestRecordsFlowToSubscriber(t *testing.T) {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
-	if !m.Stopped() {
-		t.Fatal("monitor thread did not stop")
+	if mt.State() != cthreads.StateDone {
+		t.Fatalf("monitor thread state %v, want done", mt.State())
 	}
 }
 

@@ -142,12 +142,6 @@ type ShardOptions struct {
 	// (default GOMAXPROCS). Purely a throughput knob: the history is
 	// identical for every value.
 	Workers int
-	// Lookahead overrides the safe-window bound. The default — the
-	// minimum cross-shard interaction latency, min(RemoteAccess, Wakeup)
-	// from the Config — is the largest provably safe value; overriding
-	// is for tests that want to stress many tiny windows. A cross-shard
-	// Route with delay below the lookahead panics.
-	Lookahead Time
 }
 
 // NewSharded partitions a machine described by cfg into shards. Each
@@ -169,13 +163,10 @@ func NewSharded(cfg Config, opts ShardOptions) *Sharded {
 	if w < 1 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	la := opts.Lookahead
-	if la == 0 {
-		la = cfg.RemoteAccess
-		if cfg.Wakeup < la {
-			la = cfg.Wakeup
-		}
-	}
+	// The safe-window bound is the minimum cross-shard interaction
+	// latency, the largest provably safe value. A cross-shard Route with
+	// delay below it panics.
+	la := min(cfg.RemoteAccess, cfg.Wakeup)
 	if la <= 0 {
 		panic(fmt.Sprintf("sim: sharded lookahead must be positive, got %v", la))
 	}

@@ -92,9 +92,6 @@ func (n *Node) mustBeLive(op string) {
 	}
 }
 
-// Size returns the number of active rows (remaining branching depth).
-func (n *Node) Size() int { return len(n.rows) }
-
 // at returns m[r][c] by matrix index.
 func (n *Node) at(r, c int) int64 { return n.m[r*len(n.cols)+c] }
 
