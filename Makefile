@@ -80,12 +80,12 @@ fuzz:
 	  done; \
 	done
 
-# Benchmark baseline: engine micro-benchmarks at full benchtime plus the
-# paper-table macro benchmarks at one iteration each (their sim-* metrics
-# are deterministic, so one iteration is exact), folded into BENCH_sim.json
-# for cross-PR perf trajectory.
+# Benchmark baseline: engine and LMSK micro-benchmarks at full benchtime
+# plus the paper-table macro benchmarks at one iteration each (their sim-*
+# metrics are deterministic, so one iteration is exact), folded into
+# BENCH_sim.json for cross-PR perf trajectory.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim > bench_micro.out
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim ./internal/tsp > bench_micro.out
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x . > bench_macro.out
 	cat bench_micro.out bench_macro.out
 	$(GO) run ./cmd/benchjson -out BENCH_sim.json bench_micro.out bench_macro.out
@@ -98,7 +98,7 @@ bench:
 # run") was renamed or deleted and would otherwise escape comparison:
 # that fails the target too.
 bench-compare:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x ./internal/sim > bench_check.out
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x ./internal/sim ./internal/tsp > bench_check.out
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x . >> bench_check.out
 	$(GO) run ./cmd/benchjson -compare BENCH_sim.json bench_check.out > bench_compare.out; rc=$$?; \
 	  cat bench_compare.out; \

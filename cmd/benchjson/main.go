@@ -89,10 +89,11 @@ func main() {
 		if len(inputs) > 0 {
 			log.Fatal("-update takes no input files (it runs the benchmark suites itself)")
 		}
-		// Mirror `make bench`: engine micro-benchmarks at full benchtime,
-		// paper-table macro benchmarks at one deterministic iteration.
+		// Mirror `make bench`: engine and LMSK micro-benchmarks at full
+		// benchtime, paper-table macro benchmarks at one deterministic
+		// iteration.
 		for _, args := range [][]string{
-			{"test", "-run", "^$", "-bench", ".", "-benchmem", "./internal/sim"},
+			{"test", "-run", "^$", "-bench", ".", "-benchmem", "./internal/sim", "./internal/tsp"},
 			{"test", "-run", "^$", "-bench", ".", "-benchmem", "-benchtime=1x", "."},
 		} {
 			fmt.Fprintf(os.Stderr, "benchjson: go %s\n", strings.Join(args, " "))

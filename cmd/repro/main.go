@@ -101,6 +101,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err == nil && *lockKind != "" {
 		env.Kinds, err = lockKinds(*lockKind)
 	}
+	if err == nil && *file != "" {
+		env.TSP.Instance, err = readTSPLIB(*file)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "repro: %v\n", err)
 		if len(fs.Args()) == 0 {
@@ -112,11 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "repro: %v\n", err)
 		return 1
-	}
-	if *file != "" {
-		if env.TSP.Instance, err = readTSPLIB(*file); err != nil {
-			return fail(err)
-		}
 	}
 	if *noSpinBatch {
 		sim.SetDefaultBatchedSpins(false)
@@ -212,11 +210,17 @@ func lockKinds(name string) ([]locks.Kind, error) {
 	return nil, fmt.Errorf("-lock %q: unknown lock kind (valid kinds: %s)", name, strings.Join(locks.KindNames(), ", "))
 }
 
+// readTSPLIB reads the -file instance; an unreadable or invalid file is a
+// usage error.
 func readTSPLIB(path string) (*tsp.Instance, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return tsp.ParseTSPLIB(f)
+	in, err := tsp.ParseTSPLIB(f)
+	if err != nil {
+		return nil, fmt.Errorf("-file %s: %w", path, err)
+	}
+	return in, nil
 }

@@ -18,6 +18,11 @@ import (
 func TestArgValidation(t *testing.T) {
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
+	negative := out("negative.tsp")
+	if err := os.WriteFile(negative, []byte("DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n"+
+		"EDGE_WEIGHT_SECTION\n0 4 -7\n4 0 3\n-7 3 0\nEOF\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -47,6 +52,7 @@ func TestArgValidation(t *testing.T) {
 		{"negative cities", []string{"-cities", "-4", "table1"}, 2, "-cities -4: must not be negative"},
 		{"negative iters", []string{"-iters", "-3", "table4"}, 2, "-iters -3: must not be negative"},
 		{"negative steps", []string{"-steps", "-5", "table1"}, 2, "-steps -5: must not be negative"},
+		{"file with a negative weight", []string{"-file", negative, "table1"}, 2, "weight -7 at (1,3) is outside [0, 2147483647)"},
 
 		{"serial engine with trace", []string{"-trace", out("t.json"), "table8"}, 0, ""},
 		{"serial engine with profile-vt", []string{"-profile-vt", out("t.prof"), "table8"}, 0, ""},

@@ -15,13 +15,28 @@ func BenchmarkSolveSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkExpand measures one LMSK node expansion.
+// BenchmarkExpand measures one LMSK node expansion. fresh keeps every
+// child, so each expansion allocates its children; recycled releases
+// them, the way the solvers release the nodes they are done with.
 func BenchmarkExpand(b *testing.B) {
 	in := NewEuclideanInstance(16, 1)
-	root := NewRoot(in)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		root.Expand()
+	for _, recycle := range []bool{false, true} {
+		name := "fresh"
+		if recycle {
+			name = "recycled"
+		}
+		b.Run(name, func(b *testing.B) {
+			root := NewRoot(in)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out := root.Expand()
+				if recycle {
+					for _, c := range out.Children {
+						c.Release()
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -6,28 +6,38 @@ package tsp
 // into include/exclude children (with subtour elimination) or a completed
 // tour.
 
-// Edge is a directed edge of the (symmetric, but LMSK-treated-as-directed)
-// tour under construction.
-type Edge struct {
-	From, To int
+import (
+	"fmt"
+	"math"
+)
+
+// infCell is Inf inside a node's int32 matrix: a forbidden edge. Every
+// finite cost is below it (NewRoot checks), and reduction only lowers
+// finite entries, so every finite entry of every node stays below it too.
+const infCell = math.MaxInt32
+
+// wide returns a matrix entry as a cost, infCell as Inf.
+func wide(v int32) int64 {
+	if v == infCell {
+		return Inf
+	}
+	return int64(v)
 }
 
 // Node is one subproblem of the search tree: the set of still-active rows
-// and columns of the reduced cost matrix, the edges already committed, and
-// the lower bound on any tour below this node.
+// and columns of the reduced cost matrix, the committed path fragments,
+// and the lower bound on any tour below this node.
 type Node struct {
 	inst *Instance
 	// rows and cols map matrix indices to city numbers.
-	rows, cols []int
+	rows, cols []int32
 	// m is the reduced cost matrix, len(rows)×len(cols), row-major.
-	m []int64
-	// Bound is the lower bound of the subproblem.
-	Bound int64
-	// Edges are the committed (included) edges.
-	Edges []Edge
+	m []int32
 	// nxt and prv are successor/predecessor city arrays (-1 = none),
 	// tracking committed path fragments for subtour elimination.
-	nxt, prv []int
+	nxt, prv []int32
+	// Bound is the lower bound of the subproblem.
+	Bound int64
 	// Seq is an insertion sequence number used to break bound ties
 	// deterministically in priority queues.
 	Seq uint64
@@ -38,15 +48,17 @@ type Node struct {
 }
 
 // nodePool is one search's free list of released nodes, bucketed by size
-// k. Within a search every size-k node has slices of the same lengths —
-// k rows and columns, a k×k matrix, N−k committed edges, N-city fragment
-// arrays — so a recycled node is refilled in place without allocating.
-// Each search owns its pool, used by one host thread at a time: a
-// simulated solve's searchers take turns on one engine, and concurrent
-// searches (TSPComparison's three solves) share none.
+// k. Every size-k node has the same slab — k rows and columns, a k×k
+// matrix and N-city fragment arrays, one []int32 — so a recycled node is
+// refilled in place without allocating. Each search owns its pool, used by
+// one host thread at a time: a simulated solve's searchers take turns on
+// one engine, and concurrent searches (TSPComparison's three solves) share
+// none. That also lets pivot keep its tallies on the pool.
 type nodePool struct {
-	inst *Instance
-	free [][]*Node
+	inst    *Instance
+	free    [][]*Node
+	scratch []int32 // pivot's per-line zero counts and nonzero minima
+	zeros   []int32 // pivot's zero offsets
 }
 
 // get returns a live size-k node whose contents the caller overwrites,
@@ -61,15 +73,20 @@ func (p *nodePool) get(k int) *Node {
 		return n
 	}
 	n := p.inst.N
+	s := make([]int32, 2*k+k*k+2*n)
+	cut := func(l int) []int32 {
+		part := s[:l:l]
+		s = s[l:]
+		return part
+	}
 	return &Node{
-		inst:  p.inst,
-		rows:  make([]int, k),
-		cols:  make([]int, k),
-		m:     make([]int64, k*k),
-		Edges: make([]Edge, n-k),
-		nxt:   make([]int, n),
-		prv:   make([]int, n),
-		pool:  p,
+		inst: p.inst,
+		rows: cut(k),
+		cols: cut(k),
+		m:    cut(k * k),
+		nxt:  cut(n),
+		prv:  cut(n),
+		pool: p,
 	}
 }
 
@@ -93,22 +110,33 @@ func (n *Node) mustBeLive(op string) {
 }
 
 // at returns m[r][c] by matrix index.
-func (n *Node) at(r, c int) int64 { return n.m[r*len(n.cols)+c] }
+func (n *Node) at(r, c int) int32 { return n.m[r*len(n.cols)+c] }
 
 // set writes m[r][c].
-func (n *Node) set(r, c int, v int64) { n.m[r*len(n.cols)+c] = v }
+func (n *Node) set(r, c int, v int32) { n.m[r*len(n.cols)+c] = v }
 
 // NewRoot builds the root subproblem: the full cost matrix, reduced. It
 // also starts the search's node free list, which every descendant shares.
+// An off-diagonal cost outside [0, math.MaxInt32) panics; ParseTSPLIB
+// rejects such input with an error.
 func NewRoot(in *Instance) *Node {
-	pool := &nodePool{inst: in, free: make([][]*Node, in.N+1)}
+	pool := &nodePool{inst: in, free: make([][]*Node, in.N+1), scratch: make([]int32, 4*in.N)}
 	n := pool.get(in.N)
 	for i := 0; i < in.N; i++ {
-		n.rows[i] = i
-		n.cols[i] = i
+		n.rows[i] = int32(i)
+		n.cols[i] = int32(i)
 		n.nxt[i] = -1
 		n.prv[i] = -1
-		copy(n.m[i*in.N:(i+1)*in.N], in.Cost[i])
+		for j, v := range in.Cost[i] {
+			switch {
+			case i == j:
+				n.set(i, j, infCell)
+			case v < 0 || v >= infCell:
+				panic(fmt.Sprintf("tsp: %s: cost %d at (%d,%d) is outside [0, %d)", in, v, i, j, infCell))
+			default:
+				n.set(i, j, int32(v))
+			}
+		}
 	}
 	n.reduce()
 	return n
@@ -120,10 +148,9 @@ func (n *Node) clone() *Node {
 	copy(c.rows, n.rows)
 	copy(c.cols, n.cols)
 	copy(c.m, n.m)
-	c.Bound = n.Bound
-	copy(c.Edges, n.Edges)
 	copy(c.nxt, n.nxt)
 	copy(c.prv, n.prv)
+	c.Bound = n.Bound
 	return c
 }
 
@@ -131,80 +158,85 @@ func (n *Node) clone() *Node {
 // total reduction to the bound. A row or column with no finite entry makes
 // the subproblem infeasible (Bound ≥ Inf).
 func (n *Node) reduce() {
-	nr, nc := len(n.rows), len(n.cols)
-	for r := 0; r < nr; r++ {
-		min := Inf
-		for c := 0; c < nc; c++ {
-			if v := n.at(r, c); v < min {
-				min = v
-			}
-		}
-		if min >= Inf {
-			n.Bound = Inf
+	k := len(n.rows)
+	for r := 0; r < k; r++ {
+		if !n.reduceLine(r*k, 1) {
 			return
-		}
-		if min > 0 {
-			for c := 0; c < nc; c++ {
-				if v := n.at(r, c); v < Inf {
-					n.set(r, c, v-min)
-				}
-			}
-			n.Bound += min
 		}
 	}
-	for c := 0; c < nc; c++ {
-		min := Inf
-		for r := 0; r < nr; r++ {
-			if v := n.at(r, c); v < min {
-				min = v
-			}
-		}
-		if min >= Inf {
-			n.Bound = Inf
+	for c := 0; c < k; c++ {
+		if !n.reduceLine(c, k) {
 			return
-		}
-		if min > 0 {
-			for r := 0; r < nr; r++ {
-				if v := n.at(r, c); v < Inf {
-					n.set(r, c, v-min)
-				}
-			}
-			n.Bound += min
 		}
 	}
 }
 
+// reduceLine reduces one line, row or column: it subtracts the minimum of
+// the k entries m[first], m[first+stride], … from each finite one and
+// adds it to the bound. It reports false, with Bound set to Inf, when the
+// line has no finite entry.
+func (n *Node) reduceLine(first, stride int) bool {
+	end := first + len(n.rows)*stride
+	lo := int32(infCell)
+	for i := first; i < end; i += stride {
+		lo = min(lo, n.m[i])
+	}
+	if lo == infCell {
+		n.Bound = Inf
+		return false
+	}
+	if lo > 0 {
+		for i := first; i < end; i += stride {
+			if v := n.m[i]; v != infCell {
+				n.m[i] = v - lo
+			}
+		}
+		n.Bound += int64(lo)
+	}
+	return true
+}
+
 // pivot selects the branching zero cell: the zero whose exclusion would
 // raise the bound the most (maximum penalty = row second-minimum + column
-// second-minimum). Returns matrix indices; ok=false if the matrix has no
-// zero (infeasible).
+// second-minimum), the first in row-major order on ties. Returns matrix
+// indices; ok=false if the matrix has no zero (infeasible).
+//
+// The node is reduced and its entries are nonnegative, so a line's
+// minimum without one of its zeros is 0 when the line holds another zero
+// and its smallest nonzero entry otherwise. One pass that tallies each
+// line's zeros and nonzero minimum therefore prices every zero.
 func (n *Node) pivot() (pr, pc int, ok bool) {
-	nr, nc := len(n.rows), len(n.cols)
+	k := len(n.rows)
+	s := n.pool.scratch
+	rowZeros, rowMin, colZeros, colMin := s[:k], s[k:2*k], s[2*k:3*k], s[3*k:4*k]
+	for c := 0; c < k; c++ {
+		colZeros[c], colMin[c] = 0, infCell
+	}
+	zeros := n.pool.zeros[:0] // matrix offsets of the zeros, row-major
+	for r := 0; r < k; r++ {
+		zs, lo := int32(0), int32(infCell)
+		for c, v := range n.m[r*k : (r+1)*k] {
+			if v == 0 {
+				zs++
+				colZeros[c]++
+				zeros = append(zeros, int32(r*k+c))
+			} else {
+				lo = min(lo, v)
+				colMin[c] = min(colMin[c], v)
+			}
+		}
+		rowZeros[r], rowMin[r] = zs, lo
+	}
+	n.pool.zeros = zeros
 	best := int64(-1)
-	for r := 0; r < nr; r++ {
-		for c := 0; c < nc; c++ {
-			if n.at(r, c) != 0 {
-				continue
-			}
-			rowMin := Inf
-			for c2 := 0; c2 < nc; c2++ {
-				if c2 != c && n.at(r, c2) < rowMin {
-					rowMin = n.at(r, c2)
-				}
-			}
-			colMin := Inf
-			for r2 := 0; r2 < nr; r2++ {
-				if r2 != r && n.at(r2, c) < colMin {
-					colMin = n.at(r2, c)
-				}
-			}
-			p := rowMin + colMin
-			if p > Inf {
-				p = Inf
-			}
-			if p > best {
-				best, pr, pc = p, r, c
-			}
+	for _, z := range zeros {
+		r, c := int(z)/k, int(z)%k
+		p := penalty(rowZeros[r], rowMin[r]) + penalty(colZeros[c], colMin[c])
+		if p > Inf {
+			p = Inf
+		}
+		if p > best {
+			best, pr, pc = p, r, c
 		}
 	}
 	if best < 0 {
@@ -213,11 +245,25 @@ func (n *Node) pivot() (pr, pc int, ok bool) {
 	return pr, pc, true
 }
 
-// exclude builds the child with edge (rows[pr] → cols[pc]) forbidden.
+// penalty is a line's minimum without one of its zeros, from the line's
+// zero count and smallest nonzero entry.
+func penalty(zeros, nonzeroMin int32) int64 {
+	if zeros > 1 {
+		return 0
+	}
+	return wide(nonzeroMin)
+}
+
+// exclude builds the child with edge (rows[pr] → cols[pc]) forbidden. The
+// parent is reduced, so only row pr and then column pc can lose their
+// zero: reducing those two lines, in reduce's order, reduces the child.
 func (n *Node) exclude(pr, pc int) *Node {
 	c := n.clone()
-	c.set(pr, pc, Inf)
-	c.reduce()
+	c.set(pr, pc, infCell)
+	k := len(c.rows)
+	if c.reduceLine(pr*k, 1) {
+		c.reduceLine(pc, k)
+	}
 	return c
 }
 
@@ -226,25 +272,25 @@ func (n *Node) exclude(pr, pc int) *Node {
 // that would close a premature subtour is forbidden.
 func (n *Node) include(pr, pc int) *Node {
 	from, to := n.rows[pr], n.cols[pc]
-	nr, nc := len(n.rows), len(n.cols)
+	k := len(n.rows)
 
-	c := n.pool.get(nr - 1)
+	c := n.pool.get(k - 1)
 	c.Bound = n.Bound
-	copy(c.Edges, n.Edges)
-	c.Edges[len(n.Edges)] = Edge{From: from, To: to}
 	copy(c.nxt, n.nxt)
 	copy(c.prv, n.prv)
-	c.rows = append(append(c.rows[:0], n.rows[:pr]...), n.rows[pr+1:]...)
-	c.cols = append(append(c.cols[:0], n.cols[:pc]...), n.cols[pc+1:]...)
-	m := c.m[:0]
-	for r := 0; r < nr; r++ {
+	copy(c.rows, n.rows[:pr])
+	copy(c.rows[pr:], n.rows[pr+1:])
+	copy(c.cols, n.cols[:pc])
+	copy(c.cols[pc:], n.cols[pc+1:])
+	dst := c.m
+	for r := 0; r < k; r++ {
 		if r == pr {
 			continue
 		}
-		row := n.m[r*nc : (r+1)*nc]
-		m = append(append(m, row[:pc]...), row[pc+1:]...)
+		row := n.m[r*k : (r+1)*k]
+		dst = dst[copy(dst, row[:pc]):]
+		dst = dst[copy(dst, row[pc+1:]):]
 	}
-	c.m = m
 
 	// Merge fragments and forbid the closing edge end→start while the
 	// tour is incomplete.
@@ -258,10 +304,10 @@ func (n *Node) include(pr, pc int) *Node {
 	for c.nxt[end] != -1 {
 		end = c.nxt[end]
 	}
-	if len(c.Edges) < n.inst.N-1 {
+	if len(c.rows) > 1 {
 		if er, ok := c.rowIndex(end); ok {
 			if sc, ok2 := c.colIndex(start); ok2 {
-				c.set(er, sc, Inf)
+				c.set(er, sc, infCell)
 			}
 		}
 	}
@@ -270,7 +316,7 @@ func (n *Node) include(pr, pc int) *Node {
 }
 
 // rowIndex finds the matrix row of a city.
-func (n *Node) rowIndex(city int) (int, bool) {
+func (n *Node) rowIndex(city int32) (int, bool) {
 	for i, r := range n.rows {
 		if r == city {
 			return i, true
@@ -280,7 +326,7 @@ func (n *Node) rowIndex(city int) (int, bool) {
 }
 
 // colIndex finds the matrix column of a city.
-func (n *Node) colIndex(city int) (int, bool) {
+func (n *Node) colIndex(city int32) (int, bool) {
 	for i, c := range n.cols {
 		if c == city {
 			return i, true
@@ -295,21 +341,23 @@ func (n *Node) complete() *Tour {
 	if len(n.rows) != 2 || len(n.cols) != 2 {
 		panic("tsp: complete on node of wrong size")
 	}
-	// Two possible assignments; pick the feasible (cheaper) one.
-	a := n.at(0, 0) + n.at(1, 1)
-	b := n.at(0, 1) + n.at(1, 0)
-	var pairs [2]Edge
-	switch {
-	case a < Inf && (b >= Inf || a <= b):
-		pairs = [2]Edge{{n.rows[0], n.cols[0]}, {n.rows[1], n.cols[1]}}
-	case b < Inf:
-		pairs = [2]Edge{{n.rows[0], n.cols[1]}, {n.rows[1], n.cols[0]}}
-	default:
+	// Two possible assignments, rows[r] → cols[r^swap]; pick the
+	// feasible (cheaper) one, the first on a tie.
+	a := wide(n.at(0, 0)) + wide(n.at(1, 1))
+	b := wide(n.at(0, 1)) + wide(n.at(1, 0))
+	if min(a, b) >= Inf {
 		return nil
 	}
-	nxt := append([]int(nil), n.nxt...)
-	for _, e := range pairs {
-		nxt[e.From] = e.To
+	swap := 0
+	if b < a {
+		swap = 1
+	}
+	nxt := make([]int, n.inst.N)
+	for i, v := range n.nxt {
+		nxt[i] = int(v)
+	}
+	for r := 0; r < 2; r++ {
+		nxt[n.rows[r]] = int(n.cols[r^swap])
 	}
 	order := make([]int, 0, n.inst.N)
 	city := 0
@@ -358,6 +406,7 @@ func (n *Node) Expand() ExpandResult {
 	if !ok {
 		return res
 	}
+	res.Children = make([]*Node, 0, 2)
 	inc := n.include(pr, pc)
 	if inc.Bound < Inf {
 		res.Children = append(res.Children, inc)

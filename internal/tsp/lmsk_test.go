@@ -1,6 +1,8 @@
 package tsp
 
 import (
+	"container/heap"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -305,4 +307,249 @@ func TestReleasedNodeIsRecycled(t *testing.T) {
 	if d.dead || d.Seq != 0 || d.Bound != root.Bound {
 		t.Fatalf("recycled node carries stale state: dead=%v Seq=%d Bound=%d (want Bound %d)", d.dead, d.Seq, d.Bound, root.Bound)
 	}
+}
+
+// The references below are the LMSK steps as they were before nodes kept
+// their matrix in an int32 slab: the whole-matrix reduce and the
+// O(zeros·k) pivot, on an int64 row-major k×k matrix with Inf for a
+// forbidden edge, and the queue as a container/heap.Interface.
+// FuzzLMSKStep holds the node's steps to them.
+
+// wideMatrix returns n's matrix as costs.
+func wideMatrix(n *Node) []int64 {
+	m := make([]int64, len(n.m))
+	for i, v := range n.m {
+		m[i] = wide(v)
+	}
+	return m
+}
+
+// refReduce subtracts each row's and then each column's minimum from m
+// and returns bound plus the total reduction, or Inf at the first line
+// with no finite entry.
+func refReduce(m []int64, k int, bound int64) int64 {
+	for r := 0; r < k; r++ {
+		min := Inf
+		for c := 0; c < k; c++ {
+			if v := m[r*k+c]; v < min {
+				min = v
+			}
+		}
+		if min >= Inf {
+			return Inf
+		}
+		if min > 0 {
+			for c := 0; c < k; c++ {
+				if v := m[r*k+c]; v < Inf {
+					m[r*k+c] = v - min
+				}
+			}
+			bound += min
+		}
+	}
+	for c := 0; c < k; c++ {
+		min := Inf
+		for r := 0; r < k; r++ {
+			if v := m[r*k+c]; v < min {
+				min = v
+			}
+		}
+		if min >= Inf {
+			return Inf
+		}
+		if min > 0 {
+			for r := 0; r < k; r++ {
+				if v := m[r*k+c]; v < Inf {
+					m[r*k+c] = v - min
+				}
+			}
+			bound += min
+		}
+	}
+	return bound
+}
+
+// refPivot prices each zero of m by scanning its row and column for the
+// smallest other entry, and returns the first zero of maximum penalty.
+func refPivot(m []int64, k int) (pr, pc int, ok bool) {
+	best := int64(-1)
+	for r := 0; r < k; r++ {
+		for c := 0; c < k; c++ {
+			if m[r*k+c] != 0 {
+				continue
+			}
+			rowMin := Inf
+			for c2 := 0; c2 < k; c2++ {
+				if c2 != c && m[r*k+c2] < rowMin {
+					rowMin = m[r*k+c2]
+				}
+			}
+			colMin := Inf
+			for r2 := 0; r2 < k; r2++ {
+				if r2 != r && m[r2*k+c] < colMin {
+					colMin = m[r2*k+c]
+				}
+			}
+			p := rowMin + colMin
+			if p > Inf {
+				p = Inf
+			}
+			if p > best {
+				best, pr, pc = p, r, c
+			}
+		}
+	}
+	return pr, pc, best >= 0
+}
+
+// refHeap orders nodes as nodeHeap does, through container/heap.
+type refHeap struct {
+	ns  []*Node
+	seq uint64
+}
+
+func (h *refHeap) Len() int { return len(h.ns) }
+func (h *refHeap) Less(i, j int) bool {
+	if h.ns[i].Bound != h.ns[j].Bound {
+		return h.ns[i].Bound < h.ns[j].Bound
+	}
+	return h.ns[i].Seq < h.ns[j].Seq
+}
+func (h *refHeap) Swap(i, j int) { h.ns[i], h.ns[j] = h.ns[j], h.ns[i] }
+func (h *refHeap) Push(x any) {
+	h.seq++
+	x.(*Node).Seq = h.seq
+	h.ns = append(h.ns, x.(*Node))
+}
+func (h *refHeap) Pop() any {
+	last := len(h.ns) - 1
+	n := h.ns[last]
+	h.ns = h.ns[:last]
+	return n
+}
+
+// checkLMSKStep checks one branching step of n against the references:
+// pivot's cell, and each child's bound and matrix.
+func checkLMSKStep(t *testing.T, n *Node) (inc, exc *Node) {
+	t.Helper()
+	k := len(n.rows)
+	m := wideMatrix(n)
+	pr, pc, ok := n.pivot()
+	if rpr, rpc, rok := refPivot(m, k); pr != rpr || pc != rpc || ok != rok {
+		t.Fatalf("k=%d: pivot = (%d,%d,%v), reference (%d,%d,%v)", k, pr, pc, ok, rpr, rpc, rok)
+	}
+	if !ok {
+		return nil, nil
+	}
+
+	want := slices.Clone(m)
+	want[pr*k+pc] = Inf
+	wantBound := refReduce(want, k, n.Bound)
+	exc = n.exclude(pr, pc)
+	if got := wideMatrix(exc); exc.Bound != wantBound || !slices.Equal(got, want) {
+		t.Fatalf("k=%d: exclude(%d,%d) = bound %d %v, reference bound %d %v", k, pr, pc, exc.Bound, got, wantBound, want)
+	}
+
+	// The include child before its reduction: the parent's matrix without
+	// row pr and column pc, and the edge closing the committed fragment
+	// through rows[pr] → cols[pc] forbidden.
+	inc = n.include(pr, pc)
+	want = want[:0]
+	for r := 0; r < k; r++ {
+		for c := 0; c < k; c++ {
+			if r != pr && c != pc {
+				want = append(want, m[r*k+c])
+			}
+		}
+	}
+	start, end := n.rows[pr], n.cols[pc]
+	for inc.prv[start] != -1 {
+		start = inc.prv[start]
+	}
+	for inc.nxt[end] != -1 {
+		end = inc.nxt[end]
+	}
+	if er, ok := inc.rowIndex(end); ok {
+		if sc, ok := inc.colIndex(start); ok {
+			want[er*(k-1)+sc] = Inf
+		}
+	}
+	wantBound = refReduce(want, k-1, n.Bound)
+	if got := wideMatrix(inc); inc.Bound != wantBound || !slices.Equal(got, want) {
+		t.Fatalf("k=%d: include(%d,%d) = bound %d %v, reference bound %d %v", k, pr, pc, inc.Bound, got, wantBound, want)
+	}
+	return inc, exc
+}
+
+// checkHeapOrder runs program on a nodeHeap and a refHeap side by side:
+// an even byte pushes a node with bound byte>>5 to each, so bounds tie
+// often, an odd byte pops both, and a final drain empties them. Both must
+// pop the same node every time.
+func checkHeapOrder(t *testing.T, program []byte) {
+	t.Helper()
+	var h nodeHeap
+	var ref refHeap
+	id := map[*Node]int{}
+	pop := func(step int) bool {
+		got, want := h.pop(), (*Node)(nil)
+		if ref.Len() > 0 {
+			want = heap.Pop(&ref).(*Node)
+		}
+		if (got == nil) != (want == nil) || got != nil && id[got] != id[want] {
+			t.Fatalf("step %d: nodeHeap popped %v, container/heap %v", step, got, want)
+		}
+		return got != nil
+	}
+	for step, b := range program {
+		if b&1 == 0 {
+			a, r := &Node{Bound: int64(b >> 5)}, &Node{Bound: int64(b >> 5)}
+			id[a], id[r] = step, step
+			h.push(a)
+			heap.Push(&ref, r)
+		} else {
+			pop(step)
+		}
+	}
+	for pop(len(program)) {
+	}
+}
+
+// FuzzLMSKStep walks a random include/exclude path down a seeded random
+// or Euclidean instance's tree of 3–20 cities and checks every step
+// against the reference reduce and pivot. The same bytes then drive
+// nodeHeap against container/heap.
+func FuzzLMSKStep(f *testing.F) {
+	f.Add(uint64(1), uint8(13), false, []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint64(2), uint8(0), true, []byte{1, 1, 0})
+	f.Add(uint64(3), uint8(17), true, []byte{0x5a, 0xa5, 0x00, 0xff, 0x33, 0x20, 0x41, 0x20, 0x21})
+	f.Add(uint64(9), uint8(7), false, []byte{0xe0, 0xe0, 0x00, 0x00, 0xe1, 0x01, 0x01})
+	f.Fuzz(func(t *testing.T, seed uint64, size uint8, euclidean bool, path []byte) {
+		k := 3 + int(size%18)
+		in := NewRandomInstance(k, seed)
+		if euclidean {
+			in = NewEuclideanInstance(k, seed)
+		}
+		n := NewRoot(in)
+		raw := make([]int64, 0, k*k)
+		for _, row := range in.Cost {
+			raw = append(raw, row...)
+		}
+		if want := refReduce(raw, k, 0); n.Bound != want || !slices.Equal(wideMatrix(n), raw) {
+			t.Fatalf("%s: root bound %d, reference %d", in, n.Bound, want)
+		}
+		for _, b := range path[:min(len(path), 256)] {
+			if n.Bound >= Inf || len(n.rows) == 2 {
+				break
+			}
+			inc, exc := checkLMSKStep(t, n)
+			if inc == nil {
+				break
+			}
+			n = exc
+			if b&1 == 0 {
+				n = inc
+			}
+		}
+		checkHeapOrder(t, path)
+	})
 }

@@ -360,7 +360,7 @@ func (s *solver) putWork(t *cthreads.Thread, me int, n *Node) {
 func (s *solver) anyWork(t *cthreads.Thread) bool {
 	for q := range s.queues {
 		t.Advance(s.sys.Machine().AccessCost(t.Node(), s.qNodes[q]))
-		if s.queues[q].Len() > 0 {
+		if len(s.queues[q].ns) > 0 {
 			return true
 		}
 	}

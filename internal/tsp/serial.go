@@ -1,51 +1,75 @@
 package tsp
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // nodeHeap is a best-first priority queue of subproblems ordered by lower
 // bound, with insertion order breaking ties so runs are deterministic.
+// Each push takes the next Seq, so no two queued nodes tie and the pop
+// order is fixed by (Bound, Seq) alone.
 type nodeHeap struct {
 	ns  []*Node
 	seq uint64
 }
 
-func (h *nodeHeap) Len() int { return len(h.ns) }
-func (h *nodeHeap) Less(i, j int) bool {
-	if h.ns[i].Bound != h.ns[j].Bound {
-		return h.ns[i].Bound < h.ns[j].Bound
+// before reports whether a orders ahead of b.
+func before(a, b *Node) bool {
+	if a.Bound != b.Bound {
+		return a.Bound < b.Bound
 	}
-	return h.ns[i].Seq < h.ns[j].Seq
-}
-func (h *nodeHeap) Swap(i, j int) { h.ns[i], h.ns[j] = h.ns[j], h.ns[i] }
-func (h *nodeHeap) Push(x interface{}) {
-	n := x.(*Node)
-	h.seq++
-	n.Seq = h.seq
-	h.ns = append(h.ns, n)
-}
-func (h *nodeHeap) Pop() interface{} {
-	old := h.ns
-	n := old[len(old)-1]
-	old[len(old)-1] = nil
-	h.ns = old[:len(old)-1]
-	return n
+	return a.Seq < b.Seq
 }
 
-// push adds a node; a released one panics.
+// push adds a node, moving each parent that orders after it one level
+// down and storing it where the hole stops; a released node panics.
 func (h *nodeHeap) push(n *Node) {
 	n.mustBeLive("push")
-	heap.Push(h, n)
+	h.seq++
+	n.Seq = h.seq
+	h.ns = append(h.ns, nil)
+	i := len(h.ns) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(n, h.ns[p]) {
+			break
+		}
+		h.ns[i] = h.ns[p]
+		i = p
+	}
+	h.ns[i] = n
 }
 
-// pop removes the best node, or nil when empty.
+// pop removes the best node, or nil when empty. It refills the root by
+// sifting a hole down to where the last node belongs.
 func (h *nodeHeap) pop() *Node {
 	if len(h.ns) == 0 {
 		return nil
 	}
-	return heap.Pop(h).(*Node)
+	top := h.ns[0]
+	last := len(h.ns) - 1
+	x := h.ns[last]
+	h.ns[last] = nil
+	ns := h.ns[:last]
+	h.ns = ns
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && before(ns[c+1], ns[c]) {
+			c++
+		}
+		if !before(ns[c], x) {
+			break
+		}
+		ns[i] = ns[c]
+		i = c
+	}
+	ns[i] = x
+	return top
 }
 
 // peekBound returns the best bound, or Inf when empty.

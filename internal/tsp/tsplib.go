@@ -149,9 +149,12 @@ func parseCoords(sc *bufio.Scanner, name string, n int) (*Instance, error) {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-			d := int64(math.Round(math.Sqrt(dx*dx + dy*dy)))
-			c[i][j] = d
-			c[j][i] = d
+			d := math.Round(math.Sqrt(dx*dx + dy*dy))
+			if !(d < infCell) {
+				return nil, costOutOfRange(d, i, j)
+			}
+			c[i][j] = int64(d)
+			c[j][i] = int64(d)
 		}
 	}
 	label := name
@@ -197,6 +200,9 @@ func parseFullMatrix(sc *bufio.Scanner, name string, n int) (*Instance, error) {
 			if c[i][j] != c[j][i] {
 				return nil, fmt.Errorf("tsp: asymmetric weights at (%d,%d)", i+1, j+1)
 			}
+			if v := c[i][j]; v < 0 || v >= infCell {
+				return nil, costOutOfRange(v, i, j)
+			}
 		}
 	}
 	label := name
@@ -204,4 +210,12 @@ func parseFullMatrix(sc *bufio.Scanner, name string, n int) (*Instance, error) {
 		label = fmt.Sprintf("tsplib(n=%d)", n)
 	}
 	return &Instance{N: n, Cost: c, label: label}, nil
+}
+
+// costOutOfRange reports an off-diagonal weight at the 0-based cell (i,j)
+// that the search cannot hold, naming the cell 1-based as TSPLIB does. Reduction never lifts a negative weight, so the
+// lower bound would be wrong; a node's int32 matrix keeps math.MaxInt32
+// for a forbidden edge, so larger weights do not fit.
+func costOutOfRange(v any, i, j int) error {
+	return fmt.Errorf("tsp: weight %v at (%d,%d) is outside [0, %d)", v, i+1, j+1, infCell)
 }

@@ -62,6 +62,39 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("%s: parse succeeded, want error", name)
 		}
 	}
+
+	// Weights the search cannot hold: the error names the cell.
+	const matrix = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n"
+	const coords = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+	for name, c := range map[string]struct{ input, err string }{
+		"negative weight":    {matrix + "0 -5 2\n-5 0 3\n2 3 0\nEOF\n", "weight -5 at (1,2) is outside [0, 2147483647)"},
+		"weight at MaxInt32": {matrix + "0 1 2\n1 0 2147483647\n2 2147483647 0\nEOF\n", "weight 2147483647 at (2,3) is outside [0, 2147483647)"},
+		"weight at Inf":      {matrix + "0 1099511627776 2\n1099511627776 0 3\n2 3 0\nEOF\n", "weight 1099511627776 at (1,2)"},
+		"far coordinates":    {coords + "1 0 0\n2 3e9 0\n3 1 1\nEOF\n", "weight 3e+09 at (1,2) is outside"},
+		"NaN coordinate":     {coords + "1 0 0\n2 1 1\n3 NaN 1\nEOF\n", "weight NaN at (1,3) is outside"},
+	} {
+		_, err := ParseTSPLIB(strings.NewReader(c.input))
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.err)
+		}
+	}
+}
+
+// TestNewRootRejectsUnholdableCosts checks NewRoot's guard for generated
+// instances, which never pass through ParseTSPLIB.
+func TestNewRootRejectsUnholdableCosts(t *testing.T) {
+	for _, v := range []int64{-1, infCell, Inf} {
+		in := NewRandomInstance(4, 1)
+		in.Cost[1][2], in.Cost[2][1] = v, v
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRoot accepted cost %d", v)
+				}
+			}()
+			NewRoot(in)
+		}()
+	}
 }
 
 func TestParseFullMatrixAnyLineBreaking(t *testing.T) {
