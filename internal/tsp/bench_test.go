@@ -15,6 +15,18 @@ func BenchmarkSolveSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveSerial20 measures the native solver where the frontier
+// dominates its memory: seed 1 at 20 cities takes 3,002 expansions and
+// queues a node for nearly every one of them, so B/op is mostly queued
+// nodes.
+func BenchmarkSolveSerial20(b *testing.B) {
+	in := NewEuclideanInstance(20, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SolveSerial(in)
+	}
+}
+
 // BenchmarkExpand measures one LMSK node expansion. fresh keeps every
 // child, so each expansion allocates its children; recycled releases
 // them, the way the solvers release the nodes they are done with.

@@ -293,19 +293,62 @@ func TestReleasedNodePanics(t *testing.T) {
 	}
 }
 
-// TestReleasedNodeIsRecycled checks that a released node's memory is
-// reused by the next node of its size, with no state carried over.
-func TestReleasedNodeIsRecycled(t *testing.T) {
-	root := NewRoot(NewRandomInstance(7, 2))
-	c := root.clone()
-	c.Seq = 99
-	c.Release()
-	d := root.clone()
-	if d != c {
-		t.Fatal("clone after Release allocated instead of reusing the released node")
+// TestNodeSlabLayout checks that every node of a search is its slab of
+// 4k + 2N + ⌈k²/32⌉ entries and no k×k matrix: rows, cols and their
+// potentials, the fragment arrays and the forbidden-cell bitset.
+func TestNodeSlabLayout(t *testing.T) {
+	in := NewEuclideanInstance(12, 1)
+	var h nodeHeap
+	h.push(NewRoot(in))
+	for i := 0; i < 300; i++ {
+		n := h.pop()
+		if n == nil {
+			break
+		}
+		if want := 4*n.k + 2*in.N + (n.k*n.k+31)/32; len(n.s) != want || cap(n.s) != want {
+			t.Fatalf("size-%d node: slab len %d cap %d, want %d", n.k, len(n.s), cap(n.s), want)
+		}
+		for _, c := range n.Expand().Children {
+			h.push(c)
+		}
 	}
-	if d.dead || d.Seq != 0 || d.Bound != root.Bound {
-		t.Fatalf("recycled node carries stale state: dead=%v Seq=%d Bound=%d (want Bound %d)", d.dead, d.Seq, d.Bound, root.Bound)
+}
+
+// TestReleasedNodeIsRecycled checks that a released node's memory is
+// reused by the next node of its size, with no state carried over: the
+// nodes of an exclude chain, which set forbidden bits and raise
+// potentials, are released and come back as include children, whose
+// matrices checkLMSKStep holds to the reference reduction.
+func TestReleasedNodeIsRecycled(t *testing.T) {
+	root := NewRoot(NewRandomInstance(9, 2))
+	inc, sibling := checkLMSKStep(t, root)
+	chain := []*Node{inc}
+	for len(chain) < 5 {
+		_, exc := checkLMSKStep(t, chain[len(chain)-1])
+		if exc == nil || exc.Bound >= Inf {
+			break
+		}
+		chain = append(chain, exc)
+	}
+	released := map[*Node]bool{}
+	for _, n := range chain {
+		n.Seq = 99
+		n.Release()
+		released[n] = true
+	}
+	for n := sibling; len(released) > 0; {
+		inc, exc := checkLMSKStep(t, n)
+		if !released[inc] {
+			t.Fatal("include child after Release allocated instead of reusing a released node")
+		}
+		delete(released, inc)
+		if inc.dead || inc.Seq != 0 {
+			t.Fatalf("recycled node carries stale state: dead=%v Seq=%d", inc.dead, inc.Seq)
+		}
+		if exc.Bound >= Inf {
+			t.Fatal("exclude chain ran out before every released node was reused")
+		}
+		n = exc
 	}
 }
 
@@ -315,10 +358,13 @@ func TestReleasedNodeIsRecycled(t *testing.T) {
 // forbidden edge, and the queue as a container/heap.Interface.
 // FuzzLMSKStep holds the node's steps to them.
 
-// wideMatrix returns n's matrix as costs.
+// wideMatrix materializes n's matrix from its potentials and forbidden
+// bits, as costs.
 func wideMatrix(n *Node) []int64 {
-	m := make([]int64, len(n.m))
-	for i, v := range n.m {
+	cells := make([]int32, n.k*n.k)
+	n.fill(cells)
+	m := make([]int64, len(cells))
+	for i, v := range cells {
 		m[i] = wide(v)
 	}
 	return m
@@ -432,9 +478,11 @@ func (h *refHeap) Pop() any {
 // pivot's cell, and each child's bound and matrix.
 func checkLMSKStep(t *testing.T, n *Node) (inc, exc *Node) {
 	t.Helper()
-	k := len(n.rows)
+	k := n.k
 	m := wideMatrix(n)
-	pr, pc, ok := n.pivot()
+	cells := make([]int32, k*k)
+	n.fill(cells)
+	pr, pc, ok := n.pivot(cells)
 	if rpr, rpc, rok := refPivot(m, k); pr != rpr || pc != rpc || ok != rok {
 		t.Fatalf("k=%d: pivot = (%d,%d,%v), reference (%d,%d,%v)", k, pr, pc, ok, rpr, rpc, rok)
 	}
@@ -445,7 +493,7 @@ func checkLMSKStep(t *testing.T, n *Node) (inc, exc *Node) {
 	want := slices.Clone(m)
 	want[pr*k+pc] = Inf
 	wantBound := refReduce(want, k, n.Bound)
-	exc = n.exclude(pr, pc)
+	exc = n.exclude(cells, pr, pc)
 	if got := wideMatrix(exc); exc.Bound != wantBound || !slices.Equal(got, want) {
 		t.Fatalf("k=%d: exclude(%d,%d) = bound %d %v, reference bound %d %v", k, pr, pc, exc.Bound, got, wantBound, want)
 	}
@@ -453,7 +501,7 @@ func checkLMSKStep(t *testing.T, n *Node) (inc, exc *Node) {
 	// The include child before its reduction: the parent's matrix without
 	// row pr and column pc, and the edge closing the committed fragment
 	// through rows[pr] → cols[pc] forbidden.
-	inc = n.include(pr, pc)
+	inc = n.include(cells, pr, pc)
 	want = want[:0]
 	for r := 0; r < k; r++ {
 		for c := 0; c < k; c++ {
@@ -462,12 +510,12 @@ func checkLMSKStep(t *testing.T, n *Node) (inc, exc *Node) {
 			}
 		}
 	}
-	start, end := n.rows[pr], n.cols[pc]
-	for inc.prv[start] != -1 {
-		start = inc.prv[start]
+	start, end := n.rows()[pr], n.cols()[pc]
+	for inc.prv()[start] != -1 {
+		start = inc.prv()[start]
 	}
-	for inc.nxt[end] != -1 {
-		end = inc.nxt[end]
+	for inc.nxt()[end] != -1 {
+		end = inc.nxt()[end]
 	}
 	if er, ok := inc.rowIndex(end); ok {
 		if sc, ok := inc.colIndex(start); ok {
@@ -538,7 +586,7 @@ func FuzzLMSKStep(f *testing.F) {
 			t.Fatalf("%s: root bound %d, reference %d", in, n.Bound, want)
 		}
 		for _, b := range path[:min(len(path), 256)] {
-			if n.Bound >= Inf || len(n.rows) == 2 {
+			if n.Bound >= Inf || n.k == 2 {
 				break
 			}
 			inc, exc := checkLMSKStep(t, n)
