@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-allows fmt-check test race cover fuzz bench bench-compare experiments clean
+.PHONY: all build vet lint lint-allows fmt-check test race cover reach fuzz bench bench-compare experiments clean
 
 all: build vet lint fmt-check test
 
@@ -66,6 +66,16 @@ cover:
 	  awk -v p="$$pct" -v n="$$name" 'BEGIN { if (p+0 < 80) { printf "coverage gate: %s at %s%%, need >= 80%%\n", n, p; exit 1 } }' || exit 1; \
 	done
 	@rm -f cover.out
+
+# Reach audit: builds repro, the examples and bench/'s simbench with
+# -cover, runs every registered experiment alone and each other consumer
+# (repro's flag runs, the examples, simbench, the root benchmarks), then
+# prints per consumer the coverage statements no other consumer reaches,
+# and the functions none reaches. A deletion is decided from this table.
+# Everything it writes goes to a temporary directory; it takes a few
+# minutes.
+reach:
+	GO=$(GO) bash scripts/reach.sh
 
 # Time-boxed fuzzing: runs every Fuzz* target in the module for FUZZTIME
 # each (`go test` alone only replays the seed corpora) and fails on the

@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	procs := fs.Int("procs", 0, "simulated processors (0 = each experiment's default)")
 	iters := fs.Int("iters", 16, "repetitions per measured lock operation")
 	lockKind := fs.String("lock", "",
-		"restrict table4, table5, and wait-latency to one lock kind (valid kinds: "+strings.Join(locks.KindNames(), ", ")+")")
+		"restrict table4 and table5 to one lock kind (valid kinds: "+strings.Join(locks.KindNames(), ", ")+")")
 	seed := fs.Uint64("seed", 1, "deterministic TSP instance seed")
 	cities := fs.Int("cities", 16, "TSP instance size (the paper used 32)")
 	searchers := fs.Int("searchers", 10, "TSP searcher threads, one per processor (paper: 10)")

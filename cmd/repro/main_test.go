@@ -32,9 +32,12 @@ func TestArgValidation(t *testing.T) {
 	}{
 		{"no name", nil, 2, "no experiment named"},
 		{"unknown name", []string{"table9"}, 2, `unknown experiment "table9"`},
-		{"unknown name beside a known one", []string{"table9", "calib"}, 2, `unknown experiment "table9"`},
+		{"unknown name beside a known one", []string{"table9", "table8"}, 2, `unknown experiment "table9"`},
 		{"unknown flag", []string{"-table", "4"}, 2, "flag provided but not defined"},
 		{"retired patterns experiment", []string{"patterns"}, 2, `unknown experiment "patterns"`},
+		{"retired calib experiment", []string{"calib"}, 2, `unknown experiment "calib"`},
+		{"retired cohort experiment", []string{"cohort"}, 2, `unknown experiment "cohort"`},
+		{"retired wait-latency experiment", []string{"wait-latency"}, 2, `unknown experiment "wait-latency"`},
 		{"csvdir with only table4", []string{"-csvdir", dir, "table4"}, 2, "-csvdir: no selected experiment reads it"},
 		{"lock with only table6", []string{"-lock", "spin", "table6"}, 2, "-lock: no selected experiment reads it"},
 		{"unknown lock kind", []string{"-lock", "nosuch", "table4"}, 2, `-lock "nosuch": unknown lock kind`},

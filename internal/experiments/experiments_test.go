@@ -363,61 +363,6 @@ func TestLockRetargetingShape(t *testing.T) {
 	}
 }
 
-func TestMutableCalibrationShape(t *testing.T) {
-	rows, err := MutableCalibration(Env{Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0].Waiters != 2 || rows[2].Waiters != 32 {
-		t.Fatalf("unexpected sweep: %+v", rows)
-	}
-	for _, r := range rows {
-		if r.Spin+r.SpinBlock+r.Block+r.Cold == 0 {
-			t.Errorf("%d waiters: no contended arrivals classified", r.Waiters)
-		}
-	}
-	// At 2 waiters the predicted wait (≈ one 20µs hold) sits well below the
-	// GP1000 block cost, so the predictor spins; at 32 waiters the queue
-	// term pushes predictions past the spin-then-block threshold.
-	if rows[0].Spin == 0 {
-		t.Errorf("2 waiters: no spin decisions: %+v", rows[0])
-	}
-	if rows[2].Block == 0 {
-		t.Errorf("32 waiters: no block decisions: %+v", rows[2])
-	}
-	// The calibration record must carry real predicted-vs-actual pairs.
-	last := rows[2]
-	if last.MeanPredicted <= 0 || last.MeanActual <= 0 {
-		t.Errorf("32 waiters: empty calibration record: %+v", last)
-	}
-}
-
-func TestCohortNUMAShape(t *testing.T) {
-	rows, err := CohortNUMA(Env{Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0].Nodes != 2 || rows[2].Nodes != 8 {
-		t.Fatalf("unexpected sweep: %+v", rows)
-	}
-	for _, r := range rows {
-		// The headline: cohorting keeps consecutive acquisitions on the
-		// releasing node, so the lock crosses nodes far less often than
-		// under the node-oblivious representations.
-		if !(r.CohortRemote*2 < r.SpinRemote) {
-			t.Errorf("%d nodes: cohort remote transfers (%d) not well below spin's (%d)",
-				r.Nodes, r.CohortRemote, r.SpinRemote)
-		}
-		if !(r.CohortRemote*2 < r.MCSRemote) {
-			t.Errorf("%d nodes: cohort remote transfers (%d) not well below MCS's (%d)",
-				r.Nodes, r.CohortRemote, r.MCSRemote)
-		}
-		if r.LocalHandoffs == 0 {
-			t.Errorf("%d nodes: no intra-node handoffs", r.Nodes)
-		}
-	}
-}
-
 func TestCouplingComparisonShape(t *testing.T) {
 	rows, err := CouplingComparison(Env{})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cthreads"
 	"repro/internal/locks"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -220,60 +219,6 @@ func RenderMonitorPhases(rep MonitorPhaseReport) *metrics.Table {
 		"at (µs)", "decision", "sensed concurrency")
 	for _, s := range rep.Switches {
 		tb.AddRow(us(sim.Time(s.At)), s.Decision, fmt.Sprintf("%d", s.Value))
-	}
-	return tb
-}
-
-// WaitLatencyRow is one lock kind's per-acquisition wait-latency digest
-// on a uniformly contended workload.
-type WaitLatencyRow struct {
-	Kind    locks.Kind
-	Summary string
-}
-
-// WaitLatencySweep runs a contended critical-section workload per lock
-// kind with a profiler attached and reports each kind's
-// per-acquisition wait latency (metrics.Histogram Summary: n, mean, p50,
-// p99, p999, max).
-func WaitLatencySweep(e Env) ([]WaitLatencyRow, error) {
-	if len(e.Kinds) == 0 {
-		e.Kinds = locks.Kinds()
-	}
-	if e.Machine.Nodes < 8 {
-		e.Machine.Nodes = 8
-	}
-	return sweep(e, len(e.Kinds), func(i int) (WaitLatencyRow, error) {
-		kind := e.Kinds[i]
-		sys := cthreads.New(e.Machine)
-		prof := profile.New()
-		sys.SetProfiler(prof)
-		l, err := locks.New(sys, kind, 0, string(kind))
-		if err != nil {
-			return WaitLatencyRow{}, err
-		}
-		for w := 0; w < 8; w++ {
-			sys.Fork(w%sys.Procs(), fmt.Sprintf("w%d", w), func(t *cthreads.Thread) {
-				for j := 0; j < 20; j++ {
-					l.Lock(t)
-					t.Advance(5 * sim.Microsecond)
-					l.Unlock(t)
-					t.Advance(sim.Time(t.Rand().Intn(int(20 * sim.Microsecond))))
-				}
-			})
-		}
-		if err := sys.Run(); err != nil {
-			return WaitLatencyRow{}, fmt.Errorf("wait latency %s: %w", kind, err)
-		}
-		return WaitLatencyRow{Kind: kind, Summary: prof.WaitHistogram(string(kind)).Summary()}, nil
-	})
-}
-
-// RenderWaitLatency renders the per-kind wait-latency digests.
-func RenderWaitLatency(rows []WaitLatencyRow) *metrics.Table {
-	tb := metrics.NewTable("Per-acquisition wait latency by lock kind (contended, 8 threads)",
-		"Lock type", "wait digest")
-	for _, r := range rows {
-		tb.AddRow(string(r.Kind), r.Summary)
 	}
 	return tb
 }

@@ -69,23 +69,19 @@ func TestMonitorPhasesSwitchesBothWays(t *testing.T) {
 	}
 }
 
-// TestMonitorSweepParallelDeterminism extends the -j gate to the new
-// sweeps: parallel fan-out must be byte-identical to serial.
+// TestMonitorSweepParallelDeterminism extends the -j gate to the hotspot
+// sweep: parallel fan-out must be byte-identical to serial.
 func TestMonitorSweepParallelDeterminism(t *testing.T) {
 	render := func(jobs int) string {
 		hot, err := MonitorHotspot(Env{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl, err := WaitLatencySweep(Env{Jobs: jobs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderMonitorHotspot(hot).String() + RenderWaitLatency(wl).String()
+		return RenderMonitorHotspot(hot).String()
 	}
 	serial, parallel := render(1), render(8)
 	if serial != parallel {
-		t.Errorf("monitor sweeps differ between -j 1 and -j 8:\n%s\n--- vs ---\n%s", serial, parallel)
+		t.Errorf("the hotspot sweep differs between -j 1 and -j 8:\n%s\n--- vs ---\n%s", serial, parallel)
 	}
 }
 

@@ -40,8 +40,8 @@ type Env struct {
 	// Iters is how many times each microbenchmark operation is repeated
 	// and averaged (default 16).
 	Iters int
-	// Kinds, when non-empty, restricts Tables 4 and 5 and the wait-latency
-	// sweep to these lock kinds; empty means the full row set.
+	// Kinds, when non-empty, restricts Tables 4 and 5 to these lock kinds;
+	// empty means the full row set.
 	Kinds []locks.Kind
 	// TSP holds the TSP instance options (Instance, Cities, Seed,
 	// Searchers, Uniform, StepsPerWorkUnit). Its Profiler, Ledger and Jobs
@@ -222,11 +222,11 @@ func Registry() []Spec {
 	return []Spec{
 		{"table1", "Centralized TSP: adaptive lock ~17.8% faster than blocking; parallel ≫ sequential",
 			tspInputs | InCSV, tspTable(tsp.OrgCentralized, 4)},
-		{"table2", "Distributed TSP: adaptive ~12.7% better",
+		{"table2", "Distributed TSP: adaptive better than blocking, 5.2% at 16 cities against the paper's ~12.7%, and below Table 3's gain",
 			tspInputs | InCSV, tspTable(tsp.OrgDistributed, 6)},
 		{"table3", "Distributed+LB TSP: adaptive ~6.5% better (least gain — least synchronization)",
 			tspInputs | InCSV, tspTable(tsp.OrgDistributedLB, 8)},
-		{"scaling", "§4's prediction: the adaptive lock's gain over blocking grows with the processor count",
+		{"scaling", "§4's prediction that the adaptive lock's gain over blocking grows with the processor count holds only from 8 to 16 searchers: 17.7% → 16.2% → 47.0% → 27.7% at 4, 8, 16, 24",
 			tspInputs, tabulate(func(e Env) ([]ScalingRow, error) { return ScalingComparison(e, nil) }, RenderScaling,
 				each(func(r ScalingRow) Metric {
 					return Metric{fmt.Sprintf("improvement-%%-%dp", r.Searchers), r.ImprovementPct}
@@ -241,10 +241,6 @@ func Registry() []Spec {
 			lockInputs, tabulate(Table7, titled("Table 7: Cost of successive Unlock and Lock operation on an already locked adaptive lock", RenderCycleTable), cycleMetrics)},
 		{"table8", "Cost of adaptation mechanisms: configure(waiting) < configure(scheduler) < acquisition < monitor-sample",
 			lockInputs, tabulate(Table8, RenderTable8, each(func(r ConfigOpRow) Metric { return localMicros(r.Op, r.Local) }))},
-		{"calib", "The mutable lock's wait predictor classifies right at both ends: spin at 2 waiters, block at 8+",
-			InMachine, tabulate(MutableCalibration, RenderMutableCalibration, nil)},
-		{"wait-latency", "Per-acquisition wait-latency digests (p50/p99/p999) per lock kind under contention",
-			InMachine | InKinds, tabulate(WaitLatencySweep, RenderWaitLatency, nil)},
 		{"fig1", "Figure 1: combined lock with 10 initial spins beats 1-spin for some CS lengths; 50-spin worse than 10-spin at those lengths; optimum depends on CS length",
 			InObserve, tabulate(func(e Env) ([]Figure1Row, error) { return Figure1(e, nil) }, RenderFigure1, figure1Metrics)},
 		{"sched", "[MS93]: priority scheduler best, FCFS worst on a client-server program; a lock adapting its own scheduler tracks priority",
@@ -270,8 +266,6 @@ func Registry() []Spec {
 					{"sim-ms-hotspot-delay-16t", last.HotSpotDelay.Millis()},
 				}
 			})},
-		{"cohort", "A NUMA cohort lock cuts remote lock transfers versus the flat TAS and MCS locks",
-			0, tabulate(CohortNUMA, RenderCohortNUMA, nil)},
 		{"coupling", "§3/§5.1: the inline feedback loop reacts without lag; the general-purpose monitor pipeline decides a phase late",
 			InTrace | InObserve, tabulate(CouplingComparison, RenderCoupling, func(rows []CouplingRow) []Metric {
 				return []Metric{

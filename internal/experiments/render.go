@@ -156,34 +156,6 @@ func RenderRetargeting(rows []RetargetRow) *metrics.Table {
 	return tb
 }
 
-// RenderMutableCalibration renders the predicted-vs-actual wait report
-// of the mutable lock (repro calib).
-func RenderMutableCalibration(rows []CalibRow) *metrics.Table {
-	tb := metrics.NewTable("Mutable lock: predicted vs. actual wait calibration",
-		"waiters", "spin", "spin-block", "block", "cold",
-		"mean predicted (µs)", "mean actual (µs)", "mean |err| (µs)")
-	for _, r := range rows {
-		tb.AddRow(fmt.Sprint(r.Waiters),
-			fmt.Sprint(r.Spin), fmt.Sprint(r.SpinBlock), fmt.Sprint(r.Block), fmt.Sprint(r.Cold),
-			us(r.MeanPredicted), us(r.MeanActual), us(r.MeanAbsErr))
-	}
-	return tb
-}
-
-// RenderCohortNUMA renders the cohort-vs-spin-vs-MCS NUMA comparison.
-func RenderCohortNUMA(rows []CohortRow) *metrics.Table {
-	tb := metrics.NewTable("Cohort lock: execution time and remote lock transfers by machine size",
-		"nodes×threads", "spin (ms)", "mcs (ms)", "cohort (ms)",
-		"spin remote", "mcs remote", "cohort remote", "local handoffs")
-	for _, r := range rows {
-		tb.AddRow(fmt.Sprintf("%d×%d", r.Nodes, r.PerNode),
-			ms(r.Spin), ms(r.MCS), ms(r.Cohort),
-			fmt.Sprint(r.SpinRemote), fmt.Sprint(r.MCSRemote), fmt.Sprint(r.CohortRemote),
-			fmt.Sprint(r.LocalHandoffs))
-	}
-	return tb
-}
-
 // RenderCoupling renders the feedback-loop coupling comparison.
 func RenderCoupling(rows []CouplingRow) *metrics.Table {
 	tb := metrics.NewTable("Feedback-loop coupling: inline monitor vs. general-purpose thread monitor",

@@ -97,8 +97,6 @@ func TestRenderExtensionsTables(t *testing.T) {
 		RenderScaling([]ScalingRow{{Searchers: 16, Blocking: 548 * sim.Millisecond, Adaptive: 299 * sim.Millisecond, ImprovementPct: 45.4}}).String(),
 		RenderSOR([]SORRow{{Workers: 24, Blocking: 2924 * sim.Millisecond, Adaptive: 1875 * sim.Millisecond, ImprovementPct: 35.9, Sweeps: 502}}).String(),
 		RenderBarriers([]BarrierRow{{Regime: "2 workers/processor", Spin: 339 * sim.Millisecond, Sleep: 353 * sim.Millisecond, Adaptive: 294 * sim.Millisecond}}).String(),
-		RenderMutableCalibration([]CalibRow{{Waiters: 8, Spin: 12, SpinBlock: 3, Block: 191, Cold: 7, MeanPredicted: 450 * sim.Microsecond, MeanActual: 1408 * sim.Microsecond, MeanAbsErr: 983 * sim.Microsecond}}).String(),
-		RenderCohortNUMA([]CohortRow{{Nodes: 8, PerNode: 3, Spin: 28 * sim.Millisecond, MCS: 33 * sim.Millisecond, Cohort: 58 * sim.Millisecond, SpinRemote: 358, MCSRemote: 352, CohortRemote: 65, LocalHandoffs: 262}}).String(),
 	}
 	wants := [][]string{
 		{"fcfs", "176"},
@@ -111,8 +109,6 @@ func TestRenderExtensionsTables(t *testing.T) {
 		{"16", "45.4%"},
 		{"24", "35.9%", "502"},
 		{"2 workers/processor", "294"},
-		{"waiters", "191", "1408.00"},
-		{"8×3", "358", "65", "262"},
 	}
 	for i, out := range outs {
 		for _, w := range wants[i] {

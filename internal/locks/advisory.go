@@ -82,14 +82,6 @@ func (l *AdvisoryLock) LockHint(t *cthreads.Thread, expectedHold sim.Time) {
 	l.lockInternal(t, expectedHold)
 }
 
-// Advise lets the owner re-publish advice mid-critical-section (phase
-// changes), charging one write to the lock's node.
-func (l *AdvisoryLock) Advise(t *cthreads.Thread, expectedRemaining sim.Time) {
-	l.checkOwner(t, "Advise")
-	l.setAdvice(expectedRemaining)
-	l.chargeAccesses(t, 1)
-}
-
 func (l *AdvisoryLock) lockInternal(t *cthreads.Thread, expectedHold sim.Time) {
 	start := t.Now()
 	t.Compute(SpinLockSteps)

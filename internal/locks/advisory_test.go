@@ -66,53 +66,6 @@ func TestAdvisoryLongHoldAdvisesSleep(t *testing.T) {
 	}
 }
 
-func TestAdvisoryMidSectionAdviceChange(t *testing.T) {
-	sys := testSys(2)
-	l := NewAdvisoryLock(sys, 0, "adv")
-	l.Threshold = 100 * sim.Microsecond
-	sys.Fork(0, "holder", func(th *cthreads.Thread) {
-		l.LockHint(th, 5*sim.Millisecond) // phase 1: long
-		th.Advance(2 * sim.Millisecond)
-		l.Advise(th, 20*sim.Microsecond) // phase 2: nearly done — spin now
-		th.Advance(20 * sim.Microsecond)
-		l.Unlock(th)
-	})
-	sys.Fork(1, "waiter", func(th *cthreads.Thread) {
-		// Arrive during phase 2: the advice says spin.
-		th.Advance(2*sim.Millisecond + 5*sim.Microsecond)
-		l.Lock(th)
-		l.Unlock(th)
-	})
-	if err := sys.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if l.Stats().Blocks != 0 {
-		t.Fatalf("late waiter slept (%d blocks) despite updated spin advice", l.Stats().Blocks)
-	}
-}
-
-func TestAdviseByNonOwnerPanics(t *testing.T) {
-	sys := testSys(2)
-	l := NewAdvisoryLock(sys, 0, "adv")
-	sys.Fork(0, "holder", func(th *cthreads.Thread) {
-		l.Lock(th)
-		th.Advance(100_000)
-		l.Unlock(th)
-	})
-	sys.Fork(1, "intruder", func(th *cthreads.Thread) {
-		th.Advance(1000)
-		defer func() {
-			if recover() == nil {
-				t.Error("Advise by non-owner did not panic")
-			}
-		}()
-		l.Advise(th, 0)
-	})
-	if err := sys.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestAdvisorySleepersWakeOnRelease(t *testing.T) {
 	sys := testSys(4)
 	l := NewAdvisoryLock(sys, 0, "adv")
