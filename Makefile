@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-allows fmt-check test race cover reach fuzz bench bench-compare experiments clean
+.PHONY: all build vet lint lint-allows fmt-check test race cover reach fuzz bench bench-compare tsp-memory experiments clean
 
 all: build vet lint fmt-check test
 
@@ -116,6 +116,17 @@ bench-compare:
 	    echo "bench-compare: baseline benchmarks missing from the full run (renamed or deleted); restore them or regenerate BENCH_sim.json with make bench"; rc=1; \
 	  fi; \
 	  rm -f bench_check.out bench_compare.out; exit $$rc
+
+# Memory of the TSP tables' largest solves (ROADMAP item 12): for each of
+# TSP_CITIES, runs repro -j 1 -cities N table1 (seed 1) and prints Table 1's
+# blocking expansions, the run's peak RSS from the child's getrusage, its
+# seconds and a digest of its stdout; a run past 3 GB of RSS is stopped.
+# Not in CI: 28 cities take about 40 s and 1.4 GB. Add 32 to TSP_CITIES to
+# see how far seed 1 gets at the paper's size.
+TSP_CITIES ?= 25 26 27 28
+tsp-memory:
+	$(GO) build -o bin/repro ./cmd/repro
+	$(GO) run ./cmd/tspmem bin/repro $(TSP_CITIES)
 
 # Regenerate every table and figure of the paper, and the extensions.
 experiments: build

@@ -224,7 +224,7 @@ func Registry() []Spec {
 			tspInputs | InCSV, tspTable(tsp.OrgCentralized, 4)},
 		{"table2", "Distributed TSP: adaptive better than blocking, 5.2% at 16 cities against the paper's ~12.7%, and below Table 3's gain",
 			tspInputs | InCSV, tspTable(tsp.OrgDistributed, 6)},
-		{"table3", "Distributed+LB TSP: adaptive ~6.5% better (least gain — least synchronization)",
+		{"table3", "Distributed+LB TSP: adaptive better than blocking, 9.7% at 16 cities against the paper's ~6.5%, which is the paper's least gain; here it is above Table 2's",
 			tspInputs | InCSV, tspTable(tsp.OrgDistributedLB, 8)},
 		{"scaling", "§4's prediction that the adaptive lock's gain over blocking grows with the processor count holds only from 8 to 16 searchers: 17.7% → 16.2% → 47.0% → 27.7% at 4, 8, 16, 24",
 			tspInputs, tabulate(func(e Env) ([]ScalingRow, error) { return ScalingComparison(e, nil) }, RenderScaling,

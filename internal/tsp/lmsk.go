@@ -26,23 +26,26 @@ func wide(v int32) int64 {
 	return int64(v)
 }
 
-// Node is one subproblem of the search tree: the still-active rows and
-// columns of the cost matrix, the reduction potentials and forbidden
-// cells that define their reduced matrix, the committed path fragments,
-// and the lower bound on any tour below this node.
+// Node is one subproblem of the search tree: the reduction potentials and
+// forbidden cells that define its reduced matrix, the committed path
+// fragments, and the lower bound on any tour below this node.
 //
-// A node does not keep its reduced matrix. Entry (i, j) is infCell when
-// bit i·k+j of the forbidden bitset is set, and otherwise
-// base[rows[i]][cols[j]] − u[i] − v[j]: the search's int32 copy of the
-// cost matrix minus what reduction took from row i and column j. Expand
-// materializes the matrix once (fill), into the search's scratch buffer.
+// A node does not keep its reduced matrix, nor anything its successor
+// array determines. Its matrix rows are the cities with no successor and
+// its columns the cities that no city precedes, each in ascending order:
+// the root has every city, and an include child drops one of each. Expand
+// derives these line maps and the predecessor array once (derive), into
+// the search's scratch. Entry (i, j) is infCell when bit i·k+j of the
+// forbidden bitset is set, and otherwise base[rows[i]][cols[j]] − u[i] −
+// v[j]: the search's int32 copy of the cost matrix minus what reduction
+// took from row i and column j. Expand materializes the matrix once
+// (fill), into the search's scratch buffer.
 type Node struct {
 	// s is the node's one slab, cut by the accessors below:
-	//	rows, cols  k entries each: matrix index → city
-	//	u, v        k entries each: row and column potentials
-	//	nxt, prv    N entries each: successor and predecessor city
-	//	            (-1 = none), the committed path fragments
-	//	forb        ⌈k²/32⌉ words: the forbidden cells, row-major
+	//	u, v  k entries each: row and column potentials
+	//	nxt   N entries: successor city (-1 = none), the committed
+	//	      path fragments
+	//	forb  ⌈k²/32⌉ words: the forbidden cells, row-major
 	s []int32
 	k int
 	// Bound is the lower bound of the subproblem.
@@ -56,13 +59,10 @@ type Node struct {
 	dead bool
 }
 
-func (n *Node) rows() []int32 { return n.s[:n.k] }
-func (n *Node) cols() []int32 { return n.s[n.k : 2*n.k] }
-func (n *Node) u() []int32    { return n.s[2*n.k : 3*n.k] }
-func (n *Node) v() []int32    { return n.s[3*n.k : 4*n.k] }
-func (n *Node) nxt() []int32  { return n.s[4*n.k : 4*n.k+n.pool.inst.N] }
-func (n *Node) prv() []int32  { return n.s[4*n.k+n.pool.inst.N : 4*n.k+2*n.pool.inst.N] }
-func (n *Node) forb() []int32 { return n.s[4*n.k+2*n.pool.inst.N:] }
+func (n *Node) u() []int32    { return n.s[:n.k] }
+func (n *Node) v() []int32    { return n.s[n.k : 2*n.k] }
+func (n *Node) nxt() []int32  { return n.s[2*n.k : 2*n.k+n.pool.inst.N] }
+func (n *Node) forb() []int32 { return n.s[2*n.k+n.pool.inst.N:] }
 
 // forbid sets bit i of a forbidden-cell bitset.
 func forbid(forb []int32, i int) { forb[i>>5] |= 1 << (i & 31) }
@@ -79,12 +79,17 @@ type nodePool struct {
 	inst *Instance
 	base []int32 // Instance.Cost as int32, N×N row-major, infCell on the diagonal
 	free [][]*Node
-	mat  []int32 // the reduced matrix of the node being expanded
-	// tally holds pivot's per-line zero counts and nonzero minima, which
-	// include then reads.
+	// derive's maps of the node being expanded, N entries each: rows and
+	// cols (matrix index → city, the first k entries), rowAt and colAt
+	// (city → matrix index, for the cities that are lines) and prv
+	// (predecessor city, -1 = none).
+	rows, cols, rowAt, colAt, prv []int32
+	mat                           []int32 // the reduced matrix of the node being expanded
+	// tally holds fill's per-line zero counts and nonzero minima, which
+	// pivot and include read.
 	tally  []int32
+	zeros  []int32 // fill's zero offsets, row-major
 	rowMin []int32 // reduce's row minima
-	zeros  []int32 // pivot's zero offsets
 }
 
 // get returns a live size-k node whose contents the caller overwrites,
@@ -98,7 +103,7 @@ func (p *nodePool) get(k int) *Node {
 		n.dead = false
 		return n
 	}
-	return &Node{s: make([]int32, 4*k+2*p.inst.N+(k*k+31)/32), k: k, pool: p}
+	return &Node{s: make([]int32, 2*k+p.inst.N+(k*k+31)/32), k: k, pool: p}
 }
 
 // Release returns a node that its search will never touch again to the
@@ -125,10 +130,16 @@ func (n *Node) mustBeLive(op string) {
 // rejects such input with an error.
 func NewRoot(in *Instance) *Node {
 	N := in.N
+	maps := make([]int32, 5*N)
 	pool := &nodePool{
 		inst:   in,
 		base:   make([]int32, N*N),
 		free:   make([][]*Node, N+1),
+		rows:   maps[:N],
+		cols:   maps[N : 2*N],
+		rowAt:  maps[2*N : 3*N],
+		colAt:  maps[3*N : 4*N],
+		prv:    maps[4*N:],
 		mat:    make([]int32, N*N),
 		tally:  make([]int32, 4*N),
 		rowMin: make([]int32, N),
@@ -146,33 +157,111 @@ func NewRoot(in *Instance) *Node {
 		}
 	}
 	n := pool.get(N)
-	rows, cols, nxt, prv := n.rows(), n.cols(), n.nxt(), n.prv()
+	nxt := n.nxt()
 	for i := range N {
-		rows[i], cols[i], nxt[i], prv[i] = int32(i), int32(i), -1, -1
+		nxt[i] = -1
 		forbid(n.forb(), i*N+i)
 	}
 	n.reduce(pool.base, N, N, N, nil, nil)
 	return n
 }
 
-// fill writes n's reduced matrix into m, k×k row-major.
+// derive writes n's line maps and predecessor array to the pool, in O(N):
+// prv inverts nxt, the rows are the cities with no successor and the
+// columns the cities with no predecessor, in ascending order.
+func (p *nodePool) derive(n *Node) {
+	nxt, prv := n.nxt(), p.prv
+	for c := range prv {
+		prv[c] = -1
+	}
+	for c, s := range nxt {
+		if s >= 0 {
+			prv[s] = int32(c)
+		}
+	}
+	r, c := int32(0), int32(0)
+	for city, s := range nxt {
+		if s < 0 {
+			p.rows[r], p.rowAt[city] = int32(city), r
+			r++
+		}
+		if prv[city] < 0 {
+			p.cols[c], p.colAt[city] = int32(city), c
+			c++
+		}
+	}
+}
+
+// fill writes n's reduced matrix into m, k×k row-major, from derive's line
+// maps, and tallies it for pivot as it goes: each line's zero count and
+// smallest nonzero entry, and the zeros' offsets in row-major order.
 func (n *Node) fill(m []int32) {
-	k, N, base := n.k, n.pool.inst.N, n.pool.base
-	u, v, cols := n.u(), n.v()[:k], n.cols()[:k]
-	for i, r := range n.rows() {
-		from := base[int(r)*N:][:N]
-		row, ui := m[i*k:][:k], u[i]
-		for j, c := range cols {
-			// A forbidden cell's difference may be anything, even
-			// wrapped; the bitset pass below overwrites it.
-			row[j] = from[c] - ui - v[j]
+	p := n.pool
+	k, N, base := n.k, p.inst.N, p.base
+	u, v, cols, forb := n.u(), n.v(), p.cols[:k], n.forb()
+	t := p.tally
+	rowZeros, rowMin, colZeros, colMin := t[:k], t[k:2*k], t[2*k:3*k], t[3*k:4*k]
+	for c := range colZeros {
+		colZeros[c], colMin[c] = 0, infCell
+	}
+	zeros := p.zeros[:0]
+	for i, r := range p.rows[:k] {
+		row := m[i*k:][:k]
+		gather(row, base[int(r)*N:][:N], cols, v, u[i])
+		// The row's forbidden cells are bits [lo, lo+k) of the bitset. A
+		// forbidden cell's difference may be anything, even wrapped.
+		lo := i * k
+		for w := lo >> 5; w<<5 < lo+k; w++ {
+			b := uint32(forb[w])
+			if w<<5 < lo {
+				b &= ^uint32(0) << (lo - w<<5)
+			}
+			if end := lo + k - w<<5; end < 32 {
+				b &= 1<<end - 1
+			}
+			for ; b != 0; b &= b - 1 {
+				row[w<<5+bits.TrailingZeros32(b)-lo] = infCell
+			}
+		}
+		rowZeros[i], rowMin[i], zeros = tally(row, colZeros, colMin, zeros, int32(lo))
+	}
+	p.zeros = zeros
+}
+
+// gather writes one row of a reduced matrix: row[j] = from[cols[j]] − ui
+// − v[j], where from is the row's city's row of base.
+//
+// gather and tally are kept out of fill: inlined there, their loops share
+// fill's registers and reload their indices and slices from the stack on
+// every cell, which made fill about twice as slow.
+//
+//go:noinline
+func gather(row, from, cols, v []int32, ui int32) {
+	cols, v = cols[:len(row)], v[:len(row)]
+	for j := range row {
+		row[j] = from[cols[j]] - ui - v[j]
+	}
+}
+
+// tally counts one matrix row's zeros, appending their offsets (the row's
+// first offset plus the column) to zeros, and returns them with the row's
+// smallest nonzero entry. It adds the row to the column tallies too.
+//
+//go:noinline
+func tally(row, colZeros, colMin, zeros []int32, first int32) (zs, lo int32, _ []int32) {
+	colZeros, colMin = colZeros[:len(row)], colMin[:len(row)]
+	lo = infCell
+	for j, x := range row {
+		if x == 0 {
+			zs++
+			colZeros[j]++
+			zeros = append(zeros, first+int32(j))
+		} else {
+			lo = min(lo, x)
+			colMin[j] = min(colMin[j], x)
 		}
 	}
-	for w, word := range n.forb() {
-		for b := uint32(word); b != 0; b &= b - 1 {
-			m[w<<5+bits.TrailingZeros32(b)] = infCell
-		}
-	}
+	return zs, lo, zeros
 }
 
 // reduce reduces n, whose matrix before reduction is m, a stride-wide
@@ -240,41 +329,22 @@ func (n *Node) reduce(m []int32, stride, dr, dc int, rowZeros, colZeros []int32)
 	n.Bound = bound
 }
 
-// pivot selects the branching zero cell of n's reduced matrix m: the
-// zero whose exclusion would raise the bound the most (maximum penalty =
-// row second-minimum + column second-minimum), the first in row-major
-// order on ties. Returns matrix indices; ok=false if the matrix has no
-// zero (infeasible).
+// pivot selects the branching zero cell of n's reduced matrix, from
+// fill's tallies of it: the zero whose exclusion would raise the bound
+// the most (maximum penalty = row second-minimum + column second-minimum),
+// the first in row-major order on ties. Returns matrix indices; ok=false
+// if the matrix has no zero (infeasible).
 //
 // The matrix is reduced and its entries are nonnegative, so a line's
 // minimum without one of its zeros is 0 when the line holds another zero
-// and its smallest nonzero entry otherwise. One pass that tallies each
-// line's zeros and nonzero minimum therefore prices every zero.
-func (n *Node) pivot(m []int32) (pr, pc int, ok bool) {
+// and its smallest nonzero entry otherwise. The tallies of each line's
+// zeros and nonzero minimum therefore price every zero.
+func (n *Node) pivot() (pr, pc int, ok bool) {
 	k := n.k
-	s := n.pool.tally
-	rowZeros, rowMin, colZeros, colMin := s[:k], s[k:2*k], s[2*k:3*k], s[3*k:4*k]
-	for c := 0; c < k; c++ {
-		colZeros[c], colMin[c] = 0, infCell
-	}
-	zeros := n.pool.zeros[:0] // matrix offsets of the zeros, row-major
-	for r := 0; r < k; r++ {
-		zs, lo := int32(0), int32(infCell)
-		for c, v := range m[r*k : (r+1)*k] {
-			if v == 0 {
-				zs++
-				colZeros[c]++
-				zeros = append(zeros, int32(r*k+c))
-			} else {
-				lo = min(lo, v)
-				colMin[c] = min(colMin[c], v)
-			}
-		}
-		rowZeros[r], rowMin[r] = zs, lo
-	}
-	n.pool.zeros = zeros
+	t := n.pool.tally
+	rowZeros, rowMin, colZeros, colMin := t[:k], t[k:2*k], t[2*k:3*k], t[3*k:4*k]
 	best := int64(-1)
-	for _, z := range zeros {
+	for _, z := range n.pool.zeros {
 		r, c := int(z)/k, int(z)%k
 		p := penalty(rowZeros[r], rowMin[r]) + penalty(colZeros[c], colMin[c])
 		if p > Inf {
@@ -335,24 +405,26 @@ func (n *Node) exclude(m []int32, pr, pc int) *Node {
 }
 
 // include builds the child that commits edge (rows[pr] → cols[pc]) from
-// n's reduced matrix m and pivot's tallies of it: the row and column are
-// deleted, the path fragments are merged, the edge that would close a
-// premature subtour is forbidden, and the lines left without a zero are
-// reduced. It consumes m and the tallies.
+// n's reduced matrix m, fill's tallies of it and derive's maps: the row
+// and column are deleted, the path fragments are merged, the edge that
+// would close a premature subtour is forbidden, and the lines left
+// without a zero are reduced. It consumes m and the tallies.
 func (n *Node) include(m []int32, pr, pc int) *Node {
-	from, to := n.rows()[pr], n.cols()[pc]
+	p := n.pool
+	from, to := p.rows[pr], p.cols[pc]
 	k := n.k
 
-	c := n.pool.get(k - 1)
+	c := p.get(k - 1)
 	c.Bound = n.Bound
-	copy(c.nxt(), n.nxt())
-	copy(c.prv(), n.prv())
-	dropAt(c.rows(), c.u(), n.rows(), n.u(), pr)
-	dropAt(c.cols(), c.v(), n.cols(), n.v(), pc)
+	nxt := c.nxt()
+	copy(nxt, n.nxt())
+	nxt[from] = to
+	dropAt(c.u(), n.u(), pr)
+	dropAt(c.v(), n.v(), pc)
 
-	// The child's zero counts, by the parent's line: pivot's, less the
+	// The child's zero counts, by the parent's line: fill's, less the
 	// zeros of row pr and column pc.
-	rowZeros, colZeros := n.pool.tally[:k], n.pool.tally[2*k:3*k]
+	rowZeros, colZeros := p.tally[:k], p.tally[2*k:3*k]
 	for i := range k {
 		if m[i*k+pc] == 0 {
 			rowZeros[i]--
@@ -385,78 +457,47 @@ func (n *Node) include(m []int32, pr, pc int) *Node {
 		}
 	}
 
-	// Merge fragments and forbid the closing edge end→start while the
-	// tour is incomplete.
-	nxt, prv := c.nxt(), c.prv()
-	nxt[from] = to
-	prv[to] = from
+	// Forbid the edge end→start that would close the merged fragment
+	// start…from→to…end. from ends one fragment and to starts another:
+	// were they one fragment, (from, to) would be its closing cell, which
+	// is forbidden and so never the pivot. So end is a parent row other
+	// than pr and start a parent column other than pc.
 	start := from
-	for prv[start] != -1 {
-		start = prv[start]
+	for p.prv[start] != -1 {
+		start = p.prv[start]
 	}
 	end := to
 	for nxt[end] != -1 {
 		end = nxt[end]
 	}
-	if c.k > 1 {
-		if er, ok := c.rowIndex(end); ok {
-			if sc, ok2 := c.colIndex(start); ok2 {
-				forbid(forb, er*c.k+sc)
-				// The same cell in the parent's indices.
-				if er >= pr {
-					er++
-				}
-				if sc >= pc {
-					sc++
-				}
-				if m[er*k+sc] == 0 {
-					rowZeros[er]--
-					colZeros[sc]--
-				}
-				m[er*k+sc] = infCell
-			}
-		}
+	er, sc := int(p.rowAt[end]), int(p.colAt[start])
+	if m[er*k+sc] == 0 {
+		rowZeros[er]--
+		colZeros[sc]--
 	}
+	m[er*k+sc] = infCell
+	// The same cell in the child's indices.
+	if er > pr {
+		er--
+	}
+	if sc > pc {
+		sc--
+	}
+	forbid(forb, er*(k-1)+sc)
 	c.reduce(m, k, pr, pc, rowZeros, colZeros)
 	return c
 }
 
-// dropAt copies a line's city map and potentials without their entry i
-// into the child's: a few entries, so a loop beats four copy calls.
-func dropAt(dstCity, dstPot, city, pot []int32, i int) {
-	dstPot = dstPot[:len(dstCity)]
-	for j := range dstCity {
-		from := j
-		if j >= i {
-			from++
-		}
-		dstCity[j], dstPot[j] = city[from], pot[from]
-	}
+// dropAt copies a line's potentials without their entry i into the
+// child's.
+func dropAt(dst, pot []int32, i int) {
+	copy(dst, pot[:i])
+	copy(dst[i:], pot[i+1:])
 }
 
-// rowIndex finds the matrix row of a city.
-func (n *Node) rowIndex(city int32) (int, bool) {
-	for i, r := range n.rows() {
-		if r == city {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// colIndex finds the matrix column of a city.
-func (n *Node) colIndex(city int32) (int, bool) {
-	for i, c := range n.cols() {
-		if c == city {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// complete finishes a size-2 node from its reduced matrix m: the two
-// remaining edges are forced. Returns nil if neither assignment is
-// feasible.
+// complete finishes a size-2 node from its reduced matrix m and derive's
+// maps: the two remaining edges are forced. Returns nil if neither
+// assignment is feasible.
 func (n *Node) complete(m []int32) *Tour {
 	if n.k != 2 {
 		panic("tsp: complete on node of wrong size")
@@ -477,7 +518,7 @@ func (n *Node) complete(m []int32) *Tour {
 	for i, v := range n.nxt() {
 		nxt[i] = int(v)
 	}
-	rows, cols := n.rows(), n.cols()
+	rows, cols := n.pool.rows, n.pool.cols
 	for r := 0; r < 2; r++ {
 		nxt[rows[r]] = int(cols[r^swap])
 	}
@@ -514,32 +555,51 @@ type ExpandResult struct {
 // children are released on the spot, the feasible ones belong to the
 // caller.
 func (n *Node) Expand() ExpandResult {
-	n.mustBeLive("Expand")
-	k := n.k
-	res := ExpandResult{Work: 3 * k * k}
-	if n.Bound >= Inf {
-		return res
-	}
-	m := n.pool.mat[:k*k]
-	n.fill(m)
-	if k == 2 {
-		res.Tour = n.complete(m)
-		return res
-	}
-	pr, pc, ok := n.pivot(m)
-	if !ok {
-		return res
-	}
-	// exclude reads m before include compacts it.
-	exc := n.exclude(m, pr, pc)
-	inc := n.include(m, pr, pc)
-	res.Children = make([]*Node, 0, 2)
-	for _, c := range [2]*Node{inc, exc} {
-		if c.Bound < Inf {
-			res.Children = append(res.Children, c)
-		} else {
-			c.Release()
+	inc, exc, tour, work := n.expand()
+	res := ExpandResult{Tour: tour, Work: work}
+	if inc != nil || exc != nil {
+		res.Children = make([]*Node, 0, 2)
+		for _, c := range [2]*Node{inc, exc} {
+			if c != nil {
+				res.Children = append(res.Children, c)
+			}
 		}
 	}
 	return res
+}
+
+// expand is Expand without the Children slice, for the solvers: it
+// returns the include and the exclude child, each nil when infeasible (and
+// released), the completed tour or nil, and the work.
+func (n *Node) expand() (inc, exc *Node, tour *Tour, work int) {
+	n.mustBeLive("Expand")
+	k := n.k
+	work = 3 * k * k
+	if n.Bound >= Inf {
+		return nil, nil, nil, work
+	}
+	n.pool.derive(n)
+	m := n.pool.mat[:k*k]
+	n.fill(m)
+	if k == 2 {
+		return nil, nil, n.complete(m), work
+	}
+	pr, pc, ok := n.pivot()
+	if !ok {
+		return nil, nil, nil, work
+	}
+	// exclude reads m before include compacts it.
+	exc = n.exclude(m, pr, pc)
+	inc = n.include(m, pr, pc)
+	return feasible(inc), feasible(exc), nil, work
+}
+
+// feasible returns c when its bound is finite, and otherwise releases it
+// and returns nil.
+func feasible(c *Node) *Node {
+	if c.Bound < Inf {
+		return c
+	}
+	c.Release()
+	return nil
 }

@@ -294,8 +294,8 @@ func TestReleasedNodePanics(t *testing.T) {
 }
 
 // TestNodeSlabLayout checks that every node of a search is its slab of
-// 4k + 2N + ⌈k²/32⌉ entries and no k×k matrix: rows, cols and their
-// potentials, the fragment arrays and the forbidden-cell bitset.
+// 2k + N + ⌈k²/32⌉ entries and no k×k matrix: the row and column
+// potentials, the successor array and the forbidden-cell bitset.
 func TestNodeSlabLayout(t *testing.T) {
 	in := NewEuclideanInstance(12, 1)
 	var h nodeHeap
@@ -305,7 +305,7 @@ func TestNodeSlabLayout(t *testing.T) {
 		if n == nil {
 			break
 		}
-		if want := 4*n.k + 2*in.N + (n.k*n.k+31)/32; len(n.s) != want || cap(n.s) != want {
+		if want := 2*n.k + in.N + (n.k*n.k+31)/32; len(n.s) != want || cap(n.s) != want {
 			t.Fatalf("size-%d node: slab len %d cap %d, want %d", n.k, len(n.s), cap(n.s), want)
 		}
 		for _, c := range n.Expand().Children {
@@ -320,12 +320,12 @@ func TestNodeSlabLayout(t *testing.T) {
 // potentials, are released and come back as include children, whose
 // matrices checkLMSKStep holds to the reference reduction.
 func TestReleasedNodeIsRecycled(t *testing.T) {
-	root := NewRoot(NewRandomInstance(9, 2))
+	root := refRoot(NewRandomInstance(9, 2))
 	inc, sibling := checkLMSKStep(t, root)
-	chain := []*Node{inc}
+	chain := []refNode{inc}
 	for len(chain) < 5 {
 		_, exc := checkLMSKStep(t, chain[len(chain)-1])
-		if exc == nil || exc.Bound >= Inf {
+		if exc.Node == nil || exc.Bound >= Inf {
 			break
 		}
 		chain = append(chain, exc)
@@ -334,14 +334,14 @@ func TestReleasedNodeIsRecycled(t *testing.T) {
 	for _, n := range chain {
 		n.Seq = 99
 		n.Release()
-		released[n] = true
+		released[n.Node] = true
 	}
 	for n := sibling; len(released) > 0; {
 		inc, exc := checkLMSKStep(t, n)
-		if !released[inc] {
+		if !released[inc.Node] {
 			t.Fatal("include child after Release allocated instead of reusing a released node")
 		}
-		delete(released, inc)
+		delete(released, inc.Node)
 		if inc.dead || inc.Seq != 0 {
 			t.Fatalf("recycled node carries stale state: dead=%v Seq=%d", inc.dead, inc.Seq)
 		}
@@ -359,15 +359,55 @@ func TestReleasedNodeIsRecycled(t *testing.T) {
 // FuzzLMSKStep holds the node's steps to them.
 
 // wideMatrix materializes n's matrix from its potentials and forbidden
-// bits, as costs.
+// bits, as costs. It leaves n's derived maps and tallies on the pool.
 func wideMatrix(n *Node) []int64 {
 	cells := make([]int32, n.k*n.k)
+	n.pool.derive(n)
 	n.fill(cells)
+	return widen(cells)
+}
+
+// widen returns an int32 matrix as costs.
+func widen(cells []int32) []int64 {
 	m := make([]int64, len(cells))
 	for i, v := range cells {
 		m[i] = wide(v)
 	}
 	return m
+}
+
+// refNode is a node with the line maps and predecessors the references
+// track for it, independently of derive: the root's rows and columns are
+// every city and it has no predecessors; an exclude child has its
+// parent's maps, and an include child of edge from → to has its parent's
+// without rows[pr] and cols[pc], with from preceding to.
+type refNode struct {
+	*Node
+	rows, cols, prv []int32
+}
+
+func refRoot(in *Instance) refNode {
+	r := refNode{Node: NewRoot(in), rows: make([]int32, in.N), cols: make([]int32, in.N), prv: make([]int32, in.N)}
+	for i := range in.N {
+		r.rows[i], r.cols[i], r.prv[i] = int32(i), int32(i), -1
+	}
+	return r
+}
+
+// checkMaps checks the maps derive left on n's pool against the ones
+// tracked for n.
+func checkMaps(t *testing.T, what string, n refNode) {
+	t.Helper()
+	p := n.pool
+	if !slices.Equal(p.rows[:n.k], n.rows) || !slices.Equal(p.cols[:n.k], n.cols) || !slices.Equal(p.prv, n.prv) {
+		t.Fatalf("k=%d %s: derived rows %v cols %v prv %v, tracked %v %v %v",
+			n.k, what, p.rows[:n.k], p.cols[:n.k], p.prv, n.rows, n.cols, n.prv)
+	}
+	for i := range n.k {
+		if p.rowAt[n.rows[i]] != int32(i) || p.colAt[n.cols[i]] != int32(i) {
+			t.Fatalf("k=%d %s: rowAt/colAt do not invert rows %v and cols %v", n.k, what, n.rows, n.cols)
+		}
+	}
 }
 
 // refReduce subtracts each row's and then each column's minimum from m
@@ -475,33 +515,45 @@ func (h *refHeap) Pop() any {
 }
 
 // checkLMSKStep checks one branching step of n against the references:
-// pivot's cell, and each child's bound and matrix.
-func checkLMSKStep(t *testing.T, n *Node) (inc, exc *Node) {
+// the maps derive gives n, pivot's cell, and each child's maps, bound and
+// matrix. The steps run in Expand's order, derive and fill, pivot,
+// exclude, include, because include reads the maps and tallies of n that
+// materializing a child would overwrite.
+func checkLMSKStep(t *testing.T, n refNode) (inc, exc refNode) {
 	t.Helper()
 	k := n.k
-	m := wideMatrix(n)
 	cells := make([]int32, k*k)
+	n.pool.derive(n.Node)
+	checkMaps(t, "parent", n)
 	n.fill(cells)
-	pr, pc, ok := n.pivot(cells)
+	m := widen(cells)
+	pr, pc, ok := n.pivot()
 	if rpr, rpc, rok := refPivot(m, k); pr != rpr || pc != rpc || ok != rok {
 		t.Fatalf("k=%d: pivot = (%d,%d,%v), reference (%d,%d,%v)", k, pr, pc, ok, rpr, rpc, rok)
 	}
 	if !ok {
-		return nil, nil
+		return refNode{}, refNode{}
 	}
+	exc = refNode{Node: n.exclude(cells, pr, pc), rows: n.rows, cols: n.cols, prv: n.prv}
+	inc = refNode{Node: n.include(cells, pr, pc),
+		rows: slices.Delete(slices.Clone(n.rows), pr, pr+1),
+		cols: slices.Delete(slices.Clone(n.cols), pc, pc+1),
+		prv:  slices.Clone(n.prv)}
+	from, to := n.rows[pr], n.cols[pc]
+	inc.prv[to] = from
 
 	want := slices.Clone(m)
 	want[pr*k+pc] = Inf
 	wantBound := refReduce(want, k, n.Bound)
-	exc = n.exclude(cells, pr, pc)
-	if got := wideMatrix(exc); exc.Bound != wantBound || !slices.Equal(got, want) {
+	got := wideMatrix(exc.Node)
+	checkMaps(t, "exclude child", exc)
+	if exc.Bound != wantBound || !slices.Equal(got, want) {
 		t.Fatalf("k=%d: exclude(%d,%d) = bound %d %v, reference bound %d %v", k, pr, pc, exc.Bound, got, wantBound, want)
 	}
 
 	// The include child before its reduction: the parent's matrix without
 	// row pr and column pc, and the edge closing the committed fragment
-	// through rows[pr] → cols[pc] forbidden.
-	inc = n.include(cells, pr, pc)
+	// through from → to forbidden.
 	want = want[:0]
 	for r := 0; r < k; r++ {
 		for c := 0; c < k; c++ {
@@ -510,20 +562,22 @@ func checkLMSKStep(t *testing.T, n *Node) (inc, exc *Node) {
 			}
 		}
 	}
-	start, end := n.rows()[pr], n.cols()[pc]
-	for inc.prv()[start] != -1 {
-		start = inc.prv()[start]
+	start, end := from, to
+	for inc.prv[start] != -1 {
+		start = inc.prv[start]
 	}
 	for inc.nxt()[end] != -1 {
 		end = inc.nxt()[end]
 	}
-	if er, ok := inc.rowIndex(end); ok {
-		if sc, ok := inc.colIndex(start); ok {
+	if er := slices.Index(inc.rows, end); er >= 0 {
+		if sc := slices.Index(inc.cols, start); sc >= 0 {
 			want[er*(k-1)+sc] = Inf
 		}
 	}
 	wantBound = refReduce(want, k-1, n.Bound)
-	if got := wideMatrix(inc); inc.Bound != wantBound || !slices.Equal(got, want) {
+	got = wideMatrix(inc.Node)
+	checkMaps(t, "include child", inc)
+	if inc.Bound != wantBound || !slices.Equal(got, want) {
 		t.Fatalf("k=%d: include(%d,%d) = bound %d %v, reference bound %d %v", k, pr, pc, inc.Bound, got, wantBound, want)
 	}
 	return inc, exc
@@ -577,20 +631,21 @@ func FuzzLMSKStep(f *testing.F) {
 		if euclidean {
 			in = NewEuclideanInstance(k, seed)
 		}
-		n := NewRoot(in)
+		n := refRoot(in)
 		raw := make([]int64, 0, k*k)
 		for _, row := range in.Cost {
 			raw = append(raw, row...)
 		}
-		if want := refReduce(raw, k, 0); n.Bound != want || !slices.Equal(wideMatrix(n), raw) {
+		if want := refReduce(raw, k, 0); n.Bound != want || !slices.Equal(wideMatrix(n.Node), raw) {
 			t.Fatalf("%s: root bound %d, reference %d", in, n.Bound, want)
 		}
+		checkMaps(t, "root", n)
 		for _, b := range path[:min(len(path), 256)] {
 			if n.Bound >= Inf || n.k == 2 {
 				break
 			}
 			inc, exc := checkLMSKStep(t, n)
-			if inc == nil {
+			if inc.Node == nil {
 				break
 			}
 			n = exc

@@ -420,17 +420,20 @@ func (s *solver) search(t *cthreads.Thread, me int) {
 			s.useless++ // a consistent bound would have pruned this
 		}
 		s.expansions++
-		out := n.Expand()
+		inc, exc, tour, work := n.expand()
 		n.Release()
-		t.Compute(out.Work * cfg.StepsPerWorkUnit)
+		t.Compute(work * cfg.StepsPerWorkUnit)
 
-		if out.Tour != nil {
+		if tour != nil {
 			local := int64(s.bestFor(me).Load(t))
-			if out.Tour.Cost < local {
-				s.updateBest(t, me, out.Tour)
+			if tour.Cost < local {
+				s.updateBest(t, me, tour)
 			}
 		}
-		for _, c := range out.Children {
+		for _, c := range [2]*Node{inc, exc} {
+			if c == nil {
+				continue
+			}
 			if c.Bound < int64(s.bestFor(me).Load(t)) {
 				s.putWork(t, me, c)
 			} else {

@@ -119,16 +119,19 @@ func bestFirst(in *Instance, stepsPerWork int, charge func(steps int)) (SerialRe
 		if n == nil {
 			break
 		}
-		out := n.Expand()
+		inc, exc, tour, work := n.expand()
 		n.Release()
 		res.Expansions++
-		res.WorkUnits += out.Work
-		charge(out.Work * stepsPerWork)
-		if out.Tour != nil && out.Tour.Cost < best {
-			best = out.Tour.Cost
-			bestTour = out.Tour
+		res.WorkUnits += work
+		charge(work * stepsPerWork)
+		if tour != nil && tour.Cost < best {
+			best = tour.Cost
+			bestTour = tour
 		}
-		for _, c := range out.Children {
+		for _, c := range [2]*Node{inc, exc} {
+			if c == nil {
+				continue
+			}
 			if c.Bound < best {
 				charge(queueOpSteps)
 				h.push(c)
