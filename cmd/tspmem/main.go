@@ -22,6 +22,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -31,7 +32,7 @@ const guardKB = 3 << 20
 
 // run is one measured repro run.
 type run struct {
-	expansions string // Table 1's blocking expansions, "—" when stopped
+	expansions string // Table 1's blocking expansions, with separators
 	seconds    float64
 	peakKB     int64
 	stopped    bool
@@ -72,20 +73,21 @@ func measure(repro string, n int) (run, error) {
 	if err := cmd.Start(); err != nil {
 		return run{}, err
 	}
+	// The poller marks the run stopped before killing it, so once Wait
+	// returns, stopped tells a killed run from one that exited.
+	var stopped atomic.Bool
 	done := make(chan struct{})
-	stopped := make(chan bool, 1)
 	go func() {
 		tick := time.NewTicker(100 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
 			case <-done:
-				stopped <- false
 				return
 			case <-tick.C:
 				if residentKB(cmd.Process.Pid) > guardKB {
+					stopped.Store(true)
 					_ = cmd.Process.Kill() // fails only if the run has exited
-					stopped <- true
 					return
 				}
 			}
@@ -93,7 +95,7 @@ func measure(repro string, n int) (run, error) {
 	}()
 	err := cmd.Wait()
 	close(done)
-	r := run{seconds: time.Since(start).Seconds(), stopped: <-stopped}
+	r := run{seconds: time.Since(start).Seconds(), stopped: stopped.Load()}
 	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
 		r.peakKB = ru.Maxrss
 	}
