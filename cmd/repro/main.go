@@ -29,8 +29,8 @@ import (
 )
 
 // flagInputs maps each flag to the experiment input it sets. Flags absent
-// here (-j, -no-spin-batch, -cpuprofile, -memprofile) change how, not
-// what, any experiment runs.
+// here (-j, -cpuprofile, -memprofile) change how, not what, any
+// experiment runs.
 var flagInputs = map[string]experiments.Input{
 	"procs":  experiments.InMachine,
 	"iters":  experiments.InIters,
@@ -39,8 +39,7 @@ var flagInputs = map[string]experiments.Input{
 	"cities": experiments.InTSP, "searchers": experiments.InTSP,
 	"uniform": experiments.InTSP, "steps": experiments.InTSP, "file": experiments.InTSP,
 	"csvdir": experiments.InCSV,
-	"trace":  experiments.InTrace, "trace-capacity": experiments.InTrace,
-	"trace-engine": experiments.InTrace, "trace-reports": experiments.InTrace,
+	"trace":  experiments.InTrace, "trace-capacity": experiments.InTrace, "trace-reports": experiments.InTrace,
 	"profile-vt": experiments.InObserve, "ledger": experiments.InObserve,
 }
 
@@ -66,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csvdir := fs.String("csvdir", "", "write each locking-pattern figure's series as CSV into this directory")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0),
 		"parallel workers for independent sweep simulations (1 = serial; output is identical for any value)")
-	noSpinBatch := fs.Bool("no-spin-batch", false,
-		"emulate every futile busy-wait probe per-iteration instead of batching them in the engine (slower wall clock; simulated results are identical)")
 	tf := cli.TraceFlags(fs)
 	obs := cli.ObserveFlags(fs)
 	prof := cli.ProfileFlags(fs)
@@ -115,9 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "repro: %v\n", err)
 		return 1
-	}
-	if *noSpinBatch {
-		sim.SetDefaultBatchedSpins(false)
 	}
 	env.Tracer, env.Profiler, env.Ledger = tf.Tracer(), obs.Profiler(), obs.Ledger()
 	if err := prof.Start(); err != nil {

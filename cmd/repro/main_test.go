@@ -42,6 +42,8 @@ func TestArgValidation(t *testing.T) {
 		{"lock with only table6", []string{"-lock", "spin", "table6"}, 2, "-lock: no selected experiment reads it"},
 		{"unknown lock kind", []string{"-lock", "nosuch", "table4"}, 2, `-lock "nosuch": unknown lock kind`},
 		{"shards with the sharded sweep", []string{"-shards", "2", "sharded"}, 2, "flag provided but not defined"},
+		{"retired engine trace hook", []string{"-trace-engine", "table8"}, 2, "flag provided but not defined"},
+		{"retired per-iteration spin switch", []string{"-no-spin-batch", "fig1"}, 2, "flag provided but not defined"},
 		{"tsp flag with lock tables", []string{"-cities", "8", "table4"}, 2, "-cities: no selected experiment reads it"},
 		{"procs with figure 1", []string{"-procs", "4", "fig1"}, 2, "-procs: no selected experiment reads it"},
 		{"trace with figure 1", []string{"-trace", out("f.json"), "fig1"}, 2, "-trace: no selected experiment reads it"},

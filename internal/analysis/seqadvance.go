@@ -25,9 +25,8 @@ var seqadvanceMachineFields = map[string]bool{
 }
 
 // seqadvanceAllowed are the functions entitled to advance time/order
-// state: the engine's event loop (shared by Run, RunFor and the sharded
-// window), RunFor's clamp of the clock to its deadline, the inline
-// self-wakeup, event scheduling (including barrier message delivery),
+// state: the engine's event loop (shared by Run and the sharded
+// window), the inline self-wakeup, event scheduling (including barrier message delivery),
 // the module reservation path, the spin fast-forward, a spin-lane join
 // (which takes its pop 0's seq) and passPops (which counts a lane
 // member's pops as the clock passes them). A partial re-implementation
@@ -39,7 +38,6 @@ var seqadvanceAllowed = map[string]bool{
 	"schedule":        true,
 	"scheduleMessage": true,
 	"runEvents":       true,
-	"RunFor":          true,
 	"fastForwardSpin": true,
 	"joinLane":        true,
 	"passPops":        true,
@@ -107,7 +105,7 @@ func protectedField(pass *framework.Pass, lhs ast.Expr) string {
 func checkSeqadvanceBody(pass *framework.Pass, fd *ast.FuncDecl) {
 	report := func(pos token.Pos, field string) {
 		pass.Reportf(pos,
-			"write to %s outside the engine allowlist (%s is not one of advanceInline/schedule/scheduleMessage/runEvents/RunFor/fastForwardSpin/joinLane/passPops/reserveAccess): time and ordering state must advance only through the engine", field, fd.Name.Name)
+			"write to %s outside the engine allowlist (%s is not one of advanceInline/schedule/scheduleMessage/runEvents/fastForwardSpin/joinLane/passPops/reserveAccess): time and ordering state must advance only through the engine", field, fd.Name.Name)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -1,6 +1,6 @@
 // Package cli holds the cmd/repro flag groups that hide an output
 // format: the -trace family (Chrome JSON or text by extension, event
-// capacity, engine events, derived reports), the -profile-vt/-ledger
+// capacity, derived reports), the -profile-vt/-ledger
 // observability pair (folded stacks or a table; JSON or a report), and
 // the -cpuprofile/-memprofile pair. Each group registers its flags,
 // builds its collector and writes its files at the end of the run.
@@ -27,8 +27,6 @@ type Trace struct {
 	Path string
 	// Capacity bounds the event buffer (-trace-capacity).
 	Capacity int
-	// Engine includes raw engine schedule/fire events (-trace-engine).
-	Engine bool
 	// Reports prints trace-derived reports after the run (-trace-reports).
 	Reports bool
 }
@@ -41,8 +39,6 @@ func TraceFlags(fs *flag.FlagSet) *Trace {
 		"write a virtual-time event trace to this file (.json = Chrome/Perfetto format, otherwise text)")
 	fs.IntVar(&tf.Capacity, "trace-capacity", trace.DefaultCapacity,
 		"maximum buffered trace events; events past the cap are dropped and counted")
-	fs.BoolVar(&tf.Engine, "trace-engine", false,
-		"include raw engine schedule/fire events in the trace (verbose)")
 	fs.BoolVar(&tf.Reports, "trace-reports", false,
 		"with -trace, also print trace-derived reports (utilization, contention, adaptation lag)")
 	return tf
@@ -54,11 +50,7 @@ func (tf *Trace) Tracer() *trace.Tracer {
 	if tf.Path == "" {
 		return nil
 	}
-	tr := trace.New(tf.Capacity)
-	if tf.Engine {
-		tr.SetMask(trace.CatAll)
-	}
-	return tr
+	return trace.New(tf.Capacity)
 }
 
 // Flush writes the collected trace to the configured path — Chrome JSON

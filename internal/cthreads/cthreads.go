@@ -123,16 +123,8 @@ func (s *System) Stats() Stats { return s.stats }
 // SetTracer attaches (or, with nil, detaches) a structured event tracer.
 // Thread lifecycle and state transitions are recorded from this point on;
 // locks and monitors built on this system pick the tracer up through
-// Tracer. When the tracer's mask includes engine events, the engine's
-// trace hook is installed too.
-func (s *System) SetTracer(tr *trace.Tracer) {
-	s.tracer = tr
-	if tr != nil && tr.Enabled(trace.CatEngine) {
-		s.eng.SetTracer(tr.EngineHook())
-	} else if tr == nil {
-		s.eng.SetTracer(nil)
-	}
-}
+// Tracer. Like every observer it leaves the engine's fast paths on.
+func (s *System) SetTracer(tr *trace.Tracer) { s.tracer = tr }
 
 // Tracer returns the attached tracer (nil when tracing is disabled). The
 // nil tracer is safe to emit to, so callers need not check.
@@ -140,8 +132,8 @@ func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
 // SetProfiler attaches (or, with nil, detaches) the virtual-time
 // attribution profiler. Threads forked from this point on are registered,
-// and each Run adds its engine mechanism counters to the profiler. Unlike
-// SetTracer this does not force any engine slow path.
+// and each Run adds its engine mechanism counters to the profiler. Like
+// SetTracer it leaves the engine's fast paths on.
 func (s *System) SetProfiler(p *profile.Profiler) { s.prof = p }
 
 // Profiler returns the attached profiler (nil when profiling is disabled).

@@ -19,7 +19,7 @@
 // while a caller is blocked on its future). Time is charged on every
 // transition: when the base or the frame stack changes at virtual time t,
 // the interval since the previous transition is added to the accumulator
-// keyed by the outgoing (thread;base;frames) string. Unlike the tracer,
+// keyed by the outgoing (thread;base;frames) string. Like the tracer,
 // the profiler does not force the engine's slow paths: batching and
 // inline wakeups stay on, which is what makes the conservation test a
 // proof that attribution survives the fast-forward arithmetic.

@@ -103,7 +103,7 @@ func exports(t *testing.T, prof *profile.Profiler, led *core.Ledger) string {
 // time and each module's traffic must be byte-identical in every engine
 // mode, and in a plain rerun of the default mode (both fast paths on),
 // which checks the collectors' own determinism. The profiler deliberately
-// does NOT force the slow paths (unlike the tracer), so this proves
+// does NOT force the slow paths, so this proves
 // attribution survives the fast-forward arithmetic exactly.
 func TestExportsDifferential(t *testing.T) {
 	modes := append(simtest.Serial(), simtest.Mode{Inline: true, Batched: true})
@@ -141,7 +141,7 @@ func TestModeDependentDiagnostics(t *testing.T) {
 			st.Dispatches, st.MemberCommits, st.BatchedIters)
 	}
 	if slow.FastForwards() != 0 {
-		t.Errorf("no-spin-batch run committed %d fast-forwards, want 0", slow.FastForwards())
+		t.Errorf("batched-off run committed %d fast-forwards, want 0", slow.FastForwards())
 	}
 	if fast.Dispatches() == 0 {
 		t.Error("no dispatches counted")

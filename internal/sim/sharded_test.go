@@ -225,33 +225,25 @@ func TestShardedDeadlockReport(t *testing.T) {
 }
 
 // TestSerialDeadlockReportNamesCoros checks the serial half of the same
-// satellite: Run and RunFor both name the parked coros.
+// satellite: Run's deadlock report names the parked coros.
 func TestSerialDeadlockReportNamesCoros(t *testing.T) {
-	for _, mode := range []string{"Run", "RunFor"} {
-		e := NewEngine()
-		for i := 0; i < 10; i++ {
-			c := e.Spawn(fmt.Sprintf("waiter%d", i), func(c *Coro) { c.Park() })
-			c.Start(0)
+	e := NewEngine()
+	for i := 0; i < 10; i++ {
+		c := e.Spawn(fmt.Sprintf("waiter%d", i), func(c *Coro) { c.Park() })
+		c.Start(0)
+	}
+	err := e.Run()
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want deadlock, got %v", err)
+	}
+	msg := err.Error()
+	for _, want := range []string{"10 parked", "waiter0", "waiter7", "… 2 more"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("report %q does not contain %q", msg, want)
 		}
-		var err error
-		if mode == "Run" {
-			err = e.Run()
-		} else {
-			err = e.RunFor(Second)
-			e.shutdown()
-		}
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("%s: want deadlock, got %v", mode, err)
-		}
-		msg := err.Error()
-		for _, want := range []string{"10 parked", "waiter0", "waiter7", "… 2 more"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("%s: report %q does not contain %q", mode, msg, want)
-			}
-		}
-		if strings.Contains(msg, "shard") {
-			t.Errorf("%s: standalone report %q mentions a shard", mode, msg)
-		}
+	}
+	if strings.Contains(msg, "shard") {
+		t.Errorf("standalone report %q mentions a shard", msg)
 	}
 }
 

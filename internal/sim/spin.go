@@ -103,8 +103,6 @@ type SpinContext interface {
 // fast path on this engine. Both settings produce byte-identical
 // simulated histories — the differential spin suites prove it — so the
 // only reason to turn it off is to exercise or measure the slow path.
-// Tracer-installed engines take the slow path regardless, keeping the
-// schedule/event stream complete.
 func (e *Engine) SetBatchedSpins(on bool) { e.noBatch = !on }
 
 // spinPC is the resume point of a suspended spin emulation.
@@ -182,12 +180,11 @@ type spinState struct {
 // once two consecutive iterations prove a fixed per-iteration profile,
 // the spinner joins the spin lane, where its futile iterations cost
 // nothing until something needs them (see Engine.joinLane). With
-// batching disabled, or with a tracer installed, the loop is open-coded
-// per iteration instead; both paths produce byte-identical simulated
-// histories.
+// batching disabled the loop is open-coded per iteration instead; both
+// paths produce byte-identical simulated histories.
 func (c *Coro) SpinUntil(ctx SpinContext, spec *SpinSpec) (iters int64, ok bool) {
 	e := c.eng
-	if e.noBatch || e.tracer != nil {
+	if e.noBatch {
 		return c.spinSlow(ctx, spec)
 	}
 	s := spinState{c: c, ctx: ctx, spec: *spec, pc: spinProbeStart, volatile: spec.Volatile || spec.ProbeCell == nil}
@@ -362,7 +359,7 @@ const (
 	harmVolatile           // a run start; for a volatile spec, any dispatch, callback or boundary
 	leaveOwn               // its slice boundary or MaxIters exhaustion, or nothing else left to run
 	leaveTie               // another occurrence at an instant where it pops
-	leaveEnd               // the event loop ends, or a tracer is installed
+	leaveEnd               // the event loop ends
 )
 
 // harm reports what has harmed s since its current iteration's probe
@@ -395,7 +392,7 @@ func (e *Engine) harm(s *spinState) harmCause {
 // the module's recurrence at its fixed point with s the only member
 // probing it.
 func (e *Engine) isEpochMember(s *spinState) bool {
-	if e.noInline || e.tracer != nil || e.stopped {
+	if e.noInline || e.stopped {
 		return false
 	}
 	if !s.steady || s.boundary || e.harm(s) != harmNone || s.curDelay != s.lastDelay ||

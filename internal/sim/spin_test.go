@@ -316,7 +316,7 @@ func TestSpinLongEpoch(t *testing.T) {
 	}
 }
 
-// TestSpinRunForWindow drives a spin across a RunFor deadline: the window
+// TestSpinRunForWindow drives a spin across a window end: the window
 // must bound batching exactly as it bounds inline wakeups, and resuming
 // with Run must complete identically to the slow path.
 func TestSpinRunForWindow(t *testing.T) {
@@ -338,7 +338,7 @@ func TestSpinRunForWindow(t *testing.T) {
 			iters, _ = c.SpinUntil(a, spec)
 		})
 		c.Start(0)
-		if err := e.RunFor(2 * Millisecond); err != nil {
+		if err := e.runWindow(2*Millisecond + 1); err != nil {
 			t.Fatal(err)
 		}
 		midNow, midSeq = e.now, e.seq
@@ -350,58 +350,12 @@ func TestSpinRunForWindow(t *testing.T) {
 	sMidNow, sEndNow, sMidSeq, sEndSeq, sIters := run(false)
 	bMidNow, bEndNow, bMidSeq, bEndSeq, bIters := run(true)
 	if sMidNow != bMidNow || sMidSeq != bMidSeq {
-		t.Errorf("at RunFor deadline: batched (now=%d seq=%d) != slow (now=%d seq=%d)",
+		t.Errorf("at the window end: batched (now=%d seq=%d) != slow (now=%d seq=%d)",
 			bMidNow, bMidSeq, sMidNow, sMidSeq)
 	}
 	if sEndNow != bEndNow || sEndSeq != bEndSeq || sIters != bIters {
 		t.Errorf("final: batched (now=%d seq=%d iters=%d) != slow (now=%d seq=%d iters=%d)",
 			bEndNow, bEndSeq, bIters, sEndNow, sEndSeq, sIters)
-	}
-}
-
-// TestSpinTracerMidSpin attaches a tracer while a batched spin is in
-// flight: from that instant every charge must go through the heap and
-// appear in the trace, producing the same schedule/event stream the
-// un-batched engine emits.
-func TestSpinTracerMidSpin(t *testing.T) {
-	run := func(batched bool) (stream []string, finalNow Time, finalSeq uint64) {
-		m := NewMachine(Config{Nodes: 1})
-		e := m.Engine()
-		e.SetBatchedSpins(batched)
-		cell := m.NewCell(0, "flag", 0)
-		e.After(1*Millisecond, func() {
-			e.SetTracer(func(at Time, what string) {
-				stream = append(stream, fmt.Sprintf("%d %s", at, what))
-			})
-		})
-		e.After(3*Millisecond, func() { cell.Poke(1) })
-		a := &spinAccessor{}
-		c := e.Spawn("spinner", func(c *Coro) {
-			a.c = c
-			spec := &SpinSpec{
-				ProbeCell: cell,
-				Probe:     func() bool { return cell.Peek() != 0 },
-				PauseCost: func() Time { return 400 * Nanosecond },
-				MaxIters:  SpinUnbounded,
-			}
-			c.SpinUntil(a, spec)
-		})
-		c.Start(0)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return stream, e.now, e.seq
-	}
-	sStream, sNow, sSeq := run(false)
-	bStream, bNow, bSeq := run(true)
-	if bNow != sNow || bSeq != sSeq {
-		t.Errorf("batched (now=%d seq=%d) != slow (now=%d seq=%d)", bNow, bSeq, sNow, sSeq)
-	}
-	if !reflect.DeepEqual(sStream, bStream) {
-		t.Errorf("trace streams differ: batched %d records, slow %d", len(bStream), len(sStream))
-	}
-	if len(sStream) == 0 {
-		t.Error("tracer saw no engine occurrences")
 	}
 }
 
@@ -546,7 +500,7 @@ type epochParams struct {
 	lockstep bool // equal pauses, nodes and start times: tied (when, at) chains
 	quantum  Time // spinners' slice budget; 0 = none
 	gap      Time // descheduled time at a slice boundary; 0 = absorbed in place
-	deadline Time // RunFor split point; 0 = one plain Run
+	deadline Time // window split point, after the Stop when there is one; 0 = one plain Run
 
 	// Local-harm shapes: occurrences that leave most spinners' cells
 	// alone.
@@ -573,7 +527,7 @@ type epochParams struct {
 // pause and start time, so their charges tie on (when, at) and the
 // commit must order them as the per-charge engine would; otherwise
 // pauses and distances differ. Every fourth spinner declares no probe
-// cell, so its iterations are a pause alone. A RunFor deadline, when
+// cell, so its iterations are a pause alone. A window deadline, when
 // set, splits the run mid-epoch. The local-harm shapes add busy
 // non-spinners and callbacks that touch no cell, a writer whose stores
 // to c0 alternate between its current value (no harm) and new held
@@ -774,11 +728,11 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 	}
 	var err error
 	if p.stop {
-		err = e.RunFor(10 * Millisecond)
+		err = e.runWindow(10*Millisecond + 1)
 		logf("stopped pending=%d", e.Pending())
 	}
 	if p.deadline > 0 && err == nil {
-		err = e.RunFor(p.deadline)
+		err = e.runWindow(e.now + p.deadline + 1)
 		logf("deadline pending=%d", e.Pending())
 	}
 	if runErr := e.Run(); err == nil {
@@ -825,7 +779,7 @@ func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits
 // FuzzSpinEpochDifferential drives many concurrent spinners — private
 // and shared cells, lockstep chains with tied (when, at), unequal
 // lengths, module contention on and off, MaxIters, slice budgets, a
-// RunFor deadline mid-epoch, a non-spinner releasing a cell mid-epoch,
+// window deadline mid-epoch, a non-spinner releasing a cell mid-epoch,
 // the local-harm shapes: busy non-spinners, same-value and new-value
 // writes (one restored within an instant, others only after members
 // popped), a volatile spinner, one cell written for a long stretch —
@@ -852,7 +806,7 @@ func FuzzSpinEpochDifferential(f *testing.F) {
 	f.Add(uint64(13), uint8(9), uint8(3), uint8(8|16|32|64|4), uint8(2), uint8(3), uint16(500))
 	// The lazy-member shapes (svcUnits bits 3–6): an inline sleeper, the
 	// 300ns ticker in lockstep, lockstep members on several cells with c0
-	// written, a Stop and a RunFor deadline with state reads, and all of
+	// written, a Stop and a window deadline with state reads, and all of
 	// them on the hot-spot module model.
 	f.Add(uint64(14), uint8(7), uint8(7), uint8(2), uint8(8), uint8(0), uint16(0))
 	f.Add(uint64(15), uint8(7), uint8(3), uint8(1), uint8(16), uint8(0), uint16(0))

@@ -129,25 +129,23 @@ func TestWorkerReuseWithoutStaleState(t *testing.T) {
 			}
 
 			var (
-				got       *worker
-				killed    bool
-				lifecycle []string
-				at        []Time
-				err       error
+				got    *worker
+				killed bool
+				name   string
+				starts int
+				at     []Time
+				err    error
+				f      *Engine
+				c      *Coro
 			)
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				f := NewEngine()
-				f.SetTracer(func(_ Time, what string) {
-					if strings.HasPrefix(what, "coro-") {
-						lifecycle = append(lifecycle, what)
-					}
-				})
-				var c *Coro
+				f = NewEngine()
 				c = f.Spawn("fresh", func(c *Coro) {
-					got, killed = c.w, c.killed
+					starts++
+					got, killed, name = c.w, c.killed, c.Name()
 					c.Sleep(3)
 					at = append(at, c.Now())
 					c.Park()
@@ -172,8 +170,9 @@ func TestWorkerReuseWithoutStaleState(t *testing.T) {
 			if want := []Time{3, 5, 7}; fmt.Sprint(at) != fmt.Sprint(want) {
 				t.Fatalf("fresh coro woke at %v, want %v", at, want)
 			}
-			if want := []string{"coro-start fresh", "coro-done fresh"}; fmt.Sprint(lifecycle) != fmt.Sprint(want) {
-				t.Fatalf("lifecycle %q, want %q", lifecycle, want)
+			if starts != 1 || name != "fresh" || !c.Done() || c.w != nil || f.Live() != 0 {
+				t.Fatalf("fresh coro: %d starts as %q, done=%v worker=%v live=%d; want one start as \"fresh\", done, unbound, 0 live",
+					starts, name, c.Done(), c.w, f.Live())
 			}
 			if lastIdleWorker() != w {
 				t.Fatal("worker not returned to the pool after its second body")

@@ -70,7 +70,7 @@ func (tr *Tracer) UtilizationTimeline(buckets int) []ProcUtilization {
 		}
 	}
 	for _, ev := range events {
-		if ev.Kind.Category() != CatThread {
+		if !ev.Kind.isThread() {
 			continue
 		}
 		if ev.Kind == KindThreadRun {

@@ -33,7 +33,6 @@ func syntheticTrace() *Tracer {
 
 	emit(Event{At: us(50), Kind: KindSample, Proc: -1, Thread: -1, Name: "obj", A: int64(us(20)), B: 4})
 	emit(Event{At: us(60), Kind: KindReconfig, Proc: -1, Thread: -1, Name: "obj", Extra: "spin-time=0", A: 0})
-	emit(Event{At: us(100), Kind: KindEngine, Name: "event"}) // masked out by default
 
 	return tr
 }
@@ -49,7 +48,7 @@ func TestUtilizationTimeline(t *testing.T) {
 		t.Errorf("proc = %d, want 0", r.Proc)
 	}
 	// Run spans: 10–30 and 50–70 = 40µs busy out of a 70µs trace end
-	// (the engine event is masked, so the last event is thread-done).
+	// (the last event is thread-done).
 	if r.Busy != us(40) {
 		t.Errorf("busy = %v, want 40µs", r.Busy)
 	}

@@ -39,8 +39,6 @@ func (tr *Tracer) WriteText(w io.Writer) error {
 // detail renders the kind-specific tail of a text log line.
 func detail(ev Event) string {
 	switch ev.Kind {
-	case KindEngine:
-		return ev.Extra
 	case KindThreadFork:
 		return ev.Name
 	case KindThreadBlock:

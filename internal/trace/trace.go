@@ -1,16 +1,18 @@
 // Package trace is the virtual-time structured event tracer that spans
-// every layer of the reproduction: engine events (schedule/fire), thread
-// lifecycle and state transitions, lock activity (request, contention,
-// sleep, acquisition, release), the adaptive feedback loop (sensor sample,
-// reconfiguration applied), and the loosely-coupled general-purpose monitor
-// pipeline (record collection and delivery).
+// every layer of the reproduction above the engine: thread lifecycle and
+// state transitions, lock activity (request, contention, sleep,
+// acquisition, release), the adaptive feedback loop (sensor sample,
+// reconfiguration applied), and the loosely-coupled general-purpose
+// monitor pipeline (record collection and delivery).
 //
 // A Tracer owns a bounded ring of typed events, each stamped with
 // sim.Time, processor/node, and thread ID. Tracing is injectable and
 // zero-overhead when disabled: every emit helper is safe on a nil *Tracer
 // and performs no allocation and no work beyond the nil check, so the hot
 // paths of the simulator, thread package, and lock family can call them
-// unconditionally.
+// unconditionally. Attaching a tracer leaves the engine's fast paths on,
+// and a traced run's exports are identical in every engine mode
+// (TestTraceExportsDifferential).
 //
 // All trace content derives from simulated state, so identical seeds
 // produce byte-identical exporter output (see WriteChrome, WriteText) —
@@ -33,15 +35,9 @@ type Kind uint8
 
 // Event kinds, grouped by the layer that emits them.
 const (
-	// KindEngine is an engine occurrence; Extra is "schedule", "event"
-	// (fire), or a coro lifecycle note. Disabled by the default mask —
-	// engine events are extremely hot and mainly useful when debugging
-	// the deterministic engine itself.
-	KindEngine Kind = iota
-
 	// KindThreadFork: a thread was forked onto Proc. Name is the thread
 	// name (the exporter learns thread names from these).
-	KindThreadFork
+	KindThreadFork Kind = iota
 	// KindThreadReady: the thread joined its processor's ready queue.
 	KindThreadReady
 	// KindThreadRun: the processor dispatched the thread.
@@ -100,7 +96,6 @@ const (
 
 // kindNames renders kinds for the text exporter and reports.
 var kindNames = [kindCount]string{
-	KindEngine:         "engine",
 	KindThreadFork:     "thread-fork",
 	KindThreadReady:    "thread-ready",
 	KindThreadRun:      "thread-run",
@@ -126,40 +121,9 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Category is a bitmask of event groups, used to select what a Tracer
-// records.
-type Category uint32
-
-// Event categories.
-const (
-	CatEngine Category = 1 << iota
-	CatThread
-	CatLock
-	CatAdapt
-	CatMonitor
-
-	// CatDefault is what New enables: everything except the per-event
-	// engine firehose.
-	CatDefault = CatThread | CatLock | CatAdapt | CatMonitor
-	// CatAll enables every category.
-	CatAll = CatEngine | CatDefault
-)
-
-// Category returns the category a kind belongs to.
-func (k Kind) Category() Category {
-	switch k {
-	case KindEngine:
-		return CatEngine
-	case KindThreadFork, KindThreadReady, KindThreadRun, KindThreadBlock, KindThreadDone:
-		return CatThread
-	case KindLockRequest, KindLockBlocked, KindLockAcquire, KindLockRelease:
-		return CatLock
-	case KindSample, KindReconfig:
-		return CatAdapt
-	default:
-		return CatMonitor
-	}
-}
+// isThread reports whether k is a thread lifecycle or state transition,
+// the kinds that open the list above.
+func (k Kind) isThread() bool { return k <= KindThreadDone }
 
 // Event is one trace record. Proc and Thread are -1 when the emitting
 // context is not a simulated thread (e.g. a reconfiguration applied during
@@ -172,8 +136,7 @@ type Event struct {
 	// Name is the event's subject: lock name, adaptive-object name, or
 	// (for KindThreadFork) the thread's name.
 	Name string
-	// Extra is a secondary label: a rendered decision for KindReconfig,
-	// the engine occurrence for KindEngine.
+	// Extra is a secondary label: a rendered decision for KindReconfig.
 	Extra string
 	// A and B are kind-specific arguments; see the Kind constants.
 	A, B int64
@@ -187,14 +150,13 @@ const DefaultCapacity = 1 << 20
 // Tracer records typed events into a bounded buffer. The zero of
 // *Tracer — nil — is a valid disabled tracer: every method is nil-safe.
 type Tracer struct {
-	mask    Category
 	limit   int
 	events  []Event
 	dropped uint64
 }
 
-// New returns a tracer recording the default categories (everything except
-// engine events) into a buffer bounded at capacity events (<= 0 means
+// New returns a tracer recording every event into a buffer bounded at
+// capacity events (<= 0 means
 // DefaultCapacity). Events past the bound are counted in Dropped and
 // discarded — deterministically, since the event stream itself is
 // deterministic.
@@ -202,25 +164,12 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{mask: CatDefault, limit: capacity}
-}
-
-// SetMask replaces the category mask.
-func (tr *Tracer) SetMask(m Category) {
-	if tr != nil {
-		tr.mask = m
-	}
-}
-
-// Enabled reports whether events of category c would be recorded. It is
-// the cheap pre-check hot paths may use before assembling event fields.
-func (tr *Tracer) Enabled(c Category) bool {
-	return tr != nil && tr.mask&c != 0
+	return &Tracer{limit: capacity}
 }
 
 // Emit records one event. Safe (and free) on a nil tracer.
 func (tr *Tracer) Emit(ev Event) {
-	if tr == nil || tr.mask&ev.Kind.Category() == 0 {
+	if tr == nil {
 		return
 	}
 	if len(tr.events) >= tr.limit {
@@ -255,19 +204,10 @@ func (tr *Tracer) Dropped() uint64 {
 	return tr.dropped
 }
 
-// Reset discards all recorded events (the mask and bound stay).
+// Reset discards all recorded events (the bound stays).
 func (tr *Tracer) Reset() {
 	if tr != nil {
 		tr.events = tr.events[:0]
 		tr.dropped = 0
-	}
-}
-
-// EngineHook adapts the tracer to the sim engine's trace callback; install
-// with Engine.SetTracer. Engine events are recorded only when CatEngine is
-// in the mask.
-func (tr *Tracer) EngineHook() sim.Tracer {
-	return func(at sim.Time, what string) {
-		tr.Emit(Event{At: at, Kind: KindEngine, Proc: -1, Thread: -1, Extra: what})
 	}
 }

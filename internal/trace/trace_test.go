@@ -10,17 +10,22 @@ import (
 	"repro/internal/cthreads"
 	"repro/internal/locks"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 	"repro/internal/trace"
 )
 
 // contendedRun drives an adaptive lock hard enough to produce thread
 // blocking, contended acquisitions, and at least one reconfiguration, with
-// the given tracer attached. It is the shared scenario for the shape and
-// determinism tests.
-func contendedRun(t *testing.T, tr *trace.Tracer) {
+// the given tracer attached, and returns the finished system. It is the
+// shared scenario for the shape and determinism tests. configure, when
+// non-nil, sets the engine's modes before the run.
+func contendedRun(t *testing.T, tr *trace.Tracer, configure func(*sim.Engine)) *cthreads.System {
 	t.Helper()
 	sys := cthreads.New(sim.Config{Nodes: 4})
 	sys.SetTracer(tr)
+	if configure != nil {
+		configure(sys.Engine())
+	}
 	l := locks.NewAdaptiveLock(sys, 0, "testlock", nil)
 	for i := 0; i < 8; i++ {
 		i := i
@@ -36,35 +41,18 @@ func contendedRun(t *testing.T, tr *trace.Tracer) {
 	if err := sys.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	return sys
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *trace.Tracer
 	tr.Emit(trace.Event{Kind: trace.KindThreadRun})
-	tr.SetMask(trace.CatAll)
 	tr.Reset()
-	if tr.Enabled(trace.CatThread) {
-		t.Error("nil tracer reports enabled")
-	}
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Error("nil tracer reports state")
 	}
 	// A full simulation with a nil tracer must work untouched.
-	contendedRun(t, nil)
-}
-
-func TestMaskGatesCategories(t *testing.T) {
-	tr := trace.New(1024)
-	tr.SetMask(trace.CatAdapt) // only feedback-loop events
-	tr.Emit(trace.Event{Kind: trace.KindThreadRun})
-	tr.Emit(trace.Event{Kind: trace.KindLockAcquire})
-	tr.Emit(trace.Event{Kind: trace.KindReconfig})
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (only the CatAdapt event)", tr.Len())
-	}
-	if tr.Events()[0].Kind != trace.KindReconfig {
-		t.Errorf("kept %v, want KindReconfig", tr.Events()[0].Kind)
-	}
+	contendedRun(t, nil, nil)
 }
 
 func TestCapacityDropsAreCounted(t *testing.T) {
@@ -82,7 +70,7 @@ func TestCapacityDropsAreCounted(t *testing.T) {
 
 func TestTraceCapturesAllLayers(t *testing.T) {
 	tr := trace.New(1 << 16)
-	contendedRun(t, tr)
+	contendedRun(t, tr, nil)
 	var got [64]int
 	for _, ev := range tr.Events() {
 		got[ev.Kind]++
@@ -105,7 +93,7 @@ func TestTraceCapturesAllLayers(t *testing.T) {
 // criteria name.
 func TestChromeShape(t *testing.T) {
 	tr := trace.New(1 << 16)
-	contendedRun(t, tr)
+	contendedRun(t, tr, nil)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -173,7 +161,7 @@ func TestChromeShape(t *testing.T) {
 func TestSameSeedByteIdentical(t *testing.T) {
 	render := func() (string, string) {
 		tr := trace.New(1 << 16)
-		contendedRun(t, tr)
+		contendedRun(t, tr, nil)
 		var cj, tx bytes.Buffer
 		if err := tr.WriteChrome(&cj); err != nil {
 			t.Fatalf("WriteChrome: %v", err)
@@ -198,7 +186,7 @@ func TestSameSeedByteIdentical(t *testing.T) {
 
 func TestTextExport(t *testing.T) {
 	tr := trace.New(1 << 16)
-	contendedRun(t, tr)
+	contendedRun(t, tr, nil)
 	var buf bytes.Buffer
 	if err := tr.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
@@ -207,5 +195,32 @@ func TestTextExport(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("text export missing %q", want)
 		}
+	}
+}
+
+// TestTraceExportsDifferential is the tracer's differential suite: the
+// end time and the Chrome and text exports of a traced contended run
+// must be byte-identical in every engine mode. The tracer observes the
+// run without steering it onto a reference path, so the fast paths'
+// traces are the oracle's.
+func TestTraceExportsDifferential(t *testing.T) {
+	var batched uint64
+	simtest.Check(t, simtest.Serial(), func(m simtest.Mode) string {
+		tr := trace.New(1 << 16)
+		sys := contendedRun(t, tr, func(e *sim.Engine) { m.Set(e) })
+		if m.Batched {
+			batched += sys.Engine().Stats().BatchedIters
+		}
+		var cj, tx bytes.Buffer
+		if err := tr.WriteChrome(&cj); err != nil {
+			t.Fatalf("WriteChrome: %v", err)
+		}
+		if err := tr.WriteText(&tx); err != nil {
+			t.Fatalf("WriteText: %v", err)
+		}
+		return fmt.Sprintf("end %d\n%s%s", sys.Now(), cj.String(), tx.String())
+	})
+	if batched == 0 {
+		t.Error("no batched spin iterations in any batched mode: the workload does not reach the fast path the tracer must not perturb")
 	}
 }
