@@ -67,7 +67,7 @@ func reportMech(b *testing.B, s sim.Stats) {
 		{"commits", s.Commits}, {"member-commits", s.MemberCommits},
 		{"batched-iters", s.BatchedIters}, {"shared-commits", s.SharedCommits},
 		{"evict-cell", s.EvictCell}, {"evict-module", s.EvictModule},
-		{"evict-own", s.EvictOwn}, {"evict-volatile", s.EvictVolatile},
+		{"evict-own", s.EvictOwn}, {"evict-run", s.EvictRun},
 		{"evict-tie", s.EvictTie}, {"evict-loop-end", s.EvictLoopEnd},
 		{"state-reads", s.StateReads}, {"lane-survivals", s.LaneSurvivals},
 		{"lane-refusals", s.LaneRefusals}, {"lane-passed", s.LanePassed},

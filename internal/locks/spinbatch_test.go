@@ -255,17 +255,13 @@ func TestSpinEpochFigure1Differential(t *testing.T) {
 // lazy-member paths that TestSpinEpochFigure1Differential checks are not
 // vacuous: in a Figure 1 cohort cell, members must be present at many
 // dispatches and callbacks, bodies must advance inline past members'
-// pops, no persistent spec may be evicted as volatile, and the closed
-// form must take most of the spinning.
+// pops, and the closed form must take most of the spinning.
 func TestSpinEpochFigure1Engages(t *testing.T) {
 	build := func(sys *cthreads.System) Lock { return NewCohortLock(sys, 0, "cohort") }
 	_, st := runFigure1Cell(t, build, 500*sim.Microsecond, simtest.Mode{Inline: true, Batched: true})
 	if st.LaneSurvivals < st.Dispatches {
 		t.Errorf("lane members survived %d dispatches and callbacks over %d dispatches: want at least one per dispatch",
 			st.LaneSurvivals, st.Dispatches)
-	}
-	if st.EvictVolatile != 0 {
-		t.Errorf("%d evictions of persistent cohort specs as volatile, want 0", st.EvictVolatile)
 	}
 	if st.LanePassed < st.LaneRefusals || st.LanePassed == 0 {
 		t.Errorf("bodies passed members' pops inline %d times and were refused by the lane %d times: want more passes",
@@ -274,6 +270,42 @@ func TestSpinEpochFigure1Engages(t *testing.T) {
 	if st.BatchedIters < 10*st.SpinCharges {
 		t.Errorf("commits took %d iterations against %d charges fired one at a time: want at least 10 times as many",
 			st.BatchedIters, st.SpinCharges)
+	}
+}
+
+// TestVolatileSpinNeverJoins pins that only persistent probe-cell
+// spinners join the spin lane: the backoff lock's volatile pause (it
+// reads the spinner count) and a spin-wait barrier's poll (it probes no
+// cell) must spin one charge at a time, with no member ever applied in
+// closed form.
+func TestVolatileSpinNeverJoins(t *testing.T) {
+	build := func(sys *cthreads.System) Lock { return NewBackoffSpinLock(sys, 0, "backoff") }
+	_, backoff := runFigure1Cell(t, build, 500*sim.Microsecond, simtest.Mode{Inline: true, Batched: true})
+
+	sys := cthreads.New(sim.Config{Nodes: 4, Seed: 5})
+	bar := sys.NewBarrier("bar", 4)
+	bar.SpinWait = 200 * sim.Nanosecond
+	for i := 0; i < 4; i++ {
+		sys.Fork(i, fmt.Sprintf("w%d", i), func(th *cthreads.Thread) {
+			for g := 0; g < 20; g++ {
+				th.Advance(sim.Time(1+th.Rand().Intn(50)) * sim.Microsecond)
+				bar.Arrive(th)
+			}
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		st   sim.Stats
+	}{{"backoff", backoff}, {"barrier", sys.Engine().Stats()}} {
+		if c.st.SpinCharges == 0 {
+			t.Errorf("%s: no spin charge fired: the workload never spun", c.name)
+		}
+		if c.st.MemberCommits != 0 {
+			t.Errorf("%s: %d lane members applied in closed form, want 0", c.name, c.st.MemberCommits)
+		}
 	}
 }
 

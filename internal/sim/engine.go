@@ -164,11 +164,9 @@ type Engine struct {
 	lane     []epochMember
 	laneNext Time
 	applied  int
-	// The engine-wide spin harm counters (see Engine.harm): runs counts
-	// Run/runWindow starts, which harm every spinner; occurrences
-	// counts coroutine dispatches, callbacks and slice boundaries, which
-	// harm only volatile spinners.
-	runs, occurrences uint64
+	// runs counts Run/runWindow starts, which harm every spinner (see
+	// Engine.harm).
+	runs uint64
 
 	// live tracks spawned coros that have not finished, for shutdown and
 	// deadlock detection.
@@ -342,8 +340,7 @@ func (e *Engine) afterCoro(d Time, c *Coro) {
 // otherwise the scheduled callback. A coro suspended inside a spin
 // emulation (Coro.SpinUntil) is not resumed — the event advances its
 // state machine engine-side instead, and the body resumes only when
-// the whole busy-wait loop completes. A dispatch and a callback harm
-// volatile spinners (Engine.harm); a spin charge harms no one.
+// the whole busy-wait loop completes.
 func (e *Engine) fire(ev *event) {
 	if c := ev.coro; c != nil {
 		if c.spinning && !c.killed {
@@ -356,7 +353,6 @@ func (e *Engine) fire(ev *event) {
 		e.dispatch(c)
 		return
 	}
-	e.occurrences++
 	e.stats.LaneSurvivals += uint64(len(e.lane))
 	ev.fn()
 }
@@ -532,7 +528,6 @@ func (e *Engine) shutdown() {
 // invariants").
 func (e *Engine) dispatch(c *Coro) {
 	e.stats.Dispatches++
-	e.occurrences++
 	e.stats.LaneSurvivals += uint64(len(e.lane))
 	if c.w == nil {
 		c.w = getWorker()

@@ -64,8 +64,8 @@ type SpinSpec struct {
 	// Volatile declares that Probe or PauseCost reads state other than
 	// ProbeCell's value — a waiter count, a plain Go flag — which any
 	// coroutine dispatch, callback or slice boundary may change. A
-	// volatile loop's batched iterations end at every such occurrence.
-	// A spec with no ProbeCell is volatile whatever this says.
+	// volatile loop never joins the spin lane: it runs one charge at a
+	// time. A spec with no ProbeCell is volatile whatever this says.
 	Volatile bool
 	// MaxIters bounds the futile iterations (pauses) before SpinUntil
 	// gives up; SpinUnbounded (negative) spins until Probe succeeds, 0
@@ -148,15 +148,15 @@ type spinState struct {
 
 	probeBase Time // fixed access cost of one probe (0 when no cell)
 	probeX    Time // atomic surcharge passed to reserveAccess
-	volatile  bool // spec.Volatile, or no probe cell
+	volatile  bool // spec.Volatile, or no probe cell: never joins the lane
 
-	// Steady-state detection for spin epochs: an iteration is clean when
-	// nothing harmed the spinner (Engine.harm) from its probe
-	// reservation through its pause; steady means the last two
-	// iterations were clean with equal (module delay, pause), which by
-	// the busy-wait contract fixes every further iteration until the
-	// spinner is harmed (see Engine.isEpochMember).
-	seenRuns, seenOcc    uint64 // the engine's harm counters at this iteration's probe reservation
+	// Steady-state detection for spin epochs, run only for a persistent
+	// spinner: an iteration is clean when nothing harmed the spinner
+	// (Engine.harm) from its probe reservation through its pause; steady
+	// means the last two iterations were clean with equal (module delay,
+	// pause), which by the busy-wait contract fixes every further
+	// iteration until the spinner is harmed (see Engine.isEpochMember).
+	seenRuns             uint64 // the engine's run count at this iteration's probe reservation
 	seenVal              uint64 // the probe cell's value at the last probe evaluation
 	descheduled          bool   // preempted under module contention, or its module reserved by another, since the reservation
 	resvAt               Time   // when this iteration's probe reserved its module
@@ -254,7 +254,7 @@ func (e *Engine) runSpin(s *spinState) bool {
 	for {
 		switch s.pc {
 		case spinProbeStart:
-			s.seenRuns, s.seenOcc, s.descheduled, s.resvAt = e.runs, e.occurrences, false, e.now
+			s.seenRuns, s.descheduled, s.resvAt = e.runs, false, e.now
 			if cell := s.spec.ProbeCell; cell != nil {
 				cost, delay := cell.m.reserveAccess(s.ctx.Node(), cell.node, s.probeX)
 				s.curDelay = delay
@@ -287,20 +287,17 @@ func (e *Engine) runSpin(s *spinState) bool {
 		case spinAfterSleep:
 			s.wait = spinWaitNone
 			s.pc = spinAfterBoundary
-			if s.boundary {
-				e.occurrences++
-				if s.ctx.SpinBoundary() {
-					// Preempted mid-charge: the processor's next dispatch
-					// of this context resumes the emulation via Unpark.
-					// Under module contention the gap breaks the timing
-					// the module recurrence's fixed point depends on.
-					if cell := s.spec.ProbeCell; cell != nil && cell.m.cfg.ModuleService > 0 {
-						s.descheduled = true
-					}
-					s.wait = spinWaitDispatch
-					s.c.parked = true
-					return false
+			if s.boundary && s.ctx.SpinBoundary() {
+				// Preempted mid-charge: the processor's next dispatch of
+				// this context resumes the emulation via Unpark. Under
+				// module contention the gap breaks the timing the module
+				// recurrence's fixed point depends on.
+				if cell := s.spec.ProbeCell; cell != nil && cell.m.cfg.ModuleService > 0 {
+					s.descheduled = true
 				}
+				s.wait = spinWaitDispatch
+				s.c.parked = true
+				return false
 			}
 
 		case spinAfterBoundary:
@@ -338,10 +335,12 @@ func (e *Engine) runSpin(s *spinState) bool {
 			s.pc = spinAccrue
 
 		case spinIterEnd:
-			clean := e.harm(s) == harmNone
-			s.steady = clean && s.haveLast && s.lastDelay == s.curDelay && s.lastPause == s.curPause
-			s.haveLast = clean
-			s.lastDelay, s.lastPause = s.curDelay, s.curPause
+			if !s.volatile {
+				clean := e.harm(s) == harmNone
+				s.steady = clean && s.haveLast && s.lastDelay == s.curDelay && s.lastPause == s.curPause
+				s.haveLast = clean
+				s.lastDelay, s.lastPause = s.curDelay, s.curPause
+			}
 			s.pc = spinProbeStart
 		}
 	}
@@ -353,32 +352,32 @@ func (e *Engine) runSpin(s *spinState) bool {
 type harmCause uint8
 
 const (
-	harmNone     harmCause = iota
-	harmCell               // its probe cell holds another value than its last probe saw
-	harmModule             // someone else reserved its module, or a preemption broke its timing
-	harmVolatile           // a run start; for a volatile spec, any dispatch, callback or boundary
-	leaveOwn               // its slice boundary or MaxIters exhaustion, or nothing else left to run
-	leaveTie               // another occurrence at an instant where it pops
-	leaveEnd               // the event loop ends
+	harmNone   harmCause = iota
+	harmCell             // its probe cell holds another value than its last probe saw
+	harmModule           // someone else reserved its module, or a preemption broke its timing
+	harmRun              // a run started, after which anything may have changed
+	leaveOwn             // its slice boundary or MaxIters exhaustion, or nothing else left to run
+	leaveTie             // another occurrence at an instant where it pops
+	leaveEnd             // the event loop ends
 )
 
 // harm reports what has harmed s since its current iteration's probe
 // reservation, harmNone when nothing has (module reservations aside,
 // which moduleSteady checks before a spinner joins and reserveAccess
-// flags while it is a member). The engine-wide counters s read at the
-// reservation only grow, so one that moved records an occurrence in
-// between. The probe cell is compared by value: by the busy-wait
-// contract a persistent spec's probe and pause depend only on it, so a
-// write that leaves the value the last probe saw — a futile
+// flags while it is a member). s must be persistent. The engine's run
+// count only grows, so one that moved since the reservation records a
+// run start in between. The probe cell is compared by value: by the
+// busy-wait contract a persistent spec's probe and pause depend only on
+// it, so a write that leaves the value the last probe saw — a futile
 // test-and-set's write-back, or a release and re-acquisition between two
 // probes — changes nothing the spinner can see.
 func (e *Engine) harm(s *spinState) harmCause {
 	switch {
 	case s.descheduled:
 		return harmModule
-	case s.seenRuns != e.runs || s.volatile && s.seenOcc != e.occurrences:
-		return harmVolatile
-	case s.spec.ProbeCell != nil && s.spec.ProbeCell.v != s.seenVal:
+	case s.seenRuns != e.runs:
+		return harmRun
+	case s.spec.ProbeCell.v != s.seenVal:
 		return harmCell
 	}
 	return harmNone
@@ -386,27 +385,22 @@ func (e *Engine) harm(s *spinState) harmCause {
 
 // isEpochMember reports whether s, about to wait for a charge completion,
 // may join the spin lane: batching possible at all, the last two
-// iterations clean with equal profiles, the current one clean so far
-// and matching them, no slice boundary pending, every charge of
-// positive length, and — when the probed module models contention —
-// the module's recurrence at its fixed point with s the only member
-// probing it.
+// iterations clean with equal profiles (so s is persistent: a volatile
+// spinner is never steady), the current one clean so far and matching
+// them, no slice boundary pending, every charge of positive length,
+// and — when the probed module models contention — the module's
+// recurrence at its fixed point with s the only member probing it.
 func (e *Engine) isEpochMember(s *spinState) bool {
 	if e.noInline || e.stopped {
 		return false
 	}
 	if !s.steady || s.boundary || e.harm(s) != harmNone || s.curDelay != s.lastDelay ||
 		!s.inProbe && s.curPause != s.lastPause || s.lastPause <= 0 ||
-		s.probeBase+s.lastDelay+s.lastPause > maxSpinPeriod {
+		s.probeBase+s.lastDelay <= 0 || s.probeBase+s.lastDelay+s.lastPause > maxSpinPeriod ||
+		!moduleSteady(s) {
 		return false
 	}
 	cell := s.spec.ProbeCell
-	if cell == nil {
-		return true
-	}
-	if s.probeBase+s.lastDelay <= 0 || !moduleSteady(s) {
-		return false
-	}
 	return cell.m.spinner == nil || cell.m.spinner[cell.node] == nil
 }
 
@@ -419,9 +413,6 @@ func (e *Engine) isEpochMember(s *spinState) bool {
 // same delay.
 func moduleSteady(s *spinState) bool {
 	cell := s.spec.ProbeCell
-	if cell == nil {
-		return true
-	}
 	m := cell.m
 	svc := m.cfg.ModuleService
 	if svc <= 0 {
@@ -442,8 +433,7 @@ const maxSpinPeriod = Time(1) << 40
 // member's futile charges complete ("pop") at fixed offsets from the
 // completion it joined with: pop k fires at w + ⌊k/2⌋·per + (k mod 2)·g1.
 // A pop either evaluates the probe (and schedules the pause) or ends an
-// iteration (and reserves and schedules the next probe charge); with no
-// probe cell every pop does both.
+// iteration (and reserves and schedules the next probe charge).
 type epochMember struct {
 	c *Coro
 	// w, at and seq are pop 0's time and event key: the real key the
@@ -451,8 +441,8 @@ type epochMember struct {
 	w   Time
 	at  Time
 	seq uint64
-	// g1 and per place the pops; evalParity is the parity of the pops
-	// that evaluate the probe, -1 when every pop does.
+	// g1 and per place the pops; evalParity (0 or 1) is the parity of
+	// the pops that evaluate the probe.
 	g1, per    Time
 	evalParity int64
 	// k counts the pops behind the clock, done the pops whose effects
@@ -474,13 +464,7 @@ func (m *epochMember) pop(k int64) Time {
 
 // evals counts the probe evaluations among the first n pops.
 func (m *epochMember) evals(n int64) int64 {
-	switch m.evalParity {
-	case 0:
-		return (n + 1) / 2
-	case 1:
-		return n / 2
-	}
-	return n
+	return (n + 1 - m.evalParity) / 2
 }
 
 // popsBy counts the pops at or before h.
@@ -508,17 +492,11 @@ func (m *epochMember) ownAt(b Time, left int64) Time {
 	if left < 0 {
 		return end
 	}
-	// The exhausting evaluation is the (left+1)-th: pop left with no
-	// probe cell (every pop evaluates), else pop 2·left + evalParity.
-	t, period := m.w, m.per
-	switch m.evalParity {
-	case -1:
-		period = m.g1
-	case 1:
-		t += m.g1
-	}
-	if left <= int64((MaxTime-t)/period) {
-		if t += Time(left) * period; t < end {
+	// The exhausting evaluation is the (left+1)-th: pop 2·left +
+	// evalParity.
+	t := m.w + Time(m.evalParity)*m.g1
+	if left <= int64((MaxTime-t)/m.per) {
+		if t += Time(left) * m.per; t < end {
 			end = t
 		}
 	}
@@ -598,13 +576,9 @@ func (e *Engine) joinLane(s *spinState, when Time) {
 	e.lane = append(e.lane, epochMember{c: s.c, w: when, at: e.now, seq: e.seq, booked: when, next: when})
 	m := &e.lane[len(e.lane)-1]
 	lp, p := s.probeBase+s.lastDelay, s.lastPause
-	switch {
-	case s.spec.ProbeCell == nil:
-		m.g1, m.per, m.evalParity = p, 2*p, -1
-	case !s.inProbe:
-		m.g1, m.per, m.evalParity = lp, lp+p, 1
-	default:
-		m.g1, m.per, m.evalParity = p, lp+p, 0
+	m.g1, m.per = p, lp+p
+	if !s.inProbe {
+		m.g1, m.evalParity = lp, 1
 	}
 	left := int64(-1)
 	if max := s.spec.MaxIters; max >= 0 {
@@ -614,7 +588,7 @@ func (e *Engine) joinLane(s *spinState, when Time) {
 	if len(e.lane) == 1 || when < e.laneNext {
 		e.laneNext = when
 	}
-	if cell := s.spec.ProbeCell; cell != nil && cell.m.spinner != nil {
+	if cell := s.spec.ProbeCell; cell.m.spinner != nil {
 		cell.m.spinner[cell.node] = s.c
 	}
 }
@@ -748,7 +722,7 @@ func (e *Engine) flushLane(L Time, cause harmCause) Time {
 func (e *Engine) leave(m *epochMember, k int64, cause harmCause) {
 	e.passPops(m, k)
 	e.fastForwardSpin(m, k)
-	if cell := m.c.spin.spec.ProbeCell; cell != nil && cell.m.spinner != nil {
+	if cell := m.c.spin.spec.ProbeCell; cell.m.spinner != nil {
 		cell.m.spinner[cell.node] = nil
 	}
 	switch cause {
@@ -756,8 +730,8 @@ func (e *Engine) leave(m *epochMember, k int64, cause harmCause) {
 		e.stats.EvictCell++
 	case harmModule:
 		e.stats.EvictModule++
-	case harmVolatile:
-		e.stats.EvictVolatile++
+	case harmRun:
+		e.stats.EvictRun++
 	case leaveOwn:
 		e.stats.EvictOwn++
 	case leaveTie:
@@ -869,21 +843,20 @@ func (e *Engine) fastForwardSpin(m *epochMember, k int64) {
 	s.boundary = boundary
 	evals := m.evals(k) - m.evals(m.done)
 	s.iters += evals
-	lastIsEval := m.evalParity < 0 || (k-1)%2 == m.evalParity
+	lastIsEval := (k-1)%2 == m.evalParity
 	s.inProbe = !lastIsEval
-	if cell := s.spec.ProbeCell; cell != nil {
-		if resvs := k - m.done - evals; resvs > 0 {
-			r := k - 1
-			if lastIsEval {
-				r--
-			}
-			s.resvAt = m.pop(r)
-			mach := cell.m
-			mach.accesses[cell.node] += uint64(resvs)
-			if svc := mach.cfg.ModuleService; svc > 0 {
-				mach.queueDelay[cell.node] += Time(resvs) * s.lastDelay
-				mach.moduleFree[cell.node] = s.resvAt + s.lastDelay + svc
-			}
+	if resvs := k - m.done - evals; resvs > 0 {
+		r := k - 1
+		if lastIsEval {
+			r--
+		}
+		s.resvAt = m.pop(r)
+		cell := s.spec.ProbeCell
+		mach := cell.m
+		mach.accesses[cell.node] += uint64(resvs)
+		if svc := mach.cfg.ModuleService; svc > 0 {
+			mach.queueDelay[cell.node] += Time(resvs) * s.lastDelay
+			mach.moduleFree[cell.node] = s.resvAt + s.lastDelay + svc
 		}
 	}
 	m.done = k

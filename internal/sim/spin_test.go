@@ -501,6 +501,7 @@ type epochParams struct {
 	quantum  Time // spinners' slice budget; 0 = none
 	gap      Time // descheduled time at a slice boundary; 0 = absorbed in place
 	deadline Time // window split point, after the Stop when there is one; 0 = one plain Run
+	allCells bool // every spinner probes a cell; else every fourth probes none
 
 	// Local-harm shapes: occurrences that leave most spinners' cells
 	// alone.
@@ -526,8 +527,9 @@ type epochParams struct {
 // again unbounded. Lockstep mode gives every spinner the same node,
 // pause and start time, so their charges tie on (when, at) and the
 // commit must order them as the per-charge engine would; otherwise
-// pauses and distances differ. Every fourth spinner declares no probe
-// cell, so its iterations are a pause alone. A window deadline, when
+// pauses and distances differ. Unless allCells is set, every fourth
+// spinner declares no probe cell, so its iterations are a pause alone
+// and it never joins the lane. A window deadline, when
 // set, splits the run mid-epoch. The local-harm shapes add busy
 // non-spinners and callbacks that touch no cell, a writer whose stores
 // to c0 alternate between its current value (no harm) and new held
@@ -708,7 +710,7 @@ func runEpochWorkload(tb testing.TB, p epochParams, mode simtest.Mode) (string, 
 				spec.Volatile = true
 				spec.PauseCost = func() Time { return pause + extra }
 			}
-			if i%4 == 3 {
+			if i%4 == 3 && !p.allCells {
 				spec.ProbeCell = nil // probes uncharged state: one charge per iteration
 			}
 			iters, ok := c.SpinUntil(a, spec)
@@ -788,8 +790,8 @@ func epochFuzzParams(seed uint64, spinners, cells, flags, svcUnits, quantumUnits
 // pops, a Stop mid-epoch, and mid-run reads of busy time and module
 // counters — through every engine mode, requiring identical (now,
 // seq)-stamped logs, busy accrual, and module-contention accounting.
-// Seeds #7 and #8 are TestSpinEpochEngages's workloads, #9 to #12 its
-// local-harm ones.
+// Seeds #7 and #8 are TestSpinEpochEngages's workloads with every fourth
+// spinner probing no cell, #9 to #12 its local-harm ones.
 func FuzzSpinEpochDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint8(7), uint8(3), uint8(0), uint8(0), uint16(0))
 	f.Add(uint64(2), uint8(15), uint8(3), uint8(1), uint8(0), uint8(0), uint16(300))
@@ -830,16 +832,18 @@ var localHarmFlags = []uint8{2 | 8, 2 | 16, 2 | 8 | 32, 2 | 16 | 64}
 // TestSpinEpochEngages proves spin epochs hold several lazy members at
 // once — with unequal lengths and in lockstep — and that their
 // closed-form charges account for most of the iterations, so
-// FuzzSpinEpochDifferential, whose seeds #7 and #8 are these workloads,
-// does not pass vacuously: with unequal lengths other coros pass members'
+// FuzzSpinEpochDifferential, whose seeds #7 and #8 are these workloads
+// (with spinners that probe no cell, which never join the lane), does
+// not pass vacuously: with unequal lengths other coros pass members'
 // pops inline, and in lockstep members tie and leave the lane together,
 // ordered as the per-charge engine orders them. Its local-harm seeds
-// must show members outliving dispatches and callbacks, same-value
-// writes leaving them in place, and the volatile spinner evicted.
+// must show members outliving dispatches and callbacks and same-value
+// writes leaving them in place, beside a volatile spinner that never
+// joins.
 func TestSpinEpochEngages(t *testing.T) {
 	for _, lockstep := range []bool{false, true} {
 		name := fmt.Sprintf("lockstep=%v", lockstep)
-		p := epochParams{seed: 11, spinners: 8, cells: 8, lockstep: lockstep}
+		p := epochParams{seed: 11, spinners: 8, cells: 8, lockstep: lockstep, allCells: true}
 		_, got := runEpochWorkload(t, p, simtest.Mode{Inline: true, Batched: true})
 		if lockstep && (got.SharedCommits == 0 || got.EvictTie == 0) {
 			t.Errorf("%s: no members left the lane together at a tie", name)

@@ -32,23 +32,21 @@ type Stats struct {
 	// Evictions count the members that left the spin lane, by cause: a
 	// probe cell holding another value than the member's last probe saw,
 	// someone else reserving the probed module, the member's own slice
-	// boundary or MaxIters, a harm to every spinner or to every volatile
-	// one (a run start, or a dispatch, callback or boundary under a
-	// volatile spec), another occurrence at an instant where the member
-	// charges (a tie), and the end of an event loop. StateReads counts
+	// boundary or MaxIters, a run start, another occurrence at an instant
+	// where the member charges (a tie), and the end of an event loop.
+	// Volatile spinners never join the lane. StateReads counts
 	// the members brought up to date, without leaving the lane, because
 	// something read what they accrue (Engine.SyncSpins).
-	EvictCell     uint64
-	EvictModule   uint64
-	EvictOwn      uint64
-	EvictVolatile uint64
-	EvictTie      uint64
-	EvictLoopEnd  uint64
-	StateReads    uint64
+	EvictCell    uint64
+	EvictModule  uint64
+	EvictOwn     uint64
+	EvictRun     uint64
+	EvictTie     uint64
+	EvictLoopEnd uint64
+	StateReads   uint64
 	// LaneSurvivals sums, over every coroutine dispatch and callback, the
-	// spin-lane members present at it. A persistent member stays in the
-	// lane through the occurrence unless it harms the member; a volatile
-	// one leaves at its next charge.
+	// spin-lane members present at it. A member stays in the lane
+	// through the occurrence unless it harms the member.
 	LaneSurvivals uint64
 	// LaneRefusals counts the sleeps and spin charges that could not
 	// advance inline only because of the spin lane; LanePassed counts
@@ -77,7 +75,7 @@ func (s *Stats) fields() [statsFields]*uint64 {
 	return [statsFields]*uint64{
 		&s.Events, &s.Dispatches, &s.InlineWakeups, &s.SpinCharges,
 		&s.Commits, &s.MemberCommits, &s.BatchedIters, &s.SharedCommits,
-		&s.EvictCell, &s.EvictModule, &s.EvictOwn, &s.EvictVolatile,
+		&s.EvictCell, &s.EvictModule, &s.EvictOwn, &s.EvictRun,
 		&s.EvictTie, &s.EvictLoopEnd, &s.StateReads,
 		&s.LaneSurvivals, &s.LaneRefusals, &s.LanePassed,
 	}
