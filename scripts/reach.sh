@@ -4,8 +4,8 @@
 # Run it from the repository root (make reach). A consumer is:
 #
 #   exp:<name>  one registered experiment, alone: repro -j 1 <name>
-#   flags       the repro runs with observer, CSV and lock flags that CI and
-#               cmd/repro's tests make, and the usage text (-h)
+#   flags       repro runs that set every one of its flags, and the usage
+#               text (-h)
 #   examples    every program under examples/
 #   simbench    bench/'s simbench -workload all, untraced and traced
 #   benchmarks  the root benchmarks at -benchtime 1x
@@ -71,6 +71,15 @@ cover flags "$repro" -trace "$tmp/out/c.json" coupling
 cover flags "$repro" -ledger "$tmp/out/c.ledger.json" coupling
 cover flags "$repro" -lock spin table4 table6
 cover flags "$repro" -cities 7 -searchers 3 -csvdir "$tmp/out" table1
+cover flags "$repro" -trace "$tmp/out/r.json" -trace-reports -trace-capacity 5000 table8 feedback
+cover flags "$repro" -procs 4 -iters 4 -cpuprofile "$tmp/out/cpu.prof" -memprofile "$tmp/out/mem.prof" table4 table8
+cover flags "$repro" -seed 2 -steps 500 -cities 7 -searchers 3 table3
+cover flags "$repro" -uniform -cities 7 -searchers 3 table1
+# Two small TSPLIB instances, one per format the -file parser reads.
+printf 'NAME: square6\nTYPE: TSP\nDIMENSION: 6\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 10 0\n3 20 5\n4 10 10\n5 0 10\n6 5 5\nEOF\n' > "$tmp/out/euc.tsp"
+printf 'NAME: m4\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 3 4 2\n3 0 5 6\n4 5 0 7\n2 6 7 0\nEOF\n' > "$tmp/out/full.tsp"
+cover flags "$repro" -file "$tmp/out/euc.tsp" -searchers 3 table1
+cover flags "$repro" -file "$tmp/out/full.tsp" -searchers 3 table2
 
 for dir in examples/*/; do
 	echo "reach: examples/$(basename "$dir")" >&2
