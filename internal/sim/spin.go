@@ -365,8 +365,8 @@ const (
 // reservation, harmNone when nothing has (module reservations aside,
 // which moduleSteady checks before a spinner joins and reserveAccess
 // flags while it is a member). s must be persistent. The engine's run
-// count only grows, so one that moved since the reservation records a
-// run start in between. The probe cell is compared by value: by the
+// count only grows, so a count that moved since the reservation records
+// a run start in between. The probe cell is compared by value: by the
 // busy-wait contract a persistent spec's probe and pause depend only on
 // it, so a write that leaves the value the last probe saw — a futile
 // test-and-set's write-back, or a release and re-acquisition between two
